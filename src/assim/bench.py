@@ -130,7 +130,6 @@ _SHARED = {
     "noise.sigma": ("float", {"example1": 0.325, "example2": 0.0, "example3_analog": 2.0},
                     "Gaussian spread per raw sensor reading"),
     "noise.mc_samples": ("int", {e: 1000 for e in EXPERIMENTS}, "Monte Carlo samples for expectations"),
-    "workers": ("int", {e: 1 for e in EXPERIMENTS}, "threads for the per-case loop"),
 }
 
 _EX1 = {
@@ -467,20 +466,6 @@ def _write_run_json(cfg: dict, path: Path) -> None:
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _map_cases(fn, items, workers: int) -> list:
-    """Evaluate ``fn`` per case, possibly on a thread pool.
-
-    Every case carries its own derived seed, so the outputs do not depend on
-    scheduling; callers sort rows before emission regardless.
-    """
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _grid(cfg: dict) -> Grid:
     return Grid(cfg["grid.a"], cfg["grid.b"], cfg["grid.num_points"])
 
@@ -563,9 +548,7 @@ def run_example1(cfg: dict) -> RunResult:
                                             "runtime_ms": elapsed_ms})
                     return out_rows, out_timings
 
-                for case_rows, case_timings in _map_cases(
-                    one_case, list(enumerate(truths)), cfg["workers"]
-                ):
+                for case_rows, case_timings in map(one_case, enumerate(truths)):
                     rows.extend(case_rows)
                     timings.extend(case_timings)
 
@@ -674,9 +657,7 @@ def run_example2(cfg: dict) -> RunResult:
                 }
                 return case_rows, case_timings, case_diag
 
-            for case_rows, case_timings, case_diag in _map_cases(
-                one_case, list(enumerate(cases)), cfg["workers"]
-            ):
+            for case_rows, case_timings, case_diag in map(one_case, enumerate(cases)):
                 rows.extend(case_rows)
                 timings.extend(case_timings)
                 diagnostics.append(case_diag)
@@ -770,8 +751,8 @@ def run_example3_analog(cfg: dict) -> RunResult:
                     )
                 return case_rows, case_timings, case_diag
 
-            for case_rows, case_timings, case_diag in _map_cases(
-                one_case, list(range(cfg["validation.count"])), cfg["workers"]
+            for case_rows, case_timings, case_diag in map(
+                one_case, range(cfg["validation.count"])
             ):
                 rows.extend(case_rows)
                 timings.extend(case_timings)

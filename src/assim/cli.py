@@ -18,11 +18,11 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    ConfigError,
     describe_schema,
     load_config,
     run_experiment,
 )
+from .solver import StabilityError
 
 __all__ = ["main"]
 
@@ -167,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "info":
             print(describe_schema())
             return 0
-    except (ConfigError, OSError) as exc:
+    # ValueError covers ConfigError and the library's input checks
+    except (ValueError, StabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1

@@ -320,8 +320,9 @@ def multiscale_beta_bound(
     lower bound expands ``||P(v_s + v_f)||^2`` into separate terms, which
     needs the projected components orthogonal as well (for merely orthogonal
     pairs the inequality can fail outright).  Under the full hypothesis the
-    combined constant provably dominates the smaller individual one, which is
-    asserted.  Returns (beta_combined, beta_background, beta_slow).
+    combined constant provably dominates the smaller individual one; a
+    violation raises ``ValueError``.  Returns (beta_combined,
+    beta_background, beta_slow).
     """
     images = [project_onto(vf, space.onb) for vf in background.basis]
     for vs in slow_space.basis:
@@ -345,7 +346,13 @@ def multiscale_beta_bound(
     if combined.dimension != background.dimension + slow_space.dimension:
         raise ValueError("combined basis lost rank; inputs were not independent")
     beta_combined = inf_sup_beta(combined, space)
-    assert beta_combined >= min(beta_f, beta_s) - 1e-8
+    if beta_combined < min(beta_f, beta_s) - 1e-8:
+        raise ValueError(
+            f"combined stability constant {beta_combined:.3e} is below "
+            f"min(beta_background, beta_slow) = {min(beta_f, beta_s):.3e}; the "
+            "inputs break the orthogonality hypothesis by more than "
+            f"orthogonality_tol={orthogonality_tol:g} allows"
+        )
     return beta_combined, beta_f, beta_s
 
 

@@ -248,7 +248,7 @@ def observe(u: GridFunction, space: ObservationSpace, noise=None, seed: int = 0)
 
 def cross_gramian(space: ObservationSpace, subspace: Subspace) -> np.ndarray:
     """G[j, i] = <q_j, v_i> for the observation onb q and the given basis v."""
-    return (space.onb.matrix * space.grid.weights) @ subspace.matrix.T
+    return space.onb.weighted_matrix @ subspace.matrix.T
 
 
 def inf_sup_beta(subspace: Subspace, space: ObservationSpace) -> float:

@@ -17,6 +17,11 @@ states satisfying the constraint there it is the closest to V_n.  The
 normal-equation residual d - G c is orthogonal to the columns of G, so the
 background and correction components are orthogonal in the ambient space.
 
+Everything that depends only on the pair (V_n, W_m) -- G, the stability
+constant beta and the pseudo-inverse of G -- is computed once per pair, from
+one thin SVD, and reused by every later solve on that pair; a solve then
+costs a few m x n products.
+
 A box-constrained variant clamps the background coefficients to bounds
 derived from the training snapshots, which guards the solve against data far
 outside the calibrated regime.
@@ -25,15 +30,15 @@ outside the calibrated regime.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .manifold import SnapshotSet
 from .obs import Measurement, ObservationSpace, cross_gramian
-from .space import GridFunction, Subspace, write_grid_function
+from .space import GridFunction, GridMismatchError, Subspace, write_grid_function
 
 __all__ = [
     "Reconstruction",
@@ -95,43 +100,80 @@ def _target_coeffs(target, space: ObservationSpace) -> np.ndarray:
     raise TypeError(f"target must be a Measurement or GridFunction, got {type(target)!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class _SolvePlan:
+    """Offline part of the solve for one (background, observation space) pair.
+
+    ``pinv`` is None when ``beta`` falls below ``BETA_FLOOR``: such a pair is
+    rejected on every solve, so its pseudo-inverse is never needed.
+    """
+
+    G: np.ndarray
+    beta: float
+    pinv: np.ndarray | None
+
+
+# background -> {observation space -> plan}.  Both key types are immutable and
+# compare by identity, so a plan never goes stale, and the weak keys drop a
+# pair's plan as soon as either object is collected.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _build_plan(background: Subspace, space: ObservationSpace) -> _SolvePlan:
+    if background.grid != space.grid:
+        raise GridMismatchError("background and observation space live on different grids")
+    G = cross_gramian(space, background)
+    if background.dimension == 0:
+        return _SolvePlan(G, 1.0, np.zeros((0, space.m)))
+    U, S, Vt = np.linalg.svd(G, full_matrices=False)
+    beta = float(S[-1])
+    # lstsq(rcond=None) truncates below eps * m * S[0], far under BETA_FLOOR,
+    # so every pair that passes the floor gets the full pseudo-inverse
+    pinv = (Vt.T / S) @ U.T if beta >= BETA_FLOOR else None
+    return _SolvePlan(G, beta, pinv)
+
+
+def _plan(background: Subspace, space: ObservationSpace) -> _SolvePlan:
+    """The pair's cached plan, checked for stability on every call."""
+    n, m = background.dimension, space.m
+    if n > m:
+        raise ValueError(
+            f"background dimension n={n} exceeds the number of sensors m={m}"
+        )
+    per_space = _PLANS.get(background)
+    if per_space is None:
+        per_space = _PLANS[background] = weakref.WeakKeyDictionary()
+    plan = per_space.get(space)
+    if plan is None:
+        plan = per_space[space] = _build_plan(background, space)
+    if plan.pinv is None:
+        raise StabilityError(
+            f"stability constant beta={plan.beta:.3e} below {BETA_FLOOR:g}; "
+            "reduce the background dimension or add sensors"
+        )
+    return plan
+
+
 def _assemble(
     d: np.ndarray,
     c: np.ndarray,
     background: Subspace,
     space: ObservationSpace,
-    beta: float,
+    plan: _SolvePlan,
 ) -> Reconstruction:
-    G = cross_gramian(space, background)
-    correction = d - G @ c if background.dimension else d.copy()
-    state = space.onb.combine(correction)
-    if background.dimension:
-        state = state + background.combine(c)
+    correction = d - plan.G @ c
+    state = GridFunction(
+        space.grid, space.onb.matrix.T @ correction + background.matrix.T @ c
+    )
     # measure the constraint violation on the assembled state, not on paper
     residual = float(np.linalg.norm(space.onb.coefficients(state) - d))
     return Reconstruction(
         state=state,
         rom_coeffs=c,
         correction_coeffs=correction,
-        beta=beta,
+        beta=plan.beta,
         constraint_residual=residual,
     )
-
-
-def _stability_check(G: np.ndarray, n: int, m: int) -> float:
-    if n > m:
-        raise ValueError(
-            f"background dimension n={n} exceeds the number of sensors m={m}"
-        )
-    if n == 0:
-        return 1.0
-    beta = float(np.linalg.svd(G, compute_uv=False)[-1])
-    if beta < BETA_FLOOR:
-        raise StabilityError(
-            f"stability constant beta={beta:.3e} below {BETA_FLOOR:g}; "
-            "reduce the background dimension or add sensors"
-        )
-    return beta
 
 
 def pbdw_solve(target, background: Subspace, space: ObservationSpace) -> Reconstruction:
@@ -142,13 +184,8 @@ def pbdw_solve(target, background: Subspace, space: ObservationSpace) -> Reconst
     data into the observation space.
     """
     d = _target_coeffs(target, space)
-    G = cross_gramian(space, background)
-    beta = _stability_check(G, background.dimension, space.m)
-    if background.dimension == 0:
-        c = np.zeros(0)
-    else:
-        c, *_ = np.linalg.lstsq(G, d, rcond=None)
-    return _assemble(d, c, background, space, beta)
+    plan = _plan(background, space)
+    return _assemble(d, plan.pinv @ d, background, space, plan)
 
 
 def pbdw_solve_boxed(
@@ -164,17 +201,16 @@ def pbdw_solve_boxed(
             f"{background.dimension}"
         )
     d = _target_coeffs(target, space)
-    G = cross_gramian(space, background)
-    beta = _stability_check(G, background.dimension, space.m)
-    n = background.dimension
-    if n == 0:
-        return _assemble(d, np.zeros(0), background, space, beta)
-
-    c = np.empty(n)
+    plan = _plan(background, space)
+    G = plan.G
+    c = np.empty(background.dimension)
     fixed = box.lo == box.hi
     c[fixed] = box.lo[fixed]
     free = ~fixed
     if free.any():
+        # only this path needs scipy.optimize, which dominates the import time
+        from scipy.optimize import lsq_linear
+
         d_free = d - G[:, fixed] @ c[fixed]
         # bvls solves the bounded least-squares subproblem to optimality
         result = lsq_linear(
@@ -185,7 +221,7 @@ def pbdw_solve_boxed(
             tol=1e-14,
         )
         c[free] = result.x
-    return _assemble(d, c, background, space, beta)
+    return _assemble(d, c, background, space, plan)
 
 
 def compute_box(snapshots: SnapshotSet, background: Subspace, margin: float = 1.1) -> Box:

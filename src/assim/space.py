@@ -154,8 +154,7 @@ class Subspace:
             if fn.grid != self.grid:
                 raise GridMismatchError("basis functions live on a different grid")
         if self._validate and self.dimension > 0:
-            G = self.matrix * self.grid.weights
-            gram = G @ self.matrix.T
+            gram = self.weighted_matrix @ self.matrix.T
             if np.max(np.abs(gram - np.eye(self.dimension))) > ORTHONORMALITY_TOL:
                 raise NotOrthonormalError(
                     "basis is not orthonormal; run orthonormalize() first"
@@ -172,11 +171,16 @@ class Subspace:
             return np.zeros((0, self.grid.num_points))
         return np.stack([fn.values for fn in self.basis])
 
+    @cached_property
+    def weighted_matrix(self) -> np.ndarray:
+        """``matrix`` times the quadrature weights: row i maps u to <v_i, u>."""
+        return self.matrix * self.grid.weights
+
     def coefficients(self, u: GridFunction) -> np.ndarray:
         """Coordinates of the projection of ``u`` onto the subspace."""
         if u.grid != self.grid:
             raise GridMismatchError("function lives on a different grid")
-        return (self.matrix * self.grid.weights) @ u.values
+        return self.weighted_matrix @ u.values
 
     def combine(self, coeffs: np.ndarray) -> GridFunction:
         """Linear combination of the basis with the given coordinates."""

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +262,18 @@ class TestCli:
         code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unstable_cell_is_reported(self, tmp_path, capsys):
+        # n=8 modes are not observable by 10 box sensors: beta falls below the floor
+        config = Path(__file__).parents[1] / "configs" / "example3.cfg"
+        code = cli_main([
+            "run", "--config", str(config), "--set", "sweep.n=8", "--set", "sweep.m=10",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: stability constant")
 
     def test_pod_decay_command(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

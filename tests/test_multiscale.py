@@ -308,6 +308,17 @@ class TestBetaBound:
         with pytest.raises(ValueError, match="orthogonal"):
             multiscale_beta_bound(slow, background, space40)
 
+    def test_bound_violation_raises(self, grid, space40, rng):
+        # a slow vector leaning on the background breaks the hypothesis; with
+        # the orthogonality checks disabled the bound check itself must fire
+        u = GridFunction(grid, rng.normal(size=grid.num_points))
+        hidden = u - project_onto(u, space40.onb)          # invisible to sensors
+        v = space40.onb.basis[0]
+        background = Subspace(grid, (v,), _validate=False)
+        slow = orthonormalize([v + (0.1 / hidden.norm()) * hidden])
+        with pytest.raises(ValueError, match="combined stability constant"):
+            multiscale_beta_bound(slow, background, space40, orthogonality_tol=np.inf)
+
     def test_reconstruction_error_bound(self, grid, space40, dictionary):
         # combined a priori bound on noise-free multiscale truths; the
         # analysis slow space uses a thinned dictionary so it stays

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from assim import (
     pod,
     sample_sinusoids,
 )
+from assim import solver
 from assim.rom import projection_residuals
 from assim.solver import write_reconstruction
 
@@ -76,9 +79,51 @@ class TestPbdwSolve:
 
     def test_against_kkt_oracle_single(self, rng):
         grid, V, space, target = random_instance(rng, num_points=6, n=2, m=3)
-        expected = kkt_oracle(grid, V.matrix, space.onb.matrix, target.coeffs)
-        rec = pbdw_solve(target, V, space)
-        assert np.max(np.abs(rec.state.values - expected)) < 1e-10
+        other = Measurement(rng.normal(size=3), space)
+        # the later solves reuse the plan the first one built for (V, space)
+        for d in (target, other, target):
+            expected = kkt_oracle(grid, V.matrix, space.onb.matrix, d.coeffs)
+            rec = pbdw_solve(d, V, space)
+            assert np.max(np.abs(rec.state.values - expected)) < 1e-10
+
+    def test_plans_are_per_pair(self, rng):
+        grid = Grid(0.0, 1.0, 40)
+        fns = [GridFunction(grid, rng.normal(size=40)) for _ in range(3)]
+        narrow, wide = orthonormalize(fns[:2]), orthonormalize(fns)
+        spaces = [
+            build_observation_space(SensorArray(tuple(grid.nodes[idx]), "pointwise"), grid)
+            for idx in (np.arange(3, 37, 3), np.arange(2, 38, 3))
+        ]
+        pairs = [(narrow, spaces[0]), (wide, spaces[0]), (narrow, spaces[1])]
+        # interleaved twice: a plan built for one pair must not serve another
+        for V, space in pairs + pairs[::-1]:
+            d = rng.normal(size=space.m)
+            expected = kkt_oracle(grid, V.matrix, space.onb.matrix, d)
+            rec = pbdw_solve(Measurement(d, space), V, space)
+            assert np.max(np.abs(rec.state.values - expected)) < 1e-10
+            assert rec.beta == pytest.approx(inf_sup_beta(V, space), rel=1e-12)
+        assert len(solver._PLANS[narrow]) == 2
+        assert len(solver._PLANS[wide]) == 1
+
+    def test_plan_cache_keeps_neither_object_alive(self, grid, rng):
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 10, seed=14)
+        background = pod(snaps, 3).subspace
+        space = build_observation_space(SensorArray.equidistant(8, grid), grid)
+        pbdw_solve(observe(snaps.snapshots[0], space), background, space)
+        assert space in solver._PLANS[background]
+        del snaps
+        gc.collect()
+        dead_space = weakref.ref(space)
+        del space
+        gc.collect()
+        assert dead_space() is None
+        assert len(solver._PLANS[background]) == 0
+        dead_background = weakref.ref(background)
+        count = len(solver._PLANS)
+        del background
+        gc.collect()
+        assert dead_background() is None
+        assert len(solver._PLANS) == count - 1
 
     def test_constraint_exact(self, grid, rng):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 20, seed=2)
@@ -105,15 +150,21 @@ class TestPbdwSolve:
         u = GridFunction(grid, rng.normal(size=grid.num_points))
         perp = u - space.onb.combine(space.onb.coefficients(u))
         V = orthonormalize([perp])
-        with pytest.raises(StabilityError):
-            pbdw_solve(Measurement(rng.normal(size=6), space), V, space)
+        target = Measurement(rng.normal(size=6), space)
+        # rejected on every call, not only when the pair's plan is built
+        for _ in range(2):
+            with pytest.raises(StabilityError):
+                pbdw_solve(target, V, space)
+            with pytest.raises(StabilityError):
+                pbdw_solve_boxed(target, V, space, Box([-1.0], [1.0]))
 
     def test_more_modes_than_sensors_rejected(self, grid):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 16, seed=4)
         basis = pod(snaps, 8)
         space = build_observation_space(SensorArray.equidistant(5, grid), grid)
-        with pytest.raises(ValueError):
-            pbdw_solve(Measurement(np.zeros(5), space), basis.subspace, space)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                pbdw_solve(Measurement(np.zeros(5), space), basis.subspace, space)
 
     def test_error_bound(self, grid):
         # noiseless targets from validation snapshots satisfy the a priori bound
