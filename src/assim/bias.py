@@ -16,12 +16,20 @@ error of order ``alpha**2`` instead of ``alpha``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .obs import Measurement, ObservationSpace, observe
-from .solver import Box, Reconstruction, pbdw_solve, pbdw_solve_boxed
+from .solver import (
+    BlockReconstruction,
+    Box,
+    Reconstruction,
+    pbdw_solve,
+    pbdw_solve_block,
+    pbdw_solve_boxed,
+)
 from .space import GridFunction, Subspace
 
 __all__ = [
@@ -31,7 +39,9 @@ __all__ = [
     "noise_expectation",
     "mc_expectation",
     "discrepancy_xi",
+    "corrected_constraint",
     "bpbdw_reconstruct",
+    "bpbdw_correct_block",
 ]
 
 LINEAR_BIAS_GAUSSIAN = "linear_bias_gaussian"
@@ -60,8 +70,12 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in (LINEAR_BIAS_GAUSSIAN, EMPIRICAL_TABLE):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.alpha)):
+            raise ValueError(f"sigma={self.sigma} and alpha={self.alpha} must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
+        if self.alpha <= -1:
+            raise ValueError(f"alpha={self.alpha} must exceed -1")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
         if self.kind == EMPIRICAL_TABLE:
@@ -124,8 +138,8 @@ def mc_expectation(
         for k, child in enumerate(children):
             rng = np.random.default_rng(child)
             readings[k] += rng.normal(0.0, model.sigma, space.m)
-    coords = np.linalg.solve(space.raw_to_onb_matrix, readings.T).T
-    return Measurement(coords.mean(axis=0), space)
+    coords = space.coords_from_raw(readings.T)
+    return Measurement(coords.mean(axis=1), space)
 
 
 def noise_expectation(
@@ -142,6 +156,22 @@ def discrepancy_xi(
 ) -> Measurement:
     """Expected gap between clean and noisy measurements of a state."""
     return observe(u, space) - noise_expectation(u, space, model, seed)
+
+
+def corrected_constraint(
+    u: GridFunction, space: ObservationSpace, model: NoiseModel, seed: int = 0
+) -> Measurement:
+    """Shifted constraint of the second solve: ``observe(u) + discrepancy_xi(u)``.
+
+    Projects ``u`` once and keeps the arithmetic order of that sum, so the
+    result is the same to the last bit.
+    """
+    observed = space.onb.coefficients(u)
+    if model.has_analytic_expectation:
+        expected = observed * (1.0 + model.alpha)
+    else:
+        expected = mc_expectation(u, space, model, seed).coeffs
+    return Measurement(observed + (observed - expected), space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +203,7 @@ def bpbdw_reconstruct(
         else (lambda target: pbdw_solve(target, background, space))
     )
     first = solve(omega_star)
-    eta = observe(first.state, space) + discrepancy_xi(first.state, space, model, seed)
+    eta = corrected_constraint(first.state, space, model, seed)
     corrected = solve(eta)
     return BiasCorrectedReconstruction(
         state=corrected.state,
@@ -184,3 +214,22 @@ def bpbdw_reconstruct(
         initial=first,
         eta=eta,
     )
+
+
+def bpbdw_correct_block(
+    first: BlockReconstruction,
+    background: Subspace,
+    space: ObservationSpace,
+    model: NoiseModel,
+) -> BlockReconstruction:
+    """Second step of ``bpbdw_reconstruct`` for a block of first estimates.
+
+    ``first`` is the plain block solve of the data on the same pair.  Only
+    the analytic expectation applies: Monte Carlo draws are seeded per case.
+    Column k matches ``bpbdw_reconstruct`` on case k up to roundoff.
+    """
+    if not model.has_analytic_expectation:
+        raise ValueError(f"block correction needs an analytic expectation, not {model.kind!r}")
+    observed = first.observed
+    eta = observed + (observed - observed * (1.0 + model.alpha))
+    return pbdw_solve_block(eta, background, space)

@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import NoiseModel, bpbdw_reconstruct, discrepancy_xi
+from .bias import NoiseModel, bpbdw_reconstruct, corrected_constraint
 from .manifold import SnapshotSet, heaviside
-from .obs import Measurement, ObservationSpace, inf_sup_beta, observe
+from .obs import Measurement, ObservationSpace, inf_sup_beta
 from .solver import Box, Reconstruction, pbdw_solve, pbdw_solve_boxed
 from .space import (
     Grid,
@@ -280,8 +280,8 @@ def spbdw_reconstruct(
         eta = omega_star
     else:
         u_f = bpbdw_reconstruct(omega_f, background, space, model, seed, box)
-        first_pass = smooth_solve(omega_f).state + f_star
-        eta = observe(first_pass, space) + discrepancy_xi(first_pass, space, model, seed)
+        # u_f.initial is the plain smooth solve of omega_f
+        eta = corrected_constraint(u_f.initial.state + f_star, space, model, seed)
 
     # refit the recorded steps jointly against eta; with eta = omega this
     # reproduces the extraction amplitudes exactly

@@ -148,9 +148,17 @@ class ObservationSpace:
         """B[i, j] = <w_i, q_j>; maps onb coordinates to raw readings."""
         return self.functional_matrix @ self.onb.matrix.T
 
+    @cached_property
+    def raw_to_onb_inverse(self) -> np.ndarray:
+        """Inverse of ``raw_to_onb_matrix``, factored once per space."""
+        return np.linalg.inv(self.raw_to_onb_matrix)
+
     def coords_from_raw(self, readings: np.ndarray) -> np.ndarray:
-        """Coordinates of the unique element of the span whose readings match."""
-        return np.linalg.solve(self.raw_to_onb_matrix, np.asarray(readings, dtype=float))
+        """Coordinates of the unique element of the span whose readings match.
+
+        ``readings`` is one reading vector or an m x K block, one column each.
+        """
+        return self.raw_to_onb_inverse @ np.asarray(readings, dtype=float)
 
     def raw_from_coords(self, coords: np.ndarray) -> np.ndarray:
         return self.raw_to_onb_matrix @ np.asarray(coords, dtype=float)

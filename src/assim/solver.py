@@ -19,8 +19,10 @@ background and correction components are orthogonal in the ambient space.
 
 Everything that depends only on the pair (V_n, W_m) -- G, the stability
 constant beta and the pseudo-inverse of G -- is computed once per pair, from
-one thin SVD, and reused by every later solve on that pair; a solve then
-costs a few m x n products.
+one thin SVD, and reused by every later solve on that pair.  The online part
+is linear in the data, so it runs on an m x K block of data columns at once
+(``pbdw_solve_block``) at the cost of a few products; a single solve runs
+the same kernel on one data vector.
 
 A box-constrained variant clamps the background coefficients to bounds
 derived from the training snapshots, which guards the solve against data far
@@ -42,9 +44,11 @@ from .space import GridFunction, GridMismatchError, Subspace, write_grid_functio
 
 __all__ = [
     "Reconstruction",
+    "BlockReconstruction",
     "Box",
     "StabilityError",
     "pbdw_solve",
+    "pbdw_solve_block",
     "pbdw_solve_boxed",
     "compute_box",
     "write_reconstruction",
@@ -101,16 +105,56 @@ def _target_coeffs(target, space: ObservationSpace) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class BlockReconstruction:
+    """K reconstructions on one (background, observation space) pair.
+
+    Column k of every array belongs to the k-th data column; ``observed``
+    holds the observation-space coordinates of each assembled state, from
+    which ``constraint_residuals`` are measured.  A single solve runs the
+    same kernel on one data vector, and then no array has the K axis.
+    """
+
+    states: np.ndarray              # (num_points, K)
+    rom_coeffs: np.ndarray          # (n, K)
+    correction_coeffs: np.ndarray   # (m, K)
+    observed: np.ndarray            # (m, K)
+    beta: float
+    constraint_residuals: np.ndarray  # (K,)
+
+
+@dataclass(frozen=True, eq=False)
 class _SolvePlan:
     """Offline part of the solve for one (background, observation space) pair.
 
     ``pinv`` is None when ``beta`` falls below ``BETA_FLOOR``: such a pair is
-    rejected on every solve, so its pseudo-inverse is never needed.
+    rejected on every solve, so its pseudo-inverse is never needed.  The
+    remaining fields are the two bases' cached matrices, kept here so that
+    the online kernel needs nothing but the plan.
     """
 
     G: np.ndarray
     beta: float
     pinv: np.ndarray | None
+    background_t: np.ndarray        # (num_points, n): background basis as columns
+    onb_t: np.ndarray               # (num_points, m): observation onb as columns
+    onb_weighted: np.ndarray        # (m, num_points): maps states to onb coordinates
+
+    def assemble(self, D: np.ndarray, C: np.ndarray) -> BlockReconstruction:
+        """States V C + W (D - G C) for m x K data D and n x K coefficients C.
+
+        D and C may also be one data vector and its coefficients.  The caller
+        checks the states for finiteness: once per block, or in the
+        ``GridFunction`` of a single solve.
+        """
+        correction = D - self.G @ C
+        states = self.onb_t @ correction + self.background_t @ C
+        # measure the constraint violation on the assembled states, not on paper
+        observed = self.onb_weighted @ states
+        residuals = np.sqrt(((observed - D) ** 2).sum(axis=0))
+        return BlockReconstruction(states, C, correction, observed, self.beta, residuals)
+
+    def solve(self, D: np.ndarray) -> BlockReconstruction:
+        return self.assemble(D, self.pinv @ D)
 
 
 # background -> {observation space -> plan}.  Both key types are immutable and
@@ -123,14 +167,15 @@ def _build_plan(background: Subspace, space: ObservationSpace) -> _SolvePlan:
     if background.grid != space.grid:
         raise GridMismatchError("background and observation space live on different grids")
     G = cross_gramian(space, background)
+    bases = (background.matrix.T, space.onb.matrix.T, space.onb.weighted_matrix)
     if background.dimension == 0:
-        return _SolvePlan(G, 1.0, np.zeros((0, space.m)))
+        return _SolvePlan(G, 1.0, np.zeros((0, space.m)), *bases)
     U, S, Vt = np.linalg.svd(G, full_matrices=False)
     beta = float(S[-1])
     # lstsq(rcond=None) truncates below eps * m * S[0], far under BETA_FLOOR,
     # so every pair that passes the floor gets the full pseudo-inverse
     pinv = (Vt.T / S) @ U.T if beta >= BETA_FLOOR else None
-    return _SolvePlan(G, beta, pinv)
+    return _SolvePlan(G, beta, pinv, *bases)
 
 
 def _plan(background: Subspace, space: ObservationSpace) -> _SolvePlan:
@@ -148,31 +193,20 @@ def _plan(background: Subspace, space: ObservationSpace) -> _SolvePlan:
         plan = per_space[space] = _build_plan(background, space)
     if plan.pinv is None:
         raise StabilityError(
-            f"stability constant beta={plan.beta:.3e} below {BETA_FLOOR:g}; "
-            "reduce the background dimension or add sensors"
+            f"stability constant beta={plan.beta:.3e} below {BETA_FLOOR:g} "
+            f"for n={n}, m={m}; reduce the background dimension or add sensors"
         )
     return plan
 
 
-def _assemble(
-    d: np.ndarray,
-    c: np.ndarray,
-    background: Subspace,
-    space: ObservationSpace,
-    plan: _SolvePlan,
-) -> Reconstruction:
-    correction = d - plan.G @ c
-    state = GridFunction(
-        space.grid, space.onb.matrix.T @ correction + background.matrix.T @ c
-    )
-    # measure the constraint violation on the assembled state, not on paper
-    residual = float(np.linalg.norm(space.onb.coefficients(state) - d))
+def _single(block: BlockReconstruction, grid) -> Reconstruction:
+    """The reconstruction of a kernel run on one data vector."""
     return Reconstruction(
-        state=state,
-        rom_coeffs=c,
-        correction_coeffs=correction,
-        beta=plan.beta,
-        constraint_residual=residual,
+        state=GridFunction(grid, block.states),
+        rom_coeffs=block.rom_coeffs,
+        correction_coeffs=block.correction_coeffs,
+        beta=block.beta,
+        constraint_residual=float(block.constraint_residuals),
     )
 
 
@@ -184,8 +218,24 @@ def pbdw_solve(target, background: Subspace, space: ObservationSpace) -> Reconst
     data into the observation space.
     """
     d = _target_coeffs(target, space)
-    plan = _plan(background, space)
-    return _assemble(d, plan.pinv @ d, background, space, plan)
+    return _single(_plan(background, space).solve(d), space.grid)
+
+
+def pbdw_solve_block(
+    data: np.ndarray, background: Subspace, space: ObservationSpace
+) -> BlockReconstruction:
+    """Solve for every column of an m x K block of onb data coordinates at once.
+
+    Column k equals ``pbdw_solve`` on column k up to roundoff; the pair's
+    checks run once for the whole block.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] != space.m:
+        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
+    block = _plan(background, space).solve(data)
+    if not np.isfinite(block.states).all():
+        raise ValueError("reconstructed states must be finite")
+    return block
 
 
 def pbdw_solve_boxed(
@@ -221,7 +271,7 @@ def pbdw_solve_boxed(
             tol=1e-14,
         )
         c[free] = result.x
-    return _assemble(d, c, background, space, plan)
+    return _single(plan.assemble(d, c), space.grid)
 
 
 def compute_box(snapshots: SnapshotSet, background: Subspace, margin: float = 1.1) -> Box:

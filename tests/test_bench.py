@@ -5,12 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from assim import (
+    NoiseModel,
+    SinusoidSpec,
+    bpbdw_reconstruct,
+    build_observation_space,
+    pbdw_solve,
+    pod,
+    sample_sinusoids,
+)
 from assim.bench import (
     ConfigError,
+    _grid,
+    _sensor_array,
     aggregate_rows,
     default_config,
     derive_seed,
     load_config,
+    observe_noisy,
     parse_config,
     parse_overrides,
     run_example1,
@@ -19,6 +31,8 @@ from assim.bench import (
     run_experiment,
 )
 from assim.cli import main as cli_main
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 
 def small_example1(**overrides):
@@ -76,6 +90,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sweep.n"):
             parse_config("experiment = example1\nsweep.n =\n")
 
+    @pytest.mark.parametrize("entry", ["noise.sigma = nan", "sweep.alpha = 0.1, inf",
+                                       "grid.b = -inf", "manifold.period = 1, nan"])
+    def test_non_finite_floats_rejected(self, entry):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(f"experiment = example1\n{entry}\n")
+        key, value = (part.strip() for part in entry.split("="))
+        with pytest.raises(ConfigError, match="finite"):
+            parse_overrides(default_config("example1"), [f"{key}={value}"])
+
 
 class TestSeeding:
     def test_deterministic_and_distinct(self):
@@ -93,9 +116,6 @@ class TestRunExample1:
             "noise.sigma": 0.0,
         })
         # full numerical rank of the training family
-        from assim import SinusoidSpec, pod, sample_sinusoids
-        from assim.bench import _grid
-
         grid = _grid(cfg)
         spec = SinusoidSpec(tuple(cfg["manifold.amplitude"]), tuple(cfg["manifold.period"]))
         train = sample_sinusoids(spec, grid, cfg["training.count"], derive_seed(cfg["master_seed"], "training"))
@@ -124,6 +144,83 @@ class TestRunExample1:
     def test_bias_correction_helps(self):
         res = run_example1(small_example1())
         assert res.mean_error("bpbdw", n=5) < res.mean_error("pbdw", n=5)
+
+
+def per_case_oracle(cfg):
+    """example1 rows from per-case ``pbdw_solve`` / ``bpbdw_reconstruct`` calls.
+
+    Same truths, seeds and noise draws as ``run_example1``; keyed like
+    ``ResultRow.key()`` without sigma, valued (error_e, beta, seed).
+    """
+    grid, master = _grid(cfg), cfg["master_seed"]
+    spec = SinusoidSpec(tuple(cfg["manifold.amplitude"]), tuple(cfg["manifold.period"]))
+    training = sample_sinusoids(spec, grid, cfg["training.count"],
+                                derive_seed(master, "training"))
+    basis = pod(training, max(cfg["sweep.n"]))
+    if cfg["validation.reuse_training"]:
+        truths = training.snapshots[: cfg["validation.count"]]
+    else:
+        truths = sample_sinusoids(spec, grid, cfg["validation.count"],
+                                  derive_seed(master, "validation")).snapshots
+    out = {}
+    for m in cfg["sweep.m"]:
+        space = build_observation_space(_sensor_array(cfg, m, grid), grid)
+        for n in cfg["sweep.n"]:
+            if n > m:
+                continue
+            background = basis.subspace.truncate(n)
+            for alpha in cfg["sweep.alpha"]:
+                model = NoiseModel(alpha=alpha, sigma=cfg["noise.sigma"])
+                for case_id, truth in enumerate(truths):
+                    seed = derive_seed(master, "noise", case_id, "m", m, "n", n,
+                                       "alpha", repr(alpha))
+                    omega = observe_noisy(truth, space, model, seed)
+                    for method, rec in (
+                        ("pbdw", pbdw_solve(omega, background, space)),
+                        ("bpbdw", bpbdw_reconstruct(omega, background, space, model, seed)),
+                    ):
+                        error = (rec.state - truth).norm() / truth.norm()
+                        out[(case_id, method, n, m, alpha)] = (error, rec.beta, seed)
+    return out
+
+
+class TestExample1BlockPath:
+    """Each (n, m, alpha) cell is solved as one block; per-case solves are the oracle."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"noise.sigma": 0.0, "sweep.alpha": [0.0]},
+            {"validation.reuse_training": True},
+        ],
+        ids=["noisy", "exact", "reuse_training"],
+    )
+    def test_rows_match_per_case_solves(self, overrides):
+        cfg = small_example1(**{"sweep.n": [1, 4, 10, 12], "sweep.m": [10, 25],
+                                "sweep.alpha": [0.0, 0.1], **overrides})
+        res = run_example1(cfg)
+        oracle = per_case_oracle(cfg)
+        # n=12 > m=10 is skipped: 7 (n, m) cells of 8 cases and 2 methods per alpha
+        assert len(res.rows) == len(oracle) == 7 * 8 * 2 * len(cfg["sweep.alpha"])
+        for row in res.rows:
+            error, beta, seed = oracle[row.key()[:5]]
+            assert row.error_e == pytest.approx(error, rel=1e-10)
+            assert (row.beta, row.seed, row.sigma) == (beta, seed, cfg["noise.sigma"])
+
+    def test_timings_are_per_case_shares(self):
+        res = run_example1(small_example1())
+        assert len(res.timings) == len(res.rows)
+        by_cell = {}
+        for t in res.timings:
+            by_cell.setdefault((t["method"], t["n"], t["m"], t["alpha"]), set()).add(
+                t["runtime_ms"])
+        # one block time per cell and method, shared evenly by its cases
+        assert all(len(times) == 1 for times in by_cell.values())
+        for n in (1, 3, 5):
+            (plain,) = by_cell[("pbdw", n, 25, 0.1)]
+            (corrected,) = by_cell[("bpbdw", n, 25, 0.1)]
+            assert 0 < plain <= corrected
 
 
 class TestRunExample2:
@@ -265,15 +362,36 @@ class TestCli:
 
     def test_unstable_cell_is_reported(self, tmp_path, capsys):
         # n=8 modes are not observable by 10 box sensors: beta falls below the floor
-        config = Path(__file__).parents[1] / "configs" / "example3.cfg"
         code = cli_main([
-            "run", "--config", str(config), "--set", "sweep.n=8", "--set", "sweep.m=10",
+            "run", "--config", str(CONFIGS / "example3.cfg"), "--set", "sweep.n=8", "--set", "sweep.m=10",
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: stability constant")
+        assert "n=8" in err[0] and "m=10" in err[0]
+
+    @pytest.mark.parametrize(
+        "config, override",
+        [
+            ("example1.cfg", "noise.sigma=nan"),
+            ("example3.cfg", "noise.sigma=nan"),
+            ("example3.cfg", "noise.alpha=inf"),
+            ("example1.cfg", "sweep.alpha=0.1,-1"),
+            ("example1.cfg", "sweep.alpha=-1"),
+        ],
+    )
+    def test_bad_noise_values_rejected(self, tmp_path, capsys, config, override):
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / config), "--set", override,
+                         "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out_dir.exists()
 
     def test_pod_decay_command(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

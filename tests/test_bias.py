@@ -17,7 +17,8 @@ from assim import (
     pod,
     sample_sinusoids,
 )
-from assim.bias import mc_expectation
+from assim.bias import bpbdw_correct_block, corrected_constraint, mc_expectation
+from assim.solver import pbdw_solve_block
 
 
 def full_domain_space(grid):
@@ -30,6 +31,9 @@ class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(sigma=-1.0)
+        for bad in ({"sigma": float("nan")}, {"alpha": float("inf")}, {"alpha": -1.0}):
+            with pytest.raises(ValueError):
+                NoiseModel(**bad)
         with pytest.raises(ValueError):
             NoiseModel(mc_samples=0)
         with pytest.raises(ValueError):
@@ -203,3 +207,59 @@ class TestBpbdw:
         assert rec.eta is not None
         # the corrected solve matched the corrector constraint, not the raw one
         assert np.allclose(space.onb.coefficients(rec.state), rec.eta.coeffs, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoiseModel(alpha=0.1, sigma=0.3),
+            NoiseModel(kind="empirical_table", sigma=0.3, mc_samples=50,
+                       table=((0.0, 1e3, 0.4),)),
+        ],
+        ids=["analytic", "monte_carlo"],
+    )
+    def test_one_projection_matches_three(self, grid, model):
+        # the corrected constraint projects the first estimate once; the state
+        # and eta must equal the three-projection formula to the last bit
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 32, seed=11)
+        basis = pod(snaps, 4)
+        space = build_observation_space(SensorArray.equidistant(20, grid), grid)
+        omega = apply_noise(snaps.snapshots[3], space, model, seed=12)
+        rec = bpbdw_reconstruct(omega, basis.subspace, space, model, seed=13)
+
+        first = pbdw_solve(omega, basis.subspace, space)
+        eta = observe(first.state, space) + discrepancy_xi(first.state, space, model, 13)
+        expected = pbdw_solve(eta, basis.subspace, space)
+        assert np.array_equal(rec.eta.coeffs, eta.coeffs)
+        assert np.array_equal(rec.state.values, expected.state.values)
+        assert np.array_equal(
+            corrected_constraint(first.state, space, model, 13).coeffs, eta.coeffs
+        )
+
+
+class TestBpbdwBlock:
+    def test_columns_match_per_case_oracle(self, grid):
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 48, seed=21)
+        basis = pod(snaps, 6)
+        space = build_observation_space(SensorArray.equidistant(15, grid), grid)
+        model = NoiseModel(alpha=0.15, sigma=0.5)
+        omegas = [apply_noise(u, space, model, seed=k) for k, u in enumerate(snaps.snapshots[:9])]
+        plain = pbdw_solve_block(
+            np.stack([o.coeffs for o in omegas], axis=1), basis.subspace, space
+        )
+        corrected = bpbdw_correct_block(plain, basis.subspace, space, model)
+        for k, omega in enumerate(omegas):
+            oracle = bpbdw_reconstruct(omega, basis.subspace, space, model)
+            scale = oracle.state.norm()
+            assert np.max(np.abs(plain.states[:, k] - oracle.initial.state.values)) <= 1e-12 * scale
+            assert np.max(np.abs(corrected.states[:, k] - oracle.state.values)) <= 1e-12 * scale
+            assert corrected.constraint_residuals[k] <= 1e-10 * scale
+        assert corrected.beta == oracle.beta
+
+    def test_monte_carlo_model_rejected(self, grid):
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 16, seed=22)
+        basis = pod(snaps, 2)
+        space = build_observation_space(SensorArray.equidistant(6, grid), grid)
+        plain = pbdw_solve_block(np.ones((6, 3)), basis.subspace, space)
+        model = NoiseModel(kind="empirical_table", table=((0.0, 1.0, 0.1),))
+        with pytest.raises(ValueError, match="analytic"):
+            bpbdw_correct_block(plain, basis.subspace, space, model)

@@ -124,6 +124,21 @@ class TestObserve:
         assert raw[0] == pytest.approx(1.2, abs=1e-12)
 
 
+class TestCoordsFromRaw:
+    @pytest.mark.parametrize("kind", ["pointwise", "box_average"])
+    def test_cached_inverse_matches_solve(self, grid, rng, kind):
+        space = build_observation_space(SensorArray.equidistant(25, grid, kind=kind), grid)
+        readings = rng.normal(size=25)
+        block = rng.normal(size=(25, 7))
+        B = space.raw_to_onb_matrix
+        for raw in (readings, block):
+            expected = np.linalg.solve(B, raw)
+            got = space.coords_from_raw(raw)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert space.raw_to_onb_inverse is space.raw_to_onb_inverse
+
+
 class TestInfSupBeta:
     def test_contained_subspace(self, grid):
         space = build_observation_space(SensorArray.equidistant(12, grid), grid)

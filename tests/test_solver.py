@@ -27,7 +27,7 @@ from assim import (
 )
 from assim import solver
 from assim.rom import projection_residuals
-from assim.solver import write_reconstruction
+from assim.solver import pbdw_solve_block, write_reconstruction
 
 
 def kkt_oracle(grid, V, Q, d):
@@ -158,6 +158,13 @@ class TestPbdwSolve:
             with pytest.raises(StabilityError):
                 pbdw_solve_boxed(target, V, space, Box([-1.0], [1.0]))
 
+    def test_stability_error_names_the_cell(self, grid, rng):
+        space = build_observation_space(SensorArray.equidistant(6, grid), grid)
+        u = GridFunction(grid, rng.normal(size=grid.num_points))
+        V = orthonormalize([u - space.onb.combine(space.onb.coefficients(u))])
+        with pytest.raises(StabilityError, match=r"n=1, m=6"):
+            pbdw_solve(Measurement(np.zeros(6), space), V, space)
+
     def test_more_modes_than_sensors_rejected(self, grid):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 16, seed=4)
         basis = pod(snaps, 8)
@@ -180,6 +187,41 @@ class TestPbdwSolve:
             for truth in validation:
                 rec = pbdw_solve(observe(truth, space), sub, space)
                 assert (rec.state - truth).norm() <= eps / beta + 1e-8
+
+
+class TestPbdwSolveBlock:
+    def test_columns_match_single_solves(self, rng):
+        grid, V, space, _ = random_instance(rng, num_points=30, n=4, m=9)
+        D = rng.normal(size=(9, 5))
+        block = pbdw_solve_block(D, V, space)
+        assert block.states.shape == (30, 5)
+        for k in range(5):
+            rec = pbdw_solve(Measurement(D[:, k], space), V, space)
+            expected = kkt_oracle(grid, V.matrix, space.onb.matrix, D[:, k])
+            assert np.max(np.abs(block.states[:, k] - expected)) < 1e-10
+            assert np.max(np.abs(block.states[:, k] - rec.state.values)) < 1e-12
+            assert np.allclose(block.rom_coeffs[:, k], rec.rom_coeffs, rtol=0, atol=1e-12)
+            assert block.constraint_residuals[k] < 1e-10
+            assert np.allclose(block.observed[:, k], D[:, k], rtol=0, atol=1e-10)
+        assert block.beta == rec.beta
+
+    def test_single_column_is_the_per_case_solve(self, rng):
+        # a one-column block and the single solve run the same kernel, to the last bit
+        grid, V, space, target = random_instance(rng, num_points=30, n=4, m=9)
+        block = pbdw_solve_block(target.coeffs[:, None], V, space)
+        rec = pbdw_solve(target, V, space)
+        assert np.array_equal(block.states[:, 0], rec.state.values)
+        assert np.array_equal(block.correction_coeffs[:, 0], rec.correction_coeffs)
+
+    def test_bad_blocks_rejected(self, rng):
+        grid, V, space, _ = random_instance(rng, num_points=30, n=4, m=9)
+        for bad in (np.zeros(9), np.zeros((8, 3))):
+            with pytest.raises(ValueError, match="data block"):
+                pbdw_solve_block(bad, V, space)
+        D = np.zeros((9, 3))
+        D[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pbdw_solve_block(D, V, space)
 
 
 class TestPbdwSolveBoxed:
