@@ -452,16 +452,10 @@ def _write_timings_csv(rows: list[dict], path: Path) -> None:
 
 
 def _write_run_json(cfg: dict, path: Path) -> None:
-    import scipy
-
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
-        "versions": {
-            "assim": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": {"assim": __version__, "numpy": np.__version__},
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -503,13 +497,15 @@ def run_example1(cfg: dict) -> RunResult:
     spec = SinusoidSpec(_pair(cfg, "manifold.amplitude"), _pair(cfg, "manifold.period"))
     master = cfg["master_seed"]
 
+    if min(cfg["sweep.n"]) > max(cfg["sweep.m"]):
+        raise ConfigError(
+            f"no feasible (n, m) cell: every sweep.n exceeds every sweep.m "
+            f"(smallest n={min(cfg['sweep.n'])}, largest m={max(cfg['sweep.m'])})"
+        )
     training = sample_sinusoids(spec, grid, cfg["training.count"], derive_seed(master, "training"))
     n_max = max(cfg["sweep.n"])
-    basis = pod(training, min(n_max, len(training)))
-    if n_max > basis.dimension:
-        raise ConfigError(
-            f"sweep.n goes to {n_max} but only {basis.dimension} snapshots are available"
-        )
+    _check_dimension(n_max, len(training))
+    basis = pod(training, n_max)
 
     if cfg["validation.reuse_training"]:
         count = min(cfg["validation.count"], len(training))
@@ -530,7 +526,7 @@ def run_example1(cfg: dict) -> RunResult:
         clean = space.functional_matrix @ truth_block
         exact = space.onb.weighted_matrix @ truth_block
         for n in cfg["sweep.n"]:
-            if n > m:                        # infeasible cell, skip silently
+            if n > m:                        # infeasible cell; some cell is feasible
                 continue
             background = basis.subspace.truncate(n)
             for alpha in cfg["sweep.alpha"]:
@@ -560,6 +556,13 @@ def run_example1(cfg: dict) -> RunResult:
 
     decay = pod_decay_rows({"full": (truths, basis)}, cfg["sweep.n"])
     return RunResult(cfg, rows, decay, [], timings)
+
+
+def _check_dimension(n_max: int, available: int) -> None:
+    if n_max > available:
+        raise ConfigError(
+            f"sweep.n goes to {n_max} but only {available} snapshots are available"
+        )
 
 
 def _norms(grid: Grid, block: np.ndarray) -> np.ndarray:
@@ -608,8 +611,9 @@ def run_example2(cfg: dict) -> RunResult:
         spec, grid, cfg["training.count"], derive_seed(master, "training")
     )
     n_max = max(cfg["sweep.n"])
-    fast_basis = pod(fast_train, min(n_max, len(fast_train)))
-    full_basis = pod(full_train, min(n_max, len(full_train)))
+    _check_dimension(n_max, len(full_train))
+    fast_basis = pod(fast_train, n_max)
+    full_basis = pod(full_train, n_max)
 
     fast_val, _slow_val, full_val = sample_multiscale(
         spec, grid, cfg["validation.count"], derive_seed(master, "validation")
@@ -632,8 +636,8 @@ def run_example2(cfg: dict) -> RunResult:
         )
         cases = _example2_cases(cfg, dictionary, fast_val, full_val)
         for n in cfg["sweep.n"]:
-            fast_bg = fast_basis.subspace.truncate(min(n, fast_basis.dimension))
-            full_bg = full_basis.subspace.truncate(min(n, full_basis.dimension))
+            fast_bg = fast_basis.subspace.truncate(n)
+            full_bg = full_basis.subspace.truncate(n)
 
             def one_case(item, m=m, n=n, fast_bg=fast_bg, full_bg=full_bg,
                          space=space, dictionary=dictionary):
@@ -688,9 +692,9 @@ def run_example2(cfg: dict) -> RunResult:
                 timings.extend(case_timings)
                 diagnostics.append(case_diag)
 
-    n_values = sorted(set(range(1, min(n_max, fast_basis.dimension, full_basis.dimension) + 1)))
     decay = pod_decay_rows(
-        {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)}, n_values
+        {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
+        list(range(1, n_max + 1)),
     )
     return RunResult(cfg, rows, decay, diagnostics, timings)
 
@@ -728,7 +732,8 @@ def run_example3_analog(cfg: dict) -> RunResult:
 
     training = sample_powerlaw(spec, grid, cfg["training.count"], derive_seed(master, "training"))
     n_max = max(cfg["sweep.n"])
-    basis = pod(training, min(n_max, len(training)))
+    _check_dimension(n_max, len(training))
+    basis = pod(training, n_max)
     truth = powerlaw_profile(
         grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
     )

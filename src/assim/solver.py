@@ -26,7 +26,14 @@ the same kernel on one data vector.
 
 A box-constrained variant clamps the background coefficients to bounds
 derived from the training snapshots, which guards the solve against data far
-outside the calibrated regime.
+outside the calibrated regime.  With the thin SVD G = U diag(S) V^T,
+
+    ||G c - d||^2 = ||R c - U^T d||^2 + ||d - U U^T d||^2,   R = diag(S) V^T,
+
+so the bounded problem is solved exactly on the n x n factor R, which the
+plan keeps, by bounded-variable least squares (Stark & Parker, Comput. Stat.
+10, 1995).  Its subproblems are least-squares solves on columns of R, so
+they see the condition number of G, not its square.
 """
 
 from __future__ import annotations
@@ -74,7 +81,11 @@ class Reconstruction:
 
 @dataclass(frozen=True)
 class Box:
-    """Per-coefficient bounds for the background component."""
+    """Per-coefficient bounds for the background component.
+
+    A bound may be infinite, which leaves its side of the coordinate open;
+    ``lo == hi`` fixes the coordinate.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -86,6 +97,8 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape:
             raise ValueError("bound arrays must have the same shape")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN; use -inf/inf for a one-sided bound")
         if np.any(lo > hi):
             raise ValueError("infeasible box: some lower bound exceeds its upper bound")
 
@@ -127,14 +140,18 @@ class _SolvePlan:
     """Offline part of the solve for one (background, observation space) pair.
 
     ``pinv`` is None when ``beta`` falls below ``BETA_FLOOR``: such a pair is
-    rejected on every solve, so its pseudo-inverse is never needed.  The
-    remaining fields are the two bases' cached matrices, kept here so that
-    the online kernel needs nothing but the plan.
+    rejected on every solve, so its pseudo-inverse is never needed.  ``R``
+    and ``Ut`` are the SVD factors diag(S) V^T and U^T of G = U diag(S) V^T
+    that the box-constrained solve runs on.  The remaining fields are the
+    two bases' cached matrices, kept here so that the online kernel needs
+    nothing but the plan.
     """
 
     G: np.ndarray
     beta: float
     pinv: np.ndarray | None
+    R: np.ndarray                   # (n, n)
+    Ut: np.ndarray                  # (n, m)
     background_t: np.ndarray        # (num_points, n): background basis as columns
     onb_t: np.ndarray               # (num_points, m): observation onb as columns
     onb_weighted: np.ndarray        # (m, num_points): maps states to onb coordinates
@@ -169,13 +186,14 @@ def _build_plan(background: Subspace, space: ObservationSpace) -> _SolvePlan:
     G = cross_gramian(space, background)
     bases = (background.matrix.T, space.onb.matrix.T, space.onb.weighted_matrix)
     if background.dimension == 0:
-        return _SolvePlan(G, 1.0, np.zeros((0, space.m)), *bases)
+        empty = np.zeros((0, space.m))
+        return _SolvePlan(G, 1.0, empty, np.zeros((0, 0)), empty, *bases)
     U, S, Vt = np.linalg.svd(G, full_matrices=False)
     beta = float(S[-1])
     # lstsq(rcond=None) truncates below eps * m * S[0], far under BETA_FLOOR,
     # so every pair that passes the floor gets the full pseudo-inverse
     pinv = (Vt.T / S) @ U.T if beta >= BETA_FLOOR else None
-    return _SolvePlan(G, beta, pinv, *bases)
+    return _SolvePlan(G, beta, pinv, S[:, None] * Vt, U.T, *bases)
 
 
 def _plan(background: Subspace, space: ObservationSpace) -> _SolvePlan:
@@ -252,26 +270,87 @@ def pbdw_solve_boxed(
         )
     d = _target_coeffs(target, space)
     plan = _plan(background, space)
-    G = plan.G
     c = np.empty(background.dimension)
     fixed = box.lo == box.hi
     c[fixed] = box.lo[fixed]
     free = ~fixed
     if free.any():
-        # only this path needs scipy.optimize, which dominates the import time
-        from scipy.optimize import lsq_linear
-
-        d_free = d - G[:, fixed] @ c[fixed]
-        # bvls solves the bounded least-squares subproblem to optimality
-        result = lsq_linear(
-            G[:, free],
-            d_free,
-            bounds=(box.lo[free], box.hi[free]),
-            method="bvls",
-            tol=1e-14,
-        )
-        c[free] = result.x
+        # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
+        rhs = plan.Ut @ d - plan.R[:, fixed] @ c[fixed]
+        c[free] = _bvls(plan.R[:, free], rhs, box.lo[free], box.hi[free])
     return _single(plan.assemble(d, c), space.grid)
+
+
+def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """argmin ||A x - b|| over lo <= x <= hi, for A of full column rank.
+
+    Bounded-variable least squares (Stark & Parker, Comput. Stat. 10, 1995):
+    clip the unconstrained solution to the box, pin coordinates whose
+    free-set solution leaves the box until that solution is feasible, then
+    free one bound coordinate at a time whose gradient points into the box,
+    re-solving on the free set and stepping back to the first bound crossed.
+    It stops when no held coordinate's gradient points into the box (the KKT
+    sign test) or a pass no longer lowers the objective, and every loop has a
+    fixed bound.  Every subproblem is a least-squares solve on columns of A.
+    ``lo`` may hold -inf and ``hi`` inf; ``lo < hi`` everywhere.
+    """
+    n = A.shape[1]
+    x = np.zeros(n)
+    # side[i] is -1 / +1 while x[i] is held at its lower / upper bound, 0 if free
+    side = np.zeros(n)
+
+    def free_solve(free: np.ndarray) -> np.ndarray:
+        held = ~free
+        return np.linalg.lstsq(A[:, free], b - A[:, held] @ x[held], rcond=None)[0]
+
+    # initialisation, from the unconstrained solution: each pass pins at least
+    # one coordinate or ends with a feasible free-set solution
+    for _ in range(n):
+        free = side == 0
+        if not free.any():
+            break
+        z = free_solve(free)
+        below, above = z < lo[free], z > hi[free]
+        x[free] = np.clip(z, lo[free], hi[free])
+        index = np.flatnonzero(free)
+        side[index[below]] = -1.0
+        side[index[above]] = 1.0
+        if not (below | above).any():
+            break
+
+    # main loop: each pass frees the held coordinate whose gradient points
+    # furthest into the box, which strictly lowers the objective
+    residual = A @ x - b
+    cost = residual @ residual
+    for _ in range(3 * n):
+        push = (A.T @ residual) * side
+        k = int(np.argmax(push))
+        if push[k] <= 0.0:                   # KKT sign test: x is optimal
+            break
+        side[k] = 0.0
+        # re-solve on the free set, stepping back to the first bound crossed
+        for _ in range(n):
+            free = side == 0
+            z = free_solve(free)
+            x_free, lo_free, hi_free = x[free], lo[free], hi[free]
+            below = z < lo_free
+            crossed = np.flatnonzero(below | (z > hi_free))
+            if crossed.size == 0:
+                x[free] = z
+                break
+            bound = np.where(below, lo_free, hi_free)[crossed]
+            steps = (bound - x_free[crossed]) / (z[crossed] - x_free[crossed])
+            i = int(np.argmin(steps))
+            j = crossed[i]
+            x_free += steps[i] * (z - x_free)
+            x_free[j] = bound[i]
+            x[free] = x_free
+            side[np.flatnonzero(free)[j]] = -1.0 if below[j] else 1.0
+        residual = A @ x - b
+        previous, cost = cost, residual @ residual
+        if cost >= previous:                 # no descent: the push was roundoff
+            break
+    return x
 
 
 def compute_box(snapshots: SnapshotSet, background: Subspace, margin: float = 1.1) -> Box:

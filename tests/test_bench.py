@@ -323,7 +323,7 @@ class TestOutputs:
         payload = json.loads((tmp_path / "run.json").read_text())
         assert payload["schema_version"] == 1
         assert payload["config"]["experiment"] == "example1"
-        assert "numpy" in payload["versions"]
+        assert set(payload["versions"]) == {"assim", "numpy"}
 
 
 class TestCli:
@@ -391,6 +391,29 @@ class TestCli:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "config, overrides, names",
+        [
+            # every (n, m) cell has n > m
+            ("example1.cfg", ["sweep.m=5", "sweep.n=8"], ["no feasible", "n=8", "m=5"]),
+            # the POD of 8 snapshots has 8 modes, not the requested 20
+            ("example2.cfg", ["training.count=8"], ["sweep.n goes to 20", "only 8"]),
+            ("example3.cfg", ["training.count=3"], ["sweep.n goes to 5", "only 3"]),
+        ],
+    )
+    def test_unsolvable_sweep_rejected(self, tmp_path, capsys, config, overrides, names):
+        out_dir = tmp_path / "o"
+        args = ["run", "--config", str(CONFIGS / config), "--out", str(out_dir)]
+        for override in overrides:
+            args += ["--set", override]
+        assert cli_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert all(name in err[0] for name in names)
         assert not out_dir.exists()
 
     def test_pod_decay_command(self, tmp_path, capsys):

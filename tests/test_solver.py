@@ -1,9 +1,16 @@
 import gc
+import itertools
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assim import (
     Box,
@@ -27,7 +34,10 @@ from assim import (
 )
 from assim import solver
 from assim.rom import projection_residuals
+from assim.obs import cross_gramian
 from assim.solver import pbdw_solve_block, write_reconstruction
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 def kkt_oracle(grid, V, Q, d):
@@ -46,6 +56,82 @@ def kkt_oracle(grid, V, Q, d):
     rhs = np.concatenate([np.zeros(n_pts), d])
     sol = np.linalg.solve(kkt, rhs)
     return sol[:n_pts]
+
+
+def face_oracle(G, d, lo, hi):
+    """argmin ||G c - d|| over lo <= c <= hi by scanning every face of the box.
+
+    Each coordinate is held at its lower bound, held at its upper bound or
+    left free (3**n faces; a coordinate with lo == hi is only ever held).
+    The free coordinates of a face are the least-squares solution with the
+    others held; faces that hold a coordinate at an infinite bound or whose
+    solution leaves the box are dropped, and the smallest objective wins.
+    """
+    n = G.shape[1]
+    best, best_c = np.inf, None
+    for face in itertools.product((-1, 0, 1), repeat=n):
+        face = np.array(face)
+        free = face == 0
+        if (free & (lo == hi)).any():
+            continue
+        c = np.where(face < 0, lo, hi)
+        c[free] = 0.0
+        if not np.isfinite(c).all():
+            continue
+        held = ~free
+        c[free] = np.linalg.lstsq(G[:, free], d - G[:, held] @ c[held], rcond=None)[0]
+        if not ((lo <= c) & (c <= hi)).all():
+            continue
+        value = float(np.sum((G @ c - d) ** 2))
+        if value < best:
+            best, best_c = value, c
+    return best_c, best
+
+
+def assert_matches_face_oracle(G, d, lo, hi, c):
+    """c is feasible and its objective is the oracle's to rel 1e-10.
+
+    The coefficients are compared as well, to 1e-10 * cond(G), while
+    cond(G) <= 1e3.  Beyond that the objective is flat to roundoff over a
+    range of coefficients wider than this, and which of the near-equal faces
+    the oracle picks there is arbitrary.
+    """
+    expected, best = face_oracle(G, d, lo, hi)
+    assert ((lo <= c) & (c <= hi)).all()
+    value = float(np.sum((G @ c - d) ** 2))
+    # evaluating the objective rounds G c and d, whose sizes set the absolute floor
+    floor = (1e-10 * (np.linalg.norm(G, 2) * np.linalg.norm(expected) + np.linalg.norm(d))) ** 2
+    assert value == pytest.approx(best, rel=1e-10, abs=floor)
+    cond = np.linalg.cond(G)
+    if cond <= 1e3:
+        scale = 1e-10 * cond * max(1.0, float(np.abs(expected).max()))
+        np.testing.assert_allclose(c, expected, rtol=0, atol=scale)
+
+
+# per coordinate: both bounds finite, no lower bound, no upper bound, unbounded
+BOUND_KINDS = ("finite", "no_lower", "no_upper", "unbounded")
+
+
+def random_bounds(rng, kinds):
+    lo = rng.normal(size=len(kinds))
+    hi = lo + rng.uniform(0.01, 2.0, size=len(kinds))
+    kinds = np.array(kinds)
+    lo[(kinds == "no_lower") | (kinds == "unbounded")] = -np.inf
+    hi[(kinds == "no_upper") | (kinds == "unbounded")] = np.inf
+    return lo, hi
+
+
+def interior_point(rng, lo, hi):
+    """A point strictly inside the box, also along infinite bounds."""
+    u = rng.uniform(0.1, 0.9, lo.size)
+    step = 0.1 + np.abs(rng.normal(size=lo.size))
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    lo, hi = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
+    return np.select(
+        [has_lo & has_hi, has_lo, has_hi],
+        [lo + u * (hi - lo), lo + step, hi - step],
+        rng.normal(size=lo.size),
+    )
 
 
 def random_instance(rng, num_points, n, m):
@@ -262,6 +348,95 @@ class TestPbdwSolveBoxed:
     def test_infeasible_box(self):
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
+
+    @pytest.mark.parametrize("lo, hi", [([np.nan], [1.0]), ([0.0], [np.nan]),
+                                        ([0.0, np.nan], [1.0, np.nan])])
+    def test_nan_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="NaN"):
+            Box(lo, hi)
+
+    def test_infinite_bounds_allowed(self):
+        box = Box([-np.inf, 0.0, -np.inf], [np.inf, np.inf, 2.0])
+        assert box.dimension == 3
+
+    def test_one_sided_box_against_face_oracle(self, rng):
+        grid, V, space, target = random_instance(rng, 40, 4, 9)
+        plain = pbdw_solve(target, V, space)
+        # cap every coefficient below its unconstrained value, no lower bounds
+        upper = plain.rom_coeffs - 0.5 * np.abs(plain.rom_coeffs) - 0.1
+        box = Box(np.full(4, -np.inf), upper)
+        rec = pbdw_solve_boxed(target, V, space, box)
+        assert_matches_face_oracle(
+            cross_gramian(space, V), target.coeffs, box.lo, box.hi, rec.rom_coeffs
+        )
+        assert (rec.rom_coeffs >= upper).any()     # some bound is active
+        assert rec.constraint_residual <= 1e-8 * max(1.0, target.norm())
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        extra=st.integers(0, 4),
+        kinds=st.lists(st.sampled_from(BOUND_KINDS + ("fixed",)), min_size=5, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_against_face_oracle(self, seed, n, extra, kinds):
+        rng = np.random.default_rng(seed)
+        grid, V, space, target = random_instance(rng, 30, n, n + extra)
+        kinds = kinds[:n]
+        lo, hi = random_bounds(rng, [k if k != "fixed" else "finite" for k in kinds])
+        fixed = np.array(kinds) == "fixed"
+        hi[fixed] = lo[fixed]
+        rec = pbdw_solve_boxed(target, V, space, Box(lo, hi))
+        assert np.array_equal(rec.rom_coeffs[fixed], lo[fixed])
+        assert_matches_face_oracle(cross_gramian(space, V), target.coeffs, lo, hi, rec.rom_coeffs)
+        assert rec.constraint_residual <= 1e-8 * max(1.0, target.norm())
+
+
+class TestBvls:
+    """The bounded least-squares kernel on the SVD factors of a cross-Gramian."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        extra=st.integers(0, 3),
+        log_beta=st.floats(-6.0, 0.0),
+        kinds=st.lists(st.sampled_from(BOUND_KINDS), min_size=5, max_size=5),
+        inside=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_against_face_oracle(self, seed, n, extra, log_beta, kinds, inside):
+        rng = np.random.default_rng(seed)
+        m = n + extra
+        U = np.linalg.qr(rng.normal(size=(m, n)))[0]
+        W = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        G = (U * np.geomspace(1.0, 10.0**log_beta, n)) @ W
+        lo, hi = random_bounds(rng, kinds[:n])
+        if inside:
+            # the unconstrained optimum lies strictly inside the box
+            r = rng.normal(size=m)
+            d = G @ interior_point(rng, lo, hi) + (r - U @ (U.T @ r))
+        else:
+            d = G @ (3.0 * rng.normal(size=n)) + 0.3 * rng.normal(size=m)
+        Uf, S, Vt = np.linalg.svd(G, full_matrices=False)
+        x = solver._bvls(S[:, None] * Vt, Uf.T @ d, lo, hi)
+        assert_matches_face_oracle(G, d, lo, hi, x)
+
+    def test_no_scipy_import(self):
+        code = (
+            "import sys, numpy as np\n"
+            "import assim\n"
+            "from assim import *\n"
+            "grid = Grid(0.0, 1.0, 64)\n"
+            "basis = pod(sample_sinusoids(SinusoidSpec(), grid, 8, seed=1), 3)\n"
+            "space = build_observation_space(SensorArray.equidistant(6, grid), grid)\n"
+            "target = Measurement(np.arange(6.0), space)\n"
+            "rec = pbdw_solve_boxed(target, basis.subspace, space, Box(-np.ones(3), np.ones(3)))\n"
+            "assert np.isfinite(rec.rom_coeffs).all()\n"
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.strip() == "[]"
 
 
 class TestComputeBox:
