@@ -12,6 +12,11 @@ Three experiments are provided:
   bias-corrected reconstruction of a fixed parabolic truth under biased
   noise, reported as a mean/max/min/stddev table.
 
+Each runner is its experiment's offline set-up (``setup_experiment``:
+sampling, POD bases, truths and the ``pod_decay.csv`` rows) followed by its
+own online loop of solves; the loops differ in kind (m x K blocks, the
+greedy split, boxed per-case solves), so they are not merged.
+
 Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  Every
 per-case random stream is derived from (master_seed, case id, stage), so
@@ -59,6 +64,8 @@ __all__ = [
     "parse_overrides",
     "load_config",
     "derive_seed",
+    "Setup",
+    "setup_experiment",
     "run_experiment",
     "run_example1",
     "run_example2",
@@ -268,6 +275,8 @@ def _validate(cfg: dict) -> None:
     for key in ("sweep.n", "sweep.m"):
         if not cfg[key]:
             raise ConfigError(f"{key} must not be empty")
+        if min(cfg[key]) < 1:
+            raise ConfigError(f"{key} entries must be >= 1, got {cfg[key]}")
     if cfg["experiment"] == "example1" and not cfg["sweep.alpha"]:
         raise ConfigError("sweep.alpha must not be empty")
     if cfg["validation.count"] < 1 or cfg["training.count"] < 1:
@@ -312,6 +321,7 @@ def derive_seed(master_seed: int, *parts) -> int:
 # ---------------------------------------------------------------------------
 
 RESULT_FIELDS = ("case_id", "method", "n", "m", "alpha", "sigma", "error_e", "beta", "seed")
+TIMING_FIELDS = ("case_id", "method", "n", "m", "alpha", "sigma", "runtime_ms")
 
 
 @dataclass(frozen=True)
@@ -406,19 +416,12 @@ class RunResult:
         _write_run_json(self.config, out / "run.json")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_versioned_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_results_csv(rows: list[ResultRow], path: Path) -> None:
@@ -446,7 +449,7 @@ def _write_diagnostics_csv(rows: list[dict], path: Path) -> None:
 
 
 def _write_timings_csv(rows: list[dict], path: Path) -> None:
-    header = ["case_id", "method", "n", "m", "alpha", "sigma", "runtime_ms"]
+    header = list(TIMING_FIELDS)
     ordered = sorted(rows, key=lambda r: tuple(r[k] for k in header[:6]))
     _write_versioned_csv(path, header, [[r[k] for k in header] for r in ordered])
 
@@ -486,13 +489,36 @@ def _relative_error(state, truth) -> float:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# offline set-up: everything an experiment builds before its first solve
 # ---------------------------------------------------------------------------
 
-def run_example1(cfg: dict) -> RunResult:
-    """Sinusoid background: plain vs bias-corrected solve over (n, m, alpha)."""
-    if cfg["experiment"] != "example1":
-        raise ConfigError(f"config is for {cfg['experiment']!r}, expected 'example1'")
+@dataclass(frozen=True, eq=False)
+class Setup:
+    """The sampled snapshots, POD bases and truths of one experiment."""
+
+    grid: Grid
+    labeled: dict               # label -> (snapshots, POD basis), as pod_decay_rows takes them
+    decay_n: list[int]          # the dimensions pod_decay.csv reports
+    truth: GridFunction | None = None   # example3_analog's fixed reference profile
+
+    def decay(self) -> list[dict]:
+        return pod_decay_rows(self.labeled, self.decay_n)
+
+
+def _expect(cfg: dict, experiment: str) -> None:
+    if cfg["experiment"] != experiment:
+        raise ConfigError(f"config is for {cfg['experiment']!r}, expected {experiment!r}")
+
+
+def _check_dimension(n_max: int, available: int) -> None:
+    if n_max > available:
+        raise ConfigError(
+            f"sweep.n goes to {n_max} but only {available} snapshots are available"
+        )
+
+
+def _setup_example1(cfg: dict) -> Setup:
+    _expect(cfg, "example1")
     grid = _grid(cfg)
     spec = SinusoidSpec(_pair(cfg, "manifold.amplitude"), _pair(cfg, "manifold.period"))
     master = cfg["master_seed"]
@@ -514,6 +540,87 @@ def run_example1(cfg: dict) -> RunResult:
         truths = sample_sinusoids(
             spec, grid, cfg["validation.count"], derive_seed(master, "validation")
         )
+    return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"])
+
+
+def _setup_example2(cfg: dict) -> Setup:
+    _expect(cfg, "example2")
+    grid = _grid(cfg)
+    spec = MultiscaleSpec(
+        num_frequencies=cfg["manifold.num_frequencies"],
+        amplitude_range=_pair(cfg, "manifold.amplitude"),
+        period_range=_pair(cfg, "manifold.period"),
+        phase_range=_pair(cfg, "manifold.phase"),
+        jump_location_range=_pair(cfg, "manifold.jump_location"),
+        jump_height_range=_pair(cfg, "manifold.jump_height"),
+    )
+    master = cfg["master_seed"]
+
+    fast_train, _slow_train, full_train = sample_multiscale(
+        spec, grid, cfg["training.count"], derive_seed(master, "training")
+    )
+    n_max = max(cfg["sweep.n"])
+    _check_dimension(n_max, len(full_train))
+    fast_basis = pod(fast_train, n_max)
+    full_basis = pod(full_train, n_max)
+
+    fast_val, _slow_val, full_val = sample_multiscale(
+        spec, grid, cfg["validation.count"], derive_seed(master, "validation")
+    )
+    return Setup(
+        grid,
+        {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
+        list(range(1, n_max + 1)),
+    )
+
+
+def _setup_example3_analog(cfg: dict) -> Setup:
+    _expect(cfg, "example3_analog")
+    grid = _grid(cfg)
+    spec = PowerLawSpec(
+        peak_velocity_range=_pair(cfg, "manifold.peak_velocity"),
+        flow_index_range=_pair(cfg, "manifold.flow_index"),
+        radius=cfg["manifold.radius"],
+    )
+    master = cfg["master_seed"]
+
+    training = sample_powerlaw(spec, grid, cfg["training.count"], derive_seed(master, "training"))
+    n_max = max(cfg["sweep.n"])
+    _check_dimension(n_max, len(training))
+    basis = pod(training, n_max)
+    truth = powerlaw_profile(
+        grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
+    )
+    return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])), truth)
+
+
+_SETUPS = {
+    "example1": _setup_example1,
+    "example2": _setup_example2,
+    "example3_analog": _setup_example3_analog,
+}
+
+
+def setup_experiment(cfg: dict) -> Setup:
+    """The offline set-up of the configured experiment, without any solve."""
+    return _SETUPS[cfg["experiment"]](cfg)
+
+
+# ---------------------------------------------------------------------------
+# online loops: the solves of each experiment
+# ---------------------------------------------------------------------------
+
+def _timing(row: ResultRow, runtime_ms: float) -> dict:
+    """The timings.csv row of one result row."""
+    return dict(zip(TIMING_FIELDS, (*row.key(), runtime_ms)))
+
+
+def run_example1(cfg: dict) -> RunResult:
+    """Sinusoid background: plain vs bias-corrected solve over (n, m, alpha)."""
+    setup = _setup_example1(cfg)
+    grid = setup.grid
+    truths, basis = setup.labeled["full"]
+    master = cfg["master_seed"]
 
     # one m x K data block per (n, m, alpha) cell, solved in one pass
     truth_block = np.stack([u.values for u in truths], axis=1)
@@ -548,21 +655,11 @@ def run_example1(cfg: dict) -> RunResult:
                     errors = _norms(grid, rec.states - truth_block) / truth_norms
                     share_ms = elapsed_ms / len(truths)
                     for case_id, (seed, error) in enumerate(zip(seeds, errors.tolist())):
-                        rows.append(ResultRow(case_id, method, n, m, alpha, sigma, error,
-                                              rec.beta, seed))
-                        timings.append({"case_id": case_id, "method": method, "n": n,
-                                        "m": m, "alpha": alpha, "sigma": sigma,
-                                        "runtime_ms": share_ms})
+                        row = ResultRow(case_id, method, n, m, alpha, sigma, error, rec.beta, seed)
+                        rows.append(row)
+                        timings.append(_timing(row, share_ms))
 
-    decay = pod_decay_rows({"full": (truths, basis)}, cfg["sweep.n"])
-    return RunResult(cfg, rows, decay, [], timings)
-
-
-def _check_dimension(n_max: int, available: int) -> None:
-    if n_max > available:
-        raise ConfigError(
-            f"sweep.n goes to {n_max} but only {available} snapshots are available"
-        )
+    return RunResult(cfg, rows, setup.decay(), [], timings)
 
 
 def _norms(grid: Grid, block: np.ndarray) -> np.ndarray:
@@ -594,30 +691,11 @@ def observe_noisy(truth, space, model: NoiseModel, seed: int):
 
 def run_example2(cfg: dict) -> RunResult:
     """Discontinuous background: multiscale split vs full-basis solve."""
-    if cfg["experiment"] != "example2":
-        raise ConfigError(f"config is for {cfg['experiment']!r}, expected 'example2'")
-    grid = _grid(cfg)
-    spec = MultiscaleSpec(
-        num_frequencies=cfg["manifold.num_frequencies"],
-        amplitude_range=_pair(cfg, "manifold.amplitude"),
-        period_range=_pair(cfg, "manifold.period"),
-        phase_range=_pair(cfg, "manifold.phase"),
-        jump_location_range=_pair(cfg, "manifold.jump_location"),
-        jump_height_range=_pair(cfg, "manifold.jump_height"),
-    )
+    setup = _setup_example2(cfg)
+    grid = setup.grid
+    fast_val, fast_basis = setup.labeled["fast"]
+    full_val, full_basis = setup.labeled["full"]
     master = cfg["master_seed"]
-
-    fast_train, _slow_train, full_train = sample_multiscale(
-        spec, grid, cfg["training.count"], derive_seed(master, "training")
-    )
-    n_max = max(cfg["sweep.n"])
-    _check_dimension(n_max, len(full_train))
-    fast_basis = pod(fast_train, n_max)
-    full_basis = pod(full_train, n_max)
-
-    fast_val, _slow_val, full_val = sample_multiscale(
-        spec, grid, cfg["validation.count"], derive_seed(master, "validation")
-    )
 
     alpha, sigma = cfg["noise.alpha"], cfg["noise.sigma"]
     model = (
@@ -625,6 +703,7 @@ def run_example2(cfg: dict) -> RunResult:
         if (alpha != 0.0 or sigma != 0.0)
         else None
     )
+    noise = model if model is not None else NoiseModel()
 
     rows: list[ResultRow] = []
     timings: list[dict] = []
@@ -638,12 +717,8 @@ def run_example2(cfg: dict) -> RunResult:
         for n in cfg["sweep.n"]:
             fast_bg = fast_basis.subspace.truncate(n)
             full_bg = full_basis.subspace.truncate(n)
-
-            def one_case(item, m=m, n=n, fast_bg=fast_bg, full_bg=full_bg,
-                         space=space, dictionary=dictionary):
-                case_id, (truth, true_location) = item
+            for case_id, (truth, true_location) in enumerate(cases):
                 seed = derive_seed(master, "noise", case_id, "m", m, "n", n)
-                noise = model if model is not None else NoiseModel()
                 omega = observe_noisy(truth, space, noise, seed)
                 tv_truth = total_variation(truth)
 
@@ -657,46 +732,34 @@ def run_example2(cfg: dict) -> RunResult:
                 rec = pbdw_solve(omega, full_bg, space)
                 plain_ms = (time.perf_counter() - start) * 1e3
 
+                for row, elapsed_ms in (
+                    (ResultRow(case_id, "spbdw", n, m, alpha, sigma,
+                               _relative_error(dec.u_star, truth), dec.u_f.beta, seed), split_ms),
+                    (ResultRow(case_id, "pbdw", n, m, alpha, sigma,
+                               _relative_error(rec.state, truth), rec.beta, seed), plain_ms),
+                ):
+                    rows.append(row)
+                    timings.append(_timing(row, elapsed_ms))
                 estimated = dec.dominant_jump_location()
-                case_rows = [
-                    ResultRow(case_id, "spbdw", n, m, alpha, sigma,
-                              _relative_error(dec.u_star, truth), dec.u_f.beta, seed),
-                    ResultRow(case_id, "pbdw", n, m, alpha, sigma,
-                              _relative_error(rec.state, truth), rec.beta, seed),
-                ]
-                case_timings = [
-                    {"case_id": case_id, "method": "spbdw", "n": n, "m": m,
-                     "alpha": alpha, "sigma": sigma, "runtime_ms": split_ms},
-                    {"case_id": case_id, "method": "pbdw", "n": n, "m": m,
-                     "alpha": alpha, "sigma": sigma, "runtime_ms": plain_ms},
-                ]
-                case_diag = {
-                    "case_id": case_id,
-                    "n": n,
-                    "m": m,
-                    "jump_location_true": true_location,
-                    "jump_location_estimated": "" if estimated is None else estimated,
-                    "jump_cells_off": (
-                        "" if estimated is None
-                        else abs(estimated - true_location) / grid.h
-                    ),
-                    "num_smoothers": len(dec.smoothers),
-                    "tv_truth": tv_truth,
-                    "tv_excess_spbdw": total_variation(dec.u_star) - tv_truth,
-                    "tv_excess_pbdw": total_variation(rec.state) - tv_truth,
-                }
-                return case_rows, case_timings, case_diag
+                diagnostics.append(
+                    {
+                        "case_id": case_id,
+                        "n": n,
+                        "m": m,
+                        "jump_location_true": true_location,
+                        "jump_location_estimated": "" if estimated is None else estimated,
+                        "jump_cells_off": (
+                            "" if estimated is None
+                            else abs(estimated - true_location) / grid.h
+                        ),
+                        "num_smoothers": len(dec.smoothers),
+                        "tv_truth": tv_truth,
+                        "tv_excess_spbdw": total_variation(dec.u_star) - tv_truth,
+                        "tv_excess_pbdw": total_variation(rec.state) - tv_truth,
+                    }
+                )
 
-            for case_rows, case_timings, case_diag in map(one_case, enumerate(cases)):
-                rows.extend(case_rows)
-                timings.extend(case_timings)
-                diagnostics.append(case_diag)
-
-    decay = pod_decay_rows(
-        {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
-        list(range(1, n_max + 1)),
-    )
-    return RunResult(cfg, rows, decay, diagnostics, timings)
+    return RunResult(cfg, rows, setup.decay(), diagnostics, timings)
 
 
 def _example2_cases(cfg, dictionary, fast_val, full_val):
@@ -720,23 +783,11 @@ def _example2_cases(cfg, dictionary, fast_val, full_val):
 
 def run_example3_analog(cfg: dict) -> RunResult:
     """Power-law profiles: box-constrained plain vs bias-corrected solve."""
-    if cfg["experiment"] != "example3_analog":
-        raise ConfigError(f"config is for {cfg['experiment']!r}, expected 'example3_analog'")
-    grid = _grid(cfg)
-    spec = PowerLawSpec(
-        peak_velocity_range=_pair(cfg, "manifold.peak_velocity"),
-        flow_index_range=_pair(cfg, "manifold.flow_index"),
-        radius=cfg["manifold.radius"],
-    )
+    setup = _setup_example3_analog(cfg)
+    grid = setup.grid
+    training, basis = setup.labeled["full"]
+    truth = setup.truth
     master = cfg["master_seed"]
-
-    training = sample_powerlaw(spec, grid, cfg["training.count"], derive_seed(master, "training"))
-    n_max = max(cfg["sweep.n"])
-    _check_dimension(n_max, len(training))
-    basis = pod(training, n_max)
-    truth = powerlaw_profile(
-        grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
-    )
 
     alpha, sigma = cfg["noise.alpha"], cfg["noise.sigma"]
     model = NoiseModel(cfg["noise.kind"], alpha, sigma, cfg["noise.mc_samples"])
@@ -749,11 +800,9 @@ def run_example3_analog(cfg: dict) -> RunResult:
         for n in cfg["sweep.n"]:
             background = basis.subspace.truncate(n)
             box = compute_box(training, background, cfg["box.margin"])
-
-            def one_case(case_id, m=m, n=n, background=background, space=space, box=box):
+            for case_id in range(cfg["validation.count"]):
                 seed = derive_seed(master, "noise", case_id, "m", m, "n", n)
                 omega = observe_noisy(truth, space, model, seed)
-                case_rows, case_timings, case_diag = [], [], []
                 for method, solve in (
                     ("pbdw", lambda: pbdw_solve_boxed(omega, background, space, box)),
                     ("bpbdw", lambda: bpbdw_reconstruct(omega, background, space, model, seed,
@@ -762,14 +811,12 @@ def run_example3_analog(cfg: dict) -> RunResult:
                     start = time.perf_counter()
                     rec = solve()
                     elapsed_ms = (time.perf_counter() - start) * 1e3
-                    case_rows.append(ResultRow(case_id, method, n, m, alpha, sigma,
-                                               _relative_error(rec.state, truth),
-                                               rec.beta, seed))
-                    case_timings.append({"case_id": case_id, "method": method, "n": n,
-                                         "m": m, "alpha": alpha, "sigma": sigma,
-                                         "runtime_ms": elapsed_ms})
+                    row = ResultRow(case_id, method, n, m, alpha, sigma,
+                                    _relative_error(rec.state, truth), rec.beta, seed)
+                    rows.append(row)
+                    timings.append(_timing(row, elapsed_ms))
                     energy = float(np.sum(rec.rom_coeffs**2))
-                    case_diag.append(
+                    diagnostics.append(
                         {
                             "case_id": case_id,
                             "method": method,
@@ -780,17 +827,8 @@ def run_example3_analog(cfg: dict) -> RunResult:
                             ),
                         }
                     )
-                return case_rows, case_timings, case_diag
 
-            for case_rows, case_timings, case_diag in map(
-                one_case, range(cfg["validation.count"])
-            ):
-                rows.extend(case_rows)
-                timings.extend(case_timings)
-                diagnostics.extend(case_diag)
-
-    decay = pod_decay_rows({"full": (training, basis)}, sorted(set(cfg["sweep.n"])))
-    return RunResult(cfg, rows, decay, diagnostics, timings)
+    return RunResult(cfg, rows, setup.decay(), diagnostics, timings)
 
 
 def pod_decay_rows(labeled: dict, n_values: list[int]) -> list[dict]:

@@ -128,16 +128,13 @@ def mc_expectation(
 ) -> Measurement:
     """Monte Carlo estimate of the expected noisy observation.
 
-    Per-sample seeds are spawned from ``seed`` so the mean does not depend on
-    evaluation order.
+    The ``mc_samples`` x m Gaussian draws come from one generator seeded
+    with ``seed``, so the same seed reproduces the same mean.
     """
-    children = np.random.SeedSequence(seed).spawn(model.mc_samples)
     biased = model.biased_readings(space.apply_functionals(u))
     readings = np.tile(biased, (model.mc_samples, 1))
     if model.sigma > 0:
-        for k, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            readings[k] += rng.normal(0.0, model.sigma, space.m)
+        readings += np.random.default_rng(seed).normal(0.0, model.sigma, readings.shape)
     coords = space.coords_from_raw(readings.T)
     return Measurement(coords.mean(axis=1), space)
 

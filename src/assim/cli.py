@@ -6,8 +6,9 @@ Subcommands:
   configured experiment and writes results.csv, aggregates.csv,
   pod_decay.csv, diagnostics.csv (where applicable), timings.csv and
   run.json into DIR;
-* ``assim pod-decay --config FILE [--set ...] [--out DIR]`` computes only
-  the reduced-model decay curves;
+* ``assim pod-decay --config FILE [--set ...] [--out DIR]`` prints (or
+  writes) the rows ``assim run`` writes to pod_decay.csv, computed from the
+  experiment's offline set-up alone, with no solves;
 * ``assim info`` prints the configuration schema.
 """
 
@@ -18,9 +19,11 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    _write_pod_decay_csv,
     describe_schema,
     load_config,
     run_experiment,
+    setup_experiment,
 )
 from .solver import StabilityError
 
@@ -76,84 +79,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_pod_decay(args) -> int:
-    from .bench import _write_pod_decay_csv
-
     cfg = load_config(args.config, args.overrides)
-    result = run_experiment_decay_only(cfg)
+    rows = setup_experiment(cfg).decay()
     if args.out is None:
         print("label,n,approximation_error")
-        for row in result:
+        for row in rows:
             print(f"{row['label']},{row['n']},{row['approximation_error']!r}")
     else:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_pod_decay_csv(result, out / "pod_decay.csv")
+        _write_pod_decay_csv(rows, out / "pod_decay.csv")
         print(f"pod decay -> {out / 'pod_decay.csv'}")
     return 0
-
-
-def run_experiment_decay_only(cfg: dict) -> list[dict]:
-    """Decay curves without running the reconstruction benchmark."""
-    from .bench import (
-        _grid,
-        _pair,
-        derive_seed,
-        pod_decay_rows,
-    )
-    from .manifold import (
-        MultiscaleSpec,
-        PowerLawSpec,
-        SinusoidSpec,
-        sample_multiscale,
-        sample_powerlaw,
-        sample_sinusoids,
-    )
-    from .rom import pod
-
-    grid = _grid(cfg)
-    master = cfg["master_seed"]
-    n_train = cfg["training.count"]
-    n_values = list(range(1, max(cfg["sweep.n"]) + 1))
-    experiment = cfg["experiment"]
-    if experiment == "example1":
-        spec = SinusoidSpec(_pair(cfg, "manifold.amplitude"), _pair(cfg, "manifold.period"))
-        training = sample_sinusoids(spec, grid, n_train, derive_seed(master, "training"))
-        validation = sample_sinusoids(
-            spec, grid, cfg["validation.count"], derive_seed(master, "validation")
-        )
-        basis = pod(training, min(max(n_values), len(training)))
-        labeled = {"full": (validation, basis)}
-    elif experiment == "example2":
-        spec = MultiscaleSpec(
-            num_frequencies=cfg["manifold.num_frequencies"],
-            amplitude_range=_pair(cfg, "manifold.amplitude"),
-            period_range=_pair(cfg, "manifold.period"),
-            phase_range=_pair(cfg, "manifold.phase"),
-            jump_location_range=_pair(cfg, "manifold.jump_location"),
-            jump_height_range=_pair(cfg, "manifold.jump_height"),
-        )
-        fast_tr, _, full_tr = sample_multiscale(spec, grid, n_train, derive_seed(master, "training"))
-        fast_va, _, full_va = sample_multiscale(
-            spec, grid, cfg["validation.count"], derive_seed(master, "validation")
-        )
-        labeled = {
-            "fast": (fast_va, pod(fast_tr, min(max(n_values), len(fast_tr)))),
-            "full": (full_va, pod(full_tr, min(max(n_values), len(full_tr)))),
-        }
-    else:
-        spec = PowerLawSpec(
-            peak_velocity_range=_pair(cfg, "manifold.peak_velocity"),
-            flow_index_range=_pair(cfg, "manifold.flow_index"),
-            radius=cfg["manifold.radius"],
-        )
-        training = sample_powerlaw(spec, grid, n_train, derive_seed(master, "training"))
-        validation = sample_powerlaw(
-            spec, grid, cfg["validation.count"], derive_seed(master, "validation")
-        )
-        basis = pod(training, min(max(n_values), len(training)))
-        labeled = {"full": (validation, basis)}
-    n_values = [n for n in n_values if n <= min(b.dimension for _, b in labeled.values())]
-    return pod_decay_rows(labeled, n_values)
 
 
 def main(argv: list[str] | None = None) -> int:

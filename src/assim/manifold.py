@@ -14,15 +14,12 @@ identical snapshot sets bit for bit.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .space import FLOAT_FMT, Grid, GridFunction
+from .space import Grid, GridFunction
 
 __all__ = [
     "SinusoidSpec",
@@ -33,7 +30,6 @@ __all__ = [
     "sample_multiscale",
     "sample_powerlaw",
     "heaviside",
-    "write_snapshots",
 ]
 
 
@@ -237,28 +233,3 @@ def sample_powerlaw(spec: PowerLawSpec, grid: Grid, count: int, seed: int) -> Sn
         snaps.append(powerlaw_profile(grid, v0, n, R))
         params.append({"peak_velocity": v0, "flow_index": n})
     return SnapshotSet(tuple(snaps), tuple(params), label="full")
-
-
-def write_snapshots(snapshots: SnapshotSet, csv_path: str | Path, seed: int | None = None) -> None:
-    """Write a snapshot matrix as CSV plus a JSON sidecar with parameters.
-
-    CSV: first column x, one column per snapshot.  Sidecar (same stem,
-    ``.json``): parameter records, label and the originating seed.
-    """
-    csv_path = Path(csv_path)
-    grid = snapshots.grid
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"snapshot_{k}" for k in range(len(snapshots))])
-        mat = snapshots.matrix
-        for j, xk in enumerate(grid.nodes):
-            writer.writerow([FLOAT_FMT % xk] + [FLOAT_FMT % v for v in mat[:, j]])
-    sidecar = {
-        "label": snapshots.label,
-        "seed": seed,
-        "count": len(snapshots),
-        "grid": {"a": grid.a, "b": grid.b, "num_points": grid.num_points},
-        "parameters": list(snapshots.parameters),
-    }
-    with open(csv_path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2)

@@ -19,10 +19,8 @@ the fitted amplitude is also the reconstructed step height.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,7 +48,6 @@ __all__ = [
     "spbdw_reconstruct",
     "multiscale_beta_bound",
     "total_variation",
-    "write_decomposition",
 ]
 
 
@@ -359,30 +356,3 @@ def multiscale_beta_bound(
 def total_variation(u: GridFunction) -> float:
     """Sum of absolute nodewise increments."""
     return float(np.sum(np.abs(np.diff(u.values))))
-
-
-def write_decomposition(
-    dec: MultiscaleDecomposition, csv_path: str | Path, json_path: str | Path | None = None
-) -> None:
-    """Write u*, the smooth part and the step part as CSV plus JSON metadata."""
-    import csv as _csv
-
-    csv_path = Path(csv_path)
-    grid = dec.u_star.grid
-    with open(csv_path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["x", "u_star", "u_fast", "f_u"])
-        for xk, us, uf, fu in zip(
-            grid.nodes, dec.u_star.values, dec.u_f.state.values, dec.f_u.values
-        ):
-            writer.writerow([repr(xk), repr(us), repr(uf), repr(fu)])
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    meta = {
-        "smoother_locations": dec.jump_locations,
-        "amplitudes": [sm.amplitude for sm in dec.smoothers],
-        "corrected_amplitudes": list(dec.corrected_amplitudes),
-        "residual_history": list(dec.residual_history),
-    }
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2)

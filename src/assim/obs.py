@@ -14,10 +14,8 @@ model real transducers and keep the representers independent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +35,6 @@ __all__ = [
     "observe",
     "inf_sup_beta",
     "cross_gramian",
-    "write_sensor_layout",
-    "read_sensor_layout",
 ]
 
 POINTWISE = "pointwise"
@@ -84,6 +80,8 @@ class SensorArray:
         For box sensors the default width equals the inter-sensor spacing,
         so the windows tile the domain.
         """
+        if m < 1:
+            raise ValueError("need at least one sensor")
         spacing = (grid.b - grid.a) / m
         centers = grid.a + (np.arange(m) + 0.5) * spacing
         if kind == BOX_AVERAGE and width is None:
@@ -273,33 +271,3 @@ def inf_sup_beta(subspace: Subspace, space: ObservationSpace) -> float:
         return 0.0
     G = cross_gramian(space, subspace)
     return float(np.linalg.svd(G, compute_uv=False)[-1])
-
-
-def write_sensor_layout(sensors: SensorArray, path: str | Path) -> None:
-    """Write the sensor layout as CSV ``center,kind,width``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["center", "kind", "width"])
-        for c in sensors.centers:
-            width = "" if sensors.width is None else repr(sensors.width)
-            writer.writerow([repr(c), sensors.kind, width])
-
-
-def read_sensor_layout(path: str | Path) -> SensorArray:
-    """Read a sensor layout written by :func:`write_sensor_layout`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["center", "kind", "width"]:
-            raise ValueError(f"unexpected header {header!r}")
-        centers, kinds, widths = [], set(), set()
-        for row in reader:
-            centers.append(float(row[0]))
-            kinds.add(row[1])
-            widths.add(row[2])
-    if len(kinds) != 1 or len(widths) != 1:
-        raise ValueError("mixed sensor kinds or widths are not supported")
-    kind = kinds.pop()
-    width_str = widths.pop()
-    width = None if width_str == "" else float(width_str)
-    return SensorArray(tuple(centers), kind, width)

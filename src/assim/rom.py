@@ -11,14 +11,12 @@ backends.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .manifold import SnapshotSet
-from .space import FLOAT_FMT, GridFunction, Subspace, project_onto
+from .space import GridFunction, Subspace, project_onto
 
 __all__ = [
     "ReducedBasis",
@@ -26,7 +24,6 @@ __all__ = [
     "approximation_error",
     "projection_residuals",
     "decay_curve",
-    "write_spectrum",
 ]
 
 
@@ -115,16 +112,3 @@ def decay_curve(validation: SnapshotSet, basis: ReducedBasis, n_values: list[int
         res2 = anchor2 + tail2[:, n]
         out.append(float(np.sqrt(np.maximum(res2, 0.0)).max()))
     return out
-
-
-def write_spectrum(basis: ReducedBasis, path: str | Path) -> None:
-    """Write the singular spectrum as CSV ``mode,singular_value,cumulative_energy``."""
-    sv = basis.singular_values
-    energy = sv**2
-    total = energy.sum()
-    cumulative = np.cumsum(energy) / total if total > 0 else np.zeros_like(energy)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "singular_value", "cumulative_energy"])
-        for k, (s, c) in enumerate(zip(sv, cumulative), start=1):
-            writer.writerow([k, FLOAT_FMT % s, FLOAT_FMT % c])

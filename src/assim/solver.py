@@ -38,16 +38,14 @@ they see the condition number of G, not its square.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .manifold import SnapshotSet
 from .obs import Measurement, ObservationSpace, cross_gramian
-from .space import GridFunction, GridMismatchError, Subspace, write_grid_function
+from .space import GridFunction, GridMismatchError, Subspace
 
 __all__ = [
     "Reconstruction",
@@ -58,7 +56,6 @@ __all__ = [
     "pbdw_solve_block",
     "pbdw_solve_boxed",
     "compute_box",
-    "write_reconstruction",
 ]
 
 BETA_FLOOR = 1e-12
@@ -369,21 +366,3 @@ def compute_box(snapshots: SnapshotSet, background: Subspace, margin: float = 1.
     center = (lo + hi) / 2
     half = (hi - lo) / 2
     return Box(center - margin * half, center + margin * half)
-
-
-def write_reconstruction(
-    rec: Reconstruction, csv_path: str | Path, json_path: str | Path | None = None
-) -> None:
-    """Write the state as CSV plus a JSON diagnostics sidecar."""
-    csv_path = Path(csv_path)
-    write_grid_function(rec.state, csv_path)
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    diagnostics = {
-        "beta": rec.beta,
-        "constraint_residual": rec.constraint_residual,
-        "rom_coeffs": rec.rom_coeffs.tolist(),
-        "correction_coeffs": rec.correction_coeffs.tolist(),
-    }
-    with open(json_path, "w") as fh:
-        json.dump(diagnostics, fh, indent=2)

@@ -11,10 +11,8 @@ is all the downstream reconstruction machinery relies on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -28,14 +26,9 @@ __all__ = [
     "norm",
     "project_onto",
     "orthonormalize",
-    "write_grid_function",
-    "read_grid_function",
 ]
 
 ORTHONORMALITY_TOL = 1e-10
-
-# 17 significant digits round-trip IEEE doubles exactly.
-FLOAT_FMT = "%.17g"
 
 
 class GridMismatchError(ValueError):
@@ -252,30 +245,3 @@ def orthonormalize(
         _check_same_grid(fns[0], fn)
     rows, _ = _gram_schmidt(np.stack([fn.values for fn in fns]), grid.weights, tol_drop)
     return Subspace(grid, tuple(GridFunction(grid, r) for r in rows), _validate=False)
-
-
-def write_grid_function(u: GridFunction, path: str | Path) -> None:
-    """Write a grid function as two-column CSV (header ``x,value``)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        for xk, vk in zip(u.grid.nodes, u.values):
-            writer.writerow([FLOAT_FMT % xk, FLOAT_FMT % vk])
-
-
-def read_grid_function(path: str | Path) -> GridFunction:
-    """Read a grid function written by :func:`write_grid_function`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "value"]:
-            raise ValueError(f"unexpected header {header!r}, expected ['x', 'value']")
-        xs, vals = [], []
-        for row in reader:
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
-    xs = np.asarray(xs)
-    grid = Grid(float(xs[0]), float(xs[-1]), len(xs))
-    if not np.allclose(xs, grid.nodes, atol=1e-12 * max(1.0, abs(xs[-1]))):
-        raise ValueError("nodes in file are not a uniform grid")
-    return GridFunction(grid, np.asarray(vals))

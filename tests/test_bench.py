@@ -401,20 +401,33 @@ class TestCli:
             # the POD of 8 snapshots has 8 modes, not the requested 20
             ("example2.cfg", ["training.count=8"], ["sweep.n goes to 20", "only 8"]),
             ("example3.cfg", ["training.count=3"], ["sweep.n goes to 5", "only 3"]),
+            # no sensors, or no modes, in some cell
+            ("example1.cfg", ["sweep.m=0"], ["sweep.m"]),
+            ("example2.cfg", ["sweep.m=0"], ["sweep.m"]),
+            ("example3.cfg", ["sweep.m=0"], ["sweep.m"]),
+            ("example1.cfg", ["sweep.m=0,20"], ["sweep.m"]),
+            ("example2.cfg", ["sweep.m=0,20"], ["sweep.m"]),
+            ("example3.cfg", ["sweep.m=0,20"], ["sweep.m"]),
+            ("example3.cfg", ["sweep.n=0,3"], ["sweep.n"]),
         ],
     )
     def test_unsolvable_sweep_rejected(self, tmp_path, capsys, config, overrides, names):
-        out_dir = tmp_path / "o"
-        args = ["run", "--config", str(CONFIGS / config), "--out", str(out_dir)]
-        for override in overrides:
-            args += ["--set", override]
-        assert cli_main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert all(name in err[0] for name in names)
-        assert not out_dir.exists()
+        # pod-decay runs the same offline set-up, so it rejects the same configs
+        errors = []
+        for command in ("run", "pod-decay"):
+            out_dir = tmp_path / command
+            args = [command, "--config", str(CONFIGS / config), "--out", str(out_dir)]
+            for override in overrides:
+                args += ["--set", override]
+            assert cli_main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert all(name in err[0] for name in names)
+            assert not out_dir.exists()
+            errors.append(err[0])
+        assert errors[0] == errors[1]
 
     def test_pod_decay_command(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
@@ -422,6 +435,32 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "label,n,approximation_error"
+
+    @pytest.mark.parametrize(
+        "config, overrides",
+        [
+            ("example1.cfg", []),
+            ("example2.cfg", []),
+            ("example3.cfg", []),
+            ("example1.cfg", ["sweep.n=3,5"]),
+            ("example3.cfg", ["sweep.n=3,5,8"]),
+        ],
+    )
+    def test_pod_decay_matches_run(self, tmp_path, capsys, config, overrides):
+        args = ["--config", str(CONFIGS / config)]
+        for override in overrides:
+            args += ["--set", override]
+        assert cli_main(["run", *args, "--out", str(tmp_path / "run")]) == 0
+        written = (tmp_path / "run" / "pod_decay.csv").read_text()
+        capsys.readouterr()
+
+        assert cli_main(["pod-decay", *args]) == 0
+        lines = written.splitlines()
+        assert lines[0].startswith("# schema_version=")
+        assert capsys.readouterr().out.splitlines() == lines[1:]
+
+        assert cli_main(["pod-decay", *args, "--out", str(tmp_path / "decay")]) == 0
+        assert (tmp_path / "decay" / "pod_decay.csv").read_text() == written
 
     def test_info_command(self, capsys):
         assert cli_main(["info"]) == 0

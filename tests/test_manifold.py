@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from assim import (
     sample_powerlaw,
     sample_sinusoids,
 )
-from assim.manifold import heaviside, powerlaw_profile, write_snapshots
+from assim.manifold import heaviside, powerlaw_profile
 
 
 class TestSinusoids:
@@ -131,25 +129,7 @@ class TestPowerLaw:
             assert snap.values.max() <= params["peak_velocity"] + 1e-12
 
 
-class TestExport:
-    def test_snapshot_export(self, tmp_path, grid):
-        snaps = sample_sinusoids(SinusoidSpec(), grid, 3, seed=11)
-        path = tmp_path / "snaps.csv"
-        write_snapshots(snaps, path, seed=11)
-
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,snapshot_0,snapshot_1,snapshot_2"
-        assert len(lines) == 1 + grid.num_points
-        first = lines[1].split(",")
-        assert float(first[0]) == grid.a
-        assert float(first[1]) == snaps.snapshots[0].values[0]
-
-        sidecar = json.loads((tmp_path / "snaps.json").read_text())
-        assert sidecar["seed"] == 11
-        assert sidecar["label"] == "full"
-        assert len(sidecar["parameters"]) == 3
-        assert sidecar["grid"]["num_points"] == grid.num_points
-
+class TestHeaviside:
     def test_heaviside_convention(self, grid):
         x_jump = float(grid.nodes[100])
         h = heaviside(grid, x_jump)

@@ -26,7 +26,6 @@ from assim import (
     step_dictionary,
     total_variation,
 )
-from assim.multiscale import write_decomposition
 from assim.rom import projection_residuals
 
 
@@ -354,26 +353,3 @@ class TestBetaBound:
         for truth in truths:
             dec = spbdw_reconstruct(observe(truth, space40), background, space40, dictionary)
             assert (dec.u_star - truth).norm() <= bound
-
-
-class TestExport:
-    def test_decomposition_files(self, tmp_path, grid, space40, dictionary):
-        spec = MultiscaleSpec()
-        fast_tr, _, full_va = sample_multiscale(spec, grid, 64, seed=16)
-        basis = pod(fast_tr, 10)
-        dec = spbdw_reconstruct(
-            observe(full_va.snapshots[0], space40), basis.subspace, space40, dictionary
-        )
-        csv_path = tmp_path / "split.csv"
-        write_decomposition(dec, csv_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "x,u_star,u_fast,f_u"
-        assert len(lines) == 1 + grid.num_points
-
-        import json
-
-        meta = json.loads((tmp_path / "split.json").read_text())
-        assert set(meta) == {
-            "smoother_locations", "amplitudes", "corrected_amplitudes", "residual_history",
-        }
-        assert len(meta["amplitudes"]) == len(dec.smoothers)

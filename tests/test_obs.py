@@ -16,7 +16,7 @@ from assim import (
     pod,
     sample_sinusoids,
 )
-from assim.obs import DependentSensorsError, read_sensor_layout, write_sensor_layout
+from assim.obs import DependentSensorsError
 
 
 def random_fn(grid, rng, scale=1.0):
@@ -43,6 +43,11 @@ class TestSensorArray:
         sensors = SensorArray.equidistant(25, grid)
         assert sensors.m == 25
         assert sensors.width == pytest.approx((grid.b - grid.a) / 25)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_equidistant_needs_a_sensor(self, grid, m):
+        with pytest.raises(ValueError, match="need at least one sensor"):
+            SensorArray.equidistant(m, grid)
 
 
 class TestBuildObservationSpace:
@@ -187,18 +192,3 @@ class TestInfSupBeta:
         space = build_observation_space(SensorArray.equidistant(12, grid), grid)
         beta = inf_sup_beta(basis.subspace, space)
         assert 0.0 <= beta <= 1.0 + 1e-10
-
-
-class TestLayoutSerialization:
-    def test_round_trip(self, tmp_path, grid):
-        sensors = SensorArray.equidistant(7, grid)
-        path = tmp_path / "sensors.csv"
-        write_sensor_layout(sensors, path)
-        back = read_sensor_layout(path)
-        assert back == sensors
-
-    def test_pointwise_round_trip(self, tmp_path):
-        sensors = SensorArray((0.25, 0.5, 0.75), "pointwise")
-        path = tmp_path / "sensors.csv"
-        write_sensor_layout(sensors, path)
-        assert read_sensor_layout(path) == sensors

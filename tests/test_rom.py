@@ -16,7 +16,6 @@ from assim import (
     sample_multiscale,
     sample_sinusoids,
 )
-from assim.rom import write_spectrum
 
 
 def make_set(grid, arrays, label="full"):
@@ -145,16 +144,3 @@ class TestInvariants:
         curve = decay_curve(snaps, basis, [3, 7])
         assert curve[0] == pytest.approx(approximation_error(snaps, basis.truncate(3)), rel=1e-9)
         assert curve[1] == pytest.approx(approximation_error(snaps, basis.truncate(7)), rel=1e-9)
-
-
-class TestSpectrumExport:
-    def test_csv_schema(self, tmp_path, grid):
-        snaps = sample_sinusoids(SinusoidSpec(), grid, 6, seed=11)
-        basis = pod(snaps, 3)
-        path = tmp_path / "spectrum.csv"
-        write_spectrum(basis, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "mode,singular_value,cumulative_energy"
-        assert len(lines) == 1 + 6                     # all modes, not just the kept 3
-        last = lines[-1].split(",")
-        assert float(last[2]) == pytest.approx(1.0, abs=1e-12)

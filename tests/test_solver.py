@@ -1,6 +1,5 @@
 import gc
 import itertools
-import json
 import os
 import subprocess
 import sys
@@ -35,7 +34,7 @@ from assim import (
 from assim import solver
 from assim.rom import projection_residuals
 from assim.obs import cross_gramian
-from assim.solver import pbdw_solve_block, write_reconstruction
+from assim.solver import pbdw_solve_block
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -472,18 +471,3 @@ class TestComputeBox:
         basis = pod(snaps, 2)
         with pytest.raises(ValueError):
             compute_box(SnapshotSet((), (), "full"), basis.subspace)
-
-
-class TestExport:
-    def test_reconstruction_files(self, tmp_path, grid):
-        snaps = sample_sinusoids(SinusoidSpec(), grid, 10, seed=13)
-        basis = pod(snaps, 3)
-        space = build_observation_space(SensorArray.equidistant(8, grid), grid)
-        rec = pbdw_solve(observe(snaps.snapshots[0], space), basis.subspace, space)
-        csv_path = tmp_path / "state.csv"
-        write_reconstruction(rec, csv_path)
-        assert csv_path.read_text().splitlines()[0] == "x,value"
-        diag = json.loads((tmp_path / "state.json").read_text())
-        assert set(diag) == {"beta", "constraint_residual", "rom_coeffs", "correction_coeffs"}
-        assert len(diag["rom_coeffs"]) == 3
-        assert diag["beta"] == pytest.approx(rec.beta)

@@ -14,7 +14,6 @@ from assim import (
     orthonormalize,
     project_onto,
 )
-from assim.space import read_grid_function, write_grid_function
 
 # frozen from an independent 1e6-node trapezoid quadrature of sin^2 on [0, 2*pi]
 SIN_SIN_ORACLE = 3.1415926535897936
@@ -162,18 +161,3 @@ class TestInvariants:
             once = project_onto(u, X)
             twice = project_onto(once, X)
             assert (twice - once).norm() <= 1e-12 * max(1.0, once.norm())
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path, grid, rng):
-        u = random_fn(grid, rng, scale=37.5)
-        path = tmp_path / "state.csv"
-        write_grid_function(u, path)
-        v = read_grid_function(path)
-        assert v.grid == u.grid
-        assert np.array_equal(v.values, u.values)
-
-    def test_header(self, tmp_path, grid):
-        path = tmp_path / "state.csv"
-        write_grid_function(grid.zero(), path)
-        assert path.read_text().splitlines()[0] == "x,value"
