@@ -40,6 +40,7 @@ __all__ = [
     "mc_expectation",
     "discrepancy_xi",
     "corrected_constraint",
+    "corrected_constraint_block",
     "bpbdw_reconstruct",
     "bpbdw_correct_block",
 ]
@@ -171,6 +172,18 @@ def corrected_constraint(
     return Measurement(observed + (observed - expected), space)
 
 
+def corrected_constraint_block(observed: np.ndarray, model: NoiseModel) -> np.ndarray:
+    """``corrected_constraint`` for an (m, K) block of observed coordinates.
+
+    Only the analytic expectation applies: Monte Carlo draws are seeded per
+    case.  Column k equals ``corrected_constraint`` of the state whose
+    coordinates are column k, with the same arithmetic order.
+    """
+    if not model.has_analytic_expectation:
+        raise ValueError(f"block correction needs an analytic expectation, not {model.kind!r}")
+    return observed + (observed - observed * (1.0 + model.alpha))
+
+
 @dataclass(frozen=True, eq=False)
 class BiasCorrectedReconstruction(Reconstruction):
     """Final corrected solve plus the first-pass diagnostics."""
@@ -221,12 +234,9 @@ def bpbdw_correct_block(
 ) -> BlockReconstruction:
     """Second step of ``bpbdw_reconstruct`` for a block of first estimates.
 
-    ``first`` is the plain block solve of the data on the same pair.  Only
-    the analytic expectation applies: Monte Carlo draws are seeded per case.
+    ``first`` is the plain block solve of the data on the same pair, and
+    the model needs an analytic expectation (``corrected_constraint_block``).
     Column k matches ``bpbdw_reconstruct`` on case k up to roundoff.
     """
-    if not model.has_analytic_expectation:
-        raise ValueError(f"block correction needs an analytic expectation, not {model.kind!r}")
-    observed = first.observed
-    eta = observed + (observed - observed * (1.0 + model.alpha))
+    eta = corrected_constraint_block(first.observed, model)
     return pbdw_solve_block(eta, background, space)

@@ -21,13 +21,27 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bias import NoiseModel, bpbdw_reconstruct, corrected_constraint
+from .bias import (
+    NoiseModel,
+    bpbdw_correct_block,
+    bpbdw_reconstruct,
+    corrected_constraint,
+    corrected_constraint_block,
+)
 from .manifold import SnapshotSet, heaviside
 from .obs import Measurement, ObservationSpace, inf_sup_beta
-from .solver import Box, Reconstruction, pbdw_solve, pbdw_solve_boxed
+from .solver import (
+    BlockReconstruction,
+    Box,
+    Reconstruction,
+    pbdw_solve,
+    pbdw_solve_block,
+    pbdw_solve_boxed,
+)
 from .space import (
     Grid,
     GridFunction,
@@ -46,6 +60,10 @@ __all__ = [
     "orthogonal_search",
     "extract_smoothers",
     "spbdw_reconstruct",
+    "GreedyBlock",
+    "SplitBlock",
+    "extract_smoothers_block",
+    "spbdw_reconstruct_block",
     "multiscale_beta_bound",
     "total_variation",
 ]
@@ -69,9 +87,14 @@ class SlowDictionary:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    @property
+    @cached_property
     def observed_norms(self) -> np.ndarray:
         return np.linalg.norm(self.observed, axis=0)
+
+    @cached_property
+    def candidate_matrix(self) -> np.ndarray:
+        """Candidate values as columns, shape (num_points, len(self))."""
+        return np.stack([fn.values for fn in self.candidates], axis=1)
 
 
 def build_slow_dictionary(
@@ -163,6 +186,13 @@ class Smoother:
     params: dict
 
 
+def _check_greedy(rel_tol: float, max_iters: int) -> None:
+    if not 0 < rel_tol <= 1:
+        raise ValueError("rel_tol must lie in (0, 1]")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+
+
 def extract_smoothers(
     omega: Measurement,
     dictionary: SlowDictionary,
@@ -179,10 +209,7 @@ def extract_smoothers(
     ``rel_tol`` relative.  Returns the smoothers, their sum f*, the smoothed
     measurements omega - P_W f*, and the residual-norm history.
     """
-    if not 0 < rel_tol <= 1:
-        raise ValueError("rel_tol must lie in (0, 1]")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    _check_greedy(rel_tol, max_iters)
     data = omega.coeffs
     residual = data.copy()
     history = [float(np.linalg.norm(residual))]
@@ -302,6 +329,174 @@ def spbdw_reconstruct(
         corrected_amplitudes=tuple(corrected),
         residual_history=tuple(history),
     )
+
+
+# A stacked least-squares problem whose triangular factor has a diagonal entry
+# below this fraction of its largest is solved by lstsq instead, as in the
+# per-case path: back substitution would amplify roundoff there, and lstsq's
+# rank cutoff decides what a (nearly) dependent selection contributes.
+_QR_RANK_TOL = 1e-8
+
+
+def _stacked_lstsq(A: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Least-squares solution of A[k] x = d[k] for a (K, m, j) stack and (K, m) rows."""
+    K, m, j = A.shape
+    x = np.empty((K, j))
+    good = np.zeros(K, dtype=bool)
+    if j <= m:
+        Q, R = np.linalg.qr(A)
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        good = diag.min(axis=1) > _QR_RANK_TOL * diag.max(axis=1)
+        if good.any():
+            if not good.all():
+                Q, R = Q[good], R[good]
+            x[good] = np.linalg.solve(R, Q.transpose(0, 2, 1) @ d[good, :, None])[..., 0]
+    for k in np.flatnonzero(~good):
+        x[k] = np.linalg.lstsq(A[k], d[k], rcond=None)[0]
+    return x
+
+
+def _stacked_images(dictionary: SlowDictionary, indices: np.ndarray) -> np.ndarray:
+    """(K, m, j) observed images of the selections in a (K, j) index array."""
+    return dictionary.observed.T[indices].transpose(0, 2, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class GreedyBlock:
+    """``extract_smoothers`` outputs for every column of an (m, K) data block.
+
+    Row k belongs to column k: the first ``counts[k]`` entries of its
+    ``indices`` and ``amplitudes`` are the selected candidates in selection
+    order and their joint amplitudes; the rest hold -1 and 0.
+    """
+
+    indices: np.ndarray             # (K, max_iters) dictionary indices
+    amplitudes: np.ndarray          # (K, max_iters)
+    counts: np.ndarray              # (K,) greedy iterations
+
+    def coefficients(self, size: int, amplitudes: np.ndarray | None = None) -> np.ndarray:
+        """(size, K) block holding each column's amplitudes at its selected indices."""
+        amplitudes = self.amplitudes if amplitudes is None else amplitudes
+        selected = self.indices >= 0
+        out = np.zeros((size, len(self.indices)))
+        out[self.indices[selected], np.nonzero(selected)[0]] = amplitudes[selected]
+        return out
+
+
+def extract_smoothers_block(
+    data: np.ndarray,
+    dictionary: SlowDictionary,
+    rel_tol: float = 0.05,
+    max_iters: int = 5,
+) -> GreedyBlock:
+    """``extract_smoothers`` for every column of an (m, K) block of onb data.
+
+    All columns run the greedy at once in m-dimensional coordinates: one
+    score product per step with ties to the lowest index, then a stacked
+    least-squares fit of each column's selection.  A column retires under
+    the per-case rules: residual below 1e-12 of its data norm, a re-picked
+    index, a relative drop below ``rel_tol``, or ``max_iters`` steps.  Each
+    new residual is formed as d - A x, as in the per-case path, so every
+    stop decision sees the same numbers up to roundoff.
+    """
+    _check_greedy(rel_tol, max_iters)
+    data = np.asarray(data, dtype=float)
+    m = dictionary.space.m
+    if data.ndim != 2 or data.shape[0] != m:
+        raise ValueError(f"expected an ({m}, K) data block, got {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("measurement coefficients must be finite")
+    cases = data.T                                  # one case per row
+    K = len(cases)
+    indices = np.full((K, max_iters), -1)
+    amplitudes = np.zeros((K, max_iters))
+    counts = np.zeros(K, dtype=int)
+    residual = cases.copy()
+    norms = np.linalg.norm(cases, axis=1)           # current residual norms
+    floor = 1e-12 * norms
+    active = np.arange(K)
+    for t in range(max_iters):
+        active = active[norms[active] > floor[active]]
+        if not active.size:
+            break
+        scores = (residual[active] @ dictionary.observed) / dictionary.observed_norms
+        picked = np.argmax(scores, axis=1)
+        fresh = (indices[active, :t] != picked[:, None]).all(axis=1)
+        active, picked = active[fresh], picked[fresh]
+        if not active.size:
+            break
+        trial = np.concatenate((indices[active, :t], picked[:, None]), axis=1)
+        A = _stacked_images(dictionary, trial)
+        d = cases[active]
+        x = _stacked_lstsq(A, d)
+        new_residual = d - (A @ x[:, :, None])[..., 0]
+        new_norms = np.linalg.norm(new_residual, axis=1)
+        old = norms[active]
+        keep = ~((old - new_norms) / old < rel_tol)
+        active = active[keep]
+        indices[active, : t + 1] = trial[keep]
+        amplitudes[active, : t + 1] = x[keep]
+        residual[active] = new_residual[keep]
+        norms[active] = new_norms[keep]
+        counts[active] = t + 1
+    return GreedyBlock(indices, amplitudes, counts)
+
+
+@dataclass(frozen=True, eq=False)
+class SplitBlock:
+    """``spbdw_reconstruct`` outputs for every column of an (m, K) data block."""
+
+    greedy: GreedyBlock
+    f_star: np.ndarray              # (num_points, K)
+    u_f: BlockReconstruction        # smooth solve of the smoothed data
+    corrected_amplitudes: np.ndarray  # (K, max_iters), laid out as greedy.amplitudes
+    u_star: np.ndarray              # (num_points, K)
+
+    def dominant_indices(self) -> np.ndarray:
+        """Dictionary index of each column's largest refitted step; -1 without steps."""
+        k = np.argmax(np.abs(self.corrected_amplitudes), axis=1)
+        picked = self.greedy.indices[np.arange(len(k)), k]
+        return np.where(self.greedy.counts > 0, picked, -1)
+
+
+def spbdw_reconstruct_block(
+    data: np.ndarray,
+    background: Subspace,
+    space: ObservationSpace,
+    dictionary: SlowDictionary,
+    model: NoiseModel | None = None,
+    rel_tol: float = 0.05,
+    max_iters: int = 5,
+) -> SplitBlock:
+    """``spbdw_reconstruct`` for every column of an (m, K) block of onb data.
+
+    The greedy split is ``extract_smoothers_block``; f* and the smoothed data
+    are built for the whole block and the smooth solve is
+    ``pbdw_solve_block``, followed under a noise model (analytic expectation
+    only) by ``bpbdw_correct_block``.  The steps are then refitted on the
+    stacked selections.  Column k matches ``spbdw_reconstruct`` on column k
+    up to roundoff; boxed solves are per case only.
+    """
+    if dictionary.space is not space:
+        raise ValueError("dictionary belongs to a different observation space")
+    greedy = extract_smoothers_block(data, dictionary, rel_tol, max_iters)
+    f_star = dictionary.candidate_matrix @ greedy.coefficients(len(dictionary))
+    weighted = space.onb.weighted_matrix
+    first = pbdw_solve_block(data - weighted @ f_star, background, space)
+    if model is None:
+        # refitting against the data reproduces the greedy amplitudes
+        return SplitBlock(greedy, f_star, first, greedy.amplitudes, first.states + f_star)
+
+    u_f = bpbdw_correct_block(first, background, space, model)
+    eta = corrected_constraint_block(weighted @ (first.states + f_star), model).T
+    corrected = np.zeros_like(greedy.amplitudes)
+    for count in range(1, greedy.indices.shape[1] + 1):
+        cols = np.flatnonzero(greedy.counts == count)
+        if cols.size:
+            A = _stacked_images(dictionary, greedy.indices[cols, :count])
+            corrected[cols, :count] = _stacked_lstsq(A, eta[cols])
+    f_u = dictionary.candidate_matrix @ greedy.coefficients(len(dictionary), corrected)
+    return SplitBlock(greedy, f_star, u_f, corrected, u_f.states + f_u)
 
 
 def multiscale_beta_bound(

@@ -89,8 +89,11 @@ class SensorArray:
         return cls(tuple(centers), kind, width)
 
     def validate_on(self, grid: Grid) -> None:
+        """Check that every sensor can be built on the grid."""
         if self.centers[0] <= grid.a or self.centers[-1] >= grid.b:
             raise ValueError("sensor centers must lie strictly inside the domain")
+        if self.kind == BOX_AVERAGE:
+            _window_mask(grid, self.centers, self.width)
 
     def apply(self, u: GridFunction) -> np.ndarray:
         """Exact functional readings l_i(u) for every sensor."""
@@ -109,10 +112,17 @@ def _nearest_node(grid: Grid, center: float) -> int:
     return int(np.argmin(np.abs(grid.nodes - center)))
 
 
-def _window_mask(grid: Grid, center: float, width: float) -> np.ndarray:
-    mask = np.abs(grid.nodes - center) <= width / 2 + 1e-12 * max(1.0, abs(width))
-    if not mask.any():
-        raise ValueError(f"sensor window at {center} contains no grid node")
+def _window_mask(grid: Grid, center, width: float) -> np.ndarray:
+    """Nodes inside the window of one center, or one row per center of a sequence."""
+    offsets = grid.nodes - np.asarray(center, dtype=float)[..., None]
+    mask = np.abs(offsets) <= width / 2 + 1e-12 * max(1.0, abs(width))
+    empty = ~mask.any(axis=-1)
+    if empty.any():
+        first = np.atleast_1d(center)[np.argmax(empty)]
+        raise ValueError(
+            f"sensor window of width {width:g} at {first:g} contains no grid node "
+            f"(grid spacing {grid.h:g})"
+        )
     return mask
 
 

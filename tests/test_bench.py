@@ -1,11 +1,22 @@
+import contextlib
 import csv
+import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from assim import (
+    GridFunction,
     NoiseModel,
     SinusoidSpec,
     bpbdw_reconstruct,
@@ -13,10 +24,16 @@ from assim import (
     pbdw_solve,
     pod,
     sample_sinusoids,
+    spbdw_reconstruct,
+    step_dictionary,
+    total_variation,
 )
+import assim.bench
 from assim.bench import (
+    _CHUNK,
     ConfigError,
     _grid,
+    _pair,
     _sensor_array,
     aggregate_rows,
     default_config,
@@ -29,6 +46,7 @@ from assim.bench import (
     run_example2,
     run_example3_analog,
     run_experiment,
+    setup_experiment,
 )
 from assim.cli import main as cli_main
 
@@ -259,6 +277,110 @@ class TestRunExample2:
             assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
+def example2_oracle(cfg):
+    """example2 rows and diagnostics from per-case ``spbdw_reconstruct`` / ``pbdw_solve``.
+
+    Same truths, seeds and noise draws as ``run_example2``; rows are keyed
+    like ``ResultRow.key()`` without sigma and valued (error_e, beta, seed),
+    diagnostics are keyed (case_id, n, m).
+    """
+    setup = setup_experiment(cfg)
+    grid, master = setup.grid, cfg["master_seed"]
+    fast_val, fast_basis = setup.labeled["fast"]
+    full_val, full_basis = setup.labeled["full"]
+    alpha, sigma = cfg["noise.alpha"], cfg["noise.sigma"]
+    model = NoiseModel(alpha=alpha, sigma=sigma) if (alpha or sigma) else None
+    rows, diagnostics = {}, {}
+    for m in cfg["sweep.m"]:
+        space = build_observation_space(_sensor_array(cfg, m, grid), grid)
+        dictionary = step_dictionary(grid, space, _pair(cfg, "manifold.jump_location"),
+                                     cfg["dictionary.stride"])
+        locations = np.array([p["jump_location"] for p in dictionary.parameters])
+        for n in cfg["sweep.n"]:
+            fast_bg = fast_basis.subspace.truncate(n)
+            full_bg = full_basis.subspace.truncate(n)
+            for case_id, params in enumerate(full_val.parameters):
+                true_loc = float(locations[np.argmin(np.abs(locations - params["jump_location"]))])
+                step = GridFunction(grid, (grid.nodes >= true_loc - 1e-12).astype(float))
+                truth = fast_val.snapshots[case_id] + params["jump_height"] * step
+                seed = derive_seed(master, "noise", case_id, "m", m, "n", n)
+                omega = observe_noisy(truth, space, model or NoiseModel(), seed)
+                dec = spbdw_reconstruct(omega, fast_bg, space, dictionary, model=model,
+                                        seed=seed, rel_tol=cfg["spbdw.rel_tol"],
+                                        max_iters=cfg["spbdw.max_iters"])
+                plain = pbdw_solve(omega, full_bg, space)
+                for method, state, beta in (("spbdw", dec.u_star, dec.u_f.beta),
+                                            ("pbdw", plain.state, plain.beta)):
+                    error = (state - truth).norm() / truth.norm()
+                    rows[(case_id, method, n, m, alpha)] = (error, beta, seed)
+                estimated = dec.dominant_jump_location()
+                tv_truth = total_variation(truth)
+                diagnostics[(case_id, n, m)] = {
+                    "jump_location_true": true_loc,
+                    "jump_location_estimated": "" if estimated is None else estimated,
+                    "jump_cells_off": ("" if estimated is None
+                                       else abs(estimated - true_loc) / grid.h),
+                    "num_smoothers": len(dec.smoothers),
+                    "tv_truth": tv_truth,
+                    "tv_excess_spbdw": total_variation(dec.u_star) - tv_truth,
+                    "tv_excess_pbdw": total_variation(plain.state) - tv_truth,
+                }
+    return rows, diagnostics
+
+
+def small_example2(**overrides):
+    cfg = default_config("example2")
+    # 37 cases: one full block of _CHUNK columns and a partial one
+    cfg.update({"validation.count": _CHUNK + 5, "training.count": 64,
+                "sweep.n": [10, 20], "sweep.m": [25, 40]})
+    cfg.update(overrides)
+    return cfg
+
+
+class TestExample2BlockPath:
+    """Each (n, m) cell runs as column blocks; per-case split solves are the oracle."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"noise.alpha": 0.1, "noise.sigma": 0.05}],
+        ids=["exact", "bias_corrected"],
+    )
+    def test_rows_match_per_case_solves(self, overrides):
+        cfg = small_example2(**overrides)
+        res = run_example2(cfg)
+        rows, diagnostics = example2_oracle(cfg)
+        assert len(res.rows) == len(rows) == 4 * cfg["validation.count"] * 2
+        for row in res.rows:
+            error, beta, seed = rows[row.key()[:5]]
+            assert row.error_e == pytest.approx(error, rel=1e-10)
+            assert (row.beta, row.seed, row.sigma) == (beta, seed, cfg["noise.sigma"])
+        assert len(res.diagnostics) == len(diagnostics)
+        for diag in res.diagnostics:
+            expected = diagnostics[(diag["case_id"], diag["n"], diag["m"])]
+            for key in ("jump_location_true", "jump_location_estimated", "jump_cells_off",
+                        "num_smoothers"):
+                assert diag[key] == expected[key]
+            tv_truth = expected["tv_truth"]
+            for key in ("tv_truth", "tv_excess_spbdw", "tv_excess_pbdw"):
+                assert abs(diag[key] - expected[key]) <= 1e-10 * tv_truth
+
+    def test_timings_are_per_case_shares(self, monkeypatch):
+        # a clock that advances one second per reading: every block takes 1000 ms
+        clock = itertools.count()
+        monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        res = run_example2(small_example2())
+        assert len(res.timings) == len(res.rows)
+        by_block = {}
+        for t in res.timings:
+            key = (t["method"], t["n"], t["m"], t["case_id"] // _CHUNK)
+            by_block.setdefault(key, []).append(t["runtime_ms"])
+        # one block time per chunk and method, shared evenly by its cases
+        assert len(by_block) == 2 * 4 * 2
+        for (_method, _n, _m, chunk), times in by_block.items():
+            width = _CHUNK if chunk == 0 else 5
+            assert times == [1000.0 / width] * width
+
+
 class TestRunExample3:
     def test_clean_data_recovers_truth(self):
         cfg = default_config("example3_analog")
@@ -409,6 +531,14 @@ class TestCli:
             ("example2.cfg", ["sweep.m=0,20"], ["sweep.m"]),
             ("example3.cfg", ["sweep.m=0,20"], ["sweep.m"]),
             ("example3.cfg", ["sweep.n=0,3"], ["sweep.n"]),
+            # more box windows than the grid resolves
+            ("example3.cfg", ["sweep.m=600"], ["sweep.m=600", "width 0.00166667", "no grid node"]),
+            ("example2.cfg", ["sweep.m=40,600"], ["sweep.m=600", "width 0.010472", "no grid node"]),
+            ("example1.cfg", ["sweep.m=600"], ["sweep.m=600", "width", "no grid node"]),
+            ("example2.cfg", ["dictionary.stride=0"], ["dictionary.stride"]),
+            ("example2.cfg", ["spbdw.max_iters=0"], ["spbdw.max_iters"]),
+            ("example2.cfg", ["spbdw.rel_tol=0"], ["spbdw.rel_tol"]),
+            ("example3.cfg", ["sensors.width=-0.1"], ["sensors.width"]),
         ],
     )
     def test_unsolvable_sweep_rejected(self, tmp_path, capsys, config, overrides, names):
@@ -467,6 +597,67 @@ class TestCli:
         out = capsys.readouterr().out
         assert "noise.sigma" in out
         assert "dictionary.stride" in out
+
+    def test_python_dash_m(self):
+        paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-m", "assim", "info"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and "dictionary.stride" in proc.stdout
+
+
+def _data_rows(path: Path) -> int:
+    """Number of data rows in a versioned CSV (schema line and header excluded)."""
+    return len(path.read_text().splitlines()) - 2
+
+
+class TestExample2OverrideFuzz:
+    """``assim run`` on example2 either writes consistent outputs or exits 2 with one line."""
+
+    @given(
+        m=st.lists(st.integers(1, 90), min_size=1, max_size=2),
+        n=st.lists(st.integers(1, 30), min_size=1, max_size=2),
+        count=st.integers(1, 70),
+        training=st.integers(1, 40),
+        stride=st.integers(1, 420),
+        max_iters=st.integers(1, 6),
+    )
+    # one case; a full block plus one column; a one-candidate dictionary; an
+    # unresolved sensor window (the out-of-range values of the other keys are
+    # in TestCli.test_unsolvable_sweep_rejected)
+    @example(m=[40], n=[5], count=1, training=10, stride=12, max_iters=5)
+    @example(m=[20], n=[3], count=_CHUNK + 1, training=8, stride=12, max_iters=5)
+    @example(m=[30], n=[4], count=5, training=8, stride=300, max_iters=3)
+    @example(m=[40, 600], n=[5], count=3, training=8, stride=12, max_iters=5)
+    @settings(max_examples=20, deadline=None)
+    def test_outputs_consistent_or_one_error_line(self, m, n, count, training, stride,
+                                                  max_iters):
+        overrides = {
+            "sweep.m": ",".join(map(str, m)),
+            "sweep.n": ",".join(map(str, n)),
+            "validation.count": count,
+            "training.count": training,
+            "dictionary.stride": stride,
+            "spbdw.max_iters": max_iters,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            args = ["run", "--config", str(CONFIGS / "example2.cfg"), "--out", str(out_dir)]
+            for key, value in overrides.items():
+                args += ["--set", f"{key}={value}"]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli_main(args)
+            if code == 2:
+                err = stderr.getvalue().splitlines()
+                assert len(err) == 1 and err[0].startswith("error:"), err
+                assert stdout.getvalue() == "" and not out_dir.exists()
+                return
+            assert code == 0, stderr.getvalue()
+            cases = len(m) * len(n) * count
+            assert _data_rows(out_dir / "diagnostics.csv") == cases
+            assert _data_rows(out_dir / "results.csv") == 2 * cases
+            assert _data_rows(out_dir / "timings.csv") == 2 * cases
 
 
 class TestRunExperimentDispatch:

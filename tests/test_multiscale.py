@@ -26,6 +26,7 @@ from assim import (
     step_dictionary,
     total_variation,
 )
+from assim.multiscale import _stacked_lstsq, extract_smoothers_block, spbdw_reconstruct_block
 from assim.rom import projection_residuals
 
 
@@ -157,6 +158,135 @@ class TestExtractSmoothers:
             extract_smoothers(omega, dictionary, rel_tol=0.0)
         with pytest.raises(ValueError):
             extract_smoothers(omega, dictionary, max_iters=0)
+
+
+def stop_reason(omega, dictionary, rel_tol, max_iters):
+    """Which rule ended per-case ``extract_smoothers`` on ``omega``."""
+    smoothers, _, omega_f, history = extract_smoothers(omega, dictionary, rel_tol, max_iters)
+    if len(smoothers) == max_iters:
+        return "max_iters"
+    if history[-1] <= 1e-12 * history[0]:
+        return "residual"
+    _, _, index = orthogonal_search(omega_f, dictionary)
+    return "repick" if index in [sm.index for sm in smoothers] else "rel_tol"
+
+
+def assert_greedy_matches(block, data, dictionary, rel_tol, max_iters):
+    """The block greedy equals per-case ``extract_smoothers`` on every column."""
+    assert block.indices.shape == block.amplitudes.shape == (data.shape[1], max_iters)
+    for k in range(data.shape[1]):
+        omega = Measurement(data[:, k], dictionary.space)
+        smoothers, _, _, history = extract_smoothers(omega, dictionary, rel_tol, max_iters)
+        count = block.counts[k]
+        assert count == len(smoothers) == len(history) - 1
+        assert block.indices[k, :count].tolist() == [sm.index for sm in smoothers]
+        assert (block.indices[k, count:] == -1).all()
+        np.testing.assert_allclose(
+            block.amplitudes[k, :count], [sm.amplitude for sm in smoothers], rtol=1e-10, atol=0
+        )
+        assert not block.amplitudes[k, count:].any()
+
+
+class TestExtractSmoothersBlock:
+    """The block greedy against per-case ``extract_smoothers``, column by column."""
+
+    @pytest.fixture
+    def tied(self, grid, space40):
+        # candidate 5 is listed twice, so data along it scores an exact tie
+        locations = list(grid.nodes[40:460:20])
+        locations.insert(6, locations[5])
+        return build_slow_dictionary(step_set(grid, locations), space40)
+
+    def test_every_stop_rule_in_one_block(self, space40, tied, rng):
+        rel_tol, max_iters = 0.01, 5
+        tie = 2.0 * tied.observed[:, 5]
+        combos = tied.observed @ rng.normal(size=(len(tied), 60))
+        data = np.column_stack([np.zeros(space40.m), tie, combos])
+        block = extract_smoothers_block(data, tied, rel_tol, max_iters)
+        assert_greedy_matches(block, data, tied, rel_tol, max_iters)
+
+        reasons = [
+            stop_reason(Measurement(col, space40), tied, rel_tol, max_iters) for col in data.T
+        ]
+        assert block.counts[0] == 0 and reasons[0] == "residual"
+        scores = (tie @ tied.observed) / tied.observed_norms
+        assert scores[5] == scores[6] == scores.max()
+        assert block.indices[1, 0] == 5 and block.counts[1] == 1
+        # the mask retires columns at different steps and for every reason
+        assert {"residual", "repick", "rel_tol", "max_iters"} <= set(reasons)
+        assert len(set(block.counts.tolist())) >= 4
+
+    @pytest.mark.parametrize("width", [1, 37])
+    def test_random_blocks(self, space40, dictionary, rng, width):
+        data = rng.normal(size=(space40.m, width))
+        data[:, ::2] += dictionary.observed @ rng.uniform(0, 2, size=(len(dictionary), 1))
+        block = extract_smoothers_block(data, dictionary)
+        assert_greedy_matches(block, data, dictionary, 0.05, 5)
+
+    def test_selection_wider_than_the_sensors(self, grid, rng):
+        # 3 sensors cannot separate 5 steps: later fits are rank deficient
+        space = build_observation_space(SensorArray.equidistant(3, grid), grid)
+        d = step_dictionary(grid, space, (np.pi / 2, 3 * np.pi / 2), stride=12)
+        data = rng.normal(size=(3, 40))
+        block = extract_smoothers_block(data, d, rel_tol=1e-3, max_iters=5)
+        assert_greedy_matches(block, data, d, 1e-3, 5)
+
+    def test_stacked_fits_match_lstsq(self, rng):
+        # a repeated column and a fit wider than tall follow lstsq's rank cutoff
+        tall = rng.normal(size=(4, 6, 3))
+        tall[1, :, 2] = tall[1, :, 0]
+        wide = rng.normal(size=(2, 2, 3))
+        for A in (tall, wide):
+            d = rng.normal(size=A.shape[:2])
+            x = _stacked_lstsq(A, d)
+            for k in range(len(A)):
+                expected = np.linalg.lstsq(A[k], d[k], rcond=None)[0]
+                np.testing.assert_allclose(x[k], expected, rtol=1e-10, atol=1e-12)
+
+    def test_input_checks(self, space40, dictionary):
+        with pytest.raises(ValueError, match="rel_tol"):
+            extract_smoothers_block(np.ones((space40.m, 2)), dictionary, rel_tol=0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            extract_smoothers_block(np.ones((space40.m, 2)), dictionary, max_iters=0)
+        with pytest.raises(ValueError, match="data block"):
+            extract_smoothers_block(np.ones(space40.m), dictionary)
+        with pytest.raises(ValueError, match="finite"):
+            extract_smoothers_block(np.full((space40.m, 2), np.nan), dictionary)
+
+
+class TestSpbdwReconstructBlock:
+    """The block split against per-case ``spbdw_reconstruct``."""
+
+    @pytest.mark.parametrize("model", [None, NoiseModel(alpha=0.1, sigma=0.05)],
+                             ids=["plain", "corrected"])
+    @pytest.mark.parametrize("width", [1, 37])
+    def test_against_per_case(self, grid, space40, dictionary, model, width):
+        spec = MultiscaleSpec()
+        fast_tr, _, _ = sample_multiscale(spec, grid, 64, seed=16)
+        background = pod(fast_tr, 15).subspace
+        _, _, full_va = sample_multiscale(spec, grid, width, seed=17)
+        data = np.stack([space40.onb.coefficients(u) for u in full_va], axis=1)
+        data[:, 1::3] *= -1.0                   # downward jumps too
+        split = spbdw_reconstruct_block(data, background, space40, dictionary, model=model)
+        assert_greedy_matches(split.greedy, data, dictionary, 0.05, 5)
+        for k, dominant in enumerate(split.dominant_indices().tolist()):
+            dec = spbdw_reconstruct(Measurement(data[:, k], space40), background, space40,
+                                    dictionary, model=model)
+            count = len(dec.smoothers)
+            np.testing.assert_allclose(split.corrected_amplitudes[k, :count],
+                                       dec.corrected_amplitudes, rtol=1e-10, atol=0)
+            scale = dec.u_star.norm()
+            assert np.linalg.norm(split.u_star[:, k] - dec.u_star.values) <= 1e-10 * scale
+            assert np.linalg.norm(split.f_star[:, k] - dec.f_star.values) <= 1e-10 * scale
+            assert split.u_f.beta == dec.u_f.beta
+            location = None if dominant < 0 else dictionary.parameters[dominant]["jump_location"]
+            assert location == dec.dominant_jump_location()
+
+    def test_dictionary_of_another_space(self, grid, space40, dictionary):
+        other = build_observation_space(SensorArray.equidistant(40, grid), grid)
+        background = Subspace(grid, other.onb.basis[:3], _validate=False)
+        with pytest.raises(ValueError, match="different observation space"):
+            spbdw_reconstruct_block(np.ones((40, 2)), background, other, dictionary)
 
 
 class TestSpbdwReconstruct:
