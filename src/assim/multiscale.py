@@ -259,10 +259,6 @@ class MultiscaleDecomposition:
     corrected_amplitudes: tuple[float, ...]
     residual_history: tuple[float, ...]
 
-    @property
-    def jump_locations(self) -> list[float]:
-        return [sm.params.get("jump_location") for sm in self.smoothers]
-
     def dominant_jump_location(self) -> float | None:
         """Location of the largest refitted step, if any step was recorded."""
         if not self.smoothers:

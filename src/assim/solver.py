@@ -33,7 +33,10 @@ outside the calibrated regime.  With the thin SVD G = U diag(S) V^T,
 so the bounded problem is solved exactly on the n x n factor R, which the
 plan keeps, by bounded-variable least squares (Stark & Parker, Comput. Stat.
 10, 1995).  Its subproblems are least-squares solves on columns of R, so
-they see the condition number of G, not its square.
+they see the condition number of G, not its square.  The bounded solve is
+nonlinear in the data, so ``pbdw_solve_boxed_block`` runs it column by
+column, then assembles the whole block at once; ``pbdw_solve_boxed`` runs
+the same bounded solve and assembly on one data vector.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "pbdw_solve",
     "pbdw_solve_block",
     "pbdw_solve_boxed",
+    "pbdw_solve_boxed_block",
     "compute_box",
 ]
 
@@ -236,6 +240,19 @@ def pbdw_solve(target, background: Subspace, space: ObservationSpace) -> Reconst
     return _single(_plan(background, space).solve(d), space.grid)
 
 
+def _as_block(data: np.ndarray, space: ObservationSpace) -> np.ndarray:
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] != space.m:
+        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
+    return data
+
+
+def _finite(block: BlockReconstruction) -> BlockReconstruction:
+    if not np.isfinite(block.states).all():
+        raise ValueError("reconstructed states must be finite")
+    return block
+
+
 def pbdw_solve_block(
     data: np.ndarray, background: Subspace, space: ObservationSpace
 ) -> BlockReconstruction:
@@ -244,30 +261,23 @@ def pbdw_solve_block(
     Column k equals ``pbdw_solve`` on column k up to roundoff; the pair's
     checks run once for the whole block.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] != space.m:
-        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
-    block = _plan(background, space).solve(data)
-    if not np.isfinite(block.states).all():
-        raise ValueError("reconstructed states must be finite")
-    return block
+    data = _as_block(data, space)
+    return _finite(_plan(background, space).solve(data))
 
 
-def pbdw_solve_boxed(
-    target,
-    background: Subspace,
-    space: ObservationSpace,
-    box: Box,
-) -> Reconstruction:
-    """Reconstruction with the background coefficients clamped to a box."""
+def _boxed_plan(background: Subspace, space: ObservationSpace, box: Box) -> _SolvePlan:
+    """The pair's plan, once the box is checked against the background."""
     if box.dimension != background.dimension:
         raise ValueError(
             f"box has {box.dimension} bounds for a background of dimension "
             f"{background.dimension}"
         )
-    d = _target_coeffs(target, space)
-    plan = _plan(background, space)
-    c = np.empty(background.dimension)
+    return _plan(background, space)
+
+
+def _boxed_coeffs(plan: _SolvePlan, d: np.ndarray, box: Box) -> np.ndarray:
+    """Background coefficients of one data vector, clamped to the box."""
+    c = np.empty(box.dimension)
     fixed = box.lo == box.hi
     c[fixed] = box.lo[fixed]
     free = ~fixed
@@ -275,7 +285,32 @@ def pbdw_solve_boxed(
         # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
         rhs = plan.Ut @ d - plan.R[:, fixed] @ c[fixed]
         c[free] = _bvls(plan.R[:, free], rhs, box.lo[free], box.hi[free])
-    return _single(plan.assemble(d, c), space.grid)
+    return c
+
+
+def pbdw_solve_boxed_block(
+    data: np.ndarray, background: Subspace, space: ObservationSpace, box: Box
+) -> BlockReconstruction:
+    """``pbdw_solve_block`` with the background coefficients clamped to a box.
+
+    Each column runs its own bounded solve on the pair's factors; the pair's
+    checks, the assembly and the finiteness check run once for the block.
+    """
+    data = _as_block(data, space)
+    plan = _boxed_plan(background, space, box)
+    C = np.empty((box.dimension, data.shape[1]))
+    for k, d in enumerate(data.T):
+        C[:, k] = _boxed_coeffs(plan, d, box)
+    return _finite(plan.assemble(data, C))
+
+
+def pbdw_solve_boxed(
+    target, background: Subspace, space: ObservationSpace, box: Box
+) -> Reconstruction:
+    """Reconstruction with the background coefficients clamped to a box."""
+    plan = _boxed_plan(background, space, box)
+    d = _target_coeffs(target, space)
+    return _single(plan.assemble(d, _boxed_coeffs(plan, d, box)), space.grid)
 
 
 def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

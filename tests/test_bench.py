@@ -21,7 +21,9 @@ from assim import (
     SinusoidSpec,
     bpbdw_reconstruct,
     build_observation_space,
+    compute_box,
     pbdw_solve,
+    pbdw_solve_boxed,
     pod,
     sample_sinusoids,
     spbdw_reconstruct,
@@ -116,6 +118,15 @@ class TestConfigParsing:
         key, value = (part.strip() for part in entry.split("="))
         with pytest.raises(ConfigError, match="finite"):
             parse_overrides(default_config("example1"), [f"{key}={value}"])
+
+
+    @pytest.mark.parametrize("experiment", ["example1", "example2", "example3_analog"])
+    def test_noise_kind_checked(self, experiment):
+        for kind in ("empirical_table", "gaussian"):
+            with pytest.raises(ConfigError, match="noise.kind"):
+                parse_config(f"experiment = {experiment}\nnoise.kind = {kind}\n")
+            with pytest.raises(ConfigError, match="noise.kind"):
+                parse_overrides(default_config(experiment), [f"noise.kind={kind}"])
 
 
 class TestSeeding:
@@ -399,6 +410,81 @@ class TestRunExample3:
                 assert diag["mode1_energy_fraction"] >= 0.90
 
 
+def example3_oracle(cfg):
+    """example3_analog rows and diagnostics from per-case boxed solves.
+
+    Each case runs ``pbdw_solve_boxed`` and ``bpbdw_reconstruct(box=)`` on the
+    same truth, seeds, noise draws and boxes as ``run_example3_analog``.  Rows
+    are keyed like ``ResultRow.key()`` without sigma and valued (error_e,
+    beta, seed); diagnostics are ((case_id, method, n, m), mode-1 energy
+    fraction) in the order the runner writes them.
+    """
+    setup = setup_experiment(cfg)
+    training, basis = setup.labeled["full"]
+    truth, master, alpha = setup.truth, cfg["master_seed"], cfg["noise.alpha"]
+    model = NoiseModel(alpha=alpha, sigma=cfg["noise.sigma"])
+    rows, diagnostics = {}, []
+    for m in cfg["sweep.m"]:
+        space = build_observation_space(_sensor_array(cfg, m, setup.grid), setup.grid)
+        for n in cfg["sweep.n"]:
+            if n > m:
+                continue
+            background = basis.subspace.truncate(n)
+            box = compute_box(training, background, cfg["box.margin"])
+            for case_id in range(cfg["validation.count"]):
+                seed = derive_seed(master, "noise", case_id, "m", m, "n", n)
+                omega = observe_noisy(truth, space, model, seed)
+                for method, rec in (
+                    ("pbdw", pbdw_solve_boxed(omega, background, space, box)),
+                    ("bpbdw", bpbdw_reconstruct(omega, background, space, model, seed, box=box)),
+                ):
+                    error = (rec.state - truth).norm() / truth.norm()
+                    rows[(case_id, method, n, m, alpha)] = (error, rec.beta, seed)
+                    fraction = float(rec.rom_coeffs[0] ** 2 / np.sum(rec.rom_coeffs**2))
+                    diagnostics.append(((case_id, method, n, m), fraction))
+    return rows, diagnostics
+
+
+class TestExample3Oracle:
+    """example3_analog's rows are the per-case boxed API's, to the last bit.
+
+    The benchmark's library runner rebuilds these rows from per-case calls
+    and compares them for equality, so the tolerance here is zero.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"noise.alpha": 0.0, "noise.sigma": 0.0},
+         {"validation.count": 6, "sweep.n": [3, 8], "sweep.m": [5, 20]}],
+        ids=["default", "exact", "skipped_cell"],
+    )
+    def test_rows_match_per_case_solves(self, overrides):
+        cfg = default_config("example3_analog")
+        cfg.update(overrides)
+        res = run_example3_analog(cfg)
+        rows, diagnostics = example3_oracle(cfg)
+        cells = sum(n <= m for n in cfg["sweep.n"] for m in cfg["sweep.m"])
+        assert len(res.rows) == len(rows) == 2 * cells * cfg["validation.count"]
+        for row in res.rows:
+            assert (row.error_e, row.beta, row.seed) == rows[row.key()[:5]]
+            assert row.sigma == cfg["noise.sigma"]
+        assert [((d["case_id"], d["method"], d["n"], d["m"]), d["mode1_energy_fraction"])
+                for d in res.diagnostics] == diagnostics
+
+    def test_timings_are_block_shares(self, monkeypatch):
+        # a clock that advances one second per reading: every solve takes 1000 ms
+        clock = itertools.count()
+        monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        cfg = default_config("example3_analog")
+        cfg.update({"validation.count": 8, "sweep.n": [3, 5], "sweep.m": [20, 40]})
+        res = run_example3_analog(cfg)
+        assert len(res.timings) == len(res.rows) == 2 * 4 * 8
+        # the plain block's time and the corrected block's, which includes it,
+        # shared evenly by the block's 8 cases
+        for t in res.timings:
+            assert t["runtime_ms"] == {"pbdw": 1000.0, "bpbdw": 2000.0}[t["method"]] / 8
+
+
 class TestOutputs:
     def test_files_and_determinism(self, tmp_path):
         cfg = small_example1()
@@ -539,6 +625,9 @@ class TestCli:
             ("example2.cfg", ["spbdw.max_iters=0"], ["spbdw.max_iters"]),
             ("example2.cfg", ["spbdw.rel_tol=0"], ["spbdw.rel_tol"]),
             ("example3.cfg", ["sensors.width=-0.1"], ["sensors.width"]),
+            # every (n, m) cell has n > m
+            ("example2.cfg", ["sweep.m=10"], ["no feasible", "n=20", "m=10"]),
+            ("example3.cfg", ["sweep.m=4", "sweep.n=5,8"], ["no feasible", "n=5", "m=4"]),
         ],
     )
     def test_unsolvable_sweep_rejected(self, tmp_path, capsys, config, overrides, names):
@@ -558,6 +647,65 @@ class TestCli:
             assert not out_dir.exists()
             errors.append(err[0])
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "config, overrides, cells",
+        [
+            ("example1.cfg", ["sweep.m=10,40", "sweep.n=5,20"], {(5, 10), (5, 40), (20, 40)}),
+            ("example2.cfg", ["sweep.m=10,40", "sweep.n=5,20"], {(5, 10), (5, 40), (20, 40)}),
+            ("example3.cfg", ["sweep.m=5,20", "sweep.n=3,8"], {(3, 5), (3, 20), (8, 20)}),
+        ],
+    )
+    def test_cells_with_n_above_m_skipped(self, tmp_path, config, overrides, cells):
+        out_dir = tmp_path / "o"
+        args = ["run", "--config", str(CONFIGS / config), "--out", str(out_dir)]
+        for override in overrides:
+            args += ["--set", override]
+        assert cli_main(args) == 0
+        with open(out_dir / "results.csv") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert {(int(r["n"]), int(r["m"])) for r in rows} == cells
+        count = load_config(CONFIGS / config)["validation.count"]
+        assert len(rows) == 2 * len(cells) * count
+
+    def test_unstable_cell_after_a_skipped_one(self, tmp_path, capsys):
+        # (25, 20) is skipped; (25, 40) passes the n <= m check but its beta is
+        # below the floor, and an unstable cell still rejects the whole sweep
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / "example3.cfg"), "--set",
+                         "sweep.m=20,40", "--set", "sweep.n=5,25", "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stability constant")
+        assert "n=25, m=40" in err[0] and not out_dir.exists()
+
+    @pytest.mark.parametrize("config", ["example1.cfg", "example2.cfg", "example3.cfg"])
+    def test_noise_kind_rejected(self, tmp_path, capsys, config):
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / config), "--set",
+                         "noise.kind=empirical_table", "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith("error: noise.kind") and not out_dir.exists()
+
+    def test_override_rescues_a_bad_file_value(self, tmp_path, capsys):
+        # the file alone is rejected; validation runs once, after the overrides
+        path = tmp_path / "wide.cfg"
+        path.write_text("experiment = example3_analog\nsweep.m = 600\n")
+        args = ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sweep.m=600")
+        assert cli_main(args + ["--set", "sweep.m=40"]) == 0
+        # a bad override is still rejected, with one line that names the key
+        path.write_text("experiment = example3_analog\nsweep.m = 40\n")
+        capsys.readouterr()
+        assert cli_main(args + ["--set", "sweep.m=600"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sweep.m=600")
 
     def test_pod_decay_command(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
@@ -611,6 +759,41 @@ def _data_rows(path: Path) -> int:
     return len(path.read_text().splitlines()) - 2
 
 
+def _run_or_one_error_line(config: str, overrides: dict) -> dict | None:
+    """``assim run`` with ``--set`` overrides, in a fresh output directory.
+
+    A rejected run must print exactly one ``error:`` line and write nothing;
+    it returns None.  A cell with n > m is skipped, never the reason for a
+    rejection.  Otherwise the data-row count of each CSV written.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        args = ["run", "--config", str(CONFIGS / config), "--out", str(out_dir)]
+        for key, value in overrides.items():
+            args += ["--set", f"{key}={value}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(args)
+        if code == 2:
+            err = stderr.getvalue().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), err
+            assert "exceeds the number of sensors" not in err[0]
+            assert stdout.getvalue() == "" and not out_dir.exists()
+            return None
+        assert code == 0, stderr.getvalue()
+        return {path.name: _data_rows(path) for path in out_dir.glob("*.csv")
+                if path.name in ("results.csv", "timings.csv", "diagnostics.csv")}
+
+
+def _feasible_cells(m: list[int], n: list[int]) -> int:
+    """Number of swept (n, m) cells with n <= m; the runs skip the others."""
+    return sum(n_ <= m_ for m_ in m for n_ in n)
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
+
+
 class TestExample2OverrideFuzz:
     """``assim run`` on example2 either writes consistent outputs or exits 2 with one line."""
 
@@ -624,40 +807,81 @@ class TestExample2OverrideFuzz:
     )
     # one case; a full block plus one column; a one-candidate dictionary; an
     # unresolved sensor window (the out-of-range values of the other keys are
-    # in TestCli.test_unsolvable_sweep_rejected)
+    # in TestCli.test_unsolvable_sweep_rejected); a cell with n > m
     @example(m=[40], n=[5], count=1, training=10, stride=12, max_iters=5)
     @example(m=[20], n=[3], count=_CHUNK + 1, training=8, stride=12, max_iters=5)
     @example(m=[30], n=[4], count=5, training=8, stride=300, max_iters=3)
     @example(m=[40, 600], n=[5], count=3, training=8, stride=12, max_iters=5)
+    @example(m=[4, 30], n=[6], count=3, training=10, stride=12, max_iters=5)
     @settings(max_examples=20, deadline=None)
     def test_outputs_consistent_or_one_error_line(self, m, n, count, training, stride,
                                                   max_iters):
-        overrides = {
-            "sweep.m": ",".join(map(str, m)),
-            "sweep.n": ",".join(map(str, n)),
+        counts = _run_or_one_error_line("example2.cfg", {
+            "sweep.m": _joined(m),
+            "sweep.n": _joined(n),
             "validation.count": count,
             "training.count": training,
             "dictionary.stride": stride,
             "spbdw.max_iters": max_iters,
-        }
-        with tempfile.TemporaryDirectory() as tmp:
-            out_dir = Path(tmp) / "out"
-            args = ["run", "--config", str(CONFIGS / "example2.cfg"), "--out", str(out_dir)]
-            for key, value in overrides.items():
-                args += ["--set", f"{key}={value}"]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli_main(args)
-            if code == 2:
-                err = stderr.getvalue().splitlines()
-                assert len(err) == 1 and err[0].startswith("error:"), err
-                assert stdout.getvalue() == "" and not out_dir.exists()
-                return
-            assert code == 0, stderr.getvalue()
-            cases = len(m) * len(n) * count
-            assert _data_rows(out_dir / "diagnostics.csv") == cases
-            assert _data_rows(out_dir / "results.csv") == 2 * cases
-            assert _data_rows(out_dir / "timings.csv") == 2 * cases
+        })
+        if counts is not None:
+            cases = _feasible_cells(m, n) * count
+            assert counts == {"diagnostics.csv": cases, "results.csv": 2 * cases,
+                              "timings.csv": 2 * cases}
+
+
+class TestExample1OverrideFuzz:
+    """``assim run`` on example1 either writes consistent outputs or exits 2 with one line."""
+
+    @given(
+        m=st.lists(st.integers(1, 90), min_size=1, max_size=2),
+        n=st.lists(st.integers(1, 14), min_size=1, max_size=3),
+        alpha=st.lists(st.sampled_from([0.0, 0.1, -0.5]), min_size=1, max_size=2),
+        count=st.integers(1, 20),
+        training=st.integers(1, 40),
+    )
+    # a cell with n > m; one case
+    @example(m=[10], n=[5, 12], alpha=[0.1], count=4, training=32)
+    @example(m=[25], n=[3], alpha=[0.0], count=1, training=16)
+    @settings(max_examples=20, deadline=None)
+    def test_outputs_consistent_or_one_error_line(self, m, n, alpha, count, training):
+        counts = _run_or_one_error_line("example1.cfg", {
+            "sweep.m": _joined(m),
+            "sweep.n": _joined(n),
+            "sweep.alpha": _joined(alpha),
+            "validation.count": count,
+            "training.count": training,
+        })
+        if counts is not None:
+            rows = 2 * _feasible_cells(m, n) * len(alpha) * count
+            assert counts == {"results.csv": rows, "timings.csv": rows}
+
+
+class TestExample3OverrideFuzz:
+    """``assim run`` on example3_analog writes consistent outputs or exits 2 with one line."""
+
+    @given(
+        m=st.lists(st.integers(1, 60), min_size=1, max_size=2),
+        n=st.lists(st.integers(1, 10), min_size=1, max_size=2),
+        count=st.integers(1, 50),
+        training=st.integers(1, 40),
+        margin=st.sampled_from([0.0, 1.0, 1.1, 3.0]),
+    )
+    # a cell with n > m; one case
+    @example(m=[3, 20], n=[5], count=4, training=16, margin=1.1)
+    @example(m=[20], n=[5], count=1, training=16, margin=1.1)
+    @settings(max_examples=20, deadline=None)
+    def test_outputs_consistent_or_one_error_line(self, m, n, count, training, margin):
+        counts = _run_or_one_error_line("example3.cfg", {
+            "sweep.m": _joined(m),
+            "sweep.n": _joined(n),
+            "validation.count": count,
+            "training.count": training,
+            "box.margin": margin,
+        })
+        if counts is not None:
+            rows = 2 * _feasible_cells(m, n) * count
+            assert counts == {"diagnostics.csv": rows, "results.csv": rows, "timings.csv": rows}
 
 
 class TestRunExperimentDispatch:

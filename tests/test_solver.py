@@ -34,7 +34,7 @@ from assim import (
 from assim import solver
 from assim.rom import projection_residuals
 from assim.obs import cross_gramian
-from assim.solver import pbdw_solve_block
+from assim.solver import pbdw_solve_block, pbdw_solve_boxed_block
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -389,6 +389,62 @@ class TestPbdwSolveBoxed:
         assert np.array_equal(rec.rom_coeffs[fixed], lo[fixed])
         assert_matches_face_oracle(cross_gramian(space, V), target.coeffs, lo, hi, rec.rom_coeffs)
         assert rec.constraint_residual <= 1e-8 * max(1.0, target.norm())
+
+
+class TestPbdwSolveBoxedBlock:
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("fixed", "finite", "finite", "fixed"),
+            ("unbounded", "no_lower", "no_upper", "finite"),
+            ("no_lower", "no_lower", "no_lower", "no_lower"),
+        ],
+        ids=["fixed", "infinite", "one_sided"],
+    )
+    def test_columns_match_single_solves(self, rng, kinds):
+        grid, V, space, _ = random_instance(rng, num_points=40, n=4, m=9)
+        lo, hi = random_bounds(rng, [k if k != "fixed" else "finite" for k in kinds])
+        fixed = np.array(kinds) == "fixed"
+        hi[fixed] = lo[fixed]
+        box = Box(lo, hi)
+        D = 3.0 * rng.normal(size=(9, 6))
+        block = pbdw_solve_boxed_block(D, V, space, box)
+        assert block.states.shape == (40, 6)
+        C = block.rom_coeffs
+        held = np.isclose(C, lo[:, None]) | np.isclose(C, hi[:, None])
+        assert held[~fixed].any()                   # the box is active somewhere
+        G = cross_gramian(space, V)
+        for k in range(6):
+            assert_matches_face_oracle(G, D[:, k], lo, hi, block.rom_coeffs[:, k])
+            rec = pbdw_solve_boxed(Measurement(D[:, k], space), V, space, box)
+            scale = 1e-10 * max(1.0, float(np.abs(rec.rom_coeffs).max()))
+            np.testing.assert_allclose(block.rom_coeffs[:, k], rec.rom_coeffs, rtol=0, atol=scale)
+            np.testing.assert_allclose(block.states[:, k], rec.state.values, rtol=0,
+                                       atol=scale * np.abs(rec.state.values).max())
+            assert np.array_equal(block.rom_coeffs[fixed, k], lo[fixed])
+            assert block.constraint_residuals[k] < 1e-10 * max(1.0, np.linalg.norm(D[:, k]))
+        assert block.beta == rec.beta
+
+    def test_single_column_is_the_per_case_solve(self, rng):
+        grid, V, space, target = random_instance(rng, num_points=30, n=4, m=9)
+        box = Box(np.full(4, -0.5), np.full(4, 0.5))
+        block = pbdw_solve_boxed_block(target.coeffs[:, None], V, space, box)
+        rec = pbdw_solve_boxed(target, V, space, box)
+        assert np.array_equal(block.states[:, 0], rec.state.values)
+        assert np.array_equal(block.rom_coeffs[:, 0], rec.rom_coeffs)
+
+    def test_bad_inputs_rejected(self, rng):
+        grid, V, space, _ = random_instance(rng, num_points=30, n=4, m=9)
+        box = Box(-np.ones(4), np.ones(4))
+        with pytest.raises(ValueError, match="box has 3 bounds"):
+            pbdw_solve_boxed_block(np.zeros((9, 2)), V, space, Box(-np.ones(3), np.ones(3)))
+        for bad in (np.zeros(9), np.zeros((8, 3))):
+            with pytest.raises(ValueError, match="data block"):
+                pbdw_solve_boxed_block(bad, V, space, box)
+        D = np.zeros((9, 3))
+        D[2, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            pbdw_solve_boxed_block(D, V, space, box)
 
 
 class TestBvls:
