@@ -38,6 +38,7 @@ import json
 import time
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,10 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(
             f"noise.kind must be {LINEAR_BIAS_GAUSSIAN!r}, got {cfg['noise.kind']!r}"
         )
+    for key in ("truth.peak_velocity", "truth.flow_index"):
+        # the ground-truth profile divides by both (relative error, exponent 1 + 1/n)
+        if key in cfg and cfg[key] <= 0:
+            raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
     for key in ("sweep.n", "sweep.m"):
         if not cfg[key]:
             raise ConfigError(f"{key} must not be empty")
@@ -409,8 +414,9 @@ class RunResult:
     diagnostics: list[dict]
     timings: list[dict]
 
-    @property
+    @cached_property
     def aggregates(self) -> list[dict]:
+        """``aggregate_rows(rows)``, computed once: the file and the printed table share it."""
         return aggregate_rows(self.rows)
 
     def mean_error(self, method: str, **cell) -> float:

@@ -211,6 +211,8 @@ def sample_multiscale(
 
 def powerlaw_profile(grid: Grid, peak_velocity: float, flow_index: float, radius: float) -> GridFunction:
     """Evaluate ``v0 [1 - (|r|/R)^(1+1/n)]`` on the grid (even in r)."""
+    if flow_index <= 0:
+        raise ValueError(f"flow index must be positive, got {flow_index}")
     rr = np.abs(grid.nodes) / radius
     return GridFunction(grid, peak_velocity * (1.0 - rr ** (1.0 + 1.0 / flow_index)))
 

@@ -23,7 +23,7 @@ from .space import (
     Grid,
     GridFunction,
     Subspace,
-    _gram_schmidt,
+    _weighted_qr,
 )
 
 __all__ = [
@@ -108,8 +108,9 @@ class SensorArray:
         return out
 
 
-def _nearest_node(grid: Grid, center: float) -> int:
-    return int(np.argmin(np.abs(grid.nodes - center)))
+def _nearest_node(grid: Grid, center):
+    """Index of the node nearest one center, or one index per center of a sequence."""
+    return np.argmin(np.abs(grid.nodes - np.asarray(center, dtype=float)[..., None]), axis=-1)
 
 
 def _window_mask(grid: Grid, center, width: float) -> np.ndarray:
@@ -218,20 +219,24 @@ def build_observation_space(sensors: SensorArray, grid: Grid) -> ObservationSpac
     Pointwise representers are discrete deltas at the nearest node divided by
     that node's quadrature weight; box representers are window indicators
     divided by the window measure.  Either way ``<w_i, u>`` reproduces the
-    functional exactly on the grid.
+    functional exactly on the grid.  All m representers are built as one
+    array and orthonormalized by one weighted Householder QR
+    (``space._weighted_qr``), so the basis is their Gram-Schmidt basis in
+    sensor order and ``raw_to_onb_matrix`` is lower triangular with a
+    positive diagonal.  Sensor i is dependent when its representer is zero or
+    its residual against the kept sensors before it is below 1e-10 times its
+    norm; after the first such sensor is dropped the rest are factored again,
+    and every dependent sensor is named in one ``DependentSensorsError``.
     """
     sensors.validate_on(grid)
-    reps = []
-    for c in sensors.centers:
-        r = np.zeros(grid.num_points)
-        if sensors.kind == POINTWISE:
-            k = _nearest_node(grid, c)
-            r[k] = 1.0 / grid.weights[k]
-        else:
-            mask = _window_mask(grid, c, sensors.width)
-            r[mask] = 1.0 / np.sum(grid.weights[mask])
-        reps.append(r)
-    rows, kept = _gram_schmidt(np.stack(reps), grid.weights, tol_drop=1e-10)
+    if sensors.kind == POINTWISE:
+        nearest = _nearest_node(grid, sensors.centers)
+        reps = np.zeros((sensors.m, grid.num_points))
+        reps[np.arange(sensors.m), nearest] = 1.0 / grid.weights[nearest]
+    else:
+        mask = _window_mask(grid, sensors.centers, sensors.width)
+        reps = mask / (mask @ grid.weights)[:, None]
+    rows, kept = _weighted_qr(reps, grid.weights, tol_drop=1e-10)
     if len(kept) != sensors.m:
         dropped = sorted(set(range(sensors.m)) - set(kept))
         names = ", ".join(f"#{i} (center {sensors.centers[i]:g})" for i in dropped)

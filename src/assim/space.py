@@ -199,29 +199,36 @@ def project_onto(u: GridFunction, subspace: Subspace) -> GridFunction:
     return subspace.combine(subspace.coefficients(u))
 
 
-def _gram_schmidt(vectors: np.ndarray, weights: np.ndarray, tol_drop: float):
-    """Modified Gram-Schmidt with one re-orthogonalization pass per vector.
+def _weighted_qr(vectors: np.ndarray, weights: np.ndarray, tol_drop: float):
+    """Orthonormalize rows in the weighted inner product with one Householder QR.
 
-    Returns the orthonormal rows and the indices of the inputs that were kept;
-    a candidate is dropped when its residual norm falls below ``tol_drop``
-    times its original norm.
+    The rows are scaled by sqrt(w), so that the weighted product becomes the
+    plain dot product, and factored as A^T = Q R.  Each column of Q is flipped
+    so that diag(R) > 0, which makes it the Gram-Schmidt basis up to
+    roundoff, and is then unscaled.  Row i is dropped when its norm is zero,
+    or when its residual against the kept rows before it, |R_ii|, is below
+    ``tol_drop`` times its norm.  Once a row fails, the later diagonal
+    entries of an unpivoted QR no longer measure those residuals, so only the
+    first failing row is dropped and the rest are factored again: one QR for
+    full-rank rows, d + 1 for d dropped rows.
+
+    Returns the orthonormal rows and the indices of the inputs that were kept.
     """
-    kept_rows: list[np.ndarray] = []
-    kept_idx: list[int] = []
-    for i, row in enumerate(vectors):
-        v = row.astype(float).copy()
-        n0 = np.sqrt(np.sum(weights * v**2))
-        if n0 == 0.0:
-            continue
-        for _ in range(2):
-            for q in kept_rows:
-                v -= np.sum(weights * q * v) * q
-        nv = np.sqrt(np.sum(weights * v**2))
-        if nv < tol_drop * n0:
-            continue
-        kept_rows.append(v / nv)
-        kept_idx.append(i)
-    return kept_rows, kept_idx
+    root_w = np.sqrt(weights)
+    scaled = np.asarray(vectors, dtype=float) * root_w
+    norms = np.linalg.norm(scaled, axis=1)
+    kept = np.flatnonzero(norms > 0)
+    while kept.size:
+        q, r = np.linalg.qr(scaled[kept].T)
+        diag = np.diag(r)
+        failed = np.flatnonzero(np.abs(diag) < tol_drop * norms[kept[:diag.size]])
+        # with more rows than nodes, row diag.size lies in the span of those before it
+        first = failed[0] if failed.size else diag.size
+        if first == kept.size:
+            # contiguous rows, as each becomes the values of one GridFunction
+            return np.ascontiguousarray((q * np.sign(diag)).T / root_w), kept
+        kept = np.delete(kept, first)
+    return np.zeros((0, weights.size)), kept
 
 
 def orthonormalize(
@@ -231,7 +238,13 @@ def orthonormalize(
 ) -> Subspace:
     """Orthonormalize a family of grid functions, dropping dependent ones.
 
-    An empty family yields the trivial subspace (``grid`` must then be given).
+    One weighted Householder QR (``_weighted_qr``) yields the Gram-Schmidt
+    basis of the family, in order, with the sign that makes each function's
+    coordinate on its own basis vector positive.  A function is dropped when
+    it is zero or its residual against the kept functions before it is below
+    ``tol_drop`` times its norm; after the first such function is dropped the
+    rest are factored again.  An empty family yields the trivial subspace
+    (``grid`` must then be given).
     """
     if tol_drop <= 0:
         raise ValueError("tol_drop must be positive")
@@ -243,5 +256,5 @@ def orthonormalize(
     grid = fns[0].grid
     for fn in fns[1:]:
         _check_same_grid(fns[0], fn)
-    rows, _ = _gram_schmidt(np.stack([fn.values for fn in fns]), grid.weights, tol_drop)
+    rows, _ = _weighted_qr(np.stack([fn.values for fn in fns]), grid.weights, tol_drop)
     return Subspace(grid, tuple(GridFunction(grid, r) for r in rows), _validate=False)

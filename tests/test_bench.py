@@ -602,6 +602,57 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("truth.flow_index=0", "truth.flow_index"),
+            ("truth.peak_velocity=0", "truth.peak_velocity"),
+            ("truth.flow_index=-0.5", "truth.flow_index"),
+        ],
+    )
+    def test_non_positive_truth_profile_rejected(self, tmp_path, capsys, override, key):
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / "example3.cfg"), "--set", override,
+                         "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} ")
+        assert not out_dir.exists()
+
+    def test_aggregates_computed_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return aggregate_rows(rows)
+
+        monkeypatch.setattr(assim.bench, "aggregate_rows", counting)
+        cfg_path = self.write_cfg(tmp_path)
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_dependent_pointwise_sensors_message_pinned(self, tmp_path, capsys):
+        # 40 pointwise sensors on 20 nodes: the message names every sensor that
+        # shares a node with an earlier one, exactly as before the QR kernel
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / "example1.cfg"),
+                         "--set", "sensors.kind=pointwise", "--set", "grid.num_points=20",
+                         "--set", "sweep.m=40", "--set", "sweep.n=3", "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sensors #2 (center 0.392699), #4 (center 0.706858), #6 (center 1.02102), "
+            "#8 (center 1.33518), #10 (center 1.64934), #11 (center 1.80642), "
+            "#13 (center 2.12058), #15 (center 2.43473), #17 (center 2.74889), "
+            "#19 (center 3.06305), #21 (center 3.37721), #23 (center 3.69137), "
+            "#25 (center 4.00553), #27 (center 4.31969), #29 (center 4.63385), "
+            "#30 (center 4.79093), #32 (center 5.10509), #34 (center 5.41925), "
+            "#36 (center 5.73341), #38 (center 6.04757) are linearly dependent on this grid; "
+            "spread the sensors or refine the grid"
+        ]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "config, overrides, names",
         [
             # every (n, m) cell has n > m
@@ -866,19 +917,33 @@ class TestExample3OverrideFuzz:
         count=st.integers(1, 50),
         training=st.integers(1, 40),
         margin=st.sampled_from([0.0, 1.0, 1.1, 3.0]),
+        peak_velocity=st.sampled_from([50.0, 0.0, -20.0, 1e-3]),
+        flow_index=st.sampled_from([1.0, 0.0, -0.5, 0.05, 3.0]),
     )
-    # a cell with n > m; one case
-    @example(m=[3, 20], n=[5], count=4, training=16, margin=1.1)
-    @example(m=[20], n=[5], count=1, training=16, margin=1.1)
+    # a cell with n > m; one case; a zero flow index (the profile's exponent
+    # 1 + 1/n) and a zero peak velocity (the relative error's denominator)
+    @example(m=[3, 20], n=[5], count=4, training=16, margin=1.1, peak_velocity=50.0,
+             flow_index=1.0)
+    @example(m=[20], n=[5], count=1, training=16, margin=1.1, peak_velocity=50.0,
+             flow_index=1.0)
+    @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=50.0,
+             flow_index=0.0)
+    @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=0.0,
+             flow_index=1.0)
     @settings(max_examples=20, deadline=None)
-    def test_outputs_consistent_or_one_error_line(self, m, n, count, training, margin):
+    def test_outputs_consistent_or_one_error_line(self, m, n, count, training, margin,
+                                                  peak_velocity, flow_index):
         counts = _run_or_one_error_line("example3.cfg", {
             "sweep.m": _joined(m),
             "sweep.n": _joined(n),
             "validation.count": count,
             "training.count": training,
             "box.margin": margin,
+            "truth.peak_velocity": peak_velocity,
+            "truth.flow_index": flow_index,
         })
+        if peak_velocity <= 0 or flow_index <= 0:
+            assert counts is None
         if counts is not None:
             rows = 2 * _feasible_cells(m, n) * count
             assert counts == {"diagnostics.csv": rows, "results.csv": rows, "timings.csv": rows}

@@ -116,6 +116,11 @@ class TestPowerLaw:
         assert at_half_radius == pytest.approx(direct, abs=1e-9)
         assert at_half_radius >= 0.95 * 50.0
 
+    @pytest.mark.parametrize("flow_index", [0.0, -0.5])
+    def test_non_positive_flow_index_rejected(self, flow_index):
+        with pytest.raises(ValueError, match="flow index must be positive"):
+            powerlaw_profile(Grid(-0.5, 0.5, 65), 50.0, flow_index, 0.5)
+
     def test_domain_mismatch(self):
         grid = Grid(-0.4, 0.5, 65)
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,35 @@ class TestBuildObservationSpace:
         with pytest.raises(DependentSensorsError) as err:
             build_observation_space(sensors, grid)
         assert "#1" in str(err.value)
+
+    def test_every_sensor_sharing_a_node_named(self):
+        # 20 centers on 11 nodes: sensors 2k - 1 and 2k snap to the same node
+        # for k = 1..9, so exactly the even sensors 2..18 are dependent; a drop
+        # rule that trusts every diagonal entry of one unpivoted QR names 18
+        grid = Grid(0.0, 1.0, 11)
+        sensors = SensorArray(tuple(np.linspace(0.01, 0.99, 20)), "pointwise")
+        with pytest.raises(DependentSensorsError) as err:
+            build_observation_space(sensors, grid)
+        named = re.findall(r"#(\d+) \(center", str(err.value))
+        assert named == [str(i) for i in range(2, 19, 2)]
+
+    def test_more_sensors_than_nodes_named(self):
+        # windows {0, 0.5}, {0.5}, {0.5, 1} already span the 3-node space, so
+        # the fourth sensor, window {1}, depends on them
+        grid = Grid(0.0, 1.0, 3)
+        sensors = SensorArray((0.2, 0.5, 0.8, 0.9), "box_average", width=0.6)
+        with pytest.raises(DependentSensorsError) as err:
+            build_observation_space(sensors, grid)
+        assert re.findall(r"#(\d+) \(center", str(err.value)) == ["3"]
+
+    def test_overlapping_windows_give_triangular_raw_to_onb(self, grid):
+        # the onb is the Gram-Schmidt basis of the representers, in order, so
+        # B[i, j] = <w_i, q_j> vanishes for j > i and B[i, i] > 0
+        centers = grid.a + (np.arange(25) + 0.5) * (grid.b - grid.a) / 25
+        sensors = SensorArray(tuple(centers), "box_average", width=3 * (grid.b - grid.a) / 25)
+        B = build_observation_space(sensors, grid).raw_to_onb_matrix
+        assert np.max(np.abs(np.triu(B, 1))) <= 1e-12
+        assert np.all(np.diag(B) > 0)
 
     def test_dependent_box_sensors_named(self):
         grid = Grid(0.0, 1.0, 11)

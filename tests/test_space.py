@@ -23,6 +23,27 @@ def random_fn(grid, rng, scale=1.0):
     return GridFunction(grid, rng.normal(0.0, scale, grid.num_points))
 
 
+def reference_gram_schmidt(vectors, weights, tol_drop=1e-10):
+    """Modified Gram-Schmidt with a second pass, one row at a time.
+
+    A row is dropped when it is zero or its residual falls below ``tol_drop``
+    times its norm.  Returns the orthonormal rows and the kept indices.
+    """
+    rows, kept = [], []
+    for i, v in enumerate(np.array(vectors, dtype=float)):
+        n0 = np.sqrt(np.sum(weights * v**2))
+        if n0 == 0.0:
+            continue
+        for _ in range(2):
+            for q in rows:
+                v -= np.sum(weights * q * v) * q
+        nv = np.sqrt(np.sum(weights * v**2))
+        if nv >= tol_drop * n0:
+            rows.append(v / nv)
+            kept.append(i)
+    return np.array(rows).reshape(len(rows), len(weights)), kept
+
+
 class TestGrid:
     def test_weights_sum_to_length(self):
         for num_points in (2, 3, 17, 512):
@@ -126,6 +147,45 @@ class TestOrthonormalize:
     def test_drop_tolerance_must_be_positive(self, grid, rng):
         with pytest.raises(ValueError):
             orthonormalize([random_fn(grid, rng)], tol_drop=0.0)
+
+    @pytest.mark.parametrize(
+        "family, dimension",
+        [
+            ("random", 6),
+            ("zero_and_dependent", 2),      # [u, 0, v, u + v, 2v]
+            ("more_than_nodes", 3),         # 5 functions on 3 nodes
+            ("duplicate_nodes", 11),        # 20 deltas on 11 nodes
+        ],
+    )
+    def test_matches_reference_gram_schmidt(self, rng, family, dimension):
+        # the same kept functions and the same basis, signs included: each
+        # function has a positive coordinate on its own basis vector
+        grid = Grid(0.0, 1.0, {"random": 512, "more_than_nodes": 3}.get(family, 11))
+        if family == "random":
+            fns = [random_fn(grid, rng) for _ in range(6)]
+        elif family == "zero_and_dependent":
+            u, v = random_fn(grid, rng), random_fn(grid, rng)
+            fns = [u, grid.zero(), v, u + v, 2.0 * v]
+        elif family == "more_than_nodes":
+            fns = [random_fn(grid, rng) for _ in range(5)]
+        else:
+            nodes = np.abs(grid.nodes - np.linspace(0.01, 0.99, 20)[:, None]).argmin(axis=1)
+            fns = [GridFunction(grid, np.eye(grid.num_points)[k] / grid.weights[k])
+                   for k in nodes]
+        rows, kept = reference_gram_schmidt(np.stack([fn.values for fn in fns]), grid.weights)
+        X = orthonormalize(fns)
+        assert X.dimension == len(kept) == dimension
+        assert np.max(np.abs(X.matrix - rows)) < 1e-12 * np.max(np.abs(rows))
+
+    # the threshold is relative: a small u keeps a 1e-9 residual, a large u
+    # drops a 1e-11 one, whatever the absolute size of the residual
+    @pytest.mark.parametrize("rel, scale, dimension", [(1e-9, 1e-3, 2), (1e-11, 1e3, 1)])
+    def test_drop_threshold(self, grid, rng, rel, scale, dimension):
+        u = random_fn(grid, rng, scale)
+        e = random_fn(grid, rng)
+        e = e - project_onto(e, orthonormalize([u]))
+        perturbed = u + e * (rel * u.norm() / e.norm())
+        assert orthonormalize([u, perturbed]).dimension == dimension
 
 
 @st.composite
