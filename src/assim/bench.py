@@ -26,13 +26,18 @@ Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  Every
 per-case random stream is derived from (master_seed, case id, stage), so
 results do not depend on execution order and a rerun with the same master
-seed reproduces ``results.csv`` byte for byte.  Wall-clock timings are
+seed reproduces ``results.csv`` byte for byte.  A runner derives all of its
+run's case seeds, and the PCG64 seed words of the noise it draws, in one
+vectorized pass before its first solve (``derive_seeds``, ``_pcg64_words``);
+``derive_seed`` and ``np.random.default_rng(seed)`` remain the per-case
+reference that pass reproduces bit for bit.  Wall-clock timings are
 emitted separately (``timings.csv``) to keep ``results.csv`` deterministic.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -76,6 +81,7 @@ __all__ = [
     "parse_overrides",
     "load_config",
     "derive_seed",
+    "derive_seeds",
     "Setup",
     "setup_experiment",
     "run_experiment",
@@ -278,6 +284,25 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
     return _validate(_override(cfg, overrides or []))
 
 
+# key -> (lowest value, whether it is allowed).  The library objects reject
+# most of these ranges with messages that do not name the key; SeedSequence
+# takes only non-negative seeds, and the ground-truth profile divides by both
+# truth values.
+_FLOORS = {
+    "master_seed": (0, True),
+    "noise.sigma": (0.0, True),
+    "noise.alpha": (-1.0, False),
+    "sweep.alpha": (-1.0, False),
+    "manifold.num_frequencies": (1, True),
+    "manifold.period": (0.0, False),
+    "manifold.peak_velocity": (0.0, True),
+    "manifold.flow_index": (0.0, False),
+    "manifold.radius": (0.0, False),
+    "truth.peak_velocity": (0.0, False),
+    "truth.flow_index": (0.0, False),
+}
+
+
 def _validate(cfg: dict) -> dict:
     for key, value in cfg.items():
         if SCHEMA[key][0] in ("float", "float_list"):
@@ -289,10 +314,12 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(
             f"noise.kind must be {LINEAR_BIAS_GAUSSIAN!r}, got {cfg['noise.kind']!r}"
         )
-    for key in ("truth.peak_velocity", "truth.flow_index"):
-        # the ground-truth profile divides by both (relative error, exponent 1 + 1/n)
-        if key in cfg and cfg[key] <= 0:
-            raise ConfigError(f"{key} must be > 0, got {cfg[key]}")
+    for key, (floor, allowed) in _FLOORS.items():
+        if key in cfg:
+            values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+            if any(v < floor or (v == floor and not allowed) for v in values):
+                raise ConfigError(f"{key} must be {'>=' if allowed else '>'} {floor}, "
+                                  f"got {cfg[key]}")
     for key in ("sweep.n", "sweep.m"):
         if not cfg[key]:
             raise ConfigError(f"{key} must not be empty")
@@ -353,6 +380,136 @@ def derive_seed(master_seed: int, *parts) -> int:
     digest = zlib.crc32(key.encode())
     ss = np.random.SeedSequence([int(master_seed), digest])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# NumPy's SeedSequence (NEP 19) is a fixed uint32 hash after O'Neill's
+# seed_seq_fe, so the same bits can be computed for many sequences at once.
+# derive_seed and default_rng stay the reference; the tests compare them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875       # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED       # state generation
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's split of a non-negative int into uint32 words, low word first."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_steps(const: int, mult: int):
+    """The (xor, multiply) constants of SeedSequence's successive hash steps."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hash(value: np.ndarray, steps) -> np.ndarray:
+    xor, mul = next(steps)
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> 16)
+
+
+def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for every column e.
+
+    ``entropy`` is a (words, K) uint32 array: column k holds the entropy
+    words of sequence k.  Returns a (K, n_words) uint64 array.
+    """
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    zeros = np.zeros_like(entropy[0])
+    pool = [_hash(entropy[i] if i < len(entropy) else zeros, steps) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, steps))
+
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = np.stack([_hash(pool[i % _POOL_SIZE], steps) for i in range(2 * n_words)], axis=1)
+    # uint64 word j is the little-endian pair of uint32 words 2j (low) and 2j + 1
+    return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
+
+
+def derive_seeds(master_seed: int, keys) -> list[int]:
+    """``[derive_seed(master_seed, *key) for key in keys]``, hashed in one pass.
+
+    ``keys`` is any iterable of part tuples; a generator keeps them out of memory.
+    """
+    digests = np.fromiter(
+        (zlib.crc32(":".join(str(p) for p in key).encode()) for key in keys), dtype=np.uint32
+    )
+    master = np.array(_uint32_words(int(master_seed)), dtype=np.uint32)
+    entropy = np.empty((len(master) + 1, len(digests)), dtype=np.uint32)
+    entropy[:-1] = master[:, None]
+    entropy[-1] = digests
+    return _seed_states(entropy, 1)[:, 0].tolist()
+
+
+def _pcg64_words(seeds: list[int]) -> np.ndarray:
+    """(K, 4) uint64 words that ``default_rng(seeds[k])`` seeds its PCG64 with.
+
+    Row k is ``SeedSequence(seeds[k]).generate_state(4, np.uint64)``.  A seed
+    below 2**32 is one entropy word, a larger one two.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    words = np.empty((len(seeds), 4), dtype=np.uint64)
+    short = hi == 0
+    words[short] = _seed_states(lo[short][None], 4)
+    words[~short] = _seed_states(np.stack([lo[~short], hi[~short]]), 4)
+    return words
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 precomputed seed words.
+
+    Built on first use, so importing this module does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly these; any other request has no precomputed answer
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {dtype}")
+            # PCG64 reads the words through a raw pointer: they must be contiguous
+            return np.ascontiguousarray(self.words, dtype=np.uint64)
+
+    return SeedWords
+
+
+def _normal_columns(words: np.ndarray, sigma: float, m: int) -> np.ndarray:
+    """(m, K) block whose column k is ``default_rng(seed k).normal(0, sigma, m)``.
+
+    ``words`` holds the seeds' ``_pcg64_words`` rows; numpy's own PCG64 and
+    Generator do the rest, so the draws are the same to the last bit.
+    """
+    seed_words = _seed_words_type()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return np.stack(
+        [generator(pcg64(seed_words(row))).normal(0.0, sigma, m) for row in words], axis=1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +750,12 @@ def _setup_example3_analog(cfg: dict) -> Setup:
     truth = powerlaw_profile(
         grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
     )
+    with np.errstate(over="ignore"):    # an overflowing norm is reported below
+        norm = truth.norm()
+    if not 0 < norm < np.inf:
+        # every relative error divides by it
+        raise ConfigError(f"truth.peak_velocity={cfg['truth.peak_velocity']} gives a ground "
+                          f"truth of norm {norm}, which must be positive and finite")
     return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])), truth)
 
 
@@ -620,15 +783,19 @@ def setup_experiment(cfg: dict) -> Setup:
 # online loops: the solves of each experiment
 # ---------------------------------------------------------------------------
 
-def _spaces(cfg: dict, grid: Grid):
-    """(m, observation space, the sweep's n <= m) for every sensor count.
+def _n_values(cfg: dict, m: int) -> list[int]:
+    """The sweep's n <= m: cells with n > m are skipped."""
+    return [n for n in cfg["sweep.n"] if n <= m]
 
-    Cells with n > m are skipped; ``setup_experiment`` has checked that some
-    cell is feasible.
+
+def _spaces(cfg: dict, grid: Grid):
+    """(m, observation space, ``_n_values``) for every sensor count.
+
+    ``setup_experiment`` has checked that some cell is feasible.
     """
     for m in cfg["sweep.m"]:
         space = build_observation_space(_sensor_array(cfg, m, grid), grid)
-        yield m, space, [n for n in cfg["sweep.n"] if n <= m]
+        yield m, space, _n_values(cfg, m)
 
 
 def _noise_model(cfg: dict, alpha: float) -> NoiseModel:
@@ -639,8 +806,8 @@ def _is_exact(model: NoiseModel) -> bool:
     return model.alpha == 0.0 and model.sigma == 0.0 and model.kind == LINEAR_BIAS_GAUSSIAN
 
 
-def _data_block(truths: np.ndarray, space, model: NoiseModel, seeds: list[int]) -> np.ndarray:
-    """m x K onb data of a (num_points, K) truth block, seed k drawing column k's noise.
+def _data_block(truths: np.ndarray, space, model: NoiseModel, cases: _Cases) -> np.ndarray:
+    """m x K onb data of a (num_points, K) truth block, case k's seed drawing column k's noise.
 
     Column k is ``observe_noisy`` of truth k up to roundoff: the exact
     coordinates for a noiseless model, else ``apply_noise``.
@@ -649,10 +816,7 @@ def _data_block(truths: np.ndarray, space, model: NoiseModel, seeds: list[int]) 
         return space.onb.weighted_matrix @ truths
     readings = model.biased_readings(space.functional_matrix @ truths)
     if model.sigma > 0:
-        readings = readings + np.stack(
-            [np.random.default_rng(seed).normal(0.0, model.sigma, space.m) for seed in seeds],
-            axis=1,
-        )
+        readings = readings + _normal_columns(cases.words, model.sigma, space.m)
     return space.coords_from_raw(readings)
 
 
@@ -675,6 +839,7 @@ class _Cases:
     key: tuple                  # (n, m, alpha, sigma)
     case_ids: range
     seeds: list[int]            # seeds[k] draws the noise of case_ids[k]
+    words: np.ndarray | None    # the seeds' _pcg64_words, where _data_block draws noise
 
     def emit(self, result: RunResult, method: str, errors: list[float], beta: float,
              block_ms: float) -> None:
@@ -684,6 +849,27 @@ class _Cases:
             row = ResultRow(case_id, method, *self.key, error, beta, seed)
             result.rows.append(row)
             result.timings.append(dict(zip(TIMING_FIELDS, (*row.key(), share_ms))))
+
+
+class _Streams:
+    """A run's per-case seeds, derived in one pass and handed out in loop order.
+
+    ``keys`` yields every case's ``derive_seed`` parts in the order the
+    runner's loops take the cases; ``draws`` says whether ``_data_block``
+    draws those cases' noise, which needs their PCG64 seed words.
+    """
+
+    def __init__(self, master_seed: int, keys, draws: bool) -> None:
+        self.seeds = derive_seeds(master_seed, keys)
+        self.words = _pcg64_words(self.seeds) if draws else None
+        self.taken = 0
+
+    def cases(self, key: tuple, case_ids: range) -> _Cases:
+        """The next ``len(case_ids)`` cases, as one timed block."""
+        lo, hi = self.taken, self.taken + len(case_ids)
+        self.taken = hi
+        words = None if self.words is None else self.words[lo:hi]
+        return _Cases(key, case_ids, self.seeds[lo:hi], words)
 
 
 def _elapsed_ms(start: float) -> float:
@@ -698,21 +884,22 @@ def run_example1(cfg: dict) -> RunResult:
     truths, basis = setup.labeled["full"]
     truth_block = np.stack([u.values for u in truths], axis=1)
     case_ids = range(len(truths))
-    master = cfg["master_seed"]
+    alphas = cfg["sweep.alpha"]
+    streams = _Streams(cfg["master_seed"], (
+        ("noise", case_id, "m", m, "n", n, "alpha", repr(alpha))
+        for m in cfg["sweep.m"] for n in _n_values(cfg, m) for alpha in alphas
+        for case_id in case_ids
+    ), draws=cfg["noise.sigma"] > 0)
 
     truth_norms = _norms(grid, truth_block)
     result = RunResult(cfg, [], setup.decay(), [], [])
     for m, space, n_values in _spaces(cfg, grid):
         for n in n_values:
             background = basis.subspace.truncate(n)
-            for alpha in cfg["sweep.alpha"]:
+            for alpha in alphas:
                 model = _noise_model(cfg, alpha)
-                seeds = [
-                    derive_seed(master, "noise", case_id, "m", m, "n", n, "alpha", repr(alpha))
-                    for case_id in case_ids
-                ]
-                cases = _Cases((n, m, alpha, model.sigma), case_ids, seeds)
-                data = _data_block(truth_block, space, model, seeds)
+                cases = streams.cases((n, m, alpha, model.sigma), case_ids)
+                data = _data_block(truth_block, space, model, cases)
                 start = time.perf_counter()
                 plain = pbdw_solve_block(data, background, space)
                 plain_ms = _elapsed_ms(start)
@@ -739,10 +926,13 @@ def run_example2(cfg: dict) -> RunResult:
     grid = setup.grid
     fast_val, fast_basis = setup.labeled["fast"]
     full_val, full_basis = setup.labeled["full"]
-    master = cfg["master_seed"]
     model = _noise_model(cfg, cfg["noise.alpha"])
     # the split is bias-corrected only when the data are noisy
     split_model = None if _is_exact(model) else model
+    streams = _Streams(cfg["master_seed"], (
+        ("noise", case_id, "m", m, "n", n)
+        for m in cfg["sweep.m"] for n in _n_values(cfg, m) for case_id in range(len(full_val))
+    ), draws=model.sigma > 0)
 
     result = RunResult(cfg, [], setup.decay(), [], [])
     for m, space, n_values in _spaces(cfg, grid):
@@ -757,11 +947,9 @@ def run_example2(cfg: dict) -> RunResult:
             # the cell's cases run as (m, K) blocks of at most _CHUNK columns
             for lo in range(0, len(truths), _CHUNK):
                 case_ids = range(lo, min(lo + _CHUNK, len(truths)))
-                seeds = [derive_seed(master, "noise", case_id, "m", m, "n", n)
-                         for case_id in case_ids]
-                cases = _Cases((n, m, model.alpha, model.sigma), case_ids, seeds)
+                cases = streams.cases((n, m, model.alpha, model.sigma), case_ids)
                 truth_block = np.stack(truths[lo:lo + _CHUNK], axis=1)
-                data = _data_block(truth_block, space, model, seeds)
+                data = _data_block(truth_block, space, model, cases)
                 start = time.perf_counter()
                 split = spbdw_reconstruct_block(
                     data, fast_bg, space, dictionary, model=split_model,
@@ -833,28 +1021,30 @@ def run_example3_analog(cfg: dict) -> RunResult:
     training, basis = setup.labeled["full"]
     truth = setup.truth
     case_ids = range(cfg["validation.count"])
-    master = cfg["master_seed"]
     model = _noise_model(cfg, cfg["noise.alpha"])
+    # observe_noisy draws each case's noise itself
+    streams = _Streams(cfg["master_seed"], (
+        ("noise", case_id, "m", m, "n", n)
+        for m in cfg["sweep.m"] for n in _n_values(cfg, m) for case_id in case_ids
+    ), draws=False)
 
     result = RunResult(cfg, [], setup.decay(), [], [])
     for m, space, n_values in _spaces(cfg, setup.grid):
         for n in n_values:
             background = basis.subspace.truncate(n)
             box = compute_box(training, background, cfg["box.margin"])
-            seeds = [derive_seed(master, "noise", case_id, "m", m, "n", n)
-                     for case_id in case_ids]
-            cases = _Cases((n, m, model.alpha, model.sigma), case_ids, seeds)
+            cases = streams.cases((n, m, model.alpha, model.sigma), case_ids)
             # case by case: the benchmark's library runner rebuilds these rows
             # with per-case calls and compares them for equality; each corrected
             # solve starts from its plain one, as bpbdw_reconstruct does
-            observations = [observe_noisy(truth, space, model, seed) for seed in seeds]
+            observations = [observe_noisy(truth, space, model, seed) for seed in cases.seeds]
             start = time.perf_counter()
             plain = [pbdw_solve_boxed(omega, background, space, box) for omega in observations]
             plain_ms = _elapsed_ms(start)
             corrected = [
                 pbdw_solve_boxed(corrected_constraint(rec.state, space, model, seed),
                                  background, space, box)
-                for rec, seed in zip(plain, seeds)
+                for rec, seed in zip(plain, cases.seeds)
             ]
             corrected_ms = _elapsed_ms(start)
             for method, recs, block_ms in (

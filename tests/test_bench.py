@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,11 +36,14 @@ from assim.bench import (
     _CHUNK,
     ConfigError,
     _grid,
+    _normal_columns,
     _pair,
+    _pcg64_words,
     _sensor_array,
     aggregate_rows,
     default_config,
     derive_seed,
+    derive_seeds,
     load_config,
     observe_noisy,
     parse_config,
@@ -135,6 +139,41 @@ class TestSeeding:
         assert a == derive_seed(1, "noise", 0, "m", 25)
         assert a != derive_seed(1, "noise", 1, "m", 25)
         assert a != derive_seed(2, "noise", 0, "m", 25)
+
+    # one to eight master words: below, at and past SeedSequence's pool of four
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100, 2**200 + 7])
+    def test_derive_seeds_is_derive_seed(self, master):
+        keys = [(), ("training",), ("noise", 3, "m", 25, "n", 4, "alpha", "0.1")]
+        keys += [("noise", case_id, "m", 40, "n", 20) for case_id in range(50)]
+        assert zlib.crc32(b"") == 0   # the empty key's digest
+        assert derive_seeds(master, keys) == [derive_seed(master, *key) for key in keys]
+        assert derive_seeds(master, []) == []
+
+    def test_derive_seeds_rejects_a_negative_master(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seeds(-1, [("noise",)])
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seed(-1, "noise")
+
+    def test_noise_columns_are_default_rng_draws(self):
+        rng = np.random.default_rng(5)
+        widths = rng.integers(1, 65, 500)
+        # seeds of every bit width, so one- and two-word seeds interleave
+        random_seeds = [int(s) % 2 ** int(w) for s, w in
+                        zip(rng.integers(0, 2**64, 500, dtype=np.uint64), widths)]
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + random_seeds
+        sigma, m = 0.325, 25
+        expected = np.stack(
+            [np.random.default_rng(seed).normal(0.0, sigma, m) for seed in seeds], axis=1)
+        assert np.array_equal(_normal_columns(_pcg64_words(seeds), sigma, m), expected)
+
+    def test_import_does_not_load_numpy_random(self):
+        paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        code = "import sys, assim.bench; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 class TestRunExample1:
@@ -620,6 +659,34 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {key} ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "config, override, key",
+        [
+            ("example1.cfg", "master_seed=-1", "master_seed"),
+            ("example1.cfg", "sweep.alpha=-1", "sweep.alpha"),
+            ("example1.cfg", "manifold.period=0,3", "manifold.period"),
+            ("example2.cfg", "manifold.num_frequencies=0", "manifold.num_frequencies"),
+            ("example3.cfg", "manifold.flow_index=0,1", "manifold.flow_index"),
+            ("example3.cfg", "manifold.peak_velocity=-5,10", "manifold.peak_velocity"),
+            ("example3.cfg", "manifold.radius=0", "manifold.radius"),
+            ("example3.cfg", "noise.sigma=-1", "noise.sigma"),
+            ("example3.cfg", "noise.alpha=-1", "noise.alpha"),
+            # the truth's norm, the relative errors' denominator, under- or overflows
+            ("example3.cfg", "truth.peak_velocity=1e-300", "truth.peak_velocity"),
+            ("example3.cfg", "truth.peak_velocity=1e300", "truth.peak_velocity"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, config, override, key):
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / config), "--set", override,
+                         "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}"), err
+        assert not out_dir.exists()
+
     def test_aggregates_computed_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
@@ -921,7 +988,8 @@ class TestExample3OverrideFuzz:
         flow_index=st.sampled_from([1.0, 0.0, -0.5, 0.05, 3.0]),
     )
     # a cell with n > m; one case; a zero flow index (the profile's exponent
-    # 1 + 1/n) and a zero peak velocity (the relative error's denominator)
+    # 1 + 1/n), a zero peak velocity (the relative error's denominator) and
+    # one whose squared profile underflows to a zero norm
     @example(m=[3, 20], n=[5], count=4, training=16, margin=1.1, peak_velocity=50.0,
              flow_index=1.0)
     @example(m=[20], n=[5], count=1, training=16, margin=1.1, peak_velocity=50.0,
@@ -929,6 +997,8 @@ class TestExample3OverrideFuzz:
     @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=50.0,
              flow_index=0.0)
     @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=0.0,
+             flow_index=1.0)
+    @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=1e-300,
              flow_index=1.0)
     @settings(max_examples=20, deadline=None)
     def test_outputs_consistent_or_one_error_line(self, m, n, count, training, margin,
@@ -942,7 +1012,7 @@ class TestExample3OverrideFuzz:
             "truth.peak_velocity": peak_velocity,
             "truth.flow_index": flow_index,
         })
-        if peak_velocity <= 0 or flow_index <= 0:
+        if peak_velocity <= 1e-300 or flow_index <= 0:
             assert counts is None
         if counts is not None:
             rows = 2 * _feasible_cells(m, n) * count
