@@ -309,6 +309,10 @@ def _validate(cfg: dict) -> dict:
             values = value if isinstance(value, list) else [value]
             if not all(np.isfinite(values)):
                 raise ConfigError(f"{key} must be finite, got {value}")
+        # the spec classes reject these too, without the key
+        if key.startswith("manifold.") and SCHEMA[key][0] == "float_list" \
+                and len(value) == 2 and not value[0] <= value[1]:
+            raise ConfigError(f"{key} range {value} is not well ordered (lo <= hi)")
     if cfg["noise.kind"] != LINEAR_BIAS_GAUSSIAN:
         # an empirical_table model needs a table, which no config key supplies
         raise ConfigError(
@@ -734,6 +738,12 @@ def _setup_example2(cfg: dict) -> Setup:
     )
 
 
+# smallest ratio of the ground truth's norm to the scale of a reconstruction
+# that example3 accepts: relative errors then stay below about 1e100, and
+# their squares far from overflow
+_TRUTH_SCALE_FLOOR = 1e-100
+
+
 def _setup_example3_analog(cfg: dict) -> Setup:
     grid = _grid(cfg)
     spec = PowerLawSpec(
@@ -752,10 +762,15 @@ def _setup_example3_analog(cfg: dict) -> Setup:
     )
     with np.errstate(over="ignore"):    # an overflowing norm is reported below
         norm = truth.norm()
-    if not 0 < norm < np.inf:
-        # every relative error divides by it
+    # every relative error divides by the truth's norm, and a reconstruction is
+    # about as large as the noise or the training snapshots, whose norms the
+    # POD's largest singular value bounds; a truth far below that scale gives
+    # errors whose squares (aggregates.csv's stddev) overflow
+    scale = basis.singular_values[0] + cfg["noise.sigma"] * np.sqrt(max(cfg["sweep.m"]))
+    if not (0 < norm < np.inf and norm >= _TRUTH_SCALE_FLOOR * scale):
         raise ConfigError(f"truth.peak_velocity={cfg['truth.peak_velocity']} gives a ground "
-                          f"truth of norm {norm}, which must be positive and finite")
+                          f"truth of norm {norm:.3g}, which must be positive, finite and at "
+                          f"least {_TRUTH_SCALE_FLOOR:g} times the data's scale {scale:.3g}")
     return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])), truth)
 
 
@@ -1020,6 +1035,7 @@ def run_example3_analog(cfg: dict) -> RunResult:
     setup = setup_experiment(cfg)
     training, basis = setup.labeled["full"]
     truth = setup.truth
+    truth_norm = truth.norm()
     case_ids = range(cfg["validation.count"])
     model = _noise_model(cfg, cfg["noise.alpha"])
     # observe_noisy draws each case's noise itself
@@ -1050,7 +1066,7 @@ def run_example3_analog(cfg: dict) -> RunResult:
             for method, recs, block_ms in (
                 ("pbdw", plain, plain_ms), ("bpbdw", corrected, corrected_ms)
             ):
-                errors = [(rec.state - truth).norm() / truth.norm() for rec in recs]
+                errors = [(rec.state - truth).norm() / truth_norm for rec in recs]
                 cases.emit(result, method, errors, recs[0].beta, block_ms)
             for case_id, pair in zip(case_ids, zip(plain, corrected)):
                 for method, rec in zip(("pbdw", "bpbdw"), pair):

@@ -32,17 +32,22 @@ outside the calibrated regime.  With the thin SVD G = U diag(S) V^T,
 
 so the bounded problem is solved exactly on the n x n factor R, which the
 plan keeps, by bounded-variable least squares (Stark & Parker, Comput. Stat.
-10, 1995).  Its subproblems are least-squares solves on columns of R, so
-they see the condition number of G, not its square.  The bounded solve is
-nonlinear in the data, so ``pbdw_solve_boxed_block`` runs it column by
-column, then assembles the whole block at once; ``pbdw_solve_boxed`` runs
+10, 1995).  Its subproblems are least-squares solves on the free columns of
+R: those of coordinates neither fixed by the box (lo == hi) nor held at a
+bound.  Each is the product of the free columns' pseudo-inverse with the data
+the held columns leave, so it sees the condition number of G, not its
+square.  A solve visits few of the 2^n free sets, and later solves on the
+pair mostly revisit them, so the plan caches each set's pseudo-inverse the
+first time it is needed, up to ``FREE_SET_CAP`` sets per plan.  The bounded
+solve is nonlinear in the data, so ``pbdw_solve_boxed_block`` runs it column
+by column, then assembles the whole block at once; ``pbdw_solve_boxed`` runs
 the same bounded solve and assembly on one data vector.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +68,10 @@ __all__ = [
 ]
 
 BETA_FLOOR = 1e-12
+
+# most free sets whose pseudo-inverses one plan caches: BVLS may visit any of
+# the 2^n subsets of the coordinates, and n may reach 20
+FREE_SET_CAP = 1024
 
 
 class StabilityError(RuntimeError):
@@ -90,6 +99,7 @@ class Box:
 
     lo: np.ndarray
     hi: np.ndarray
+    fixed: np.ndarray = field(init=False, repr=False, compare=False)  # lo == hi
 
     def __post_init__(self) -> None:
         lo = np.asarray(self.lo, dtype=float)
@@ -102,6 +112,7 @@ class Box:
             raise ValueError("box bounds must not be NaN; use -inf/inf for a one-sided bound")
         if np.any(lo > hi):
             raise ValueError("infeasible box: some lower bound exceeds its upper bound")
+        object.__setattr__(self, "fixed", lo == hi)
 
     @property
     def dimension(self) -> int:
@@ -143,9 +154,10 @@ class _SolvePlan:
     ``pinv`` is None when ``beta`` falls below ``BETA_FLOOR``: such a pair is
     rejected on every solve, so its pseudo-inverse is never needed.  ``R``
     and ``Ut`` are the SVD factors diag(S) V^T and U^T of G = U diag(S) V^T
-    that the box-constrained solve runs on.  The remaining fields are the
-    two bases' cached matrices, kept here so that the online kernel needs
-    nothing but the plan.
+    that the box-constrained solve runs on, and ``free_sets`` caches the
+    pseudo-inverses of R's column subsets that it has needed so far (see
+    ``_bvls``).  The remaining fields are the two bases' cached matrices, kept
+    here so that the online kernel needs nothing but the plan.
     """
 
     G: np.ndarray
@@ -156,6 +168,7 @@ class _SolvePlan:
     background_t: np.ndarray        # (num_points, n): background basis as columns
     onb_t: np.ndarray               # (num_points, m): observation onb as columns
     onb_weighted: np.ndarray        # (m, num_points): maps states to onb coordinates
+    free_sets: dict = field(default_factory=dict, repr=False)
 
     def assemble(self, D: np.ndarray, C: np.ndarray) -> BlockReconstruction:
         """States V C + W (D - G C) for m x K data D and n x K coefficients C.
@@ -244,6 +257,8 @@ def _as_block(data: np.ndarray, space: ObservationSpace) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != space.m:
         raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("data block must be finite")
     return data
 
 
@@ -277,15 +292,8 @@ def _boxed_plan(background: Subspace, space: ObservationSpace, box: Box) -> _Sol
 
 def _boxed_coeffs(plan: _SolvePlan, d: np.ndarray, box: Box) -> np.ndarray:
     """Background coefficients of one data vector, clamped to the box."""
-    c = np.empty(box.dimension)
-    fixed = box.lo == box.hi
-    c[fixed] = box.lo[fixed]
-    free = ~fixed
-    if free.any():
-        # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
-        rhs = plan.Ut @ d - plan.R[:, fixed] @ c[fixed]
-        c[free] = _bvls(plan.R[:, free], rhs, box.lo[free], box.hi[free])
-    return c
+    # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
+    return _bvls(plan.R, plan.Ut @ d, box.lo, box.hi, box.fixed, plan.free_sets)
 
 
 def pbdw_solve_boxed_block(
@@ -313,7 +321,14 @@ def pbdw_solve_boxed(
     return _single(plan.assemble(d, _boxed_coeffs(plan, d, box)), space.grid)
 
 
-def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _bvls(
+    A: np.ndarray,
+    b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    fixed: np.ndarray | None = None,
+    free_sets: dict | None = None,
+) -> np.ndarray:
     """argmin ||A x - b|| over lo <= x <= hi, for A of full column rank.
 
     Bounded-variable least squares (Stark & Parker, Comput. Stat. 10, 1995):
@@ -322,23 +337,46 @@ def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
     free one bound coordinate at a time whose gradient points into the box,
     re-solving on the free set and stepping back to the first bound crossed.
     It stops when no held coordinate's gradient points into the box (the KKT
-    sign test) or a pass no longer lowers the objective, and every loop has a
-    fixed bound.  Every subproblem is a least-squares solve on columns of A.
-    ``lo`` may hold -inf and ``hi`` inf; ``lo < hi`` everywhere.
+    sign test) or a pass no longer lowers the objective, and every loop has an
+    iteration cap.  ``lo`` may hold -inf and ``hi`` inf.  The ``fixed``
+    coordinates, those with ``lo == hi`` (derived from the bounds when not
+    given), stay at their bound throughout.
+
+    Every subproblem is the least-squares solve on the free columns A_F with
+    the held ones A_H at their bounds: P_F (b - A_H x_H), with P_F the
+    pseudo-inverse of A_F at lstsq's default rank cutoff.  ``free_sets`` maps
+    each free set (its mask's bytes) to (P_F, A_H); missing entries are built
+    and stored until it holds ``FREE_SET_CAP`` of them.  A call without it
+    caches in a dict of its own.  Each entry depends only on A and the set,
+    so a cold, warm or full cache gives the same result bit for bit.
     """
     n = A.shape[1]
-    x = np.zeros(n)
-    # side[i] is -1 / +1 while x[i] is held at its lower / upper bound, 0 if free
+    if fixed is None:
+        fixed = lo == hi
+    if free_sets is None:
+        free_sets = {}
+    x = np.where(fixed, lo, 0.0)
+    held = fixed.copy()
+    # side[i] is -1 / +1 while x[i] is held at its lower / upper bound, else 0
     side = np.zeros(n)
 
     def free_solve(free: np.ndarray) -> np.ndarray:
-        held = ~free
-        return np.linalg.lstsq(A[:, free], b - A[:, held] @ x[held], rcond=None)[0]
+        # free is ~held, the mask the caller has at hand
+        key = free.tobytes()
+        entry = free_sets.get(key)
+        if entry is None:
+            A_free = A[:, free]
+            rcond = np.finfo(float).eps * max(A_free.shape)
+            entry = (np.linalg.pinv(A_free, rcond=rcond), A[:, held])
+            if len(free_sets) < FREE_SET_CAP:
+                free_sets[key] = entry
+        P_free, A_held = entry
+        return P_free @ (b - A_held @ x[held])
 
     # initialisation, from the unconstrained solution: each pass pins at least
     # one coordinate or ends with a feasible free-set solution
     for _ in range(n):
-        free = side == 0
+        free = ~held
         if not free.any():
             break
         z = free_solve(free)
@@ -347,11 +385,13 @@ def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
         index = np.flatnonzero(free)
         side[index[below]] = -1.0
         side[index[above]] = 1.0
+        held[index[below | above]] = True
         if not (below | above).any():
             break
 
     # main loop: each pass frees the held coordinate whose gradient points
-    # furthest into the box, which strictly lowers the objective
+    # furthest into the box, which strictly lowers the objective; a fixed
+    # coordinate's side stays 0, so it is never freed
     residual = A @ x - b
     cost = residual @ residual
     for _ in range(3 * n):
@@ -360,9 +400,10 @@ def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
         if push[k] <= 0.0:                   # KKT sign test: x is optimal
             break
         side[k] = 0.0
+        held[k] = False
         # re-solve on the free set, stepping back to the first bound crossed
         for _ in range(n):
-            free = side == 0
+            free = ~held
             z = free_solve(free)
             x_free, lo_free, hi_free = x[free], lo[free], hi[free]
             below = z < lo_free
@@ -377,7 +418,9 @@ def _bvls(A: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
             x_free += steps[i] * (z - x_free)
             x_free[j] = bound[i]
             x[free] = x_free
-            side[np.flatnonzero(free)[j]] = -1.0 if below[j] else 1.0
+            pinned = np.flatnonzero(free)[j]
+            side[pinned] = -1.0 if below[j] else 1.0
+            held[pinned] = True
         residual = A @ x - b
         previous, cost = cost, residual @ residual
         if cost >= previous:                 # no descent: the push was roundoff

@@ -573,6 +573,15 @@ class TestOutputs:
         assert set(payload["versions"]) == {"assim", "numpy"}
 
 
+# every two-entry manifold.* range of the three shipped configs, reversed
+_REVERSED_RANGES = [
+    (config, f"{key}={value[1]},{value[0]}", key)
+    for config in ("example1.cfg", "example2.cfg", "example3.cfg")
+    for key, value in load_config(CONFIGS / config).items()
+    if key.startswith("manifold.") and isinstance(value, list) and len(value) == 2
+]
+
+
 class TestCli:
     def write_cfg(self, tmp_path):
         cfg_path = tmp_path / "bench.cfg"
@@ -674,7 +683,9 @@ class TestCli:
             # the truth's norm, the relative errors' denominator, under- or overflows
             ("example3.cfg", "truth.peak_velocity=1e-300", "truth.peak_velocity"),
             ("example3.cfg", "truth.peak_velocity=1e300", "truth.peak_velocity"),
-        ],
+            # a norm so far below the data's scale that the errors' squares overflow
+            ("example3.cfg", "truth.peak_velocity=1e-160", "truth.peak_velocity"),
+        ] + _REVERSED_RANGES,
     )
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, config, override, key):
         out_dir = tmp_path / "o"
@@ -988,8 +999,9 @@ class TestExample3OverrideFuzz:
         flow_index=st.sampled_from([1.0, 0.0, -0.5, 0.05, 3.0]),
     )
     # a cell with n > m; one case; a zero flow index (the profile's exponent
-    # 1 + 1/n), a zero peak velocity (the relative error's denominator) and
-    # one whose squared profile underflows to a zero norm
+    # 1 + 1/n), a zero peak velocity (the relative error's denominator), one
+    # whose squared profile underflows to a zero norm and one so small that
+    # the errors' squares would overflow
     @example(m=[3, 20], n=[5], count=4, training=16, margin=1.1, peak_velocity=50.0,
              flow_index=1.0)
     @example(m=[20], n=[5], count=1, training=16, margin=1.1, peak_velocity=50.0,
@@ -999,6 +1011,8 @@ class TestExample3OverrideFuzz:
     @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=0.0,
              flow_index=1.0)
     @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=1e-300,
+             flow_index=1.0)
+    @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=1e-160,
              flow_index=1.0)
     @settings(max_examples=20, deadline=None)
     def test_outputs_consistent_or_one_error_line(self, m, n, count, training, margin,
@@ -1012,7 +1026,7 @@ class TestExample3OverrideFuzz:
             "truth.peak_velocity": peak_velocity,
             "truth.flow_index": flow_index,
         })
-        if peak_velocity <= 1e-300 or flow_index <= 0:
+        if peak_velocity <= 1e-160 or flow_index <= 0:
             assert counts is None
         if counts is not None:
             rows = 2 * _feasible_cells(m, n) * count

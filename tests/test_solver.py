@@ -447,6 +447,75 @@ class TestPbdwSolveBoxedBlock:
             pbdw_solve_boxed_block(D, V, space, box)
 
 
+class TestFreeSetCache:
+    """The plan's cache of free-set pseudo-inverses changes no bits of a solve."""
+
+    @staticmethod
+    def instance(rng, kinds=("finite",) * 5):
+        grid, V, space, _ = random_instance(rng, num_points=40, n=len(kinds), m=9)
+        lo, hi = random_bounds(rng, [k if k != "fixed" else "finite" for k in kinds])
+        fixed = np.array(kinds) == "fixed"
+        hi[fixed] = lo[fixed]
+        return V, space, Box(lo, hi), 3.0 * rng.normal(size=(9, 12))
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("finite",) * 5, ("fixed", "finite", "no_lower", "fixed", "finite")],
+        ids=["free", "fixed"],
+    )
+    def test_cold_and_warm_caches_agree(self, rng, kinds):
+        V, space, box, D = self.instance(rng, kinds)
+        free_sets = solver._plan(V, space).free_sets
+        cold = []
+        for d in D.T:
+            free_sets.clear()
+            cold.append(pbdw_solve_boxed(Measurement(d, space), V, space, box))
+        free_sets.clear()
+        block = pbdw_solve_boxed_block(D, V, space, box)
+        assert len(free_sets) > 1                  # the columns share the cache
+        held = np.isclose(block.rom_coeffs, box.lo[:, None]) | np.isclose(
+            block.rom_coeffs, box.hi[:, None])
+        assert held[~box.fixed].any()              # the box is active somewhere
+        # every single solve now runs on sets the block's other columns cached
+        for d, rec in zip(D.T, cold):
+            warm = pbdw_solve_boxed(Measurement(d, space), V, space, box)
+            assert np.array_equal(warm.rom_coeffs, rec.rom_coeffs)
+            assert np.array_equal(warm.state.values, rec.state.values)
+            assert np.array_equal(rec.rom_coeffs[box.fixed], box.lo[box.fixed])
+        warm_block = pbdw_solve_boxed_block(D, V, space, box)
+        assert np.array_equal(warm_block.rom_coeffs, block.rom_coeffs)
+        assert np.array_equal(warm_block.states, block.states)
+
+    def test_warm_plan_factors_nothing(self, rng, monkeypatch):
+        V, space, box, D = self.instance(rng)
+        calls = []
+        for name in ("lstsq", "pinv"):
+            def counting(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        pbdw_solve_boxed_block(D, V, space, box)
+        assert "pinv" in calls and "lstsq" not in calls
+        calls.clear()
+        pbdw_solve_boxed_block(D, V, space, box)
+        for d in D.T:
+            pbdw_solve_boxed(Measurement(d, space), V, space, box)
+        assert calls == []
+
+    def test_capped_cache_gives_the_same_results(self, rng, monkeypatch):
+        V, space, box, D = self.instance(rng)
+        free_sets = solver._plan(V, space).free_sets
+        full = pbdw_solve_boxed_block(D, V, space, box)
+        assert len(free_sets) > 2
+        free_sets.clear()
+        monkeypatch.setattr(solver, "FREE_SET_CAP", 2)
+        for _ in range(2):
+            capped = pbdw_solve_boxed_block(D, V, space, box)
+            assert len(free_sets) == 2
+            assert np.array_equal(capped.rom_coeffs, full.rom_coeffs)
+            assert np.array_equal(capped.states, full.states)
+
+
 class TestBvls:
     """The bounded least-squares kernel on the SVD factors of a cross-Gramian."""
 
