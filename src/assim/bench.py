@@ -12,26 +12,21 @@ Three experiments are provided:
   bias-corrected reconstruction of a fixed parabolic truth under biased
   noise, reported as a mean/max/min/stddev table.
 
-Each runner is its experiment's offline set-up (``setup_experiment``:
-sampling, POD bases, truths and the ``pod_decay.csv`` rows) followed by a
-loop over the (n, m) cells with n <= m.  ``example1`` solves each cell as
-one m x K block; ``example2`` runs each cell's cases as column blocks of at
-most ``_CHUNK`` cases through the block split and the block plain solve;
-``example3_analog`` runs its boxed solves case by case, each corrected
-solve starting from the plain one.  Every runner writes its rows through
-one emitter: a case's time is its even share of its block's time, and
-``bpbdw``'s time includes the plain solve it starts from.
+Each runner is its experiment's offline set-up (``setup_experiment``)
+followed by a loop over the (n, m) cells with n <= m.  ``example1`` solves
+each cell as one m x K block, ``example2`` as column blocks of at most
+``_CHUNK`` cases, ``example3_analog`` case by case.  Every block's errors go
+into the run's columnar store as arrays (``_Cases.emit``), and every CSV is
+written from those columns; a case's time is its even share of its block's.
 
 Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  Every
-per-case random stream is derived from (master_seed, case id, stage), so
-results do not depend on execution order and a rerun with the same master
-seed reproduces ``results.csv`` byte for byte.  A runner derives all of its
-run's case seeds, and the PCG64 seed words of the noise it draws, in one
-vectorized pass before its first solve (``derive_seeds``, ``_pcg64_words``);
-``derive_seed`` and ``np.random.default_rng(seed)`` remain the per-case
-reference that pass reproduces bit for bit.  Wall-clock timings are
-emitted separately (``timings.csv``) to keep ``results.csv`` deterministic.
+per-case random stream is derived from (master_seed, case id, stage), so a
+rerun with the same master seed reproduces ``results.csv`` byte for byte.
+A runner derives all of its case seeds, and the PCG64 seed words of its
+noise, in one vectorized pass (``derive_seeds``, ``_pcg64_words``) that
+reproduces ``derive_seed`` and ``np.random.default_rng(seed)`` bit for bit.
+Wall-clock timings go to ``timings.csv`` to keep ``results.csv`` deterministic.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import time
 import zlib
 from dataclasses import dataclass
@@ -290,6 +286,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
 # truth values.
 _FLOORS = {
     "master_seed": (0, True),
+    "sweep.n": (1, True),
+    "sweep.m": (1, True),
     "noise.sigma": (0.0, True),
     "noise.alpha": (-1.0, False),
     "sweep.alpha": (-1.0, False),
@@ -324,13 +322,13 @@ def _validate(cfg: dict) -> dict:
             if any(v < floor or (v == floor and not allowed) for v in values):
                 raise ConfigError(f"{key} must be {'>=' if allowed else '>'} {floor}, "
                                   f"got {cfg[key]}")
-    for key in ("sweep.n", "sweep.m"):
-        if not cfg[key]:
+    for key in (k for k in ("sweep.n", "sweep.m", "sweep.alpha") if k in cfg):
+        values = cfg[key]
+        if not values:
             raise ConfigError(f"{key} must not be empty")
-        if min(cfg[key]) < 1:
-            raise ConfigError(f"{key} entries must be >= 1, got {cfg[key]}")
-    if cfg["experiment"] == "example1" and not cfg["sweep.alpha"]:
-        raise ConfigError("sweep.alpha must not be empty")
+        # compared by value, so 0 and -0.0 repeat; a repeat would duplicate its rows
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{key} repeats a value, got {values}")
     if cfg["validation.count"] < 1 or cfg["training.count"] < 1:
         raise ConfigError("training.count and validation.count must be >= 1")
     if cfg["experiment"] == "example2":
@@ -547,15 +545,98 @@ class ResultRow:
         return (self.case_id, self.method, self.n, self.m, self.alpha, self.sigma)
 
 
-def aggregate_rows(rows: list[ResultRow]) -> list[dict]:
-    """Mean/max/min/stddev of the error per (method, n, m, alpha, sigma) cell."""
-    groups: dict[tuple, list[float]] = {}
-    for row in rows:
-        groups.setdefault((row.method, row.n, row.m, row.alpha, row.sigma), []).append(row.error_e)
+_DTYPES = {"cell": np.intp, "case_id": np.int64, "error_e": np.float64, "beta": np.float64,
+           "seed": np.uint64, "runtime_ms": np.float64}
+
+
+class _Columns:
+    """One output table as columns, appended one block of cases at a time.
+
+    A row is a case of a cell (method, n, m, alpha, sigma).  ``cells`` maps
+    each cell key, as the Python objects it came as, to its index in
+    first-seen order (keys equal by value are one cell, as in the
+    aggregates); the ``cell`` column holds each row's index.  ``records`` are
+    ``(case_id, *cell key, *values)`` tuples to start from.
+    """
+
+    def __init__(self, values: tuple[str, ...], records=()) -> None:
+        self.values, self.cells = values, {}
+        self._parts = {name: [] for name in ("cell", "case_id", *values)}
+        columns = list(zip(*records)) or [()] * (6 + len(values))
+        codes = [self.cells.setdefault(cell, len(self.cells)) for cell in zip(*columns[1:6])]
+        self._extend(codes, columns[0], dict(zip(values, columns[6:])))
+
+    def append(self, cell: tuple, case_ids, **values) -> None:
+        """The cases ``case_ids`` of one cell; a scalar value is shared by all of them."""
+        self._extend(self.cells.setdefault(cell, len(self.cells)), case_ids, values)
+
+    def _extend(self, codes, case_ids, values: dict) -> None:
+        for name, column in (("cell", codes), ("case_id", case_ids), *values.items()):
+            column = np.asarray(column, _DTYPES[name])
+            self._parts[name].append(np.full(len(case_ids), column) if column.ndim == 0 else column)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """One column, its blocks joined on first use."""
+        parts = self._parts[name]
+        if len(parts) != 1:
+            parts[:] = [np.concatenate(parts)]
+        return parts[0]
+
+    def __len__(self) -> int:
+        return len(self["case_id"])
+
+    def ranks(self) -> np.ndarray:
+        """Each row's cell rank in sorted key order."""
+        rank = np.empty(len(self.cells), dtype=np.intp)
+        rank[[self.cells[key] for key in sorted(self.cells)]] = np.arange(len(self.cells))
+        return rank[self["cell"]]
+
+    def order(self) -> np.ndarray:
+        """Row order of ``ResultRow.key`` (case id, then cell key); ties keep row order."""
+        return np.lexsort((self.ranks(), self["case_id"]))
+
+    def records(self, order: np.ndarray | None = None, as_text: bool = False) -> list[list]:
+        """Rows in ``order`` (default: as they came) as lists of Python scalars.
+
+        ``as_text`` gives every float as its ``repr``, the text a csv writer
+        writes for it, formatted once per cell key or distinct value.
+        """
+        order = np.arange(len(self)) if order is None else order
+        keys = [[repr(v) if as_text and isinstance(v, float) else v for v in cell]
+                for cell in self.cells]
+        out = np.empty((len(order), 6 + len(self.values)), dtype=object)
+        out[:, 0] = self["case_id"][order]
+        out[:, 1:6] = np.array(keys, dtype=object).reshape(-1, 5)[self["cell"][order]]
+        for j, name in enumerate(self.values, start=6):
+            column = self[name][order]
+            out[:, j] = _reprs(column) if as_text and column.dtype == np.float64 else column
+        return out.tolist()
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every float, each distinct bit pattern (so -0.0 apart from 0.0) once."""
+    texts: dict[int, str] = {}
+    return [texts.get(bits) or texts.setdefault(bits, repr(v))
+            for bits, v in zip(values.view(np.int64).tolist(), values.tolist())]
+
+
+def _result_columns(rows) -> _Columns:
+    return _Columns(RESULT_FIELDS[6:], map(operator.attrgetter(*RESULT_FIELDS), rows))
+
+
+def aggregate_rows(rows) -> list[dict]:
+    """Mean/max/min/stddev of the error per (method, n, m, alpha, sigma) cell.
+
+    ``rows`` is a list of ``ResultRow`` or a run's result columns.  A cell's
+    errors are reduced as one contiguous array, in row order.
+    """
+    table = rows if isinstance(rows, _Columns) else _result_columns(rows)
+    ranks = table.ranks()
+    counts = np.bincount(ranks, minlength=len(table.cells))
+    by_cell = np.split(np.argsort(ranks, kind="stable"), np.cumsum(counts)[:-1])
     out = []
-    for key in sorted(groups):
-        errors = np.asarray(groups[key])
-        method, n, m, alpha, sigma = key
+    for (method, n, m, alpha, sigma), indices in zip(sorted(table.cells), by_cell):
+        errors = table["error_e"][indices]
         out.append({
             "method": method, "n": n, "m": m, "alpha": alpha, "sigma": sigma,
             "mean": float(errors.mean()), "max": float(errors.max()),
@@ -565,20 +646,35 @@ def aggregate_rows(rows: list[ResultRow]) -> list[dict]:
     return out
 
 
-@dataclass(eq=False)
 class RunResult:
-    """Everything one experiment run produces."""
+    """Everything one experiment run produces.
 
-    config: dict
-    rows: list[ResultRow]
-    pod_decay: list[dict]
-    diagnostics: list[dict]
-    timings: list[dict]
+    Result and timing rows are kept as columns: a runner appends each block's
+    arrays (``_Cases.emit``), and ``ResultRow``s and timing dicts passed in
+    are turned into columns once.  ``rows`` and ``timings`` are views built
+    from the columns on each access, in the order the rows came in.
+    """
+
+    def __init__(self, config: dict, rows=(), pod_decay=(), diagnostics=(), timings=()) -> None:
+        self.config = config
+        self.pod_decay = list(pod_decay)
+        self.diagnostics = list(diagnostics)
+        self._results = _result_columns(rows)
+        self._timings = _Columns(TIMING_FIELDS[6:],
+                                 map(operator.itemgetter(*TIMING_FIELDS), timings))
+
+    @property
+    def rows(self) -> list[ResultRow]:
+        return [ResultRow(*r) for r in self._results.records()]
+
+    @property
+    def timings(self) -> list[dict]:
+        return [dict(zip(TIMING_FIELDS, r)) for r in self._timings.records()]
 
     @cached_property
     def aggregates(self) -> list[dict]:
-        """``aggregate_rows(rows)``, computed once: the file and the printed table share it."""
-        return aggregate_rows(self.rows)
+        """``aggregate_rows``, computed once: the file and the printed table share it."""
+        return aggregate_rows(self._results)
 
     def mean_error(self, method: str, **cell) -> float:
         """Mean error of one aggregate cell; extra keys filter the cell."""
@@ -591,25 +687,27 @@ class RunResult:
         return matches[0]["mean"]
 
     def errors(self, method: str, **cell) -> list[float]:
-        rows = [
-            r for r in sorted(self.rows, key=ResultRow.key)
-            if r.method == method and all(getattr(r, k) == v for k, v in cell.items())
-        ]
-        return [r.error_e for r in rows]
+        """One method's errors in ``ResultRow.key`` order; extra keys (n, m, alpha,
+        sigma) filter the cells."""
+        want = {"method": method, **cell}
+        codes = [code for key, code in self._results.cells.items()
+                 if all(dict(zip(RESULT_FIELDS[1:6], key))[k] == v for k, v in want.items())]
+        order = self._results.order()
+        keep = np.isin(self._results["cell"][order], codes)
+        return self._results["error_e"][order][keep].tolist()
 
     def write(self, out_dir: str | Path) -> None:
+        """Every output file; results and timings in ``ResultRow.key`` order."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        results = sorted(self.rows, key=ResultRow.key)
-        _write_versioned_csv(out / "results.csv", RESULT_FIELDS,
-                             [[getattr(r, f) for f in RESULT_FIELDS] for r in results])
+        for name, header, table in (("results.csv", RESULT_FIELDS, self._results),
+                                    ("timings.csv", TIMING_FIELDS, self._timings)):
+            _write_versioned_csv(out / name, header, table.records(table.order(), as_text=True))
         _write_table(out / "aggregates.csv", AGGREGATE_FIELDS, self.aggregates)
         if self.pod_decay:
             _write_pod_decay_csv(self.pod_decay, out / "pod_decay.csv")
         if self.diagnostics:
             _write_table(out / "diagnostics.csv", list(self.diagnostics[0]), self.diagnostics)
-        timings = sorted(self.timings, key=lambda r: tuple(r[k] for k in TIMING_FIELDS[:6]))
-        _write_table(out / "timings.csv", TIMING_FIELDS, timings)
         _write_run_json(self.config, out / "run.json")
 
 
@@ -856,14 +954,18 @@ class _Cases:
     seeds: list[int]            # seeds[k] draws the noise of case_ids[k]
     words: np.ndarray | None    # the seeds' _pcg64_words, where _data_block draws noise
 
-    def emit(self, result: RunResult, method: str, errors: list[float], beta: float,
-             block_ms: float) -> None:
-        """One result row per case, with its even share of the block's time."""
-        share_ms = block_ms / len(self.case_ids)
-        for case_id, seed, error in zip(self.case_ids, self.seeds, errors):
-            row = ResultRow(case_id, method, *self.key, error, beta, seed)
-            result.rows.append(row)
-            result.timings.append(dict(zip(TIMING_FIELDS, (*row.key(), share_ms))))
+    def emit(self, result: RunResult, method: str, errors, beta: float, block_ms: float) -> None:
+        """The block's columns, each case with an even share of the block's time.
+
+        A non-finite or negative error rejects the block before any of it is kept.
+        """
+        errors = np.asarray(errors, dtype=np.float64)
+        bad = ~np.isfinite(errors) | (errors < 0)     # ResultRow's check, once per block
+        if bad.any():
+            raise ValueError(f"error_e must be finite and nonnegative, got {errors[bad][0]}")
+        cell = (method, *self.key)
+        result._results.append(cell, self.case_ids, error_e=errors, beta=beta, seed=self.seeds)
+        result._timings.append(cell, self.case_ids, runtime_ms=block_ms / len(self.case_ids))
 
 
 class _Streams:
@@ -907,7 +1009,7 @@ def run_example1(cfg: dict) -> RunResult:
     ), draws=cfg["noise.sigma"] > 0)
 
     truth_norms = _norms(grid, truth_block)
-    result = RunResult(cfg, [], setup.decay(), [], [])
+    result = RunResult(cfg, pod_decay=setup.decay())
     for m, space, n_values in _spaces(cfg, grid):
         for n in n_values:
             background = basis.subspace.truncate(n)
@@ -925,7 +1027,7 @@ def run_example1(cfg: dict) -> RunResult:
                     ("pbdw", plain, plain_ms), ("bpbdw", corrected, corrected_ms)
                 ):
                     errors = _norms(grid, rec.states - truth_block) / truth_norms
-                    cases.emit(result, method, errors.tolist(), rec.beta, block_ms)
+                    cases.emit(result, method, errors, rec.beta, block_ms)
     return result
 
 
@@ -949,7 +1051,7 @@ def run_example2(cfg: dict) -> RunResult:
         for m in cfg["sweep.m"] for n in _n_values(cfg, m) for case_id in range(len(full_val))
     ), draws=model.sigma > 0)
 
-    result = RunResult(cfg, [], setup.decay(), [], [])
+    result = RunResult(cfg, pod_decay=setup.decay())
     for m, space, n_values in _spaces(cfg, grid):
         dictionary = step_dictionary(
             grid, space, _pair(cfg, "manifold.jump_location"), cfg["dictionary.stride"]
@@ -981,7 +1083,7 @@ def run_example2(cfg: dict) -> RunResult:
                     ("pbdw", plain.states, plain.beta, plain_ms),
                 ):
                     errors = _norms(grid, states - truth_block) / truth_norms
-                    cases.emit(result, method, errors.tolist(), beta, block_ms)
+                    cases.emit(result, method, errors, beta, block_ms)
                 tv_truth = _total_variations(truth_block)
                 per_case = zip(
                     case_ids,
@@ -1044,7 +1146,7 @@ def run_example3_analog(cfg: dict) -> RunResult:
         for m in cfg["sweep.m"] for n in _n_values(cfg, m) for case_id in case_ids
     ), draws=False)
 
-    result = RunResult(cfg, [], setup.decay(), [], [])
+    result = RunResult(cfg, pod_decay=setup.decay())
     for m, space, n_values in _spaces(cfg, setup.grid):
         for n in n_values:
             background = basis.subspace.truncate(n)

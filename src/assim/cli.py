@@ -66,7 +66,9 @@ def _cmd_run(args) -> int:
     result = run_experiment(cfg)
     result.write(args.out)
     aggregates = result.aggregates
-    print(f"{cfg['experiment']}: {len(result.rows)} rows -> {args.out}")
+    # every row is in one aggregate, so this counts them without building them
+    rows = sum(agg["count"] for agg in aggregates)
+    print(f"{cfg['experiment']}: {rows} rows -> {args.out}")
     header = f"{'method':>8} {'n':>4} {'m':>4} {'alpha':>6} | {'mean%':>8} {'max%':>8} {'min%':>8} {'std%':>8}"
     print(header)
     for agg in aggregates:

@@ -36,11 +36,9 @@ from .manifold import SnapshotSet, heaviside
 from .obs import Measurement, ObservationSpace, inf_sup_beta
 from .solver import (
     BlockReconstruction,
-    Box,
     Reconstruction,
     pbdw_solve,
     pbdw_solve_block,
-    pbdw_solve_boxed,
 )
 from .space import (
     Grid,
@@ -276,7 +274,6 @@ def spbdw_reconstruct(
     seed: int = 0,
     rel_tol: float = 0.05,
     max_iters: int = 5,
-    box: Box | None = None,
 ) -> MultiscaleDecomposition:
     """Three-step multiscale reconstruction (smooth background + steps).
 
@@ -290,16 +287,11 @@ def spbdw_reconstruct(
         omega_star, dictionary, rel_tol, max_iters
     )
 
-    def smooth_solve(target):
-        if box is not None:
-            return pbdw_solve_boxed(target, background, space, box)
-        return pbdw_solve(target, background, space)
-
     if model is None:
-        u_f = smooth_solve(omega_f)
+        u_f = pbdw_solve(omega_f, background, space)
         eta = omega_star
     else:
-        u_f = bpbdw_reconstruct(omega_f, background, space, model, seed, box)
+        u_f = bpbdw_reconstruct(omega_f, background, space, model, seed)
         # u_f.initial is the plain smooth solve of omega_f
         eta = corrected_constraint(u_f.initial.state + f_star, space, model, seed)
 
@@ -471,7 +463,7 @@ def spbdw_reconstruct_block(
     ``pbdw_solve_block``, followed under a noise model (analytic expectation
     only) by ``bpbdw_correct_block``.  The steps are then refitted on the
     stacked selections.  Column k matches ``spbdw_reconstruct`` on column k
-    up to roundoff; boxed solves are per case only.
+    up to roundoff.
     """
     if dictionary.space is not space:
         raise ValueError("dictionary belongs to a different observation space")

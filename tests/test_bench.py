@@ -34,12 +34,22 @@ from assim import (
 import assim.bench
 from assim.bench import (
     _CHUNK,
+    AGGREGATE_FIELDS,
+    RESULT_FIELDS,
+    TIMING_FIELDS,
     ConfigError,
+    ResultRow,
+    RunResult,
+    _Cases,
     _grid,
     _normal_columns,
     _pair,
     _pcg64_words,
     _sensor_array,
+    _write_pod_decay_csv,
+    _write_run_json,
+    _write_table,
+    _write_versioned_csv,
     aggregate_rows,
     default_config,
     derive_seed,
@@ -573,6 +583,116 @@ class TestOutputs:
         assert set(payload["versions"]) == {"assim", "numpy"}
 
 
+def reference_aggregates(rows):
+    """The per-row aggregation the columnar store replaced: one error list per cell."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.method, row.n, row.m, row.alpha, row.sigma), []).append(row.error_e)
+    out = []
+    for key in sorted(groups):
+        errors = np.asarray(groups[key])
+        method, n, m, alpha, sigma = key
+        out.append({
+            "method": method, "n": n, "m": m, "alpha": alpha, "sigma": sigma,
+            "mean": float(errors.mean()), "max": float(errors.max()),
+            "min": float(errors.min()), "stddev": float(errors.std()),
+            "count": int(errors.size),
+        })
+    return out
+
+
+def reference_write(result, out):
+    """The row writer the columnar store replaced: Python key sorts of row objects.
+
+    Aggregates reduce each cell's errors in the order the rows came in.
+    """
+    out.mkdir(parents=True)
+    rows = sorted(result.rows, key=ResultRow.key)
+    _write_versioned_csv(out / "results.csv", RESULT_FIELDS,
+                         [[getattr(r, f) for f in RESULT_FIELDS] for r in rows])
+    _write_table(out / "aggregates.csv", AGGREGATE_FIELDS, reference_aggregates(result.rows))
+    if result.pod_decay:
+        _write_pod_decay_csv(result.pod_decay, out / "pod_decay.csv")
+    if result.diagnostics:
+        _write_table(out / "diagnostics.csv", list(result.diagnostics[0]), result.diagnostics)
+    timings = sorted(result.timings, key=lambda r: tuple(r[k] for k in TIMING_FIELDS[:6]))
+    _write_table(out / "timings.csv", TIMING_FIELDS, timings)
+    _write_run_json(result.config, out / "run.json")
+
+
+def assert_same_files(result, tmp_path):
+    result.write(tmp_path / "columns")
+    reference_write(result, tmp_path / "rows")
+    names = sorted(p.name for p in (tmp_path / "rows").iterdir())
+    assert sorted(p.name for p in (tmp_path / "columns").iterdir()) == names
+    for name in names:
+        columns, rows = (tmp_path / d / name for d in ("columns", "rows"))
+        assert columns.read_bytes() == rows.read_bytes(), name
+
+
+# the benchmark's three workloads (sweep_bias, split_jump, boxed_flow)
+_WORKLOADS = [
+    ("example1.cfg", ["sweep.m=10,20,25,40,80", "sweep.alpha=0,0.05,0.1,0.2",
+                      "validation.count=16"]),
+    ("example2.cfg", ["sweep.m=40,80", "validation.count=400"]),
+    ("example3.cfg", ["sweep.n=3,5,8", "sweep.m=20,40", "validation.count=40"]),
+]
+
+
+class TestColumnarWrite:
+    """Every file ``RunResult.write`` makes from its columns equals the row writer's."""
+
+    @pytest.mark.parametrize(
+        "config, overrides",
+        [(config, []) for config in ("example1.cfg", "example2.cfg", "example3.cfg")]
+        + [(config, overrides + [f"master_seed={seed}"])
+           for config, overrides in _WORKLOADS for seed in (1, 2**128 + 1)]
+        # unsorted sweeps: the files are in numeric order, not in string order
+        + [("example1.cfg", ["sweep.m=80,10,25", "sweep.alpha=0.2,0,0.05",
+                             "validation.count=8"]),
+           ("example3.cfg", ["sweep.m=40,20", "sweep.n=8,3", "validation.count=8"])],
+    )
+    def test_files_match_the_row_writer(self, tmp_path, config, overrides):
+        assert_same_files(run_experiment(load_config(CONFIGS / config, overrides)), tmp_path)
+
+    @pytest.mark.parametrize("config", ["example1.cfg", "example2.cfg", "example3.cfg"])
+    def test_result_built_from_shuffled_rows(self, tmp_path, config):
+        # the benchmark's library runner hands RunResult row and timing lists
+        cfg = load_config(CONFIGS / config, ["validation.count=6", "sweep.m=10,25"])
+        run = run_experiment(cfg)
+        rows, timings = run.rows, run.timings
+        shuffle = np.random.default_rng(5).permutation
+        rows = [rows[i] for i in shuffle(len(rows))]
+        timings = [timings[i] for i in shuffle(len(timings))]
+        result = RunResult(cfg, rows, run.pod_decay, run.diagnostics, timings)
+        assert result.rows == rows and result.timings == timings
+        assert_same_files(result, tmp_path)
+        assert aggregate_rows(rows) == reference_aggregates(rows)
+
+    @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (-0.5, "-0.5")])
+    def test_block_with_a_bad_error_is_rejected_whole(self, tmp_path, bad, shown):
+        result = RunResult(small_example1())
+        cases = _Cases((3, 25, 0.1, 0.325), range(3), [7, 8, 9], None)
+        with pytest.raises(ValueError,
+                           match=f"^error_e must be finite and nonnegative, got {shown}$"):
+            cases.emit(result, "pbdw", [0.1, bad, 0.2], 0.9, 1.5)
+        assert result.rows == [] and result.timings == []
+        # -0.0 passes the check and is written apart from 0.0
+        cases.emit(result, "pbdw", [0.0, -0.0, 0.2], 0.9, 1.5)
+        assert [str(r.error_e) for r in result.rows] == ["0.0", "-0.0", "0.2"]
+        assert_same_files(result, tmp_path)
+
+    def test_bad_error_fails_the_run_before_anything_is_written(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        monkeypatch.setattr(assim.bench, "_norms", lambda grid, block: np.full(block.shape[1],
+                                                                                np.nan))
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / "example1.cfg"), "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: error_e must be finite and nonnegative, got nan\n"
+        assert not out_dir.exists()
+
+
 # every two-entry manifold.* range of the three shipped configs, reversed
 _REVERSED_RANGES = [
     (config, f"{key}={value[1]},{value[0]}", key)
@@ -580,6 +700,37 @@ _REVERSED_RANGES = [
     for key, value in load_config(CONFIGS / config).items()
     if key.startswith("manifold.") and isinstance(value, list) and len(value) == 2
 ]
+
+
+# ``assim run --config configs/example1.cfg`` on stdout
+_EXAMPLE1_STDOUT = """\
+example1: 1536 rows -> {out}
+  method    n    m  alpha |    mean%     max%     min%     std%
+   bpbdw    1   25    0.1 |    7.812   14.396    2.177    4.100
+   bpbdw    2   25    0.1 |    4.377   12.256    1.864    2.624
+   bpbdw    3   25    0.1 |    2.411    6.224    1.316    0.904
+   bpbdw    4   25    0.1 |    1.696    2.413    1.191    0.263
+   bpbdw    5   25    0.1 |    1.648    2.226    1.097    0.223
+   bpbdw    6   25    0.1 |    1.665    2.327    1.185    0.264
+   bpbdw    7   25    0.1 |    1.655    2.167    1.241    0.226
+   bpbdw    8   25    0.1 |    1.697    2.384    1.119    0.255
+   bpbdw    9   25    0.1 |    1.674    2.302    1.031    0.257
+   bpbdw   10   25    0.1 |    1.793    2.476    1.227    0.295
+   bpbdw   11   25    0.1 |    1.785    2.901    1.126    0.345
+   bpbdw   12   25    0.1 |    2.393    7.768    1.395    1.044
+    pbdw    1   25    0.1 |   13.057   17.738    9.884    2.467
+    pbdw    2   25    0.1 |   11.131   16.001    9.715    1.377
+    pbdw    3   25    0.1 |   10.246   11.312    9.602    0.365
+    pbdw    4   25    0.1 |   10.094   10.993    9.430    0.318
+    pbdw    5   25    0.1 |   10.114   10.720    9.426    0.263
+    pbdw    6   25    0.1 |   10.179   10.820    9.417    0.291
+    pbdw    7   25    0.1 |   10.128   10.971    9.594    0.250
+    pbdw    8   25    0.1 |   10.132   11.089    9.482    0.351
+    pbdw    9   25    0.1 |   10.151   10.736    9.572    0.284
+    pbdw   10   25    0.1 |   10.087   10.663    9.367    0.306
+    pbdw   11   25    0.1 |   10.173   10.952    9.604    0.276
+    pbdw   12   25    0.1 |   10.307   13.824    9.524    0.582
+"""
 
 
 class TestCli:
@@ -697,6 +848,35 @@ class TestCli:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}"), err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "config, override, key",
+        [
+            ("example1.cfg", "sweep.m=20,20", "sweep.m"),
+            ("example1.cfg", "sweep.alpha=0.1,0.1", "sweep.alpha"),
+            ("example1.cfg", "sweep.alpha=0,-0.0", "sweep.alpha"),
+            ("example1.cfg", "sweep.n=3,5,3", "sweep.n"),
+            ("example2.cfg", "sweep.m=40,80,40", "sweep.m"),
+            ("example3.cfg", "sweep.n=5,5", "sweep.n"),
+        ],
+    )
+    def test_repeated_sweep_value_rejected(self, tmp_path, capsys, config, override, key):
+        # a repeat would write every row of its cells twice and double each count
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / config), "--set", override,
+                         "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} repeats a value"), err
+        assert not out_dir.exists()
+
+    def test_run_stdout_pinned(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert cli_main(["run", "--config", str(CONFIGS / "example1.cfg"),
+                         "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == _EXAMPLE1_STDOUT.format(out=out_dir)
 
     def test_aggregates_computed_once_per_run(self, tmp_path, monkeypatch):
         calls = []
