@@ -122,8 +122,9 @@ _PARSERS = {
     "float_list": lambda t: [float(tok) for tok in t.split(",") if tok.strip()],
 }
 
-# key -> (type name, {experiment: default}, help); None marks "not applicable"
-_SHARED = {
+# key -> (type name, {experiment: default}, help); a key applies to the
+# experiments it has a default for
+SCHEMA = {
     "experiment": ("str", {e: e for e in EXPERIMENTS}, "which experiment to run"),
     "master_seed": ("int", {e: 20240605 for e in EXPERIMENTS}, "root of every random stream"),
     "grid.a": ("float", {"example1": 0.0, "example2": 0.0, "example3_analog": -0.5}, "left endpoint"),
@@ -144,19 +145,13 @@ _SHARED = {
     "noise.sigma": ("float", {"example1": 0.325, "example2": 0.0, "example3_analog": 2.0},
                     "Gaussian spread per raw sensor reading"),
     "noise.mc_samples": ("int", {e: 1000 for e in EXPERIMENTS}, "Monte Carlo samples for expectations"),
-}
-
-_EX1 = {
     "sweep.alpha": ("float_list", {"example1": [0.1]}, "bias slopes to sweep"),
-    "manifold.amplitude": ("float_list", {"example1": [25.0, 40.0]}, "amplitude range"),
-    "manifold.period": ("float_list", {"example1": [PI, 2 * PI]}, "period range"),
-}
-
-_EX2 = {
+    "manifold.amplitude": ("float_list", {"example1": [25.0, 40.0], "example2": [0.4, 1.0]},
+                           "amplitude range"),
+    "manifold.period": ("float_list", {"example1": [PI, 2 * PI], "example2": [PI / 4, PI]},
+                        "period range"),
     "noise.alpha": ("float", {"example2": 0.0, "example3_analog": 0.15}, "bias slope"),
     "manifold.num_frequencies": ("int", {"example2": 3}, "sinusoids per snapshot"),
-    "manifold.amplitude": ("float_list", {"example2": [0.4, 1.0]}, "amplitude range"),
-    "manifold.period": ("float_list", {"example2": [PI / 4, PI]}, "period range"),
     "manifold.phase": ("float_list", {"example2": [0.0, 2 * PI]}, "phase range"),
     "manifold.jump_location": ("float_list", {"example2": [PI / 2, 3 * PI / 2]}, "jump location range"),
     "manifold.jump_height": ("float_list", {"example2": [2.5, 4.5]}, "jump height range"),
@@ -165,9 +160,6 @@ _EX2 = {
                               "snap truth jumps onto dictionary locations"),
     "spbdw.rel_tol": ("float", {"example2": 0.05}, "greedy stopping tolerance"),
     "spbdw.max_iters": ("int", {"example2": 5}, "greedy iteration cap"),
-}
-
-_EX3 = {
     "manifold.peak_velocity": ("float_list", {"example3_analog": [40.0, 60.0]}, "peak velocity range [cm/s]"),
     "manifold.flow_index": ("float_list", {"example3_analog": [0.8, 1.2]}, "flow index range"),
     "manifold.radius": ("float", {"example3_analog": 0.5}, "tube radius [cm]"),
@@ -175,23 +167,6 @@ _EX3 = {
     "truth.flow_index": ("float", {"example3_analog": 1.0}, "ground-truth flow index"),
     "box.margin": ("float", {"example3_analog": 1.1}, "coefficient box widening factor"),
 }
-
-
-def _merged_schema() -> dict:
-    schema: dict = {}
-    for part in (_SHARED, _EX1, _EX2, _EX3):
-        for key, (typ, defaults, help_) in part.items():
-            if key in schema:
-                prev_typ, prev_defaults, prev_help = schema[key]
-                merged = dict(prev_defaults)
-                merged.update(defaults)
-                schema[key] = (typ, merged, prev_help)
-            else:
-                schema[key] = (typ, dict(defaults), help_)
-    return schema
-
-
-SCHEMA = _merged_schema()
 
 
 def default_config(experiment: str) -> dict:

@@ -159,6 +159,11 @@ def step_dictionary(
     )
 
 
+def _check_space(space: ObservationSpace, dictionary: SlowDictionary) -> None:
+    if dictionary.space is not space:
+        raise ValueError("dictionary belongs to a different observation space")
+
+
 def orthogonal_search(
     omega: Measurement, dictionary: SlowDictionary
 ) -> tuple[GridFunction, float, int]:
@@ -167,6 +172,7 @@ def orthogonal_search(
     Scores ``<omega, P_W v / ||P_W v||>`` for every candidate, exhaustively;
     ties resolve to the lowest index.  Returns (candidate, amplitude, index).
     """
+    _check_space(omega.space, dictionary)
     scores = (omega.coeffs @ dictionary.observed) / dictionary.observed_norms
     best = int(np.argmax(scores))
     g = dictionary.observed[:, best]
@@ -208,6 +214,7 @@ def extract_smoothers(
     measurements omega - P_W f*, and the residual-norm history.
     """
     _check_greedy(rel_tol, max_iters)
+    _check_space(omega.space, dictionary)
     data = omega.coeffs
     residual = data.copy()
     history = [float(np.linalg.norm(residual))]
@@ -465,8 +472,7 @@ def spbdw_reconstruct_block(
     stacked selections.  Column k matches ``spbdw_reconstruct`` on column k
     up to roundoff.
     """
-    if dictionary.space is not space:
-        raise ValueError("dictionary belongs to a different observation space")
+    _check_space(space, dictionary)
     greedy = extract_smoothers_block(data, dictionary, rel_tol, max_iters)
     f_star = dictionary.candidate_matrix @ greedy.coefficients(len(dictionary))
     weighted = space.onb.weighted_matrix

@@ -253,17 +253,11 @@ def build_observation_space(sensors: SensorArray, grid: Grid) -> ObservationSpac
     )
 
 
-def observe(u: GridFunction, space: ObservationSpace, noise=None, seed: int = 0) -> Measurement:
-    """Measure a state: projection onto the observation space, plus noise.
+def observe(u: GridFunction, space: ObservationSpace) -> Measurement:
+    """Exact measurement of a state: the coordinates of its projection.
 
-    With ``noise=None`` the measurement is exact (coordinates of the
-    projection).  Otherwise ``noise`` must be a noise model understood by
-    :func:`assim.bias.apply_noise`, applied deterministically under ``seed``.
+    A noisy measurement is :func:`assim.bias.apply_noise`.
     """
-    if noise is not None:
-        from .bias import apply_noise
-
-        return apply_noise(u, space, noise, seed)
     return Measurement(space.onb.coefficients(u), space)
 
 

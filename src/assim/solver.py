@@ -39,9 +39,8 @@ the held columns leave, so it sees the condition number of G, not its
 square.  A solve visits few of the 2^n free sets, and later solves on the
 pair mostly revisit them, so the plan caches each set's pseudo-inverse the
 first time it is needed, up to ``FREE_SET_CAP`` sets per plan.  The bounded
-solve is nonlinear in the data, so ``pbdw_solve_boxed_block`` runs it column
-by column, then assembles the whole block at once; ``pbdw_solve_boxed`` runs
-the same bounded solve and assembly on one data vector.
+solve is nonlinear in the data, so ``pbdw_solve_boxed`` runs it on one data
+vector at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ __all__ = [
     "pbdw_solve",
     "pbdw_solve_block",
     "pbdw_solve_boxed",
-    "pbdw_solve_boxed_block",
     "compute_box",
 ]
 
@@ -253,21 +251,6 @@ def pbdw_solve(target, background: Subspace, space: ObservationSpace) -> Reconst
     return _single(_plan(background, space).solve(d), space.grid)
 
 
-def _as_block(data: np.ndarray, space: ObservationSpace) -> np.ndarray:
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] != space.m:
-        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
-    if not np.isfinite(data).all():
-        raise ValueError("data block must be finite")
-    return data
-
-
-def _finite(block: BlockReconstruction) -> BlockReconstruction:
-    if not np.isfinite(block.states).all():
-        raise ValueError("reconstructed states must be finite")
-    return block
-
-
 def pbdw_solve_block(
     data: np.ndarray, background: Subspace, space: ObservationSpace
 ) -> BlockReconstruction:
@@ -276,49 +259,31 @@ def pbdw_solve_block(
     Column k equals ``pbdw_solve`` on column k up to roundoff; the pair's
     checks run once for the whole block.
     """
-    data = _as_block(data, space)
-    return _finite(_plan(background, space).solve(data))
-
-
-def _boxed_plan(background: Subspace, space: ObservationSpace, box: Box) -> _SolvePlan:
-    """The pair's plan, once the box is checked against the background."""
-    if box.dimension != background.dimension:
-        raise ValueError(
-            f"box has {box.dimension} bounds for a background of dimension "
-            f"{background.dimension}"
-        )
-    return _plan(background, space)
-
-
-def _boxed_coeffs(plan: _SolvePlan, d: np.ndarray, box: Box) -> np.ndarray:
-    """Background coefficients of one data vector, clamped to the box."""
-    # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
-    return _bvls(plan.R, plan.Ut @ d, box.lo, box.hi, box.fixed, plan.free_sets)
-
-
-def pbdw_solve_boxed_block(
-    data: np.ndarray, background: Subspace, space: ObservationSpace, box: Box
-) -> BlockReconstruction:
-    """``pbdw_solve_block`` with the background coefficients clamped to a box.
-
-    Each column runs its own bounded solve on the pair's factors; the pair's
-    checks, the assembly and the finiteness check run once for the block.
-    """
-    data = _as_block(data, space)
-    plan = _boxed_plan(background, space, box)
-    C = np.empty((box.dimension, data.shape[1]))
-    for k, d in enumerate(data.T):
-        C[:, k] = _boxed_coeffs(plan, d, box)
-    return _finite(plan.assemble(data, C))
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] != space.m:
+        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("data block must be finite")
+    block = _plan(background, space).solve(data)
+    if not np.isfinite(block.states).all():
+        raise ValueError("reconstructed states must be finite")
+    return block
 
 
 def pbdw_solve_boxed(
     target, background: Subspace, space: ObservationSpace, box: Box
 ) -> Reconstruction:
     """Reconstruction with the background coefficients clamped to a box."""
-    plan = _boxed_plan(background, space, box)
+    if box.dimension != background.dimension:
+        raise ValueError(
+            f"box has {box.dimension} bounds for a background of dimension "
+            f"{background.dimension}"
+        )
+    plan = _plan(background, space)
     d = _target_coeffs(target, space)
-    return _single(plan.assemble(d, _boxed_coeffs(plan, d, box)), space.grid)
+    # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
+    c = _bvls(plan.R, plan.Ut @ d, box.lo, box.hi, box.fixed, plan.free_sets)
+    return _single(plan.assemble(d, c), space.grid)
 
 
 def _bvls(
@@ -326,8 +291,8 @@ def _bvls(
     b: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    fixed: np.ndarray | None = None,
-    free_sets: dict | None = None,
+    fixed: np.ndarray,
+    free_sets: dict,
 ) -> np.ndarray:
     """argmin ||A x - b|| over lo <= x <= hi, for A of full column rank.
 
@@ -339,22 +304,17 @@ def _bvls(
     It stops when no held coordinate's gradient points into the box (the KKT
     sign test) or a pass no longer lowers the objective, and every loop has an
     iteration cap.  ``lo`` may hold -inf and ``hi`` inf.  The ``fixed``
-    coordinates, those with ``lo == hi`` (derived from the bounds when not
-    given), stay at their bound throughout.
+    coordinates, those with ``lo == hi``, stay at their bound throughout.
 
     Every subproblem is the least-squares solve on the free columns A_F with
     the held ones A_H at their bounds: P_F (b - A_H x_H), with P_F the
     pseudo-inverse of A_F at lstsq's default rank cutoff.  ``free_sets`` maps
     each free set (its mask's bytes) to (P_F, A_H); missing entries are built
-    and stored until it holds ``FREE_SET_CAP`` of them.  A call without it
-    caches in a dict of its own.  Each entry depends only on A and the set,
-    so a cold, warm or full cache gives the same result bit for bit.
+    and stored until it holds ``FREE_SET_CAP`` of them.  Each entry depends
+    only on A and the set, so a cold, warm or full cache gives the same
+    result bit for bit.
     """
     n = A.shape[1]
-    if fixed is None:
-        fixed = lo == hi
-    if free_sets is None:
-        free_sets = {}
     x = np.where(fixed, lo, 0.0)
     held = fixed.copy()
     # side[i] is -1 / +1 while x[i] is held at its lower / upper bound, else 0

@@ -285,8 +285,16 @@ class TestSpbdwReconstructBlock:
     def test_dictionary_of_another_space(self, grid, space40, dictionary):
         other = build_observation_space(SensorArray.equidistant(40, grid), grid)
         background = Subspace(grid, other.onb.basis[:3], _validate=False)
-        with pytest.raises(ValueError, match="different observation space"):
-            spbdw_reconstruct_block(np.ones((40, 2)), background, other, dictionary)
+        omega = Measurement(np.ones(40), other)
+        calls = [
+            lambda: spbdw_reconstruct_block(np.ones((40, 2)), background, other, dictionary),
+            lambda: spbdw_reconstruct(omega, background, other, dictionary),
+            lambda: extract_smoothers(omega, dictionary),
+            lambda: orthogonal_search(omega, dictionary),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="different observation space"):
+                call()
 
 
 class TestSpbdwReconstruct:

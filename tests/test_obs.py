@@ -10,6 +10,7 @@ from assim import (
     SensorArray,
     SinusoidSpec,
     Subspace,
+    apply_noise,
     build_observation_space,
     inf_sup_beta,
     inner_product,
@@ -154,7 +155,7 @@ class TestObserve:
         )
         one = GridFunction(grid, np.ones(grid.num_points))
         model = NoiseModel(alpha=0.2, sigma=0.0)
-        got = observe(one, space, noise=model, seed=0)
+        got = apply_noise(one, space, model, seed=0)
         # closed form: the expected reading of a constant is (1 + alpha) * c
         raw = space.raw_from_coords(got.coeffs)
         assert raw[0] == pytest.approx(1.2, abs=1e-12)

@@ -34,7 +34,7 @@ from assim import (
 from assim import solver
 from assim.rom import projection_residuals
 from assim.obs import cross_gramian
-from assim.solver import pbdw_solve_block, pbdw_solve_boxed_block
+from assim.solver import pbdw_solve_block
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -391,7 +391,22 @@ class TestPbdwSolveBoxed:
         assert rec.constraint_residual <= 1e-8 * max(1.0, target.norm())
 
 
+def boxed_columns(D, V, space, box):
+    """``pbdw_solve_boxed`` on each column of an m x K data block.
+
+    Every column runs on the pair's one plan, so later columns reuse the
+    free sets that earlier ones cached.  Returns the (n, K) coefficients, the
+    (num_points, K) states and the reconstructions.
+    """
+    recs = [pbdw_solve_boxed(Measurement(d, space), V, space, box) for d in D.T]
+    C = np.column_stack([rec.rom_coeffs for rec in recs])
+    states = np.column_stack([rec.state.values for rec in recs])
+    return C, states, recs
+
+
 class TestPbdwSolveBoxedBlock:
+    """``pbdw_solve_boxed`` over a block of data columns, one column at a time."""
+
     @pytest.mark.parametrize(
         "kinds",
         [
@@ -401,50 +416,26 @@ class TestPbdwSolveBoxedBlock:
         ],
         ids=["fixed", "infinite", "one_sided"],
     )
-    def test_columns_match_single_solves(self, rng, kinds):
+    def test_columns_against_face_oracle(self, rng, kinds):
         grid, V, space, _ = random_instance(rng, num_points=40, n=4, m=9)
         lo, hi = random_bounds(rng, [k if k != "fixed" else "finite" for k in kinds])
         fixed = np.array(kinds) == "fixed"
         hi[fixed] = lo[fixed]
         box = Box(lo, hi)
         D = 3.0 * rng.normal(size=(9, 6))
-        block = pbdw_solve_boxed_block(D, V, space, box)
-        assert block.states.shape == (40, 6)
-        C = block.rom_coeffs
+        C, _, recs = boxed_columns(D, V, space, box)
         held = np.isclose(C, lo[:, None]) | np.isclose(C, hi[:, None])
         assert held[~fixed].any()                   # the box is active somewhere
         G = cross_gramian(space, V)
-        for k in range(6):
-            assert_matches_face_oracle(G, D[:, k], lo, hi, block.rom_coeffs[:, k])
-            rec = pbdw_solve_boxed(Measurement(D[:, k], space), V, space, box)
-            scale = 1e-10 * max(1.0, float(np.abs(rec.rom_coeffs).max()))
-            np.testing.assert_allclose(block.rom_coeffs[:, k], rec.rom_coeffs, rtol=0, atol=scale)
-            np.testing.assert_allclose(block.states[:, k], rec.state.values, rtol=0,
-                                       atol=scale * np.abs(rec.state.values).max())
-            assert np.array_equal(block.rom_coeffs[fixed, k], lo[fixed])
-            assert block.constraint_residuals[k] < 1e-10 * max(1.0, np.linalg.norm(D[:, k]))
-        assert block.beta == rec.beta
-
-    def test_single_column_is_the_per_case_solve(self, rng):
-        grid, V, space, target = random_instance(rng, num_points=30, n=4, m=9)
-        box = Box(np.full(4, -0.5), np.full(4, 0.5))
-        block = pbdw_solve_boxed_block(target.coeffs[:, None], V, space, box)
-        rec = pbdw_solve_boxed(target, V, space, box)
-        assert np.array_equal(block.states[:, 0], rec.state.values)
-        assert np.array_equal(block.rom_coeffs[:, 0], rec.rom_coeffs)
+        for k, rec in enumerate(recs):
+            assert_matches_face_oracle(G, D[:, k], lo, hi, rec.rom_coeffs)
+            assert np.array_equal(rec.rom_coeffs[fixed], lo[fixed])
+            assert rec.constraint_residual < 1e-10 * max(1.0, np.linalg.norm(D[:, k]))
 
     def test_bad_inputs_rejected(self, rng):
-        grid, V, space, _ = random_instance(rng, num_points=30, n=4, m=9)
-        box = Box(-np.ones(4), np.ones(4))
+        grid, V, space, target = random_instance(rng, num_points=30, n=4, m=9)
         with pytest.raises(ValueError, match="box has 3 bounds"):
-            pbdw_solve_boxed_block(np.zeros((9, 2)), V, space, Box(-np.ones(3), np.ones(3)))
-        for bad in (np.zeros(9), np.zeros((8, 3))):
-            with pytest.raises(ValueError, match="data block"):
-                pbdw_solve_boxed_block(bad, V, space, box)
-        D = np.zeros((9, 3))
-        D[2, 1] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            pbdw_solve_boxed_block(D, V, space, box)
+            pbdw_solve_boxed(target, V, space, Box(-np.ones(3), np.ones(3)))
 
 
 class TestFreeSetCache:
@@ -471,20 +462,18 @@ class TestFreeSetCache:
             free_sets.clear()
             cold.append(pbdw_solve_boxed(Measurement(d, space), V, space, box))
         free_sets.clear()
-        block = pbdw_solve_boxed_block(D, V, space, box)
+        C, states, _ = boxed_columns(D, V, space, box)
         assert len(free_sets) > 1                  # the columns share the cache
-        held = np.isclose(block.rom_coeffs, box.lo[:, None]) | np.isclose(
-            block.rom_coeffs, box.hi[:, None])
+        held = np.isclose(C, box.lo[:, None]) | np.isclose(C, box.hi[:, None])
         assert held[~box.fixed].any()              # the box is active somewhere
-        # every single solve now runs on sets the block's other columns cached
-        for d, rec in zip(D.T, cold):
+        # every single solve now runs on sets the other columns cached
+        for k, (d, rec) in enumerate(zip(D.T, cold)):
             warm = pbdw_solve_boxed(Measurement(d, space), V, space, box)
             assert np.array_equal(warm.rom_coeffs, rec.rom_coeffs)
             assert np.array_equal(warm.state.values, rec.state.values)
+            assert np.array_equal(C[:, k], rec.rom_coeffs)
+            assert np.array_equal(states[:, k], rec.state.values)
             assert np.array_equal(rec.rom_coeffs[box.fixed], box.lo[box.fixed])
-        warm_block = pbdw_solve_boxed_block(D, V, space, box)
-        assert np.array_equal(warm_block.rom_coeffs, block.rom_coeffs)
-        assert np.array_equal(warm_block.states, block.states)
 
     def test_warm_plan_factors_nothing(self, rng, monkeypatch):
         V, space, box, D = self.instance(rng)
@@ -494,26 +483,24 @@ class TestFreeSetCache:
                 calls.append(_name)
                 return _call(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
-        pbdw_solve_boxed_block(D, V, space, box)
+        boxed_columns(D, V, space, box)
         assert "pinv" in calls and "lstsq" not in calls
         calls.clear()
-        pbdw_solve_boxed_block(D, V, space, box)
-        for d in D.T:
-            pbdw_solve_boxed(Measurement(d, space), V, space, box)
+        boxed_columns(D, V, space, box)
         assert calls == []
 
     def test_capped_cache_gives_the_same_results(self, rng, monkeypatch):
         V, space, box, D = self.instance(rng)
         free_sets = solver._plan(V, space).free_sets
-        full = pbdw_solve_boxed_block(D, V, space, box)
+        full_C, full_states, _ = boxed_columns(D, V, space, box)
         assert len(free_sets) > 2
         free_sets.clear()
         monkeypatch.setattr(solver, "FREE_SET_CAP", 2)
         for _ in range(2):
-            capped = pbdw_solve_boxed_block(D, V, space, box)
+            C, states, _ = boxed_columns(D, V, space, box)
             assert len(free_sets) == 2
-            assert np.array_equal(capped.rom_coeffs, full.rom_coeffs)
-            assert np.array_equal(capped.states, full.states)
+            assert np.array_equal(C, full_C)
+            assert np.array_equal(states, full_states)
 
 
 class TestBvls:
@@ -542,7 +529,7 @@ class TestBvls:
         else:
             d = G @ (3.0 * rng.normal(size=n)) + 0.3 * rng.normal(size=m)
         Uf, S, Vt = np.linalg.svd(G, full_matrices=False)
-        x = solver._bvls(S[:, None] * Vt, Uf.T @ d, lo, hi)
+        x = solver._bvls(S[:, None] * Vt, Uf.T @ d, lo, hi, lo == hi, {})
         assert_matches_face_oracle(G, d, lo, hi, x)
 
     def test_no_scipy_import(self):
