@@ -273,6 +273,7 @@ _FLOORS = {
     "manifold.radius": (0.0, False),
     "truth.peak_velocity": (0.0, False),
     "truth.flow_index": (0.0, False),
+    "box.margin": (0.0, True),
 }
 
 

@@ -37,10 +37,10 @@ R: those of coordinates neither fixed by the box (lo == hi) nor held at a
 bound.  Each is the product of the free columns' pseudo-inverse with the data
 the held columns leave, so it sees the condition number of G, not its
 square.  A solve visits few of the 2^n free sets, and later solves on the
-pair mostly revisit them, so the plan caches each set's pseudo-inverse the
-first time it is needed, up to ``FREE_SET_CAP`` sets per plan.  The bounded
-solve is nonlinear in the data, so ``pbdw_solve_boxed`` runs it on one data
-vector at a time.
+pair mostly revisit them, so the plan caches each set's pseudo-inverse,
+held columns and free and held indices the first time it is needed, up to
+``FREE_SET_CAP`` sets per plan.  The bounded solve is nonlinear in the data,
+so ``pbdw_solve_boxed`` runs it on one data vector at a time.
 """
 
 from __future__ import annotations
@@ -87,17 +87,17 @@ class Reconstruction:
     constraint_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Per-coefficient bounds for the background component.
 
     A bound may be infinite, which leaves its side of the coordinate open;
-    ``lo == hi`` fixes the coordinate.
+    ``lo == hi`` fixes the coordinate, at a finite value.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    fixed: np.ndarray = field(init=False, repr=False, compare=False)  # lo == hi
+    fixed: np.ndarray = field(init=False, repr=False)  # lo == hi
 
     def __post_init__(self) -> None:
         lo = np.asarray(self.lo, dtype=float)
@@ -106,11 +106,16 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape:
             raise ValueError("bound arrays must have the same shape")
+        if lo.ndim != 1:
+            raise ValueError(f"box bounds must be 1-D, got shape {lo.shape}")
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("box bounds must not be NaN; use -inf/inf for a one-sided bound")
         if np.any(lo > hi):
             raise ValueError("infeasible box: some lower bound exceeds its upper bound")
-        object.__setattr__(self, "fixed", lo == hi)
+        fixed = lo == hi
+        if np.isinf(lo[fixed]).any():
+            raise ValueError("a fixed coordinate (lo == hi) must have a finite bound")
+        object.__setattr__(self, "fixed", fixed)
 
     @property
     def dimension(self) -> int:
@@ -152,8 +157,8 @@ class _SolvePlan:
     ``pinv`` is None when ``beta`` falls below ``BETA_FLOOR``: such a pair is
     rejected on every solve, so its pseudo-inverse is never needed.  ``R``
     and ``Ut`` are the SVD factors diag(S) V^T and U^T of G = U diag(S) V^T
-    that the box-constrained solve runs on, and ``free_sets`` caches the
-    pseudo-inverses of R's column subsets that it has needed so far (see
+    that the box-constrained solve runs on, and ``free_sets`` caches what
+    that solve needs of each subset of R's columns it has visited so far (see
     ``_bvls``).  The remaining fields are the two bases' cached matrices, kept
     here so that the online kernel needs nothing but the plan.
     """
@@ -309,78 +314,77 @@ def _bvls(
     Every subproblem is the least-squares solve on the free columns A_F with
     the held ones A_H at their bounds: P_F (b - A_H x_H), with P_F the
     pseudo-inverse of A_F at lstsq's default rank cutoff.  ``free_sets`` maps
-    each free set (its mask's bytes) to (P_F, A_H); missing entries are built
-    and stored until it holds ``FREE_SET_CAP`` of them.  Each entry depends
-    only on A and the set, so a cold, warm or full cache gives the same
-    result bit for bit.
+    each free set (its mask's bytes) to (P_F, A_H, free index, held index),
+    through which each pass gathers and scatters ``x``, the bounds and the
+    coordinates' states; missing entries are built and stored until it holds
+    ``FREE_SET_CAP`` of them.  Each entry depends only on A and the set, so a
+    cold, warm or full cache gives the same result bit for bit.
     """
     n = A.shape[1]
     x = np.where(fixed, lo, 0.0)
-    held = fixed.copy()
+    free = ~fixed
     # side[i] is -1 / +1 while x[i] is held at its lower / upper bound, else 0
     side = np.zeros(n)
 
-    def free_solve(free: np.ndarray) -> np.ndarray:
-        # free is ~held, the mask the caller has at hand
+    def free_set() -> tuple:
         key = free.tobytes()
         entry = free_sets.get(key)
         if entry is None:
-            A_free = A[:, free]
+            f, h = np.flatnonzero(free), np.flatnonzero(~free)
+            A_free = A[:, f]
             rcond = np.finfo(float).eps * max(A_free.shape)
-            entry = (np.linalg.pinv(A_free, rcond=rcond), A[:, held])
+            entry = (np.linalg.pinv(A_free, rcond=rcond), A[:, h], f, h)
             if len(free_sets) < FREE_SET_CAP:
                 free_sets[key] = entry
-        P_free, A_held = entry
-        return P_free @ (b - A_held @ x[held])
+        return entry
 
     # initialisation, from the unconstrained solution: each pass pins at least
     # one coordinate or ends with a feasible free-set solution
-    for _ in range(n):
-        free = ~held
-        if not free.any():
-            break
-        z = free_solve(free)
-        below, above = z < lo[free], z > hi[free]
-        x[free] = np.clip(z, lo[free], hi[free])
-        index = np.flatnonzero(free)
-        side[index[below]] = -1.0
-        side[index[above]] = 1.0
-        held[index[below | above]] = True
-        if not (below | above).any():
+    for _ in range(n if free.any() else 0):
+        P_F, A_H, f, h = free_set()
+        z = P_F @ (b - A_H @ x[h])
+        lo_F, hi_F = lo[f], hi[f]
+        below, above = z < lo_F, z > hi_F
+        x[f] = np.minimum(np.maximum(z, lo_F), hi_F)
+        side[f[below]] = -1.0
+        side[f[above]] = 1.0
+        out = f[below | above]
+        free[out] = False
+        if out.size == 0 or out.size == f.size:    # feasible, or nothing left free
             break
 
     # main loop: each pass frees the held coordinate whose gradient points
     # furthest into the box, which strictly lowers the objective; a fixed
     # coordinate's side stays 0, so it is never freed
+    At = A.T
     residual = A @ x - b
     cost = residual @ residual
     for _ in range(3 * n):
-        push = (A.T @ residual) * side
-        k = int(np.argmax(push))
+        push = (At @ residual) * side
+        k = push.argmax()
         if push[k] <= 0.0:                   # KKT sign test: x is optimal
             break
         side[k] = 0.0
-        held[k] = False
+        free[k] = True
         # re-solve on the free set, stepping back to the first bound crossed
         for _ in range(n):
-            free = ~held
-            z = free_solve(free)
-            x_free, lo_free, hi_free = x[free], lo[free], hi[free]
+            P_F, A_H, f, h = free_set()
+            z = P_F @ (b - A_H @ x[h])
+            x_free, lo_free, hi_free = x[f], lo[f], hi[f]
             below = z < lo_free
-            crossed = np.flatnonzero(below | (z > hi_free))
+            crossed = (below | (z > hi_free)).nonzero()[0]
             if crossed.size == 0:
-                x[free] = z
+                x[f] = z
                 break
             bound = np.where(below, lo_free, hi_free)[crossed]
             steps = (bound - x_free[crossed]) / (z[crossed] - x_free[crossed])
-            i = int(np.argmin(steps))
+            i = steps.argmin()
             j = crossed[i]
             x_free += steps[i] * (z - x_free)
             x_free[j] = bound[i]
-            x[free] = x_free
-            pinned = np.flatnonzero(free)[j]
-            side[pinned] = -1.0 if below[j] else 1.0
-            held[pinned] = True
+            x[f] = x_free
+            side[f[j]] = -1.0 if below[j] else 1.0
+            free[f[j]] = False
         residual = A @ x - b
         previous, cost = cost, residual @ residual
         if cost >= previous:                 # no descent: the push was roundoff

@@ -831,6 +831,7 @@ class TestCli:
             ("example3.cfg", "manifold.radius=0", "manifold.radius"),
             ("example3.cfg", "noise.sigma=-1", "noise.sigma"),
             ("example3.cfg", "noise.alpha=-1", "noise.alpha"),
+            ("example3.cfg", "box.margin=-1", "box.margin"),
             # the truth's norm, the relative errors' denominator, under- or overflows
             ("example3.cfg", "truth.peak_velocity=1e-300", "truth.peak_velocity"),
             ("example3.cfg", "truth.peak_velocity=1e300", "truth.peak_velocity"),

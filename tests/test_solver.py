@@ -5,6 +5,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,6 +88,73 @@ def face_oracle(G, d, lo, hi):
     return best_c, best
 
 
+def reference_bvls(A, b, lo, hi):
+    """``solver._bvls`` as a plain loop that rebuilds every subproblem.
+
+    Each pass recomputes its free set's pseudo-inverse, held block and
+    indices from the masks, with the same arithmetic in the same order as the
+    kernel, so the kernel must match it bit for bit on any cache state.
+    """
+    n = A.shape[1]
+    fixed = lo == hi
+    x = np.where(fixed, lo, 0.0)
+    held = fixed.copy()
+    side = np.zeros(n)
+
+    def free_solve(free):
+        A_free = A[:, free]
+        P_free = np.linalg.pinv(A_free, rcond=np.finfo(float).eps * max(A_free.shape))
+        return P_free @ (b - A[:, held] @ x[held])
+
+    for _ in range(n):
+        free = ~held
+        if not free.any():
+            break
+        z = free_solve(free)
+        below, above = z < lo[free], z > hi[free]
+        x[free] = np.clip(z, lo[free], hi[free])
+        index = np.flatnonzero(free)
+        side[index[below]] = -1.0
+        side[index[above]] = 1.0
+        held[index[below | above]] = True
+        if not (below | above).any():
+            break
+
+    residual = A @ x - b
+    cost = residual @ residual
+    for _ in range(3 * n):
+        push = (A.T @ residual) * side
+        k = int(np.argmax(push))
+        if push[k] <= 0.0:
+            break
+        side[k] = 0.0
+        held[k] = False
+        for _ in range(n):
+            free = ~held
+            z = free_solve(free)
+            x_free, lo_free, hi_free = x[free], lo[free], hi[free]
+            below = z < lo_free
+            crossed = np.flatnonzero(below | (z > hi_free))
+            if crossed.size == 0:
+                x[free] = z
+                break
+            bound = np.where(below, lo_free, hi_free)[crossed]
+            steps = (bound - x_free[crossed]) / (z[crossed] - x_free[crossed])
+            i = int(np.argmin(steps))
+            j = crossed[i]
+            x_free += steps[i] * (z - x_free)
+            x_free[j] = bound[i]
+            x[free] = x_free
+            pinned = np.flatnonzero(free)[j]
+            side[pinned] = -1.0 if below[j] else 1.0
+            held[pinned] = True
+        residual = A @ x - b
+        previous, cost = cost, residual @ residual
+        if cost >= previous:
+            break
+    return x
+
+
 def assert_matches_face_oracle(G, d, lo, hi, c):
     """c is feasible and its objective is the oracle's to rel 1e-10.
 
@@ -112,11 +180,13 @@ BOUND_KINDS = ("finite", "no_lower", "no_upper", "unbounded")
 
 
 def random_bounds(rng, kinds):
+    """Bounds of the given kinds; a "fixed" coordinate has lo == hi."""
     lo = rng.normal(size=len(kinds))
     hi = lo + rng.uniform(0.01, 2.0, size=len(kinds))
     kinds = np.array(kinds)
     lo[(kinds == "no_lower") | (kinds == "unbounded")] = -np.inf
     hi[(kinds == "no_upper") | (kinds == "unbounded")] = np.inf
+    hi[kinds == "fixed"] = lo[kinds == "fixed"]
     return lo, hi
 
 
@@ -354,6 +424,20 @@ class TestPbdwSolveBoxed:
         with pytest.raises(ValueError, match="NaN"):
             Box(lo, hi)
 
+    def test_non_vector_bounds_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Box(-100 * np.ones((2, 2)), 100 * np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf])
+    def test_coordinate_fixed_at_infinity_rejected(self, bound):
+        with pytest.raises(ValueError, match="fixed coordinate"):
+            Box([0.0, bound], [1.0, bound])
+
+    def test_boxes_compare_by_identity(self):
+        box = Box([0.0, 1.0], [1.0, 1.0])
+        assert box == box and box != Box([0.0, 1.0], [1.0, 1.0])
+        assert len({box, Box(box.lo, box.hi)}) == 2
+
     def test_infinite_bounds_allowed(self):
         box = Box([-np.inf, 0.0, -np.inf], [np.inf, np.inf, 2.0])
         assert box.dimension == 3
@@ -382,9 +466,8 @@ class TestPbdwSolveBoxed:
         rng = np.random.default_rng(seed)
         grid, V, space, target = random_instance(rng, 30, n, n + extra)
         kinds = kinds[:n]
-        lo, hi = random_bounds(rng, [k if k != "fixed" else "finite" for k in kinds])
+        lo, hi = random_bounds(rng, kinds)
         fixed = np.array(kinds) == "fixed"
-        hi[fixed] = lo[fixed]
         rec = pbdw_solve_boxed(target, V, space, Box(lo, hi))
         assert np.array_equal(rec.rom_coeffs[fixed], lo[fixed])
         assert_matches_face_oracle(cross_gramian(space, V), target.coeffs, lo, hi, rec.rom_coeffs)
@@ -418,9 +501,8 @@ class TestPbdwSolveBoxedBlock:
     )
     def test_columns_against_face_oracle(self, rng, kinds):
         grid, V, space, _ = random_instance(rng, num_points=40, n=4, m=9)
-        lo, hi = random_bounds(rng, [k if k != "fixed" else "finite" for k in kinds])
+        lo, hi = random_bounds(rng, kinds)
         fixed = np.array(kinds) == "fixed"
-        hi[fixed] = lo[fixed]
         box = Box(lo, hi)
         D = 3.0 * rng.normal(size=(9, 6))
         C, _, recs = boxed_columns(D, V, space, box)
@@ -444,9 +526,7 @@ class TestFreeSetCache:
     @staticmethod
     def instance(rng, kinds=("finite",) * 5):
         grid, V, space, _ = random_instance(rng, num_points=40, n=len(kinds), m=9)
-        lo, hi = random_bounds(rng, [k if k != "fixed" else "finite" for k in kinds])
-        fixed = np.array(kinds) == "fixed"
-        hi[fixed] = lo[fixed]
+        lo, hi = random_bounds(rng, kinds)
         return V, space, Box(lo, hi), 3.0 * rng.normal(size=(9, 12))
 
     @pytest.mark.parametrize(
@@ -478,13 +558,14 @@ class TestFreeSetCache:
     def test_warm_plan_factors_nothing(self, rng, monkeypatch):
         V, space, box, D = self.instance(rng)
         calls = []
-        for name in ("lstsq", "pinv"):
-            def counting(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+        for module, name in ((np.linalg, "lstsq"), (np.linalg, "pinv"), (np, "flatnonzero")):
+            def counting(*args, _name=name, _call=getattr(module, name), **kwargs):
                 calls.append(_name)
                 return _call(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counting)
+            monkeypatch.setattr(module, name, counting)
         boxed_columns(D, V, space, box)
-        assert "pinv" in calls and "lstsq" not in calls
+        assert {"pinv", "flatnonzero"} <= set(calls) and "lstsq" not in calls
+        # a revisited free set rebuilds neither its pseudo-inverse nor its indices
         calls.clear()
         boxed_columns(D, V, space, box)
         assert calls == []
@@ -506,6 +587,13 @@ class TestFreeSetCache:
 class TestBvls:
     """The bounded least-squares kernel on the SVD factors of a cross-Gramian."""
 
+    @staticmethod
+    def gramian(rng, m, n, log_beta):
+        """An m x n G with orthonormal left factor U and beta = 10**log_beta."""
+        U = np.linalg.qr(rng.normal(size=(m, n)))[0]
+        W = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return U, (U * np.geomspace(1.0, 10.0**log_beta, n)) @ W
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 5),
@@ -518,9 +606,7 @@ class TestBvls:
     def test_against_face_oracle(self, seed, n, extra, log_beta, kinds, inside):
         rng = np.random.default_rng(seed)
         m = n + extra
-        U = np.linalg.qr(rng.normal(size=(m, n)))[0]
-        W = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        G = (U * np.geomspace(1.0, 10.0**log_beta, n)) @ W
+        U, G = self.gramian(rng, m, n, log_beta)
         lo, hi = random_bounds(rng, kinds[:n])
         if inside:
             # the unconstrained optimum lies strictly inside the box
@@ -531,6 +617,30 @@ class TestBvls:
         Uf, S, Vt = np.linalg.svd(G, full_matrices=False)
         x = solver._bvls(S[:, None] * Vt, Uf.T @ d, lo, hi, lo == hi, {})
         assert_matches_face_oracle(G, d, lo, hi, x)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        extra=st.integers(0, 3),
+        log_beta=st.floats(-6.0, 0.0),
+        kinds=st.lists(st.sampled_from(BOUND_KINDS + ("fixed",)), min_size=8, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bit_for_bit(self, seed, n, extra, log_beta, kinds):
+        rng = np.random.default_rng(seed)
+        _, G = self.gramian(rng, n + extra, n, log_beta)
+        lo, hi = random_bounds(rng, kinds[:n])
+        Uf, S, Vt = np.linalg.svd(G, full_matrices=False)
+        R, B = S[:, None] * Vt, Uf.T @ (G @ (3.0 * rng.normal(size=(n, 6))))
+        expected = [reference_bvls(R, b, lo, hi) for b in B.T]
+        warm, capped = {}, {}
+        for _ in range(2):                   # the second pass runs on filled caches
+            for b, x in zip(B.T, expected):
+                assert np.array_equal(solver._bvls(R, b, lo, hi, lo == hi, {}), x)
+                assert np.array_equal(solver._bvls(R, b, lo, hi, lo == hi, warm), x)
+                with mock.patch.object(solver, "FREE_SET_CAP", 2):
+                    assert np.array_equal(solver._bvls(R, b, lo, hi, lo == hi, capped), x)
+        assert len(capped) <= 2
 
     def test_no_scipy_import(self):
         code = (
