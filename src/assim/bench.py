@@ -63,7 +63,7 @@ from .manifold import (
     sample_sinusoids,
 )
 from .multiscale import spbdw_reconstruct_block, step_dictionary
-from .obs import SensorArray, build_observation_space, observe
+from .obs import BOX_AVERAGE, POINTWISE, SensorArray, build_observation_space, observe
 from .rom import decay_curve, pod
 from .solver import compute_box, pbdw_solve_block, pbdw_solve_boxed
 from .space import Grid, GridFunction
@@ -132,7 +132,7 @@ SCHEMA = {
     "grid.num_points": ("int", {"example1": 512, "example2": 512, "example3_analog": 257}, "grid resolution"),
     "training.count": ("int", {"example1": 128, "example2": 256, "example3_analog": 128}, "training snapshots"),
     "validation.count": ("int", {"example1": 64, "example2": 20, "example3_analog": 40}, "benchmark cases"),
-    "validation.reuse_training": ("bool", {e: False for e in EXPERIMENTS},
+    "validation.reuse_training": ("bool", {"example1": False},
                                   "draw truths from the training set (diagnostics only)"),
     "sensors.kind": ("str", {e: "box_average" for e in EXPERIMENTS}, "pointwise or box_average"),
     "sensors.width": ("float", {e: 0.0 for e in EXPERIMENTS}, "box width; 0 means inter-sensor spacing"),
@@ -261,6 +261,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
 # truth values.
 _FLOORS = {
     "master_seed": (0, True),
+    "grid.num_points": (2, True),
+    "noise.mc_samples": (1, True),
     "sweep.n": (1, True),
     "sweep.m": (1, True),
     "noise.sigma": (0.0, True),
@@ -314,6 +316,11 @@ def _validate(cfg: dict) -> dict:
             raise ConfigError(f"spbdw.max_iters must be >= 1, got {cfg['spbdw.max_iters']}")
         if not 0 < cfg["spbdw.rel_tol"] <= 1:
             raise ConfigError(f"spbdw.rel_tol must lie in (0, 1], got {cfg['spbdw.rel_tol']}")
+    if cfg["sensors.kind"] not in (POINTWISE, BOX_AVERAGE):
+        raise ConfigError(f"sensors.kind must be {POINTWISE!r} or {BOX_AVERAGE!r}, "
+                          f"got {cfg['sensors.kind']!r}")
+    if not cfg["grid.a"] < cfg["grid.b"]:
+        raise ConfigError(f"grid.a must be < grid.b, got [{cfg['grid.a']}, {cfg['grid.b']}]")
     if cfg["sensors.width"] < 0:
         raise ConfigError(f"sensors.width must be >= 0 (0 means the sensor spacing), "
                           f"got {cfg['sensors.width']}")
@@ -774,7 +781,7 @@ def _setup_example1(cfg: dict) -> Setup:
 
     if cfg["validation.reuse_training"]:
         count = min(cfg["validation.count"], len(training))
-        truths = SnapshotSet(training.snapshots[:count], training.parameters[:count], "full")
+        truths = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
     else:
         truths = sample_sinusoids(
             spec, grid, cfg["validation.count"], derive_seed(master, "validation")
@@ -975,7 +982,7 @@ def run_example1(cfg: dict) -> RunResult:
     setup = setup_experiment(cfg)
     grid = setup.grid
     truths, basis = setup.labeled["full"]
-    truth_block = np.stack([u.values for u in truths], axis=1)
+    truth_block = np.ascontiguousarray(truths.matrix.T)
     case_ids = range(len(truths))
     alphas = cfg["sweep.alpha"]
     streams = _Streams(cfg["master_seed"], (
@@ -1041,7 +1048,7 @@ def run_example2(cfg: dict) -> RunResult:
             for lo in range(0, len(truths), _CHUNK):
                 case_ids = range(lo, min(lo + _CHUNK, len(truths)))
                 cases = streams.cases((n, m, model.alpha, model.sigma), case_ids)
-                truth_block = np.stack(truths[lo:lo + _CHUNK], axis=1)
+                truth_block = np.ascontiguousarray(truths[lo:lo + _CHUNK].T)
                 data = _data_block(truth_block, space, model, cases)
                 start = time.perf_counter()
                 split = spbdw_reconstruct_block(
@@ -1089,22 +1096,15 @@ def _total_variations(block: np.ndarray) -> np.ndarray:
 
 
 def _example2_cases(cfg, dictionary, fast_val, full_val):
-    """Per-case truth values and jump locations; optionally snapped onto the dictionary."""
+    """Truths as rows and their jump locations; optionally snapped onto the dictionary."""
+    true_locations = np.array([p["jump_location"] for p in full_val.parameters])
+    if not cfg["dictionary.snap_truth"]:
+        return full_val.matrix, true_locations.tolist()
     locations = np.array([p["jump_location"] for p in dictionary.parameters])
-    grid = full_val.grid
-    truths, true_locations = [], []
-    for k in range(len(full_val)):
-        params = full_val.parameters[k]
-        true_loc = params["jump_location"]
-        if cfg["dictionary.snap_truth"]:
-            true_loc = float(locations[np.argmin(np.abs(locations - true_loc))])
-            step = (grid.nodes >= true_loc - 1e-12).astype(float)
-            truth = fast_val.snapshots[k].values + params["jump_height"] * step
-        else:
-            truth = full_val.snapshots[k].values
-        truths.append(truth)
-        true_locations.append(true_loc)
-    return truths, true_locations
+    true_locations = locations[np.abs(locations - true_locations[:, None]).argmin(axis=1)]
+    heights = np.array([p["jump_height"] for p in full_val.parameters])
+    steps = full_val.grid.nodes >= true_locations[:, None] - 1e-12
+    return fast_val.matrix + heights[:, None] * steps, true_locations.tolist()
 
 
 def run_example3_analog(cfg: dict) -> RunResult:

@@ -7,8 +7,11 @@ Three families of synthetic states:
   ``(1/N_f) sum_i A_i sin(2 pi x / T_i + d_i) + height * HS(x >= x')``,
 * power-law pipe-flow profiles ``v0 [1 - (|r| / R)^(1 + 1/n)]``.
 
-Each sampler draws parameters i.i.d. uniformly from the configured ranges
-using a stream derived from an integer seed, so identical inputs reproduce
+A snapshot set is stored as one ``(count, num_points)`` matrix, checked once;
+its rows become grid functions only when a caller iterates or indexes it.
+Each sampler draws all of its parameters i.i.d. uniformly from the configured
+ranges as one block from a stream derived from an integer seed, and
+evaluates the snapshots as array expressions, so identical inputs reproduce
 identical snapshot sets bit for bit.
 """
 
@@ -109,39 +112,36 @@ class PowerLawSpec:
 
 @dataclass(frozen=True, eq=False)
 class SnapshotSet:
-    """Snapshots with their parameter records; all on one grid."""
+    """Snapshots on one grid, one per row of ``matrix``, with their parameter records."""
 
-    snapshots: tuple[GridFunction, ...]
+    grid: Grid
+    matrix: np.ndarray          # (count, num_points)
     parameters: tuple[dict, ...]
     label: str = "full"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        matrix = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "parameters", tuple(self.parameters))
-        if len(self.snapshots) != len(self.parameters):
+        if matrix.ndim != 2 or matrix.shape[1] != self.grid.num_points:
+            raise ValueError(
+                f"snapshot matrix has shape {matrix.shape}, expected (count, {self.grid.num_points})"
+            )
+        if len(matrix) != len(self.parameters):
             raise ValueError("snapshots and parameters must have equal length")
-        if self.snapshots:
-            grid = self.snapshots[0].grid
-            for snap in self.snapshots:
-                if snap.grid != grid:
-                    raise ValueError("all snapshots must share one grid")
+        if not np.isfinite(matrix).all():
+            raise ValueError("snapshot values must be finite")
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.matrix)
 
     def __iter__(self):
         return iter(self.snapshots)
 
-    @property
-    def grid(self) -> Grid:
-        if not self.snapshots:
-            raise ValueError("empty snapshot set has no grid")
-        return self.snapshots[0].grid
-
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Snapshot values stacked row-wise, shape (count, num_points)."""
-        return np.stack([s.values for s in self.snapshots])
+    def snapshots(self) -> tuple[GridFunction, ...]:
+        """The rows of ``matrix`` as grid functions (views, not copies)."""
+        return tuple(GridFunction(self.grid, row) for row in self.matrix)
 
 
 def heaviside(grid: Grid, location: float) -> GridFunction:
@@ -149,22 +149,27 @@ def heaviside(grid: Grid, location: float) -> GridFunction:
     return GridFunction(grid, (grid.nodes >= location).astype(float))
 
 
-def _sinusoid(grid: Grid, amplitude: float, period: float, phase: float = 0.0) -> np.ndarray:
-    return amplitude * np.sin((2 * np.pi / period) * grid.nodes + phase)
+def _uniform_block(rng: np.random.Generator, count: int, ranges) -> np.ndarray:
+    """(count, len(ranges)) uniform draws, column j scaled to ``ranges[j]``.
+
+    Row k holds the draws that ``rng.uniform`` makes one range after another
+    for sample k, with the same ``lo + (hi - lo) u``, so a per-sample loop is
+    reproduced bit for bit.
+    """
+    lo, hi = np.array(ranges, dtype=float).T
+    return lo + (hi - lo) * rng.random((count, len(ranges)))
 
 
 def sample_sinusoids(spec: SinusoidSpec, grid: Grid, count: int, seed: int) -> SnapshotSet:
     """Draw ``count`` sinusoid snapshots with uniform (A, T)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    snaps, params = [], []
-    for _ in range(count):
-        A = rng.uniform(*spec.amplitude_range)
-        T = rng.uniform(*spec.period_range)
-        snaps.append(GridFunction(grid, _sinusoid(grid, A, T)))
-        params.append({"amplitude": A, "period": T})
-    return SnapshotSet(tuple(snaps), tuple(params), label="full")
+    draws = _uniform_block(
+        np.random.default_rng(seed), count, (spec.amplitude_range, spec.period_range)
+    )
+    A, T = draws[:, :1], draws[:, 1:]
+    params = [{"amplitude": a, "period": t} for a, t in draws.tolist()]
+    return SnapshotSet(grid, A * np.sin((2 * np.pi / T) * grid.nodes), params, label="full")
 
 
 def sample_multiscale(
@@ -178,34 +183,29 @@ def sample_multiscale(
     if count < 1:
         raise ValueError("count must be >= 1")
     spec.validate_on(grid)
-    rng = np.random.default_rng(seed)
-    fast, slow, full, params = [], [], [], []
-    for _ in range(count):
-        A = rng.uniform(*spec.amplitude_range, spec.num_frequencies)
-        T = rng.uniform(*spec.period_range, spec.num_frequencies)
-        d = rng.uniform(*spec.phase_range, spec.num_frequencies)
-        x_jump = rng.uniform(*spec.jump_location_range)
-        height = rng.uniform(*spec.jump_height_range)
-        f = sum(_sinusoid(grid, A[i], T[i], d[i]) for i in range(spec.num_frequencies))
-        f /= spec.num_frequencies
-        s = height * (grid.nodes >= x_jump).astype(float)
-        fast.append(GridFunction(grid, f))
-        slow.append(GridFunction(grid, s))
-        full.append(GridFunction(grid, f + s))
-        params.append(
-            {
-                "amplitudes": A.tolist(),
-                "periods": T.tolist(),
-                "phases": d.tolist(),
-                "jump_location": x_jump,
-                "jump_height": height,
-            }
-        )
-    params = tuple(params)
+    k = spec.num_frequencies
+    draws = _uniform_block(
+        np.random.default_rng(seed), count,
+        [spec.amplitude_range] * k + [spec.period_range] * k + [spec.phase_range] * k
+        + [spec.jump_location_range, spec.jump_height_range],
+    )
+    A, T, d = draws[:, :k], draws[:, k:2 * k], draws[:, 2 * k:3 * k]
+    x_jump, height = draws[:, -2:-1], draws[:, -1:]
+    # one frequency at a time and in order, which keeps the per-sample sum's rounding
+    fast = np.zeros((count, grid.num_points))
+    for i in range(k):
+        fast += A[:, i, None] * np.sin((2 * np.pi / T[:, i, None]) * grid.nodes + d[:, i, None])
+    fast /= k
+    slow = height * (grid.nodes >= x_jump)
+    params = tuple(
+        {"amplitudes": row[:k], "periods": row[k:2 * k], "phases": row[2 * k:3 * k],
+         "jump_location": row[-2], "jump_height": row[-1]}
+        for row in draws.tolist()
+    )
     return (
-        SnapshotSet(tuple(fast), params, label="fast"),
-        SnapshotSet(tuple(slow), params, label="slow"),
-        SnapshotSet(tuple(full), params, label="full"),
+        SnapshotSet(grid, fast, params, label="fast"),
+        SnapshotSet(grid, slow, params, label="slow"),
+        SnapshotSet(grid, fast + slow, params, label="full"),
     )
 
 
@@ -227,11 +227,10 @@ def sample_powerlaw(spec: PowerLawSpec, grid: Grid, count: int, seed: int) -> Sn
         raise ValueError(
             f"grid domain [{grid.a}, {grid.b}] must equal [-R, R] = [{-R}, {R}]"
         )
-    rng = np.random.default_rng(seed)
-    snaps, params = [], []
-    for _ in range(count):
-        v0 = rng.uniform(*spec.peak_velocity_range)
-        n = rng.uniform(*spec.flow_index_range)
-        snaps.append(powerlaw_profile(grid, v0, n, R))
-        params.append({"peak_velocity": v0, "flow_index": n})
-    return SnapshotSet(tuple(snaps), tuple(params), label="full")
+    draws = _uniform_block(
+        np.random.default_rng(seed), count, (spec.peak_velocity_range, spec.flow_index_range)
+    ).tolist()
+    # row by row: one power with a per-row exponent rounds some entries differently
+    matrix = [powerlaw_profile(grid, v0, n, R).values for v0, n in draws]
+    params = [{"peak_velocity": v0, "flow_index": n} for v0, n in draws]
+    return SnapshotSet(grid, matrix, params, label="full")

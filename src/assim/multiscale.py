@@ -32,7 +32,7 @@ from .bias import (
     corrected_constraint,
     corrected_constraint_block,
 )
-from .manifold import SnapshotSet, heaviside
+from .manifold import SnapshotSet
 from .obs import Measurement, ObservationSpace, inf_sup_beta
 from .solver import (
     BlockReconstruction,
@@ -146,17 +146,15 @@ def step_dictionary(
     neighboring candidates distinguishable in the observed coordinates.
     """
     lo, hi = location_range
-    snaps, params = [], []
-    for k in range(0, grid.num_points, stride):
-        x = float(grid.nodes[k])
-        if lo <= x <= hi:
-            snaps.append(heaviside(grid, x))
-            params.append({"jump_location": x, "jump_height": 1.0, "node": k})
-    if not snaps:
+    nodes = np.array(range(0, grid.num_points, stride), dtype=int)   # stride 0: ValueError
+    nodes = nodes[(lo <= grid.nodes[nodes]) & (grid.nodes[nodes] <= hi)]
+    if not nodes.size:
         raise ValueError("no dictionary node falls inside the jump range")
-    return build_slow_dictionary(
-        SnapshotSet(tuple(snaps), tuple(params), label="slow"), space
-    )
+    x = grid.nodes[nodes]
+    params = [{"jump_location": loc, "jump_height": 1.0, "node": k}
+              for loc, k in zip(x.tolist(), nodes.tolist())]
+    steps = (grid.nodes >= x[:, None]).astype(float)
+    return build_slow_dictionary(SnapshotSet(grid, steps, params, label="slow"), space)
 
 
 def _check_space(space: ObservationSpace, dictionary: SlowDictionary) -> None:

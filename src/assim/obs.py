@@ -185,7 +185,7 @@ class Measurement:
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.shape != (self.space.m,):
             raise ValueError(f"expected {self.space.m} coefficients, got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("measurement coefficients must be finite")
 
     def lift(self) -> GridFunction:

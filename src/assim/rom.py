@@ -100,9 +100,7 @@ def decay_curve(validation: SnapshotSet, basis: ReducedBasis, n_values: list[int
         raise ValueError(f"requested n={n_max} exceeds basis dimension {basis.dimension}")
     sub = basis.subspace.truncate(n_max)
     coeffs = np.stack([sub.coefficients(u) for u in validation])   # (count, n_max)
-    anchor2 = np.array(
-        [(u - sub.combine(c)).norm() ** 2 for u, c in zip(validation, coeffs)]
-    )
+    anchor2 = projection_residuals(validation, sub) ** 2
     tail2 = np.concatenate(
         [np.cumsum(coeffs[:, ::-1] ** 2, axis=1)[:, ::-1], np.zeros((len(coeffs), 1))],
         axis=1,

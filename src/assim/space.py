@@ -89,7 +89,7 @@ class GridFunction:
             raise ValueError(
                 f"values have shape {values.shape}, expected ({self.grid.num_points},)"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":

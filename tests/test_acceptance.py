@@ -348,7 +348,8 @@ def test_criterion_8_oracle_equivalence():
         count = int(rng.integers(5, 26))
         nodes = rng.choice(np.arange(8, 120), size=count, replace=False)
         snaps = SnapshotSet(
-            tuple(heaviside(grid, float(grid.nodes[k])) for k in np.sort(nodes)),
+            grid,
+            [heaviside(grid, float(grid.nodes[k])).values for k in np.sort(nodes)],
             tuple({"jump_location": float(grid.nodes[k])} for k in np.sort(nodes)),
             "slow",
         )

@@ -832,6 +832,11 @@ class TestCli:
             ("example3.cfg", "noise.sigma=-1", "noise.sigma"),
             ("example3.cfg", "noise.alpha=-1", "noise.alpha"),
             ("example3.cfg", "box.margin=-1", "box.margin"),
+            ("example1.cfg", "grid.num_points=1", "grid.num_points"),
+            ("example2.cfg", "noise.mc_samples=0", "noise.mc_samples"),
+            ("example1.cfg", "sensors.kind=foo", "sensors.kind"),
+            ("example1.cfg", "grid.b=-1", "grid.a must be < grid.b"),
+            ("example3.cfg", "grid.a=0.5", "grid.a must be < grid.b"),
             # the truth's norm, the relative errors' denominator, under- or overflows
             ("example3.cfg", "truth.peak_velocity=1e-300", "truth.peak_velocity"),
             ("example3.cfg", "truth.peak_velocity=1e300", "truth.peak_velocity"),
@@ -848,6 +853,19 @@ class TestCli:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}"), err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config", ["example2.cfg", "example3.cfg"])
+    def test_reuse_training_rejected_outside_example1(self, tmp_path, capsys, config):
+        # only example1 draws its truths from a validation set
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / config),
+                         "--set", "validation.reuse_training=true", "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "'validation.reuse_training' does not apply" in err[0], err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(

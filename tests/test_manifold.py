@@ -1,16 +1,123 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assim import (
     Grid,
     MultiscaleSpec,
     PowerLawSpec,
     SinusoidSpec,
+    SnapshotSet,
     sample_multiscale,
     sample_powerlaw,
     sample_sinusoids,
 )
 from assim.manifold import heaviside, powerlaw_profile
+
+# Per-sample samplers: one rng.uniform call per parameter, one snapshot at a
+# time.  The block samplers must reproduce them bit for bit.
+
+
+def _sinusoid(grid, amplitude, period, phase=0.0):
+    return amplitude * np.sin((2 * np.pi / period) * grid.nodes + phase)
+
+
+def reference_sinusoids(spec, grid, count, seed):
+    rng = np.random.default_rng(seed)
+    snaps, params = [], []
+    for _ in range(count):
+        A = rng.uniform(*spec.amplitude_range)
+        T = rng.uniform(*spec.period_range)
+        snaps.append(_sinusoid(grid, A, T))
+        params.append({"amplitude": A, "period": T})
+    return np.stack(snaps), tuple(params)
+
+
+def reference_multiscale(spec, grid, count, seed):
+    rng = np.random.default_rng(seed)
+    fast, slow, full, params = [], [], [], []
+    for _ in range(count):
+        A = rng.uniform(*spec.amplitude_range, spec.num_frequencies)
+        T = rng.uniform(*spec.period_range, spec.num_frequencies)
+        d = rng.uniform(*spec.phase_range, spec.num_frequencies)
+        x_jump = rng.uniform(*spec.jump_location_range)
+        height = rng.uniform(*spec.jump_height_range)
+        f = sum(_sinusoid(grid, A[i], T[i], d[i]) for i in range(spec.num_frequencies))
+        f /= spec.num_frequencies
+        s = height * (grid.nodes >= x_jump).astype(float)
+        fast.append(f)
+        slow.append(s)
+        full.append(f + s)
+        params.append({"amplitudes": A.tolist(), "periods": T.tolist(), "phases": d.tolist(),
+                       "jump_location": x_jump, "jump_height": height})
+    return np.stack(fast), np.stack(slow), np.stack(full), tuple(params)
+
+
+def reference_powerlaw(spec, grid, count, seed):
+    rng = np.random.default_rng(seed)
+    snaps, params = [], []
+    for _ in range(count):
+        v0 = rng.uniform(*spec.peak_velocity_range)
+        n = rng.uniform(*spec.flow_index_range)
+        snaps.append(powerlaw_profile(grid, v0, n, spec.radius).values)
+        params.append({"peak_velocity": v0, "flow_index": n})
+    return np.stack(snaps), tuple(params)
+
+
+class TestMatchesPerSampleReference:
+    seeds = st.integers(0, 2**63 - 1)
+    counts = st.integers(1, 50)
+
+    @given(count=counts, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_sinusoids(self, count, seed):
+        grid = Grid(0.0, 2 * np.pi, 512)
+        spec = SinusoidSpec((0.5, 40.0), (0.3, 2 * np.pi))
+        snaps = sample_sinusoids(spec, grid, count, seed)
+        matrix, params = reference_sinusoids(spec, grid, count, seed)
+        assert np.array_equal(snaps.matrix, matrix)
+        assert snaps.parameters == params
+
+    @given(num_frequencies=st.integers(1, 5), count=counts, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_multiscale(self, num_frequencies, count, seed):
+        grid = Grid(0.0, 2 * np.pi, 512)
+        spec = MultiscaleSpec(num_frequencies=num_frequencies, jump_height_range=(-1.0, 4.5))
+        sets = sample_multiscale(spec, grid, count, seed)
+        *matrices, params = reference_multiscale(spec, grid, count, seed)
+        for snaps, matrix in zip(sets, matrices):
+            assert np.array_equal(snaps.matrix, matrix)
+            assert snaps.parameters == params
+
+    @given(count=counts, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_powerlaw(self, count, seed):
+        grid = Grid(-0.5, 0.5, 257)
+        spec = PowerLawSpec()
+        snaps = sample_powerlaw(spec, grid, count, seed)
+        matrix, params = reference_powerlaw(spec, grid, count, seed)
+        assert np.array_equal(snaps.matrix, matrix)
+        assert snaps.parameters == params
+
+
+class TestSnapshotSet:
+    @pytest.mark.parametrize("shape", [(3,), (3, 511), (2, 3, 512)])
+    def test_wrong_shape_rejected(self, grid, shape):
+        with pytest.raises(ValueError, match="shape"):
+            SnapshotSet(grid, np.zeros(shape), [{}] * 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, grid, bad):
+        matrix = np.zeros((3, grid.num_points))
+        matrix[1, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SnapshotSet(grid, matrix, [{}] * 3)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_parameters_length_mismatch_rejected(self, grid, count):
+        with pytest.raises(ValueError, match="equal length"):
+            SnapshotSet(grid, np.zeros((3, grid.num_points)), [{}] * count)
 
 
 class TestSinusoids:

@@ -41,9 +41,9 @@ def dictionary(grid, space40):
 
 
 def step_set(grid, locations, label="slow"):
-    snaps = tuple(heaviside(grid, x) for x in locations)
+    steps = [heaviside(grid, x).values for x in locations]
     params = tuple({"jump_location": float(x)} for x in locations)
-    return SnapshotSet(snaps, params, label)
+    return SnapshotSet(grid, steps, params, label)
 
 
 class TestSlowDictionary:

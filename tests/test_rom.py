@@ -19,8 +19,7 @@ from assim import (
 
 
 def make_set(grid, arrays, label="full"):
-    fns = tuple(GridFunction(grid, a) for a in arrays)
-    return SnapshotSet(fns, tuple({} for _ in fns), label)
+    return SnapshotSet(grid, arrays, tuple({} for _ in arrays), label)
 
 
 class TestPod:
@@ -109,7 +108,7 @@ class TestApproximationError:
     def test_empty_validation_set_rejected(self, grid):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 3, seed=5)
         basis = pod(snaps, 2)
-        empty = SnapshotSet((), (), "full")
+        empty = SnapshotSet(grid, np.empty((0, grid.num_points)), (), "full")
         with pytest.raises(ValueError):
             approximation_error(empty, basis)
 

@@ -664,7 +664,7 @@ class TestComputeBox:
     def test_singleton(self, grid, rng):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 12, seed=10)
         basis = pod(snaps, 3)
-        single = SnapshotSet(snaps.snapshots[:1], snaps.parameters[:1], "full")
+        single = SnapshotSet(grid, snaps.matrix[:1], snaps.parameters[:1], "full")
         box = compute_box(single, basis.subspace, margin=1.0)
         coeffs = basis.subspace.coefficients(snaps.snapshots[0])
         assert np.allclose(box.lo, coeffs, atol=1e-12)
@@ -673,9 +673,7 @@ class TestComputeBox:
     def test_symmetric_snapshots(self, grid, rng):
         fns = [GridFunction(grid, rng.normal(size=grid.num_points)) for _ in range(4)]
         arrays = [f.values for f in fns] + [-f.values for f in fns]
-        snaps = SnapshotSet(
-            tuple(GridFunction(grid, a) for a in arrays), tuple({} for _ in arrays), "full"
-        )
+        snaps = SnapshotSet(grid, arrays, tuple({} for _ in arrays), "full")
         basis = pod(snaps, 3)
         box = compute_box(snaps, basis.subspace, margin=1.3)
         assert np.allclose(box.lo, -box.hi, atol=1e-12)
@@ -692,4 +690,5 @@ class TestComputeBox:
         snaps = sample_sinusoids(SinusoidSpec(), grid, 3, seed=12)
         basis = pod(snaps, 2)
         with pytest.raises(ValueError):
-            compute_box(SnapshotSet((), (), "full"), basis.subspace)
+            compute_box(SnapshotSet(grid, np.empty((0, grid.num_points)), (), "full"),
+                        basis.subspace)
