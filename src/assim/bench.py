@@ -269,6 +269,8 @@ _FLOORS = {
     "noise.alpha": (-1.0, False),
     "sweep.alpha": (-1.0, False),
     "manifold.num_frequencies": (1, True),
+    "dictionary.stride": (1, True),
+    "spbdw.max_iters": (1, True),
     "manifold.period": (0.0, False),
     "manifold.peak_velocity": (0.0, True),
     "manifold.flow_index": (0.0, False),
@@ -309,13 +311,6 @@ def _validate(cfg: dict) -> dict:
             raise ConfigError(f"{key} repeats a value, got {values}")
     if cfg["validation.count"] < 1 or cfg["training.count"] < 1:
         raise ConfigError("training.count and validation.count must be >= 1")
-    if cfg["experiment"] == "example2":
-        if cfg["dictionary.stride"] < 1:
-            raise ConfigError(f"dictionary.stride must be >= 1, got {cfg['dictionary.stride']}")
-        if cfg["spbdw.max_iters"] < 1:
-            raise ConfigError(f"spbdw.max_iters must be >= 1, got {cfg['spbdw.max_iters']}")
-        if not 0 < cfg["spbdw.rel_tol"] <= 1:
-            raise ConfigError(f"spbdw.rel_tol must lie in (0, 1], got {cfg['spbdw.rel_tol']}")
     if cfg["sensors.kind"] not in (POINTWISE, BOX_AVERAGE):
         raise ConfigError(f"sensors.kind must be {POINTWISE!r} or {BOX_AVERAGE!r}, "
                           f"got {cfg['sensors.kind']!r}")
@@ -325,6 +320,21 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"sensors.width must be >= 0 (0 means the sensor spacing), "
                           f"got {cfg['sensors.width']}")
     grid = _grid(cfg)
+    if cfg["experiment"] == "example2":
+        if not 0 < cfg["spbdw.rel_tol"] <= 1:
+            raise ConfigError(f"spbdw.rel_tol must lie in (0, 1], got {cfg['spbdw.rel_tol']}")
+        lo, hi = _pair(cfg, "manifold.jump_location")
+        if not grid.a < lo <= hi < grid.b:
+            raise ConfigError(f"manifold.jump_location [{lo}, {hi}] must lie strictly inside "
+                              f"the grid ({grid.a}, {grid.b})")
+        nodes = grid.nodes[::cfg["dictionary.stride"]]     # step_dictionary's, for every m
+        if not ((lo <= nodes) & (nodes <= hi)).any():
+            raise ConfigError(f"dictionary.stride={cfg['dictionary.stride']} puts no step "
+                              f"candidate inside manifold.jump_location [{lo}, {hi}]")
+    R = cfg.get("manifold.radius")      # example3's domain, by sample_powerlaw's rule
+    if R is not None and max(abs(grid.a + R), abs(grid.b - R)) > 1e-12 * max(1.0, R):
+        raise ConfigError(f"grid.a and grid.b must equal -manifold.radius and "
+                          f"manifold.radius = {R}, got [{grid.a}, {grid.b}]")
     for m in cfg["sweep.m"]:
         sensors = _sensor_array(cfg, m, grid)
         try:
@@ -786,6 +796,7 @@ def _setup_example1(cfg: dict) -> Setup:
         truths = sample_sinusoids(
             spec, grid, cfg["validation.count"], derive_seed(master, "validation")
         )
+    _check_truth_scale("manifold.amplitude", truths.matrix, basis, cfg)
     return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"])
 
 
@@ -819,10 +830,25 @@ def _setup_example2(cfg: dict) -> Setup:
     )
 
 
-# smallest ratio of the ground truth's norm to the scale of a reconstruction
-# that example3 accepts: relative errors then stay below about 1e100, and
-# their squares far from overflow
+# smallest ratio of a ground truth's norm to the scale of a reconstruction
+# that example1 and example3 accept: relative errors then stay below about
+# 1e100, and their squares far from overflow
 _TRUTH_SCALE_FLOOR = 1e-100
+
+
+def _check_truth_scale(key: str, truths: np.ndarray, basis, cfg: dict) -> None:
+    """Reject truths (rows, set by ``key``) whose relative errors cannot stay finite."""
+    # every relative error divides by the truth's norm, and a reconstruction is
+    # about as large as the noise or the training snapshots, whose norms the
+    # POD's largest singular value bounds; a truth far below that scale gives
+    # errors whose squares (aggregates.csv's stddev) overflow
+    with np.errstate(over="ignore"):    # an overflowing norm is reported below
+        norm = np.sqrt(truths**2 @ basis.subspace.grid.weights).min()
+    scale = basis.singular_values[0] + cfg["noise.sigma"] * np.sqrt(max(cfg["sweep.m"]))
+    if not (0 < norm < np.inf and norm >= _TRUTH_SCALE_FLOOR * scale):
+        raise ConfigError(f"{key}={cfg[key]} gives a ground truth of norm {norm:.3g}, which "
+                          f"must be positive, finite and at least {_TRUTH_SCALE_FLOOR:g} times "
+                          f"the data's scale {scale:.3g}")
 
 
 def _setup_example3_analog(cfg: dict) -> Setup:
@@ -841,17 +867,7 @@ def _setup_example3_analog(cfg: dict) -> Setup:
     truth = powerlaw_profile(
         grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
     )
-    with np.errstate(over="ignore"):    # an overflowing norm is reported below
-        norm = truth.norm()
-    # every relative error divides by the truth's norm, and a reconstruction is
-    # about as large as the noise or the training snapshots, whose norms the
-    # POD's largest singular value bounds; a truth far below that scale gives
-    # errors whose squares (aggregates.csv's stddev) overflow
-    scale = basis.singular_values[0] + cfg["noise.sigma"] * np.sqrt(max(cfg["sweep.m"]))
-    if not (0 < norm < np.inf and norm >= _TRUTH_SCALE_FLOOR * scale):
-        raise ConfigError(f"truth.peak_velocity={cfg['truth.peak_velocity']} gives a ground "
-                          f"truth of norm {norm:.3g}, which must be positive, finite and at "
-                          f"least {_TRUTH_SCALE_FLOOR:g} times the data's scale {scale:.3g}")
+    _check_truth_scale("truth.peak_velocity", truth.values[None], basis, cfg)
     return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])), truth)
 
 

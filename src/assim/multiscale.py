@@ -14,7 +14,8 @@ through a dictionary of step candidates:
 
 The search scores every candidate by the projection of the data onto its
 normalized observed image; candidates are normalized to unit ambient norm so
-the fitted amplitude is also the reconstructed step height.
+the fitted amplitude is also the reconstructed step height.  A dictionary
+holds its candidates and their observed images as the columns of two matrices.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .solver import (
 from .space import (
     Grid,
     GridFunction,
+    GridMismatchError,
     Subspace,
     inner_product,
     orthonormalize,
@@ -69,30 +71,30 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SlowDictionary:
-    """Unit-norm slow-component candidates and their observed images."""
+    """Unit-norm slow-component candidates, as columns, and their observed images."""
 
-    candidates: tuple[GridFunction, ...]
+    candidate_matrix: np.ndarray      # (num_points, K): candidate values
     observed: np.ndarray              # (m, K): observed image coordinates
     parameters: tuple[dict, ...]
     space: ObservationSpace
 
     def __post_init__(self) -> None:
-        if len(self.candidates) == 0:
+        if len(self) == 0:
             raise ValueError("slow dictionary is empty")
-        if self.observed.shape != (self.space.m, len(self.candidates)):
+        if self.observed.shape != (self.space.m, len(self)):
             raise ValueError("observed image matrix has the wrong shape")
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.parameters)
 
     @cached_property
     def observed_norms(self) -> np.ndarray:
         return np.linalg.norm(self.observed, axis=0)
 
     @cached_property
-    def candidate_matrix(self) -> np.ndarray:
-        """Candidate values as columns, shape (num_points, len(self))."""
-        return np.stack([fn.values for fn in self.candidates], axis=1)
+    def candidates(self) -> tuple[GridFunction, ...]:
+        """The columns of ``candidate_matrix`` as grid functions (views, not copies)."""
+        return tuple(GridFunction(self.space.grid, col) for col in self.candidate_matrix.T)
 
 
 def build_slow_dictionary(
@@ -100,36 +102,33 @@ def build_slow_dictionary(
 ) -> SlowDictionary:
     """Normalize slow-manifold samples and precompute their observed images.
 
-    Candidates invisible to the sensors (observed image below
-    ``visibility_tol``) cannot be fitted and are dropped with a warning.
+    Candidates of zero norm, or invisible to the sensors (observed image
+    below ``visibility_tol``), cannot be fitted and are dropped with a
+    warning.
     """
-    kept_fns, kept_obs, kept_params = [], [], []
-    dropped = []
-    for k, fn in enumerate(candidates):
-        nv = fn.norm()
-        if nv == 0.0:
-            dropped.append(k)
-            continue
-        unit = fn * (1.0 / nv)
-        coeffs = space.onb.coefficients(unit)
-        if np.linalg.norm(coeffs) <= visibility_tol:
-            dropped.append(k)
-            continue
-        kept_fns.append(unit)
-        kept_obs.append(coeffs)
-        kept_params.append(candidates.parameters[k])
+    if candidates.grid != space.grid:
+        raise GridMismatchError("candidates and observation space live on different grids")
+    X = candidates.matrix
+    norms = np.sqrt(np.sum(space.grid.weights * X**2, axis=1))
+    kept = norms != 0.0
+    units = X[kept] * (1.0 / norms[kept])[:, None]
+    # one product per candidate: a single matrix product rounds differently
+    images = np.array([space.onb.weighted_matrix @ u for u in units]).reshape(len(units), space.m)
+    visible = np.linalg.norm(images, axis=1) > visibility_tol
+    kept[kept] = visible                # of the nonzero candidates, the visible ones
+    dropped = np.flatnonzero(~kept).tolist()
     if dropped:
         warnings.warn(
             f"dropped {len(dropped)} slow candidate(s) invisible to the sensors: "
             f"indices {dropped}",
             stacklevel=2,
         )
-    if not kept_fns:
+    if not kept.any():
         raise ValueError("no slow candidate is visible to the sensors")
     return SlowDictionary(
-        candidates=tuple(kept_fns),
-        observed=np.stack(kept_obs, axis=1),
-        parameters=tuple(kept_params),
+        candidate_matrix=np.ascontiguousarray(units[visible].T),
+        observed=np.ascontiguousarray(images[visible].T),
+        parameters=tuple(candidates.parameters[k] for k in np.flatnonzero(kept)),
         space=space,
     )
 

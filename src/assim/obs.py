@@ -2,9 +2,10 @@
 
 Each sensor is a linear functional l_i on the ambient space.  Its Riesz
 representer w_i satisfies ``<w_i, u> = l_i(u)`` for every state u, and the
-observation space is the span of the representers.  Noiseless data for a
-state is its projection onto that span; a measurement is stored through its
-coordinates in an orthonormalized basis of the observation space.
+observation space is the span of the representers, stored as the rows of one
+array.  Noiseless data for a state is its projection onto that span; a
+measurement is stored through its coordinates in an orthonormalized basis of
+the observation space.
 
 Two sensor kinds are provided: ``pointwise`` (reads the state at the nearest
 grid node) and ``box_average`` (mean of the state over a window centered at
@@ -129,11 +130,11 @@ def _window_mask(grid: Grid, center, width: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ObservationSpace:
-    """Riesz representers of the sensors and an orthonormal basis of their span."""
+    """Riesz representers of the sensors, one per row, and an orthonormal basis of their span."""
 
     grid: Grid
     sensors: SensorArray
-    raw_representers: tuple[GridFunction, ...]
+    representers: np.ndarray        # (m, num_points)
     onb: Subspace
 
     @property
@@ -143,8 +144,7 @@ class ObservationSpace:
     @cached_property
     def functional_matrix(self) -> np.ndarray:
         """Row i applied to state values yields the exact reading l_i(u)."""
-        raw = np.stack([r.values for r in self.raw_representers])
-        return raw * self.grid.weights
+        return self.representers * self.grid.weights
 
     def apply_functionals(self, u: GridFunction) -> np.ndarray:
         """All raw sensor readings of a state at once."""
@@ -244,13 +244,7 @@ def build_observation_space(sensors: SensorArray, grid: Grid) -> ObservationSpac
             f"sensors {names} are linearly dependent on this grid; "
             "spread the sensors or refine the grid"
         )
-    onb = Subspace(grid, tuple(GridFunction(grid, r) for r in rows), _validate=False)
-    return ObservationSpace(
-        grid=grid,
-        sensors=sensors,
-        raw_representers=tuple(GridFunction(grid, r) for r in reps),
-        onb=onb,
-    )
+    return ObservationSpace(grid, sensors, reps, Subspace(grid, rows))
 
 
 def observe(u: GridFunction, space: ObservationSpace) -> Measurement:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import SnapshotSet
-from .space import GridFunction, Subspace, project_onto
+from .space import Subspace, project_onto
 
 __all__ = [
     "ReducedBasis",
@@ -33,7 +33,6 @@ class ReducedBasis:
 
     subspace: Subspace
     singular_values: np.ndarray
-    source: str = "full"
 
     def __post_init__(self) -> None:
         sv = np.asarray(self.singular_values, dtype=float)
@@ -50,7 +49,7 @@ class ReducedBasis:
         return self.subspace.dimension
 
     def truncate(self, n: int) -> "ReducedBasis":
-        return ReducedBasis(self.subspace.truncate(n), self.singular_values, self.source)
+        return ReducedBasis(self.subspace.truncate(n), self.singular_values)
 
 
 def pod(snapshots: SnapshotSet, n: int) -> ReducedBasis:
@@ -67,8 +66,7 @@ def pod(snapshots: SnapshotSet, n: int) -> ReducedBasis:
         k = int(np.argmax(np.abs(row)))
         if row[k] < 0:
             row *= -1.0
-    basis = tuple(GridFunction(grid, row) for row in modes)
-    return ReducedBasis(Subspace(grid, basis, _validate=False), S, snapshots.label)
+    return ReducedBasis(Subspace(grid, modes), S)
 
 
 def projection_residuals(validation: SnapshotSet, basis: ReducedBasis | Subspace) -> np.ndarray:

@@ -6,12 +6,13 @@ uniform grid with trapezoid quadrature weights.  The weighted inner product
     <u, v> = sum_k w_k u_k v_k
 
 is exact for constants and keeps the Gram algebra symmetric positive, which
-is all the downstream reconstruction machinery relies on.
+is all the downstream reconstruction machinery relies on.  A subspace is one
+``(dimension, num_points)`` matrix of orthonormal rows, checked when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -131,38 +132,35 @@ def norm(u: GridFunction) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Orthonormal basis of grid functions (orthonormality is checked).
+    """Orthonormal basis, one grid function per row of a C-contiguous matrix.
 
-    Construct via :func:`orthonormalize` unless the basis is orthonormal by
-    construction already.
+    Shape, finiteness and orthonormality are checked once, here.  Construct
+    via :func:`orthonormalize` unless the rows are orthonormal already.
     """
 
     grid: Grid
-    basis: tuple[GridFunction, ...]
-    _validate: bool = field(default=True, repr=False)
+    matrix: np.ndarray          # (dimension, num_points)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(self.basis))
-        for fn in self.basis:
-            if fn.grid != self.grid:
-                raise GridMismatchError("basis functions live on a different grid")
-        if self._validate and self.dimension > 0:
-            gram = self.weighted_matrix @ self.matrix.T
-            if np.max(np.abs(gram - np.eye(self.dimension))) > ORTHONORMALITY_TOL:
-                raise NotOrthonormalError(
-                    "basis is not orthonormal; run orthonormalize() first"
-                )
+        matrix = np.ascontiguousarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.ndim != 2 or matrix.shape[1] != self.grid.num_points:
+            raise ValueError(f"basis matrix has shape {matrix.shape}, "
+                             f"expected (dimension, {self.grid.num_points})")
+        if not np.isfinite(matrix).all():
+            raise ValueError("basis values must be finite")
+        gram = self.weighted_matrix @ matrix.T
+        if np.abs(gram - np.eye(self.dimension)).max(initial=0.0) > ORTHONORMALITY_TOL:
+            raise NotOrthonormalError("basis is not orthonormal; run orthonormalize() first")
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.matrix)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Basis values stacked row-wise, shape (dimension, num_points)."""
-        if not self.basis:
-            return np.zeros((0, self.grid.num_points))
-        return np.stack([fn.values for fn in self.basis])
+    def basis(self) -> tuple[GridFunction, ...]:
+        """The rows of ``matrix`` as grid functions (views, not copies)."""
+        return tuple(GridFunction(self.grid, row) for row in self.matrix)
 
     @cached_property
     def weighted_matrix(self) -> np.ndarray:
@@ -180,22 +178,17 @@ class Subspace:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} coefficients, got {coeffs.shape}")
-        if self.dimension == 0:
-            return self.grid.zero()
         return GridFunction(self.grid, self.matrix.T @ coeffs)
 
     def truncate(self, n: int) -> "Subspace":
+        """The first ``n`` basis functions; the matrix is a view of this one's."""
         if not 0 <= n <= self.dimension:
             raise ValueError(f"cannot truncate dimension {self.dimension} to {n}")
-        return Subspace(self.grid, self.basis[:n], _validate=False)
+        return Subspace(self.grid, self.matrix[:n])
 
 
 def project_onto(u: GridFunction, subspace: Subspace) -> GridFunction:
     """Orthogonal projection of ``u`` onto an orthonormal subspace."""
-    if u.grid != subspace.grid:
-        raise GridMismatchError("function and subspace live on different grids")
-    if subspace.dimension == 0:
-        return u.grid.zero()
     return subspace.combine(subspace.coefficients(u))
 
 
@@ -225,8 +218,7 @@ def _weighted_qr(vectors: np.ndarray, weights: np.ndarray, tol_drop: float):
         # with more rows than nodes, row diag.size lies in the span of those before it
         first = failed[0] if failed.size else diag.size
         if first == kept.size:
-            # contiguous rows, as each becomes the values of one GridFunction
-            return np.ascontiguousarray((q * np.sign(diag)).T / root_w), kept
+            return (q * np.sign(diag)).T / root_w, kept
         kept = np.delete(kept, first)
     return np.zeros((0, weights.size)), kept
 
@@ -252,9 +244,9 @@ def orthonormalize(
     if not fns:
         if grid is None:
             raise ValueError("empty family: pass grid= to build the trivial subspace")
-        return Subspace(grid, ())
+        return Subspace(grid, np.zeros((0, grid.num_points)))
     grid = fns[0].grid
     for fn in fns[1:]:
         _check_same_grid(fns[0], fn)
     rows, _ = _weighted_qr(np.stack([fn.values for fn in fns]), grid.weights, tol_drop)
-    return Subspace(grid, tuple(GridFunction(grid, r) for r in rows), _validate=False)
+    return Subspace(grid, rows)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -819,6 +820,24 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {key} ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("reuse", ["false", "true"])
+    def test_zero_example1_truth_rejected(self, tmp_path, capsys, reuse):
+        # every relative error divides by the truth's norm
+        out_dir = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config", str(CONFIGS / "example1.cfg"),
+                             "--set", "manifold.amplitude=0,0",
+                             "--set", f"validation.reuse_training={reuse}",
+                             "--out", str(out_dir)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: manifold.amplitude="), err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "config, override, key",
         [
@@ -842,6 +861,12 @@ class TestCli:
             ("example3.cfg", "truth.peak_velocity=1e300", "truth.peak_velocity"),
             # a norm so far below the data's scale that the errors' squares overflow
             ("example3.cfg", "truth.peak_velocity=1e-160", "truth.peak_velocity"),
+            ("example1.cfg", "manifold.amplitude=0,0", "manifold.amplitude"),
+            # the library rejects these with messages that do not name the keys
+            ("example3.cfg", "grid.a=-0.4", "grid.a"),
+            ("example3.cfg", "manifold.radius=0.4", "grid.a"),
+            ("example2.cfg", "manifold.jump_location=0,3", "manifold.jump_location"),
+            ("example2.cfg", "dictionary.stride=600", "dictionary.stride"),
         ] + _REVERSED_RANGES,
     )
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, config, override, key):

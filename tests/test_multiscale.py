@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,74 @@ def step_set(grid, locations, label="slow"):
     steps = [heaviside(grid, x).values for x in locations]
     params = tuple({"jump_location": float(x)} for x in locations)
     return SnapshotSet(grid, steps, params, label)
+
+
+def reference_slow_dictionary(candidates, space, visibility_tol=1e-12):
+    """The per-candidate loop ``build_slow_dictionary`` replaced, as a bit-for-bit reference.
+
+    Returns the candidate matrix, the observed images, the parameters and
+    the dropped indices.
+    """
+    kept_fns, kept_obs, kept_params, dropped = [], [], [], []
+    for k, fn in enumerate(candidates):
+        nv = fn.norm()
+        if nv == 0.0:
+            dropped.append(k)
+            continue
+        unit = fn * (1.0 / nv)
+        coeffs = space.onb.coefficients(unit)
+        if np.linalg.norm(coeffs) <= visibility_tol:
+            dropped.append(k)
+            continue
+        kept_fns.append(unit)
+        kept_obs.append(coeffs)
+        kept_params.append(candidates.parameters[k])
+    return (np.stack([fn.values for fn in kept_fns], axis=1), np.stack(kept_obs, axis=1),
+            tuple(kept_params), dropped)
+
+
+def assert_matches_reference(candidates, space):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = build_slow_dictionary(candidates, space)
+    matrix, observed, parameters, dropped = reference_slow_dictionary(candidates, space)
+    assert np.array_equal(d.candidate_matrix, matrix)
+    assert np.array_equal(d.observed, observed)
+    assert d.parameters == parameters
+    warned = [re.search(r"indices \[(.*)\]", str(w.message)).group(1) for w in caught]
+    assert warned == ([", ".join(map(str, dropped))] if dropped else [])
+
+
+class TestMatchesPerCandidateReference:
+    def test_random_step_sets(self, grid, space40, rng):
+        for _ in range(20):
+            count = int(rng.integers(1, 40))
+            nodes = rng.integers(1, grid.num_points, size=count)
+            heights = rng.normal(0.0, 3.0, size=count)
+            steps = heights[:, None] * (grid.nodes >= grid.nodes[nodes, None])
+            params = [{"node": int(k), "jump_height": float(h)} for k, h in zip(nodes, heights)]
+            assert_matches_reference(SnapshotSet(grid, steps, params), space40)
+
+    def test_random_smooth_sets(self, grid, space40):
+        spec = MultiscaleSpec()
+        for seed in range(5):
+            fast, slow, full = sample_multiscale(spec, grid, 30, seed=seed)
+            for snapshots in (fast, slow, full):
+                assert_matches_reference(snapshots, space40)
+
+    def test_zero_and_invisible_candidates(self, grid):
+        # sensors confined to the left half cannot see a far-right step
+        centers = np.linspace(0.3, np.pi - 0.3, 10)
+        space = build_observation_space(
+            SensorArray(tuple(centers), "box_average", width=0.2), grid
+        )
+        rows = [heaviside(grid, grid.nodes[120]).values, np.zeros(grid.num_points),
+                heaviside(grid, grid.nodes[-4]).values, 0.5 * heaviside(grid, 1.0).values,
+                np.zeros(grid.num_points)]
+        candidates = SnapshotSet(grid, rows, [{"k": k} for k in range(len(rows))])
+        assert_matches_reference(candidates, space)
+        with pytest.warns(UserWarning, match=r"indices \[1, 2, 4\]"):
+            build_slow_dictionary(candidates, space)
 
 
 class TestSlowDictionary:
@@ -284,7 +355,7 @@ class TestSpbdwReconstructBlock:
 
     def test_dictionary_of_another_space(self, grid, space40, dictionary):
         other = build_observation_space(SensorArray.equidistant(40, grid), grid)
-        background = Subspace(grid, other.onb.basis[:3], _validate=False)
+        background = Subspace(grid, other.onb.matrix[:3])
         omega = Measurement(np.ones(40), other)
         calls = [
             lambda: spbdw_reconstruct_block(np.ones((40, 2)), background, other, dictionary),
@@ -401,14 +472,14 @@ class TestBetaBound:
         spec = MultiscaleSpec()
         fast_tr, _, _ = sample_multiscale(spec, grid, 64, seed=13)
         basis = pod(fast_tr, 8)
-        empty = Subspace(grid, ())
+        empty = Subspace(grid, np.zeros((0, grid.num_points)))
         combined, beta_f, beta_s = multiscale_beta_bound(empty, basis.subspace, space40)
         assert combined == beta_f
         assert beta_s == 1.0
 
     def test_contained_spaces(self, grid, space40):
-        background = Subspace(grid, space40.onb.basis[:4], _validate=False)
-        slow = Subspace(grid, space40.onb.basis[4:7], _validate=False)
+        background = Subspace(grid, space40.onb.matrix[:4])
+        slow = Subspace(grid, space40.onb.matrix[4:7])
         combined, beta_f, beta_s = multiscale_beta_bound(slow, background, space40)
         assert combined == pytest.approx(1.0, abs=1e-10)
         assert beta_f == pytest.approx(1.0, abs=1e-10)
@@ -451,7 +522,7 @@ class TestBetaBound:
         u = GridFunction(grid, rng.normal(size=grid.num_points))
         hidden = u - project_onto(u, space40.onb)          # invisible to sensors
         v = space40.onb.basis[0]
-        background = Subspace(grid, (v,), _validate=False)
+        background = Subspace(grid, v.values[None, :])
         slow = orthonormalize([v + (0.1 / hidden.norm()) * hidden])
         with pytest.raises(ValueError, match="combined stability constant"):
             multiscale_beta_bound(slow, background, space40, orthogonality_tol=np.inf)

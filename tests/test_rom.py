@@ -77,6 +77,12 @@ class TestPod:
         gram = (sub.matrix * grid.weights) @ sub.matrix.T
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-10
 
+    def test_modes_stored_c_contiguous(self, grid):
+        # the SVD's modes are a transposed view; the subspace stores rows contiguously
+        basis = pod(sample_sinusoids(SinusoidSpec(), grid, 30, seed=2), 8)
+        assert basis.subspace.matrix.flags.c_contiguous
+        assert basis.truncate(3).subspace.matrix.flags.c_contiguous
+
 
 class TestApproximationError:
     def test_contained_set(self, grid):

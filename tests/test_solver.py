@@ -228,7 +228,7 @@ class TestPbdwSolve:
         space = build_observation_space(SensorArray.equidistant(6, grid), grid)
         d = rng.normal(size=6)
         target = Measurement(d, space)
-        rec = pbdw_solve(target, Subspace(grid, ()), space)
+        rec = pbdw_solve(target, Subspace(grid, np.zeros((0, grid.num_points))), space)
         assert (rec.state - target.lift()).norm() < 1e-12
         assert rec.rom_coeffs.size == 0
 

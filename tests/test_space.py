@@ -89,7 +89,7 @@ class TestProjection:
 
     def test_empty_subspace(self, grid, rng):
         u = random_fn(grid, rng)
-        X = Subspace(grid, ())
+        X = Subspace(grid, np.zeros((0, grid.num_points)))
         assert project_onto(u, X).norm() == 0.0
 
     def test_against_dense_least_squares_oracle(self, rng):
@@ -117,7 +117,38 @@ class TestProjection:
     def test_non_orthonormal_basis_rejected(self, grid, rng):
         u = random_fn(grid, rng)
         with pytest.raises(NotOrthonormalError):
-            Subspace(grid, (u, 2.0 * u))
+            Subspace(grid, np.stack([u.values, 2.0 * u.values]))
+
+
+class TestSubspaceMatrix:
+    def test_one_dimensional_array_rejected(self, grid, rng):
+        row = orthonormalize([random_fn(grid, rng)]).matrix[0]
+        with pytest.raises(ValueError, match="shape"):
+            Subspace(grid, row)
+
+    def test_wrong_width_rejected(self, grid, small_grid, rng):
+        other = orthonormalize([random_fn(small_grid, rng)])
+        with pytest.raises(ValueError, match="shape"):
+            Subspace(grid, other.matrix)
+
+    def test_non_finite_entry_rejected(self, grid, rng):
+        matrix = orthonormalize([random_fn(grid, rng)]).matrix.copy()
+        matrix[0, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Subspace(grid, matrix)
+
+    def test_truncate_shares_the_parent_matrix(self, grid, rng):
+        X = orthonormalize([random_fn(grid, rng) for _ in range(4)])
+        Y = X.truncate(2)
+        assert Y.dimension == 2
+        assert np.shares_memory(Y.matrix, X.matrix)
+        assert np.array_equal(Y.matrix, X.matrix[:2])
+
+    def test_basis_rows_are_views(self, grid, rng):
+        X = orthonormalize([random_fn(grid, rng) for _ in range(3)])
+        for row, fn in zip(X.matrix, X.basis):
+            assert np.shares_memory(fn.values, X.matrix)
+            assert np.array_equal(fn.values, row)
 
 
 class TestOrthonormalize:
