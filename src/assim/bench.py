@@ -621,7 +621,9 @@ def aggregate_rows(rows) -> list[dict]:
     """Mean/max/min/stddev of the error per (method, n, m, alpha, sigma) cell.
 
     ``rows`` is a list of ``ResultRow`` or a run's result columns.  A cell's
-    errors are reduced as one contiguous array, in row order.
+    errors are reduced as one contiguous array, in row order, by the ufunc
+    reductions that ``ndarray.mean``, ``max``, ``min`` and ``std`` call, in
+    the same order, without their Python-level wrappers.
     """
     table = rows if isinstance(rows, _Columns) else _result_columns(rows)
     ranks = table.ranks()
@@ -630,10 +632,12 @@ def aggregate_rows(rows) -> list[dict]:
     out = []
     for (method, n, m, alpha, sigma), indices in zip(sorted(table.cells), by_cell):
         errors = table["error_e"][indices]
+        mean = np.add.reduce(errors) / errors.size
         out.append({
             "method": method, "n": n, "m": m, "alpha": alpha, "sigma": sigma,
-            "mean": float(errors.mean()), "max": float(errors.max()),
-            "min": float(errors.min()), "stddev": float(errors.std()),
+            "mean": float(mean), "max": float(np.maximum.reduce(errors)),
+            "min": float(np.minimum.reduce(errors)),
+            "stddev": float(np.sqrt(np.add.reduce((errors - mean) ** 2) / errors.size)),
             "count": int(errors.size),
         })
     return out

@@ -281,11 +281,12 @@ def spbdw_reconstruct(
 ) -> MultiscaleDecomposition:
     """Three-step multiscale reconstruction (smooth background + steps).
 
-    Without a noise model the smooth solve is the plain reconstruction and
-    the step refit runs against the raw measurements, reproducing the greedy
-    amplitudes.  With a model, the smooth solve is bias-corrected and the
-    refit runs against bias-corrected measurements built from the first-pass
-    composite estimate.
+    Without a noise model the smooth solve is the plain reconstruction, and
+    the steps keep their greedy amplitudes: a refit against the raw
+    measurements is the extraction's own last least-squares solve.  With a
+    model, the smooth solve is bias-corrected and the steps are refitted
+    against bias-corrected measurements built from the first-pass composite
+    estimate.
     """
     smoothers, f_star, omega_f, history = extract_smoothers(
         omega_star, dictionary, rel_tol, max_iters
@@ -293,22 +294,21 @@ def spbdw_reconstruct(
 
     if model is None:
         u_f = pbdw_solve(omega_f, background, space)
-        eta = omega_star
+        corrected = [sm.amplitude for sm in smoothers]
+        f_u = f_star
     else:
         u_f = bpbdw_reconstruct(omega_f, background, space, model, seed)
         # u_f.initial is the plain smooth solve of omega_f
         eta = corrected_constraint(u_f.initial.state + f_star, space, model, seed)
-
-    # refit the recorded steps jointly against eta; with eta = omega this
-    # reproduces the extraction amplitudes exactly
-    corrected: list[float] = []
-    f_u = space.grid.zero()
-    if smoothers:
-        A = dictionary.observed[:, [sm.index for sm in smoothers]]
-        gamma, *_ = np.linalg.lstsq(A, eta.coeffs, rcond=None)
-        corrected = [float(g) for g in gamma]
-        for sm, g in zip(smoothers, corrected):
-            f_u = f_u + g * sm.function
+        # refit the recorded steps jointly against eta
+        corrected = []
+        f_u = space.grid.zero()
+        if smoothers:
+            A = dictionary.observed[:, [sm.index for sm in smoothers]]
+            gamma, *_ = np.linalg.lstsq(A, eta.coeffs, rcond=None)
+            corrected = [float(g) for g in gamma]
+            for sm, g in zip(smoothers, corrected):
+                f_u = f_u + g * sm.function
 
     u_star = u_f.state + f_u
     return MultiscaleDecomposition(

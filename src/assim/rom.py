@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import SnapshotSet
-from .space import Subspace, project_onto
+from .space import GridMismatchError, Subspace
 
 __all__ = [
     "ReducedBasis",
@@ -69,14 +69,21 @@ def pod(snapshots: SnapshotSet, n: int) -> ReducedBasis:
     return ReducedBasis(Subspace(grid, modes), S)
 
 
-def projection_residuals(validation: SnapshotSet, basis: ReducedBasis | Subspace) -> np.ndarray:
-    """Projection residual norm for every snapshot in the set."""
+def _project(validation: SnapshotSet, subspace: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and squared residual norms of every snapshot, by one matrix product."""
     if len(validation) == 0:
         raise ValueError("validation set is empty")
+    if validation.grid != subspace.grid:
+        raise GridMismatchError("snapshots live on a different grid than the subspace")
+    C = validation.matrix @ subspace.weighted_matrix.T
+    R = validation.matrix - C @ subspace.matrix
+    return C, (R**2) @ validation.grid.weights
+
+
+def projection_residuals(validation: SnapshotSet, basis: ReducedBasis | Subspace) -> np.ndarray:
+    """Projection residual norm for every snapshot in the set, by one matrix product."""
     subspace = basis.subspace if isinstance(basis, ReducedBasis) else basis
-    return np.array(
-        [(u - project_onto(u, subspace)).norm() for u in validation]
-    )
+    return np.sqrt(_project(validation, subspace)[1])
 
 
 def approximation_error(validation: SnapshotSet, basis: ReducedBasis | Subspace) -> float:
@@ -87,24 +94,15 @@ def approximation_error(validation: SnapshotSet, basis: ReducedBasis | Subspace)
 def decay_curve(validation: SnapshotSet, basis: ReducedBasis, n_values: list[int]) -> list[float]:
     """Approximation error as a function of the reduced dimension.
 
-    One direct projection at the largest requested dimension anchors the
-    curve; smaller dimensions add back the dropped coefficients, which avoids
-    the cancellation of the naive ``||u||^2 - sum of coefficients`` formula.
+    One projection of the whole set (one matrix product) at the largest
+    requested dimension anchors the curve; smaller dimensions add back the
+    dropped coefficients, avoiding the cancellation of ``||u||^2 - sum c_i^2``.
     """
-    if len(validation) == 0:
-        raise ValueError("validation set is empty")
-    n_max = max(n_values)
-    if n_max > basis.dimension:
-        raise ValueError(f"requested n={n_max} exceeds basis dimension {basis.dimension}")
-    sub = basis.subspace.truncate(n_max)
-    coeffs = np.stack([sub.coefficients(u) for u in validation])   # (count, n_max)
-    anchor2 = projection_residuals(validation, sub) ** 2
-    tail2 = np.concatenate(
-        [np.cumsum(coeffs[:, ::-1] ** 2, axis=1)[:, ::-1], np.zeros((len(coeffs), 1))],
-        axis=1,
-    )                                                              # tail2[:, n] = sum_{i > n} c_i^2
-    out = []
-    for n in n_values:
-        res2 = anchor2 + tail2[:, n]
-        out.append(float(np.sqrt(np.maximum(res2, 0.0)).max()))
-    return out
+    if not n_values or min(n_values) < 0 or max(n_values) > basis.dimension:
+        raise ValueError(f"n_values={n_values} must be a nonempty list of dimensions "
+                         f"in [0, {basis.dimension}]")
+    coeffs, anchor2 = _project(validation, basis.subspace.truncate(max(n_values)))
+    # tail2[:, n] = sum_{i > n} c_i^2, the energy the first n modes leave out
+    tail2 = np.pad(np.cumsum(coeffs[:, ::-1] ** 2, axis=1), ((0, 0), (1, 0)))[:, ::-1]
+    res2 = anchor2[:, None] + tail2[:, n_values]
+    return np.sqrt(np.maximum(res2, 0.0)).max(axis=0).tolist()

@@ -393,7 +393,7 @@ def _bvls(
 
 
 def compute_box(snapshots: SnapshotSet, background: Subspace, margin: float = 1.1) -> Box:
-    """Coefficient bounds from the projections of training snapshots.
+    """Coefficient bounds from the training snapshots' coordinates, one matrix product.
 
     Each coordinate's interval is widened about its center by ``margin`` so
     that unseen states near the edge of the sampled family are not clipped.
@@ -402,9 +402,10 @@ def compute_box(snapshots: SnapshotSet, background: Subspace, margin: float = 1.
         raise ValueError("cannot derive a box from an empty snapshot set")
     if margin < 0:
         raise ValueError("margin must be nonnegative")
-    coeffs = np.stack([background.coefficients(u) for u in snapshots])
-    lo = coeffs.min(axis=0)
-    hi = coeffs.max(axis=0)
+    if snapshots.grid != background.grid:
+        raise GridMismatchError("snapshots live on a different grid than the background")
+    coeffs = snapshots.matrix @ background.weighted_matrix.T
+    lo, hi = coeffs.min(axis=0), coeffs.max(axis=0)
     center = (lo + hi) / 2
     half = (hi - lo) / 2
     return Box(center - margin * half, center + margin * half)

@@ -670,6 +670,20 @@ class TestColumnarWrite:
         assert_same_files(result, tmp_path)
         assert aggregate_rows(rows) == reference_aggregates(rows)
 
+    def test_aggregates_equal_the_ndarray_reductions_bit_for_bit(self):
+        # aggregate_rows calls the ufunc reductions behind ndarray.mean/max/min/std
+        rng = np.random.default_rng(20240605)
+        rows = []
+        for n, size in enumerate([1, 2, 7, 64, 513, 3712], start=1):
+            errors = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-8, 2)
+            if n % 2:
+                errors = np.round(errors, 3)        # repeated values
+            rows += [ResultRow(k, "pbdw", n, 40, 0.1, 0.0, e, 1.0, k)
+                     for k, e in enumerate(errors.tolist())]
+        got, want = aggregate_rows(rows), reference_aggregates(rows)
+        assert [list(map(repr, a.values())) for a in got] == \
+            [list(map(repr, a.values())) for a in want]
+
     @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (-0.5, "-0.5")])
     def test_block_with_a_bad_error_is_rejected_whole(self, tmp_path, bad, shown):
         result = RunResult(small_example1())

@@ -415,6 +415,31 @@ class TestSpbdwReconstruct:
                 dec.u_star.values, dec.u_f.state.values + dec.f_u.values
             )
 
+    def test_plain_split_equals_the_refit_route_bit_for_bit(self, grid, space40, dictionary):
+        # without a noise model the steps keep their greedy amplitudes; the joint
+        # refit against the raw data that this replaced is kept here as the reference
+        spec = MultiscaleSpec()
+        fast_tr, _, _ = sample_multiscale(spec, grid, 64, seed=7)
+        _, _, full_va = sample_multiscale(spec, grid, 24, seed=13)
+        basis = pod(fast_tr, 15)
+        counts = set()
+        for k, truth in enumerate(full_va):
+            truth = truth + (k % 3 - 1) * dictionary.candidates[3 * k % len(dictionary)]
+            omega = observe(truth, space40)
+            dec = spbdw_reconstruct(omega, basis.subspace, space40, dictionary)
+            refit, f_u = [], grid.zero()
+            if dec.smoothers:
+                A = dictionary.observed[:, [sm.index for sm in dec.smoothers]]
+                gamma, *_ = np.linalg.lstsq(A, omega.coeffs, rcond=None)
+                refit = [float(g) for g in gamma]
+                for sm, g in zip(dec.smoothers, refit):
+                    f_u = f_u + g * sm.function
+            assert dec.corrected_amplitudes == tuple(refit)
+            assert np.array_equal(dec.f_u.values, f_u.values)
+            assert np.array_equal(dec.u_star.values, (dec.u_f.state + f_u).values)
+            counts.add(len(dec.smoothers))
+        assert {1, 2} <= counts
+
     def test_head_to_head_and_no_spurious_oscillation(self, grid, space40, dictionary):
         # discontinuous truths with jumps on the dictionary: the split solve
         # beats the full-basis solve and does not inflate total variation,

@@ -5,14 +5,9 @@ The rule and the way to regenerate the reference files are in
 """
 
 import shutil
-import sys
-from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent / "reference"))
-
-from regenerate import EXAMPLES, FILES, HERE, compare, produce  # noqa: E402
+from regenerate import EXAMPLES, HERE, compare, produce
 
 
 @pytest.mark.parametrize("example", EXAMPLES)

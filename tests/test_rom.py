@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from regenerate import FLOOR, RTOL
 
 from assim import (
+    Grid,
     GridFunction,
+    GridMismatchError,
     MultiscaleSpec,
     SinusoidSpec,
     SnapshotSet,
@@ -20,6 +23,17 @@ from assim import (
 
 def make_set(grid, arrays, label="full"):
     return SnapshotSet(grid, arrays, tuple({} for _ in arrays), label)
+
+
+def reference_decay_curve(validation, basis, n_values):
+    """The per-row ``decay_curve`` the matrix form replaced: one projection per snapshot."""
+    sub = basis.subspace.truncate(max(n_values))
+    coeffs = np.stack([sub.coefficients(u) for u in validation])
+    anchor2 = np.array([(u - project_onto(u, sub)).norm() for u in validation]) ** 2
+    tail2 = np.concatenate(
+        [np.cumsum(coeffs[:, ::-1] ** 2, axis=1)[:, ::-1], np.zeros((len(coeffs), 1))], axis=1
+    )
+    return [float(np.sqrt(np.maximum(anchor2 + tail2[:, n], 0.0)).max()) for n in n_values]
 
 
 class TestPod:
@@ -118,6 +132,15 @@ class TestApproximationError:
         with pytest.raises(ValueError):
             approximation_error(empty, basis)
 
+    def test_set_on_another_grid_rejected(self, grid):
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 6, seed=5)
+        basis = pod(snaps, 3)
+        other = make_set(Grid(0.0, 1.0, grid.num_points), snaps.matrix)  # same node count
+        with pytest.raises(GridMismatchError):
+            projection_residuals(other, basis)
+        with pytest.raises(GridMismatchError):
+            decay_curve(other, basis, [1, 3])
+
 
 class TestInvariants:
     def test_monotone_in_n(self, grid):
@@ -149,3 +172,23 @@ class TestInvariants:
         curve = decay_curve(snaps, basis, [3, 7])
         assert curve[0] == pytest.approx(approximation_error(snaps, basis.truncate(3)), rel=1e-9)
         assert curve[1] == pytest.approx(approximation_error(snaps, basis.truncate(7)), rel=1e-9)
+
+    def test_decay_curve_against_per_row_oracle_at_roundoff(self, grid):
+        # the top dimensions leave residuals at the roundoff of the snapshots,
+        # where only the contract's absolute floor holds the two forms together
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 48, seed=11)
+        basis = pod(snaps, 12)
+        n_values = list(range(0, 13))
+        curve = decay_curve(snaps, basis, n_values)
+        expected = reference_decay_curve(snaps, basis, n_values)
+        scale = max(u.norm() for u in snaps)
+        assert curve[-1] < 1e-12 * scale
+        for got, want in zip(curve, expected):
+            assert abs(got - want) <= max(RTOL * want, FLOOR * scale)
+
+    @pytest.mark.parametrize("n_values, shown",
+                             [([-1, 3], r"\[-1, 3\]"), ([], r"\[\]"), ([2, 5], r"\[2, 5\]")])
+    def test_decay_curve_rejects_bad_n_values(self, grid, n_values, shown):
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 8, seed=12)
+        with pytest.raises(ValueError, match=rf"^n_values={shown} must be .* in \[0, 4\]$"):
+            decay_curve(snaps, pod(snaps, 4), n_values)

@@ -16,6 +16,7 @@ from assim import (
     Box,
     Grid,
     GridFunction,
+    GridMismatchError,
     Measurement,
     SensorArray,
     SinusoidSpec,
@@ -692,3 +693,10 @@ class TestComputeBox:
         with pytest.raises(ValueError):
             compute_box(SnapshotSet(grid, np.empty((0, grid.num_points)), (), "full"),
                         basis.subspace)
+
+    def test_snapshots_on_another_grid_rejected(self, grid):
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 5, seed=12)
+        basis = pod(snaps, 2)
+        other = Grid(0.0, 1.0, grid.num_points)     # same node count, other interval
+        with pytest.raises(GridMismatchError):
+            compute_box(SnapshotSet(other, snaps.matrix, snaps.parameters), basis.subspace)
