@@ -541,8 +541,8 @@ class TestOutputs:
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         run_example1(cfg).write(a_dir)
         run_example1(cfg).write(b_dir)
-        assert (a_dir / "results.csv").read_bytes() == (b_dir / "results.csv").read_bytes()
-        assert (a_dir / "aggregates.csv").read_bytes() == (b_dir / "aggregates.csv").read_bytes()
+        for name in ("results.csv", "aggregates.csv", "pod_decay.csv"):
+            assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
         for name in ("results.csv", "aggregates.csv", "pod_decay.csv", "timings.csv", "run.json"):
             assert (a_dir / name).exists()
 
