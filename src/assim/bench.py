@@ -12,10 +12,12 @@ Three experiments are provided:
   bias-corrected reconstruction of a fixed parabolic truth under biased
   noise, reported as a mean/max/min/stddev table.
 
-Each runner is its experiment's offline set-up (``setup_experiment``)
-followed by a loop over the (n, m) cells with n <= m.  ``example1`` solves
-each cell as one m x K block, ``example2`` as column blocks of at most
-``_CHUNK`` cases, ``example3_analog`` case by case.  Every block's errors go
+One online loop (``_run``) runs every experiment after its offline set-up
+(``setup_experiment``).  An experiment is a record in ``_EXPERIMENTS``: its
+set-up, what the cells of one sensor count m and of one dimension n share,
+and a block solve.  The loop takes the (n, m, alpha) cells with n <= m in
+blocks of cases, the whole cell or at most ``_CHUNK`` cases (``example2``);
+``example3_analog`` solves a block case by case.  Every block's errors go
 into the run's columnar store as arrays (``_Cases.emit``), and every CSV is
 written from those columns; a case's time is its even share of its block's.
 
@@ -23,10 +25,11 @@ Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  Every
 per-case random stream is derived from (master_seed, case id, stage), so a
 rerun with the same master seed reproduces ``results.csv`` byte for byte.
-A runner derives all of its case seeds, and the PCG64 seed words of its
-noise, in one vectorized pass (``derive_seeds``, ``_pcg64_words``) that
-reproduces ``derive_seed`` and ``np.random.default_rng(seed)`` bit for bit.
-Wall-clock timings go to ``timings.csv`` to keep ``results.csv`` deterministic.
+The loop derives every case seed of a run, and the PCG64 seed words of its
+noise, in one vectorized pass (``derive_seeds``, ``_pcg64_words``) over the
+blocks it then walks; the pass reproduces ``derive_seed`` and
+``np.random.default_rng(seed)`` bit for bit.  Wall-clock timings go to
+``timings.csv`` to keep ``results.csv`` deterministic.
 """
 
 from __future__ import annotations
@@ -34,10 +37,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import operator
 import time
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -262,6 +267,9 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
 _FLOORS = {
     "master_seed": (0, True),
     "grid.num_points": (2, True),
+    "training.count": (1, True),
+    "validation.count": (1, True),
+    "sensors.width": (0.0, True),       # 0 means the sensor spacing
     "noise.mc_samples": (1, True),
     "sweep.n": (1, True),
     "sweep.m": (1, True),
@@ -282,26 +290,22 @@ _FLOORS = {
 
 
 def _validate(cfg: dict) -> dict:
-    for key, value in cfg.items():
-        if SCHEMA[key][0] in ("float", "float_list"):
-            values = value if isinstance(value, list) else [value]
-            if not all(np.isfinite(values)):
-                raise ConfigError(f"{key} must be finite, got {value}")
+    for key, value in cfg.items():      # each key on its own, then the keys together
+        values = value if isinstance(value, list) else [value]
+        if SCHEMA[key][0] in ("float", "float_list") and not all(np.isfinite(values)):
+            raise ConfigError(f"{key} must be finite, got {value}")
         # the spec classes reject these too, without the key
         if key.startswith("manifold.") and SCHEMA[key][0] == "float_list" \
                 and len(value) == 2 and not value[0] <= value[1]:
             raise ConfigError(f"{key} range {value} is not well ordered (lo <= hi)")
+        floor, allowed = _FLOORS.get(key, (None, True))
+        if floor is not None and any(v < floor or (v == floor and not allowed) for v in values):
+            raise ConfigError(f"{key} must be {'>=' if allowed else '>'} {floor}, got {value}")
     if cfg["noise.kind"] != LINEAR_BIAS_GAUSSIAN:
         # an empirical_table model needs a table, which no config key supplies
         raise ConfigError(
             f"noise.kind must be {LINEAR_BIAS_GAUSSIAN!r}, got {cfg['noise.kind']!r}"
         )
-    for key, (floor, allowed) in _FLOORS.items():
-        if key in cfg:
-            values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
-            if any(v < floor or (v == floor and not allowed) for v in values):
-                raise ConfigError(f"{key} must be {'>=' if allowed else '>'} {floor}, "
-                                  f"got {cfg[key]}")
     for key in (k for k in ("sweep.n", "sweep.m", "sweep.alpha") if k in cfg):
         values = cfg[key]
         if not values:
@@ -309,16 +313,11 @@ def _validate(cfg: dict) -> dict:
         # compared by value, so 0 and -0.0 repeat; a repeat would duplicate its rows
         if len(set(values)) < len(values):
             raise ConfigError(f"{key} repeats a value, got {values}")
-    if cfg["validation.count"] < 1 or cfg["training.count"] < 1:
-        raise ConfigError("training.count and validation.count must be >= 1")
     if cfg["sensors.kind"] not in (POINTWISE, BOX_AVERAGE):
         raise ConfigError(f"sensors.kind must be {POINTWISE!r} or {BOX_AVERAGE!r}, "
                           f"got {cfg['sensors.kind']!r}")
     if not cfg["grid.a"] < cfg["grid.b"]:
         raise ConfigError(f"grid.a must be < grid.b, got [{cfg['grid.a']}, {cfg['grid.b']}]")
-    if cfg["sensors.width"] < 0:
-        raise ConfigError(f"sensors.width must be >= 0 (0 means the sensor spacing), "
-                          f"got {cfg['sensors.width']}")
     grid = _grid(cfg)
     if cfg["experiment"] == "example2":
         if not 0 < cfg["spbdw.rel_tol"] <= 1:
@@ -766,22 +765,21 @@ class Setup:
     grid: Grid
     labeled: dict               # label -> (snapshots, POD basis), as pod_decay_rows takes them
     decay_n: list[int]          # the dimensions pod_decay.csv reports
+    cases: int                  # benchmark cases per cell
     truth: GridFunction | None = None   # example3_analog's fixed reference profile
 
     def decay(self) -> list[dict]:
         return pod_decay_rows(self.labeled, self.decay_n)
 
 
-def _expect(cfg: dict, experiment: str) -> None:
-    if cfg["experiment"] != experiment:
-        raise ConfigError(f"config is for {cfg['experiment']!r}, expected {experiment!r}")
-
-
-def _check_dimension(n_max: int, available: int) -> None:
-    if n_max > available:
+def _pod(cfg: dict, snapshots: SnapshotSet):
+    """The POD basis of the sweep's largest n, which the snapshots must span."""
+    n_max = max(cfg["sweep.n"])
+    if n_max > len(snapshots):
         raise ConfigError(
-            f"sweep.n goes to {n_max} but only {available} snapshots are available"
+            f"sweep.n goes to {n_max} but only {len(snapshots)} snapshots are available"
         )
+    return pod(snapshots, n_max)
 
 
 def _setup_example1(cfg: dict) -> Setup:
@@ -789,19 +787,16 @@ def _setup_example1(cfg: dict) -> Setup:
     spec = SinusoidSpec(_pair(cfg, "manifold.amplitude"), _pair(cfg, "manifold.period"))
     master = cfg["master_seed"]
     training = sample_sinusoids(spec, grid, cfg["training.count"], derive_seed(master, "training"))
-    n_max = max(cfg["sweep.n"])
-    _check_dimension(n_max, len(training))
-    basis = pod(training, n_max)
+    basis = _pod(cfg, training)
 
     if cfg["validation.reuse_training"]:
         count = min(cfg["validation.count"], len(training))
         truths = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
     else:
-        truths = sample_sinusoids(
-            spec, grid, cfg["validation.count"], derive_seed(master, "validation")
-        )
+        truths = sample_sinusoids(spec, grid, cfg["validation.count"],
+                                  derive_seed(master, "validation"))
     _check_truth_scale("manifold.amplitude", truths.matrix, basis, cfg)
-    return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"])
+    return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"], len(truths))
 
 
 def _setup_example2(cfg: dict) -> Setup:
@@ -816,22 +811,14 @@ def _setup_example2(cfg: dict) -> Setup:
     )
     master = cfg["master_seed"]
 
-    fast_train, _slow_train, full_train = sample_multiscale(
-        spec, grid, cfg["training.count"], derive_seed(master, "training")
-    )
-    n_max = max(cfg["sweep.n"])
-    _check_dimension(n_max, len(full_train))
-    fast_basis = pod(fast_train, n_max)
-    full_basis = pod(full_train, n_max)
+    fast_train, _slow_train, full_train = sample_multiscale(spec, grid, cfg["training.count"],
+                                                            derive_seed(master, "training"))
+    fast_basis, full_basis = _pod(cfg, fast_train), _pod(cfg, full_train)
 
-    fast_val, _slow_val, full_val = sample_multiscale(
-        spec, grid, cfg["validation.count"], derive_seed(master, "validation")
-    )
-    return Setup(
-        grid,
-        {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
-        list(range(1, n_max + 1)),
-    )
+    fast_val, _slow_val, full_val = sample_multiscale(spec, grid, cfg["validation.count"],
+                                                      derive_seed(master, "validation"))
+    return Setup(grid, {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
+                 list(range(1, max(cfg["sweep.n"]) + 1)), len(full_val))
 
 
 # smallest ratio of a ground truth's norm to the scale of a reconstruction
@@ -862,61 +849,33 @@ def _setup_example3_analog(cfg: dict) -> Setup:
         flow_index_range=_pair(cfg, "manifold.flow_index"),
         radius=cfg["manifold.radius"],
     )
-    master = cfg["master_seed"]
-
-    training = sample_powerlaw(spec, grid, cfg["training.count"], derive_seed(master, "training"))
-    n_max = max(cfg["sweep.n"])
-    _check_dimension(n_max, len(training))
-    basis = pod(training, n_max)
+    seed = derive_seed(cfg["master_seed"], "training")
+    training = sample_powerlaw(spec, grid, cfg["training.count"], seed)
+    basis = _pod(cfg, training)
     truth = powerlaw_profile(
         grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
     )
     _check_truth_scale("truth.peak_velocity", truth.values[None], basis, cfg)
-    return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])), truth)
-
-
-_SETUPS = {
-    "example1": _setup_example1,
-    "example2": _setup_example2,
-    "example3_analog": _setup_example3_analog,
-}
+    return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])),
+                 cfg["validation.count"], truth)
 
 
 def setup_experiment(cfg: dict) -> Setup:
     """The offline set-up of the configured experiment, without any solve.
 
-    Every runner skips the cells with n > m, so a sweep must have one other.
+    The online loop skips the cells with n > m, so a sweep must have one other.
     """
     if min(cfg["sweep.n"]) > max(cfg["sweep.m"]):
         raise ConfigError(
             f"no feasible (n, m) cell: every sweep.n exceeds every sweep.m "
             f"(smallest n={min(cfg['sweep.n'])}, largest m={max(cfg['sweep.m'])})"
         )
-    return _SETUPS[cfg["experiment"]](cfg)
+    return _EXPERIMENTS[cfg["experiment"]].setup(cfg)
 
 
 # ---------------------------------------------------------------------------
-# online loops: the solves of each experiment
+# the online loop and each experiment's block solve
 # ---------------------------------------------------------------------------
-
-def _n_values(cfg: dict, m: int) -> list[int]:
-    """The sweep's n <= m: cells with n > m are skipped."""
-    return [n for n in cfg["sweep.n"] if n <= m]
-
-
-def _spaces(cfg: dict, grid: Grid):
-    """(m, observation space, ``_n_values``) for every sensor count.
-
-    ``setup_experiment`` has checked that some cell is feasible.
-    """
-    for m in cfg["sweep.m"]:
-        space = build_observation_space(_sensor_array(cfg, m, grid), grid)
-        yield m, space, _n_values(cfg, m)
-
-
-def _noise_model(cfg: dict, alpha: float) -> NoiseModel:
-    return NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
-
 
 def _is_exact(model: NoiseModel) -> bool:
     return model.alpha == 0.0 and model.sigma == 0.0 and model.kind == LINEAR_BIAS_GAUSSIAN
@@ -971,67 +930,114 @@ class _Cases:
         result._timings.append(cell, self.case_ids, runtime_ms=block_ms / len(self.case_ids))
 
 
-class _Streams:
-    """A run's per-case seeds, derived in one pass and handed out in loop order.
+def _backgrounds(cfg: dict, setup: Setup, n: int) -> tuple:
+    """Every labeled POD basis truncated to n modes, in label order."""
+    return tuple(basis.subspace.truncate(n) for _snapshots, basis in setup.labeled.values())
 
-    ``keys`` yields every case's ``derive_seed`` parts in the order the
-    runner's loops take the cases; ``draws`` says whether ``_data_block``
-    draws those cases' noise, which needs their PCG64 seed words.
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment as the online loop runs it.
+
+    ``per_n(cfg, setup, n)`` prepares what one dimension's cells share, and
+    ``per_m(cfg, setup, space)`` what one sensor count's cells share; it
+    returns their block solve ``(per_n, model, cases, diagnostics)``, which
+    gives ``(method, errors, beta, block_ms)`` per method and appends the
+    block's diagnostic rows.  A block holds at most ``chunk`` cases (None: the
+    whole cell); ``draws`` is set where the solve draws noise with ``_data_block``.
     """
 
-    def __init__(self, master_seed: int, keys, draws: bool) -> None:
-        self.seeds = derive_seeds(master_seed, keys)
-        self.words = _pcg64_words(self.seeds) if draws else None
-        self.taken = 0
-
-    def cases(self, key: tuple, case_ids: range) -> _Cases:
-        """The next ``len(case_ids)`` cases, as one timed block."""
-        lo, hi = self.taken, self.taken + len(case_ids)
-        self.taken = hi
-        words = None if self.words is None else self.words[lo:hi]
-        return _Cases(key, case_ids, self.seeds[lo:hi], words)
+    setup: Callable[[dict], Setup]
+    per_m: Callable
+    per_n: Callable = _backgrounds
+    chunk: int | None = None
+    draws: bool = True
 
 
 def _elapsed_ms(start: float) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
+def _run(cfg: dict, experiment: str) -> RunResult:
+    """Offline set-up, then every block of cases of every feasible (n, m, alpha) cell.
+
+    The blocks are laid out once, as (m, n, noise model, case ids) in loop
+    order; every case seed comes from that layout in one ``derive_seeds`` pass
+    and the loop walks the same layout, so the two orders cannot drift apart.
+    """
+    if cfg["experiment"] != experiment:
+        raise ConfigError(f"config is for {cfg['experiment']!r}, expected {experiment!r}")
+    spec = _EXPERIMENTS[experiment]
+    setup = setup_experiment(cfg)
+    count = setup.cases
+    chunk = spec.chunk or count
+    swept = "sweep.alpha" in cfg
+    models = [NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
+              for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]])]
+    # cells with n > m are skipped; setup_experiment has checked that one is not
+    blocks = [(m, n, model, range(lo, min(lo + chunk, count)))
+              for m in cfg["sweep.m"] for n in cfg["sweep.n"] if n <= m
+              for model in models for lo in range(0, count, chunk)]
+    seeds = derive_seeds(cfg["master_seed"], (
+        ("noise", case_id, "m", m, "n", n, *(("alpha", repr(model.alpha)) if swept else ()))
+        for m, n, model, case_ids in blocks for case_id in case_ids
+    ))
+    words = _pcg64_words(seeds) if spec.draws and cfg["noise.sigma"] > 0 else None
+    per_n = {n: spec.per_n(cfg, setup, n) for n in dict.fromkeys(b[1] for b in blocks)}
+
+    result = RunResult(cfg, pod_decay=setup.decay())
+    taken = 0
+    for m, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
+        solve = spec.per_m(cfg, setup, build_observation_space(
+            _sensor_array(cfg, m, setup.grid), setup.grid))
+        for _m, n, model, case_ids in group:
+            lo, taken = taken, taken + len(case_ids)
+            cases = _Cases((n, m, model.alpha, model.sigma), case_ids, seeds[lo:taken],
+                           None if words is None else words[lo:taken])
+            for method, errors, beta, block_ms in solve(per_n[n], model, cases,
+                                                        result.diagnostics):
+                cases.emit(result, method, errors, beta, block_ms)
+    return result
+
+
 def run_example1(cfg: dict) -> RunResult:
     """Sinusoid background: plain vs bias-corrected solve over (n, m, alpha)."""
-    _expect(cfg, "example1")
-    setup = setup_experiment(cfg)
-    grid = setup.grid
-    truths, basis = setup.labeled["full"]
-    truth_block = np.ascontiguousarray(truths.matrix.T)
-    case_ids = range(len(truths))
-    alphas = cfg["sweep.alpha"]
-    streams = _Streams(cfg["master_seed"], (
-        ("noise", case_id, "m", m, "n", n, "alpha", repr(alpha))
-        for m in cfg["sweep.m"] for n in _n_values(cfg, m) for alpha in alphas
-        for case_id in case_ids
-    ), draws=cfg["noise.sigma"] > 0)
+    return _run(cfg, "example1")
 
-    truth_norms = _norms(grid, truth_block)
-    result = RunResult(cfg, pod_decay=setup.decay())
-    for m, space, n_values in _spaces(cfg, grid):
-        for n in n_values:
-            background = basis.subspace.truncate(n)
-            for alpha in alphas:
-                model = _noise_model(cfg, alpha)
-                cases = streams.cases((n, m, alpha, model.sigma), case_ids)
-                data = _data_block(truth_block, space, model, cases)
-                start = time.perf_counter()
-                plain = pbdw_solve_block(data, background, space)
-                plain_ms = _elapsed_ms(start)
-                corrected = bpbdw_correct_block(plain, background, space, model)
-                # the corrected method includes the plain solve it starts from
-                corrected_ms = _elapsed_ms(start)
-                for method, rec, block_ms in (
-                    ("pbdw", plain, plain_ms), ("bpbdw", corrected, corrected_ms)
-                ):
-                    errors = _norms(grid, rec.states - truth_block) / truth_norms
-                    cases.emit(result, method, errors, rec.beta, block_ms)
-    return result
+
+def run_example2(cfg: dict) -> RunResult:
+    """Discontinuous background: multiscale split vs full-basis solve."""
+    return _run(cfg, "example2")
+
+
+def run_example3_analog(cfg: dict) -> RunResult:
+    """Power-law profiles: box-constrained plain vs bias-corrected solve."""
+    return _run(cfg, "example3_analog")
+
+
+def run_experiment(cfg: dict) -> RunResult:
+    return _run(cfg, cfg["experiment"])
+
+
+def _example1(cfg: dict, setup: Setup, space) -> Callable:
+    """A cell's plain and bias-corrected solves, each one m x K block solve."""
+    truth_block = np.ascontiguousarray(setup.labeled["full"][0].matrix.T)
+    truth_norms = _norms(setup.grid, truth_block)
+
+    def solve(backgrounds, model: NoiseModel, cases: _Cases, _diagnostics: list) -> list:
+        (background,) = backgrounds
+        data = _data_block(truth_block, space, model, cases)
+        start = time.perf_counter()
+        plain = pbdw_solve_block(data, background, space)
+        plain_ms = _elapsed_ms(start)
+        corrected = bpbdw_correct_block(plain, background, space, model)
+        # the corrected method includes the plain solve it starts from
+        corrected_ms = _elapsed_ms(start)
+        return [(method, _norms(setup.grid, rec.states - truth_block) / truth_norms,
+                 rec.beta, block_ms)
+                for method, rec, block_ms in (("pbdw", plain, plain_ms),
+                                              ("bpbdw", corrected, corrected_ms))]
+    return solve
 
 
 # Columns per example2 block.  Whole-cell blocks run no faster and raise the
@@ -1039,140 +1045,113 @@ def run_example1(cfg: dict) -> RunResult:
 _CHUNK = 32
 
 
-def run_example2(cfg: dict) -> RunResult:
-    """Discontinuous background: multiscale split vs full-basis solve."""
-    _expect(cfg, "example2")
-    setup = setup_experiment(cfg)
+def _example2(cfg: dict, setup: Setup, space) -> Callable:
+    """A column block's split and full-basis solves, and its jump diagnostics."""
     grid = setup.grid
-    fast_val, fast_basis = setup.labeled["fast"]
-    full_val, full_basis = setup.labeled["full"]
-    model = _noise_model(cfg, cfg["noise.alpha"])
-    # the split is bias-corrected only when the data are noisy
-    split_model = None if _is_exact(model) else model
-    streams = _Streams(cfg["master_seed"], (
-        ("noise", case_id, "m", m, "n", n)
-        for m in cfg["sweep.m"] for n in _n_values(cfg, m) for case_id in range(len(full_val))
-    ), draws=model.sigma > 0)
+    dictionary = step_dictionary(grid, space, _pair(cfg, "manifold.jump_location"),
+                                 cfg["dictionary.stride"])
+    locations = np.array([p["jump_location"] for p in dictionary.parameters])
+    # the truths as rows and their jump locations, optionally snapped onto the dictionary
+    (fast_val, _), (full_val, _) = setup.labeled["fast"], setup.labeled["full"]
+    true_locations = np.array([p["jump_location"] for p in full_val.parameters])
+    truths = full_val.matrix
+    if cfg["dictionary.snap_truth"]:
+        true_locations = locations[np.abs(locations - true_locations[:, None]).argmin(axis=1)]
+        heights = np.array([p["jump_height"] for p in full_val.parameters])
+        steps = grid.nodes >= true_locations[:, None] - 1e-12
+        truths = fast_val.matrix + heights[:, None] * steps
+    locations, true_locations = locations.tolist(), true_locations.tolist()
 
-    result = RunResult(cfg, pod_decay=setup.decay())
-    for m, space, n_values in _spaces(cfg, grid):
-        dictionary = step_dictionary(
-            grid, space, _pair(cfg, "manifold.jump_location"), cfg["dictionary.stride"]
+    def solve(backgrounds, model: NoiseModel, cases: _Cases, diagnostics: list) -> list:
+        fast_bg, full_bg = backgrounds
+        ids = cases.case_ids
+        truth_block = np.ascontiguousarray(truths[ids.start:ids.stop].T)
+        data = _data_block(truth_block, space, model, cases)
+        start = time.perf_counter()
+        split = spbdw_reconstruct_block(
+            data, fast_bg, space, dictionary,
+            # the split is bias-corrected only when the data are noisy
+            model=None if _is_exact(model) else model,
+            rel_tol=cfg["spbdw.rel_tol"], max_iters=cfg["spbdw.max_iters"],
         )
-        locations = [p["jump_location"] for p in dictionary.parameters]
-        truths, true_locations = _example2_cases(cfg, dictionary, fast_val, full_val)
-        for n in n_values:
-            fast_bg = fast_basis.subspace.truncate(n)
-            full_bg = full_basis.subspace.truncate(n)
-            # the cell's cases run as (m, K) blocks of at most _CHUNK columns
-            for lo in range(0, len(truths), _CHUNK):
-                case_ids = range(lo, min(lo + _CHUNK, len(truths)))
-                cases = streams.cases((n, m, model.alpha, model.sigma), case_ids)
-                truth_block = np.ascontiguousarray(truths[lo:lo + _CHUNK].T)
-                data = _data_block(truth_block, space, model, cases)
-                start = time.perf_counter()
-                split = spbdw_reconstruct_block(
-                    data, fast_bg, space, dictionary, model=split_model,
-                    rel_tol=cfg["spbdw.rel_tol"], max_iters=cfg["spbdw.max_iters"],
-                )
-                split_ms = _elapsed_ms(start)
-                start = time.perf_counter()
-                plain = pbdw_solve_block(data, full_bg, space)
-                plain_ms = _elapsed_ms(start)
+        split_ms = _elapsed_ms(start)
+        start = time.perf_counter()
+        plain = pbdw_solve_block(data, full_bg, space)
+        plain_ms = _elapsed_ms(start)
 
-                truth_norms = _norms(grid, truth_block)
+        n, m = cases.key[:2]
+        # multiscale.total_variation of every column: the truth's, then each method's
+        tv_truth, *tv_methods = (np.abs(np.diff(block, axis=0)).sum(axis=0)
+                                 for block in (truth_block, split.u_star, plain.states))
+        per_case = zip(ids, split.dominant_indices().tolist(), split.greedy.counts.tolist(),
+                       tv_truth.tolist(), *((tv - tv_truth).tolist() for tv in tv_methods))
+        for case_id, dominant, count, tv, tv_split, tv_plain in per_case:
+            true_location = true_locations[case_id]
+            estimated = "" if dominant < 0 else locations[dominant]
+            cells_off = "" if dominant < 0 else abs(estimated - true_location) / grid.h
+            diagnostics.append({
+                "case_id": case_id, "n": n, "m": m,
+                "jump_location_true": true_location,
+                "jump_location_estimated": estimated, "jump_cells_off": cells_off,
+                "num_smoothers": count, "tv_truth": tv,
+                "tv_excess_spbdw": tv_split, "tv_excess_pbdw": tv_plain,
+            })
+        truth_norms = _norms(grid, truth_block)
+        return [(method, _norms(grid, states - truth_block) / truth_norms, beta, block_ms)
                 for method, states, beta, block_ms in (
                     ("spbdw", split.u_star, split.u_f.beta, split_ms),
-                    ("pbdw", plain.states, plain.beta, plain_ms),
-                ):
-                    errors = _norms(grid, states - truth_block) / truth_norms
-                    cases.emit(result, method, errors, beta, block_ms)
-                tv_truth = _total_variations(truth_block)
-                per_case = zip(
-                    case_ids,
-                    split.dominant_indices().tolist(),
-                    split.greedy.counts.tolist(),
-                    tv_truth.tolist(),
-                    (_total_variations(split.u_star) - tv_truth).tolist(),
-                    (_total_variations(plain.states) - tv_truth).tolist(),
-                )
-                for case_id, dominant, count, tv, tv_split, tv_plain in per_case:
-                    true_location = true_locations[case_id]
-                    estimated = "" if dominant < 0 else locations[dominant]
-                    cells_off = "" if dominant < 0 else abs(estimated - true_location) / grid.h
-                    result.diagnostics.append({
-                        "case_id": case_id, "n": n, "m": m,
-                        "jump_location_true": true_location,
-                        "jump_location_estimated": estimated, "jump_cells_off": cells_off,
-                        "num_smoothers": count, "tv_truth": tv,
-                        "tv_excess_spbdw": tv_split, "tv_excess_pbdw": tv_plain,
-                    })
-    return result
+                    ("pbdw", plain.states, plain.beta, plain_ms))]
+    return solve
 
 
-def _total_variations(block: np.ndarray) -> np.ndarray:
-    """``total_variation`` of every column of a (num_points, K) block."""
-    return np.abs(np.diff(block, axis=0)).sum(axis=0)
+def _example3_per_n(cfg: dict, setup: Setup, n: int) -> tuple:
+    """The n-mode background and its coefficient box, which does not depend on m."""
+    (background,) = _backgrounds(cfg, setup, n)
+    return background, compute_box(setup.labeled["full"][0], background, cfg["box.margin"])
 
 
-def _example2_cases(cfg, dictionary, fast_val, full_val):
-    """Truths as rows and their jump locations; optionally snapped onto the dictionary."""
-    true_locations = np.array([p["jump_location"] for p in full_val.parameters])
-    if not cfg["dictionary.snap_truth"]:
-        return full_val.matrix, true_locations.tolist()
-    locations = np.array([p["jump_location"] for p in dictionary.parameters])
-    true_locations = locations[np.abs(locations - true_locations[:, None]).argmin(axis=1)]
-    heights = np.array([p["jump_height"] for p in full_val.parameters])
-    steps = full_val.grid.nodes >= true_locations[:, None] - 1e-12
-    return fast_val.matrix + heights[:, None] * steps, true_locations.tolist()
+def _example3(cfg: dict, setup: Setup, space) -> Callable:
+    """A cell's box-constrained plain and bias-corrected solves, case by case.
 
-
-def run_example3_analog(cfg: dict) -> RunResult:
-    """Power-law profiles: box-constrained plain vs bias-corrected solve."""
-    _expect(cfg, "example3_analog")
-    setup = setup_experiment(cfg)
-    training, basis = setup.labeled["full"]
+    The benchmark's library runner rebuilds these rows with per-case calls and
+    compares them for equality; observe_noisy draws each case's noise itself.
+    """
     truth = setup.truth
     truth_norm = truth.norm()
-    case_ids = range(cfg["validation.count"])
-    model = _noise_model(cfg, cfg["noise.alpha"])
-    # observe_noisy draws each case's noise itself
-    streams = _Streams(cfg["master_seed"], (
-        ("noise", case_id, "m", m, "n", n)
-        for m in cfg["sweep.m"] for n in _n_values(cfg, m) for case_id in case_ids
-    ), draws=False)
 
-    result = RunResult(cfg, pod_decay=setup.decay())
-    for m, space, n_values in _spaces(cfg, setup.grid):
-        for n in n_values:
-            background = basis.subspace.truncate(n)
-            box = compute_box(training, background, cfg["box.margin"])
-            cases = streams.cases((n, m, model.alpha, model.sigma), case_ids)
-            # case by case: the benchmark's library runner rebuilds these rows
-            # with per-case calls and compares them for equality; each corrected
-            # solve starts from its plain one, as bpbdw_reconstruct does
-            observations = [observe_noisy(truth, space, model, seed) for seed in cases.seeds]
-            start = time.perf_counter()
-            plain = [pbdw_solve_boxed(omega, background, space, box) for omega in observations]
-            plain_ms = _elapsed_ms(start)
-            corrected = [
-                pbdw_solve_boxed(corrected_constraint(rec.state, space, model, seed),
-                                 background, space, box)
-                for rec, seed in zip(plain, cases.seeds)
-            ]
-            corrected_ms = _elapsed_ms(start)
-            for method, recs, block_ms in (
-                ("pbdw", plain, plain_ms), ("bpbdw", corrected, corrected_ms)
-            ):
-                errors = [(rec.state - truth).norm() / truth_norm for rec in recs]
-                cases.emit(result, method, errors, recs[0].beta, block_ms)
-            for case_id, pair in zip(case_ids, zip(plain, corrected)):
-                for method, rec in zip(("pbdw", "bpbdw"), pair):
-                    energy = float(np.sum(rec.rom_coeffs**2))
-                    fraction = float(rec.rom_coeffs[0] ** 2 / energy) if energy > 0 else 0.0
-                    result.diagnostics.append({"case_id": case_id, "method": method, "n": n,
-                                               "m": m, "mode1_energy_fraction": fraction})
-    return result
+    def solve(prepared, model: NoiseModel, cases: _Cases, diagnostics: list) -> list:
+        background, box = prepared
+        observations = [observe_noisy(truth, space, model, seed) for seed in cases.seeds]
+        start = time.perf_counter()
+        plain = [pbdw_solve_boxed(omega, background, space, box) for omega in observations]
+        plain_ms = _elapsed_ms(start)
+        # each corrected solve starts from its plain one, as bpbdw_reconstruct does
+        corrected = [
+            pbdw_solve_boxed(corrected_constraint(rec.state, space, model, seed),
+                             background, space, box)
+            for rec, seed in zip(plain, cases.seeds)
+        ]
+        corrected_ms = _elapsed_ms(start)
+        n, m = cases.key[:2]
+        for case_id, pair in zip(cases.case_ids, zip(plain, corrected)):
+            for method, rec in zip(("pbdw", "bpbdw"), pair):
+                energy = float(np.sum(rec.rom_coeffs**2))
+                fraction = float(rec.rom_coeffs[0] ** 2 / energy) if energy > 0 else 0.0
+                diagnostics.append({"case_id": case_id, "method": method, "n": n,
+                                    "m": m, "mode1_energy_fraction": fraction})
+        return [(method, [(rec.state - truth).norm() / truth_norm for rec in recs],
+                 recs[0].beta, block_ms)
+                for method, recs, block_ms in (("pbdw", plain, plain_ms),
+                                               ("bpbdw", corrected, corrected_ms))]
+    return solve
+
+
+_EXPERIMENTS = {
+    "example1": _Experiment(_setup_example1, _example1),
+    "example2": _Experiment(_setup_example2, _example2, chunk=_CHUNK),
+    "example3_analog": _Experiment(_setup_example3_analog, _example3, _example3_per_n,
+                                   draws=False),
+}
 
 
 def pod_decay_rows(labeled: dict, n_values: list[int]) -> list[dict]:
@@ -1187,14 +1166,3 @@ def pod_decay_rows(labeled: dict, n_values: list[int]) -> list[dict]:
             for n, err in zip(usable, errors)
         )
     return rows
-
-
-_RUNNERS = {
-    "example1": run_example1,
-    "example2": run_example2,
-    "example3_analog": run_example3_analog,
-}
-
-
-def run_experiment(cfg: dict) -> RunResult:
-    return _RUNNERS[cfg["experiment"]](cfg)

@@ -21,6 +21,7 @@ from assim import (
     GridFunction,
     NoiseModel,
     SinusoidSpec,
+    Subspace,
     bpbdw_reconstruct,
     build_observation_space,
     compute_box,
@@ -358,6 +359,8 @@ def example2_oracle(cfg):
                                      cfg["dictionary.stride"])
         locations = np.array([p["jump_location"] for p in dictionary.parameters])
         for n in cfg["sweep.n"]:
+            if n > m:
+                continue
             fast_bg = fast_basis.subspace.truncate(n)
             full_bg = full_basis.subspace.truncate(n)
             for case_id, params in enumerate(full_val.parameters):
@@ -403,14 +406,17 @@ class TestExample2BlockPath:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"noise.alpha": 0.1, "noise.sigma": 0.05}],
-        ids=["exact", "bias_corrected"],
+        [{}, {"noise.alpha": 0.1, "noise.sigma": 0.05},
+         # n=30 > m=25 is skipped; the noise draws pin the seed order through the skip
+         {"sweep.n": [10, 30], "sweep.m": [25, 40], "noise.sigma": 0.05}],
+        ids=["exact", "bias_corrected", "skipped_cell"],
     )
     def test_rows_match_per_case_solves(self, overrides):
         cfg = small_example2(**overrides)
         res = run_example2(cfg)
         rows, diagnostics = example2_oracle(cfg)
-        assert len(res.rows) == len(rows) == 4 * cfg["validation.count"] * 2
+        cells = sum(n <= m for n in cfg["sweep.n"] for m in cfg["sweep.m"])
+        assert len(res.rows) == len(rows) == cells * cfg["validation.count"] * 2
         for row in res.rows:
             error, beta, seed = rows[row.key()[:5]]
             assert row.error_e == pytest.approx(error, rel=1e-10)
@@ -866,6 +872,8 @@ class TestCli:
             ("example3.cfg", "noise.alpha=-1", "noise.alpha"),
             ("example3.cfg", "box.margin=-1", "box.margin"),
             ("example1.cfg", "grid.num_points=1", "grid.num_points"),
+            ("example1.cfg", "validation.count=0", "validation.count"),
+            ("example2.cfg", "training.count=0", "training.count"),
             ("example2.cfg", "noise.mc_samples=0", "noise.mc_samples"),
             ("example1.cfg", "sensors.kind=foo", "sensors.kind"),
             ("example1.cfg", "grid.b=-1", "grid.a must be < grid.b"),
@@ -1278,6 +1286,58 @@ class TestRunExperimentDispatch:
         assert res.config["experiment"] == "example1"
 
     def test_wrong_runner_rejected(self):
-        cfg = default_config("example2")
-        with pytest.raises(ConfigError):
-            run_example1(cfg)
+        runners = {"example1": run_example1, "example2": run_example2,
+                   "example3_analog": run_example3_analog}
+        for expected, runner in runners.items():
+            for given in set(runners) - {expected}:
+                with pytest.raises(ConfigError,
+                                   match=f"config is for '{given}', expected '{expected}'"):
+                    runner(default_config(given))
+
+
+class TestOnlineLoop:
+    """The one loop that runs every experiment."""
+
+    @pytest.mark.parametrize(
+        "cfg, truncated, boxes",
+        [
+            # n=5 > m=3 is skipped; every other n is built once for all three m
+            (small_example1(**{"sweep.m": [3, 10, 25]}), [1, 3, 5], 0),
+            # two bases per n: the fast and the full one
+            (small_example2(**{"validation.count": 4}), [10, 10, 20, 20], 0),
+            ({**default_config("example3_analog"), "validation.count": 4,
+              "sweep.n": [3, 5, 8], "sweep.m": [20, 40]}, [3, 5, 8], 3),
+        ],
+        ids=["example1", "example2", "example3"],
+    )
+    def test_each_n_is_prepared_once_per_run(self, monkeypatch, cfg, truncated, boxes):
+        calls = {"truncate": [], "compute_box": 0}
+        truncate, box = Subspace.truncate, assim.bench.compute_box
+
+        def counted_truncate(self, n):
+            calls["truncate"].append(n)
+            return truncate(self, n)
+
+        def counted_box(*args, **kwargs):
+            calls["compute_box"] += 1
+            return box(*args, **kwargs)
+
+        monkeypatch.setattr(Subspace, "truncate", counted_truncate)
+        monkeypatch.setattr(assim.bench, "compute_box", counted_box)
+        # the decay curves truncate too; they are not the loop's
+        monkeypatch.setattr(assim.bench, "pod_decay_rows", lambda labeled, n_values: [])
+        run_experiment(cfg)
+        assert sorted(calls["truncate"]) == truncated
+        assert calls["compute_box"] == boxes
+
+    def test_example3_computes_no_seed_words(self, monkeypatch):
+        def refuse(seeds):
+            raise AssertionError("PCG64 seed words computed")
+
+        monkeypatch.setattr(assim.bench, "_pcg64_words", refuse)
+        cfg = default_config("example3_analog")
+        cfg.update({"validation.count": 4, "sweep.n": [3, 5], "sweep.m": [20, 40]})
+        assert len(run_example3_analog(cfg).rows) == 2 * 4 * 4
+        # example1 draws its noise from the words, so the patch is in force
+        with pytest.raises(AssertionError, match="seed words"):
+            run_example1(small_example1())
