@@ -18,8 +18,9 @@ set-up, what the cells of one sensor count m and of one dimension n share,
 and a block solve.  The loop takes the (n, m, alpha) cells with n <= m in
 blocks of cases, the whole cell or at most ``_CHUNK`` cases (``example2``);
 ``example3_analog`` solves a block case by case.  Every block's errors go
-into the run's columnar store as arrays (``_Cases.emit``), and every CSV is
-written from those columns; a case's time is its even share of its block's.
+into the run's columnar store as arrays (``_Cases.emit``); ``results.csv`` and
+``timings.csv`` (a case's time is its even share of its block's) are streamed
+from those columns a line at a time, each cell key formatted once.
 
 Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  Every
@@ -587,22 +588,24 @@ class _Columns:
         """Row order of ``ResultRow.key`` (case id, then cell key); ties keep row order."""
         return np.lexsort((self.ranks(), self["case_id"]))
 
-    def records(self, order: np.ndarray | None = None, as_text: bool = False) -> list[list]:
-        """Rows in ``order`` (default: as they came) as lists of Python scalars.
+    def records(self) -> list[list]:
+        """Rows as they came, as lists of Python scalars."""
+        keys = list(self.cells)
+        return [[case_id, *keys[cell], *values] for case_id, cell, *values in
+                zip(*(self[name].tolist() for name in ("case_id", "cell", *self.values)))]
 
-        ``as_text`` gives every float as its ``repr``, the text a csv writer
-        writes for it, formatted once per cell key or distinct value.
-        """
-        order = np.arange(len(self)) if order is None else order
-        keys = [[repr(v) if as_text and isinstance(v, float) else v for v in cell]
-                for cell in self.cells]
-        out = np.empty((len(order), 6 + len(self.values)), dtype=object)
-        out[:, 0] = self["case_id"][order]
-        out[:, 1:6] = np.array(keys, dtype=object).reshape(-1, 5)[self["cell"][order]]
-        for j, name in enumerate(self.values, start=6):
-            column = self[name][order]
-            out[:, j] = _reprs(column) if as_text and column.dtype == np.float64 else column
-        return out.tolist()
+    def lines(self):
+        """CSV lines of the rows in ``order()``: each cell key formatted once by
+        the csv module, integers by ``str``, floats by ``_reprs``."""
+        writer = csv.writer(buf := io.StringIO(), lineterminator="")
+        ends = list(itertools.accumulate(map(writer.writerow, self.cells)))   # lengths written
+        text = buf.getvalue()
+        keys = np.array([text[a:b] for a, b in zip([0, *ends], ends)], dtype=object)
+        order = self.order()
+        columns = [self["case_id"][order].tolist(), keys[self["cell"][order]].tolist()]
+        columns += [_reprs(c) if c.dtype == np.float64 else c.tolist()
+                    for c in (self[name][order] for name in self.values)]
+        return map((",".join(["%s"] * len(columns)) + "\n").__mod__, zip(*columns))
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -698,7 +701,7 @@ class RunResult:
         out.mkdir(parents=True, exist_ok=True)
         for name, header, table in (("results.csv", RESULT_FIELDS, self._results),
                                     ("timings.csv", TIMING_FIELDS, self._timings)):
-            _write_versioned_csv(out / name, header, table.records(table.order(), as_text=True))
+            _write_versioned_csv(out / name, header, table.lines())
         _write_table(out / "aggregates.csv", AGGREGATE_FIELDS, self.aggregates)
         if self.pod_decay:
             _write_pod_decay_csv(self.pod_decay, out / "pod_decay.csv")
@@ -707,17 +710,19 @@ class RunResult:
         _write_run_json(self.config, out / "run.json")
 
 
-def _write_versioned_csv(path: Path, header, rows: list[list]) -> None:
+def _write_versioned_csv(path: Path, header, lines) -> None:
+    """The schema line and the CSV header, then the text ``lines``."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(lines)
 
 
 def _write_table(path: Path, header, rows: list[dict]) -> None:
     """One CSV row per dict, its values in header order ("" where a key is missing)."""
-    _write_versioned_csv(path, header, [[r.get(k, "") for k in header] for r in rows])
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(
+        [r.get(k, "") for k in header] for r in rows)
+    _write_versioned_csv(path, header, [buf.getvalue()])
 
 
 def _write_pod_decay_csv(rows: list[dict], path: Path) -> None:
@@ -790,7 +795,9 @@ def _setup_example1(cfg: dict) -> Setup:
     basis = _pod(cfg, training)
 
     if cfg["validation.reuse_training"]:
-        count = min(cfg["validation.count"], len(training))
+        if (count := cfg["validation.count"]) > len(training):
+            raise ConfigError(f"validation.count={count} exceeds training.count={len(training)}, "
+                              f"the truths validation.reuse_training draws from")
         truths = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
     else:
         truths = sample_sinusoids(spec, grid, cfg["validation.count"],

@@ -48,10 +48,7 @@ from assim.bench import (
     _pair,
     _pcg64_words,
     _sensor_array,
-    _write_pod_decay_csv,
     _write_run_json,
-    _write_table,
-    _write_versioned_csv,
     aggregate_rows,
     default_config,
     derive_seed,
@@ -273,8 +270,10 @@ class TestExample1BlockPath:
             {},
             {"noise.sigma": 0.0, "sweep.alpha": [0.0]},
             {"validation.reuse_training": True},
+            # a signed-zero alpha and one whose repr is in exponent form
+            {"sweep.alpha": [-0.0, 1e-05]},
         ],
-        ids=["noisy", "exact", "reuse_training"],
+        ids=["noisy", "exact", "reuse_training", "negative_zero_alpha"],
     )
     def test_rows_match_per_case_solves(self, overrides):
         cfg = small_example1(**{"sweep.n": [1, 4, 10, 12], "sweep.m": [10, 25],
@@ -608,22 +607,36 @@ def reference_aggregates(rows):
     return out
 
 
+def reference_csv(path, header, rows):
+    """A versioned CSV file written by ``csv.writer``, one list per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# schema_version=1\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def reference_write(result, out):
-    """The row writer the columnar store replaced: Python key sorts of row objects.
+    """The row writer the columnar store replaced: Python key sorts of row objects,
+    every CSV written by ``csv.writer``.
 
     Aggregates reduce each cell's errors in the order the rows came in.
     """
     out.mkdir(parents=True)
+
+    def table(name, header, rows):
+        reference_csv(out / name, header, [[r.get(k, "") for k in header] for r in rows])
+
     rows = sorted(result.rows, key=ResultRow.key)
-    _write_versioned_csv(out / "results.csv", RESULT_FIELDS,
-                         [[getattr(r, f) for f in RESULT_FIELDS] for r in rows])
-    _write_table(out / "aggregates.csv", AGGREGATE_FIELDS, reference_aggregates(result.rows))
+    reference_csv(out / "results.csv", RESULT_FIELDS,
+                  [[getattr(r, f) for f in RESULT_FIELDS] for r in rows])
+    table("aggregates.csv", AGGREGATE_FIELDS, reference_aggregates(result.rows))
     if result.pod_decay:
-        _write_pod_decay_csv(result.pod_decay, out / "pod_decay.csv")
+        table("pod_decay.csv", ("label", "n", "approximation_error"), result.pod_decay)
     if result.diagnostics:
-        _write_table(out / "diagnostics.csv", list(result.diagnostics[0]), result.diagnostics)
+        table("diagnostics.csv", list(result.diagnostics[0]), result.diagnostics)
     timings = sorted(result.timings, key=lambda r: tuple(r[k] for k in TIMING_FIELDS[:6]))
-    _write_table(out / "timings.csv", TIMING_FIELDS, timings)
+    table("timings.csv", TIMING_FIELDS, timings)
     _write_run_json(result.config, out / "run.json")
 
 
@@ -689,6 +702,48 @@ class TestColumnarWrite:
         got, want = aggregate_rows(rows), reference_aggregates(rows)
         assert [list(map(repr, a.values())) for a in got] == \
             [list(map(repr, a.values())) for a in want]
+
+    def test_edge_values_match_the_row_writer(self, tmp_path):
+        # repr's extremes: signed zero, the smallest subnormal, the largest float
+        # and 17-digit values; seeds at both ends of uint64; -0.0 and negative alpha;
+        # a method name that the csv module must quote
+        errors = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3, 2 / 3,
+                  1.0000000000000002, 123456789.12345679]
+        cells = [("pbdw", 3, 25, -0.0, 0.325), ("bpbdw", 3, 25, -0.5, 0.325),
+                 ("pbdw", 12, 80, 0.1, 0.0), ("bpbdw", 1, 10, -0.0, 0.30000000000000004),
+                 ('split,"q"', 2, 20, 0.05, 0.325)]
+        rows, timings = [], []
+        for (method, n, m, alpha, sigma), (seed, beta) in zip(
+                cells, [(0, -0.0), (2**64 - 1, 5e-324), (2**63, 1 / 3), (1, 1.0), (7, 0.5)]):
+            for case_id, error in enumerate(errors):
+                rows.append(ResultRow(case_id, method, n, m, alpha, sigma, error, beta, seed))
+                timings.append(dict(zip(TIMING_FIELDS, (case_id, method, n, m, alpha, sigma,
+                                                        errors[-1 - case_id]))))
+        result = RunResult(small_example1(), rows, timings=timings)
+        # the largest float's deviation squares to inf in aggregates.csv, in both writers
+        with np.errstate(over="ignore"):
+            assert_same_files(result, tmp_path / "hand")
+        text = (tmp_path / "hand" / "columns" / "results.csv").read_text()
+        for line in ("0,pbdw,3,25,-0.0,0.325,-0.0,-0.0,0",
+                     "1,bpbdw,3,25,-0.5,0.325,5e-324,5e-324,18446744073709551615",
+                     "3,bpbdw,1,10,-0.0,0.30000000000000004,0.30000000000000004,1.0,1",
+                     '4,"split,""q""",2,20,0.05,0.325,0.3333333333333333,0.5,7'):
+            assert line in text.splitlines(), line
+        # the block path appends the same columns
+        blocks = RunResult(small_example1())
+        for (method, *key), (seed, beta) in zip(cells, [(0, -0.0), (2**64 - 1, 5e-324)]):
+            cases = _Cases(tuple(key), range(len(errors)), [seed] * len(errors), None)
+            cases.emit(blocks, method, errors, beta, 1.5)
+        with np.errstate(over="ignore"):
+            assert_same_files(blocks, tmp_path / "blocks")
+
+    def test_empty_result_writes_header_only_files(self, tmp_path):
+        result = RunResult(small_example1())
+        assert_same_files(result, tmp_path)
+        for name, header in (("results.csv", RESULT_FIELDS), ("timings.csv", TIMING_FIELDS),
+                             ("aggregates.csv", AGGREGATE_FIELDS)):
+            text = (tmp_path / "columns" / name).read_text()
+            assert text == "# schema_version=1\n" + ",".join(header) + "\n", name
 
     @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (-0.5, "-0.5")])
     def test_block_with_a_bad_error_is_rejected_whole(self, tmp_path, bad, shown):
@@ -901,6 +956,26 @@ class TestCli:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}"), err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "pod-decay"])
+    def test_reuse_training_count_above_the_training_set_rejected(self, tmp_path, capsys,
+                                                                   command):
+        # the truths are the first validation.count training snapshots: none may be missing
+        out_dir = tmp_path / "o"
+        overrides = ["validation.reuse_training=true", "validation.count=300",
+                     "sweep.n=2,20", "sweep.m=15,30"]
+        code = cli_main([command, "--config", str(CONFIGS / "example1.cfg"),
+                         *itertools.chain.from_iterable(("--set", o) for o in overrides),
+                         "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: validation.count=300 "), err
+        assert "training.count=128" in err[0]
+        assert not out_dir.exists()
+        with pytest.raises(ConfigError, match="validation.count=300 .* training.count=128"):
+            run_experiment(load_config(CONFIGS / "example1.cfg", overrides))
 
     @pytest.mark.parametrize("config", ["example2.cfg", "example3.cfg"])
     def test_reuse_training_rejected_outside_example1(self, tmp_path, capsys, config):
