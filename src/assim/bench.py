@@ -18,9 +18,10 @@ set-up, what the cells of one sensor count m and of one dimension n share,
 and a block solve.  The loop takes the (n, m, alpha) cells with n <= m in
 blocks of cases, the whole cell or at most ``_CHUNK`` cases (``example2``);
 ``example3_analog`` solves a block case by case.  Every block's errors go
-into the run's columnar store as arrays (``_Cases.emit``); ``results.csv`` and
-``timings.csv`` (a case's time is its even share of its block's) are streamed
-from those columns a line at a time, each cell key formatted once.
+into the run's columnar store as arrays (``_Cases.emit``), and ``results.csv``
+is streamed from those columns a line at a time, each cell key formatted
+once.  Each block also gives one ``timings.csv`` row per method: the time
+its solve took, and the first case id and case count of the block.
 
 Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  Every
@@ -29,7 +30,7 @@ rerun with the same master seed reproduces ``results.csv`` byte for byte.
 The loop derives every case seed of a run, and the PCG64 seed words of its
 noise, in one vectorized pass (``derive_seeds``, ``_pcg64_words``) over the
 blocks it then walks; the pass reproduces ``derive_seed`` and
-``np.random.default_rng(seed)`` bit for bit.  Wall-clock timings go to
+``np.random.default_rng(seed)`` bit for bit.  Wall-clock block times go to
 ``timings.csv`` to keep ``results.csv`` deterministic.
 """
 
@@ -296,9 +297,11 @@ def _validate(cfg: dict) -> dict:
         if SCHEMA[key][0] in ("float", "float_list") and not all(np.isfinite(values)):
             raise ConfigError(f"{key} must be finite, got {value}")
         # the spec classes reject these too, without the key
-        if key.startswith("manifold.") and SCHEMA[key][0] == "float_list" \
-                and len(value) == 2 and not value[0] <= value[1]:
-            raise ConfigError(f"{key} range {value} is not well ordered (lo <= hi)")
+        if key.startswith("manifold.") and SCHEMA[key][0] == "float_list":
+            if len(value) != 2:
+                raise ConfigError(f"{key} must have exactly two entries (lo, hi), got {value}")
+            if not value[0] <= value[1]:
+                raise ConfigError(f"{key} range {value} is not well ordered (lo <= hi)")
         floor, allowed = _FLOORS.get(key, (None, True))
         if floor is not None and any(v < floor or (v == floor and not allowed) for v in values):
             raise ConfigError(f"{key} must be {'>=' if allowed else '>'} {floor}, got {value}")
@@ -341,6 +344,17 @@ def _validate(cfg: dict) -> dict:
             sensors.validate_on(grid)
         except ValueError as exc:
             raise ConfigError(f"sweep.m={m}: {exc}") from None
+    # the online loop skips the cells with n > m, so a sweep must have one other
+    n_min, n_max, m_max = min(cfg["sweep.n"]), max(cfg["sweep.n"]), max(cfg["sweep.m"])
+    if n_min > m_max:
+        raise ConfigError(f"no feasible (n, m) cell: every sweep.n exceeds every sweep.m "
+                          f"(smallest n={n_min}, largest m={m_max})")
+    # every sampler draws training.count snapshots, whose POD must reach the largest n
+    if n_max > (train := cfg["training.count"]):
+        raise ConfigError(f"sweep.n goes to {n_max} but only {train} snapshots are available")
+    if cfg.get("validation.reuse_training") and (count := cfg["validation.count"]) > train:
+        raise ConfigError(f"validation.count={count} exceeds training.count={train}, "
+                          f"the truths validation.reuse_training draws from")
     return cfg
 
 
@@ -512,7 +526,7 @@ def _normal_columns(words: np.ndarray, sigma: float, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 RESULT_FIELDS = ("case_id", "method", "n", "m", "alpha", "sigma", "error_e", "beta", "seed")
-TIMING_FIELDS = ("case_id", "method", "n", "m", "alpha", "sigma", "runtime_ms")
+TIMING_FIELDS = ("method", "n", "m", "alpha", "sigma", "first_case", "cases", "block_ms")
 AGGREGATE_FIELDS = ("method", "n", "m", "alpha", "sigma", "mean", "max", "min", "stddev", "count")
 
 
@@ -538,26 +552,27 @@ class ResultRow:
         return (self.case_id, self.method, self.n, self.m, self.alpha, self.sigma)
 
 
+_VALUES = RESULT_FIELDS[6:]       # the columns after a row's case id and cell key
 _DTYPES = {"cell": np.intp, "case_id": np.int64, "error_e": np.float64, "beta": np.float64,
-           "seed": np.uint64, "runtime_ms": np.float64}
+           "seed": np.uint64}
 
 
 class _Columns:
-    """One output table as columns, appended one block of cases at a time.
+    """The result table as columns, appended one block of cases at a time.
 
     A row is a case of a cell (method, n, m, alpha, sigma).  ``cells`` maps
     each cell key, as the Python objects it came as, to its index in
     first-seen order (keys equal by value are one cell, as in the
     aggregates); the ``cell`` column holds each row's index.  ``records`` are
-    ``(case_id, *cell key, *values)`` tuples to start from.
+    ``RESULT_FIELDS`` tuples to start from.
     """
 
-    def __init__(self, values: tuple[str, ...], records=()) -> None:
-        self.values, self.cells = values, {}
-        self._parts = {name: [] for name in ("cell", "case_id", *values)}
-        columns = list(zip(*records)) or [()] * (6 + len(values))
+    def __init__(self, records=()) -> None:
+        self.cells = {}
+        self._parts = {name: [] for name in ("cell", "case_id", *_VALUES)}
+        columns = list(zip(*records)) or [()] * len(RESULT_FIELDS)
         codes = [self.cells.setdefault(cell, len(self.cells)) for cell in zip(*columns[1:6])]
-        self._extend(codes, columns[0], dict(zip(values, columns[6:])))
+        self._extend(codes, columns[0], dict(zip(_VALUES, columns[6:])))
 
     def append(self, cell: tuple, case_ids, **values) -> None:
         """The cases ``case_ids`` of one cell; a scalar value is shared by all of them."""
@@ -592,7 +607,7 @@ class _Columns:
         """Rows as they came, as lists of Python scalars."""
         keys = list(self.cells)
         return [[case_id, *keys[cell], *values] for case_id, cell, *values in
-                zip(*(self[name].tolist() for name in ("case_id", "cell", *self.values)))]
+                zip(*(self[name].tolist() for name in ("case_id", "cell", *_VALUES)))]
 
     def lines(self):
         """CSV lines of the rows in ``order()``: each cell key formatted once by
@@ -604,7 +619,7 @@ class _Columns:
         order = self.order()
         columns = [self["case_id"][order].tolist(), keys[self["cell"][order]].tolist()]
         columns += [_reprs(c) if c.dtype == np.float64 else c.tolist()
-                    for c in (self[name][order] for name in self.values)]
+                    for c in (self[name][order] for name in _VALUES)]
         return map((",".join(["%s"] * len(columns)) + "\n").__mod__, zip(*columns))
 
 
@@ -616,7 +631,7 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 
 def _result_columns(rows) -> _Columns:
-    return _Columns(RESULT_FIELDS[6:], map(operator.attrgetter(*RESULT_FIELDS), rows))
+    return _Columns(map(operator.attrgetter(*RESULT_FIELDS), rows))
 
 
 def aggregate_rows(rows) -> list[dict]:
@@ -648,27 +663,23 @@ def aggregate_rows(rows) -> list[dict]:
 class RunResult:
     """Everything one experiment run produces.
 
-    Result and timing rows are kept as columns: a runner appends each block's
-    arrays (``_Cases.emit``), and ``ResultRow``s and timing dicts passed in
-    are turned into columns once.  ``rows`` and ``timings`` are views built
-    from the columns on each access, in the order the rows came in.
+    Result rows are kept as columns: a runner appends each block's arrays
+    (``_Cases.emit``), and ``ResultRow``s passed in become columns once;
+    ``rows`` is a view built from them, in the order the rows came in.
+    ``timings`` is a plain list of dicts, like ``diagnostics``: the loop
+    appends one ``TIMING_FIELDS`` row per solved block and method.
     """
 
     def __init__(self, config: dict, rows=(), pod_decay=(), diagnostics=(), timings=()) -> None:
         self.config = config
         self.pod_decay = list(pod_decay)
         self.diagnostics = list(diagnostics)
+        self.timings = list(timings)
         self._results = _result_columns(rows)
-        self._timings = _Columns(TIMING_FIELDS[6:],
-                                 map(operator.itemgetter(*TIMING_FIELDS), timings))
 
     @property
     def rows(self) -> list[ResultRow]:
         return [ResultRow(*r) for r in self._results.records()]
-
-    @property
-    def timings(self) -> list[dict]:
-        return [dict(zip(TIMING_FIELDS, r)) for r in self._timings.records()]
 
     @cached_property
     def aggregates(self) -> list[dict]:
@@ -696,17 +707,18 @@ class RunResult:
         return self._results["error_e"][order][keep].tolist()
 
     def write(self, out_dir: str | Path) -> None:
-        """Every output file; results and timings in ``ResultRow.key`` order."""
+        """Every output file; results in ``ResultRow.key`` order, the dict tables
+        in the order their rows came, headed by the first row's keys."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name, header, table in (("results.csv", RESULT_FIELDS, self._results),
-                                    ("timings.csv", TIMING_FIELDS, self._timings)):
-            _write_versioned_csv(out / name, header, table.lines())
+        _write_versioned_csv(out / "results.csv", RESULT_FIELDS, self._results.lines())
         _write_table(out / "aggregates.csv", AGGREGATE_FIELDS, self.aggregates)
         if self.pod_decay:
             _write_pod_decay_csv(self.pod_decay, out / "pod_decay.csv")
         if self.diagnostics:
             _write_table(out / "diagnostics.csv", list(self.diagnostics[0]), self.diagnostics)
+        _write_table(out / "timings.csv", list(self.timings[0]) if self.timings else TIMING_FIELDS,
+                     self.timings)
         _write_run_json(self.config, out / "run.json")
 
 
@@ -753,10 +765,8 @@ def _sensor_array(cfg: dict, m: int, grid: Grid) -> SensorArray:
 
 
 def _pair(cfg: dict, key: str) -> tuple[float, float]:
-    values = cfg[key]
-    if len(values) != 2:
-        raise ConfigError(f"{key} must have exactly two entries (lo, hi), got {values}")
-    return float(values[0]), float(values[1])
+    lo, hi = cfg[key]       # _validate has checked there are two
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -777,27 +787,15 @@ class Setup:
         return pod_decay_rows(self.labeled, self.decay_n)
 
 
-def _pod(cfg: dict, snapshots: SnapshotSet):
-    """The POD basis of the sweep's largest n, which the snapshots must span."""
-    n_max = max(cfg["sweep.n"])
-    if n_max > len(snapshots):
-        raise ConfigError(
-            f"sweep.n goes to {n_max} but only {len(snapshots)} snapshots are available"
-        )
-    return pod(snapshots, n_max)
-
-
 def _setup_example1(cfg: dict) -> Setup:
     grid = _grid(cfg)
     spec = SinusoidSpec(_pair(cfg, "manifold.amplitude"), _pair(cfg, "manifold.period"))
     master = cfg["master_seed"]
     training = sample_sinusoids(spec, grid, cfg["training.count"], derive_seed(master, "training"))
-    basis = _pod(cfg, training)
+    basis = pod(training, max(cfg["sweep.n"]))
 
     if cfg["validation.reuse_training"]:
-        if (count := cfg["validation.count"]) > len(training):
-            raise ConfigError(f"validation.count={count} exceeds training.count={len(training)}, "
-                              f"the truths validation.reuse_training draws from")
+        count = cfg["validation.count"]
         truths = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
     else:
         truths = sample_sinusoids(spec, grid, cfg["validation.count"],
@@ -820,7 +818,8 @@ def _setup_example2(cfg: dict) -> Setup:
 
     fast_train, _slow_train, full_train = sample_multiscale(spec, grid, cfg["training.count"],
                                                             derive_seed(master, "training"))
-    fast_basis, full_basis = _pod(cfg, fast_train), _pod(cfg, full_train)
+    n_max = max(cfg["sweep.n"])
+    fast_basis, full_basis = pod(fast_train, n_max), pod(full_train, n_max)
 
     fast_val, _slow_val, full_val = sample_multiscale(spec, grid, cfg["validation.count"],
                                                       derive_seed(master, "validation"))
@@ -858,7 +857,7 @@ def _setup_example3_analog(cfg: dict) -> Setup:
     )
     seed = derive_seed(cfg["master_seed"], "training")
     training = sample_powerlaw(spec, grid, cfg["training.count"], seed)
-    basis = _pod(cfg, training)
+    basis = pod(training, max(cfg["sweep.n"]))
     truth = powerlaw_profile(
         grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
     )
@@ -870,13 +869,10 @@ def _setup_example3_analog(cfg: dict) -> Setup:
 def setup_experiment(cfg: dict) -> Setup:
     """The offline set-up of the configured experiment, without any solve.
 
-    The online loop skips the cells with n > m, so a sweep must have one other.
+    The config is validated first, so a dict edited by hand gets the checks
+    a parsed one does; set-up itself only rejects what needs its data.
     """
-    if min(cfg["sweep.n"]) > max(cfg["sweep.m"]):
-        raise ConfigError(
-            f"no feasible (n, m) cell: every sweep.n exceeds every sweep.m "
-            f"(smallest n={min(cfg['sweep.n'])}, largest m={max(cfg['sweep.m'])})"
-        )
+    _validate(cfg)
     return _EXPERIMENTS[cfg["experiment"]].setup(cfg)
 
 
@@ -924,7 +920,7 @@ class _Cases:
     words: np.ndarray | None    # the seeds' _pcg64_words, where _data_block draws noise
 
     def emit(self, result: RunResult, method: str, errors, beta: float, block_ms: float) -> None:
-        """The block's columns, each case with an even share of the block's time.
+        """The block's result columns and its one timing row for ``method``.
 
         A non-finite or negative error rejects the block before any of it is kept.
         """
@@ -934,7 +930,8 @@ class _Cases:
             raise ValueError(f"error_e must be finite and nonnegative, got {errors[bad][0]}")
         cell = (method, *self.key)
         result._results.append(cell, self.case_ids, error_e=errors, beta=beta, seed=self.seeds)
-        result._timings.append(cell, self.case_ids, runtime_ms=block_ms / len(self.case_ids))
+        result.timings.append(dict(zip(TIMING_FIELDS, (*cell, self.case_ids.start,
+                                                       len(self.case_ids), block_ms))))
 
 
 def _backgrounds(cfg: dict, setup: Setup, n: int) -> tuple:
@@ -981,7 +978,7 @@ def _run(cfg: dict, experiment: str) -> RunResult:
     swept = "sweep.alpha" in cfg
     models = [NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
               for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]])]
-    # cells with n > m are skipped; setup_experiment has checked that one is not
+    # cells with n > m are skipped; _validate has checked that one is not
     blocks = [(m, n, model, range(lo, min(lo + chunk, count)))
               for m in cfg["sweep.m"] for n in cfg["sweep.n"] if n <= m
               for model in models for lo in range(0, count, chunk)]

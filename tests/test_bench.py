@@ -133,6 +133,30 @@ class TestConfigParsing:
             parse_overrides(default_config("example1"), [f"{key}={value}"])
 
 
+    @pytest.mark.parametrize(
+        "experiment, overrides, message",
+        [
+            # the truths are the first validation.count training snapshots
+            ("example1", ["validation.reuse_training=true", "validation.count=300"],
+             "validation.count=300 exceeds training.count=128"),
+            ("example1", ["manifold.amplitude=1,2,3"], "manifold.amplitude must have exactly two"),
+            ("example2", ["manifold.phase=0"], "manifold.phase must have exactly two"),
+            ("example3_analog", ["manifold.flow_index="], "manifold.flow_index must have exactly"),
+            ("example1", ["sweep.m=5", "sweep.n=8"], "no feasible"),
+            ("example2", ["training.count=8"], "sweep.n goes to 20 but only 8"),
+        ],
+    )
+    def test_checks_that_need_no_data_are_made_before_set_up(self, experiment, overrides,
+                                                             message):
+        with pytest.raises(ConfigError, match=message):
+            parse_overrides(default_config(experiment), overrides)
+
+    def test_set_up_validates_a_dict_edited_by_hand(self, monkeypatch):
+        monkeypatch.setattr(assim.bench, "sample_sinusoids", lambda *args: pytest.fail("sampled"))
+        cfg = {**default_config("example1"), "manifold.period": [3.0, 1.0]}
+        with pytest.raises(ConfigError, match="manifold.period range"):
+            setup_experiment(cfg)
+
     @pytest.mark.parametrize("experiment", ["example1", "example2", "example3_analog"])
     def test_noise_kind_checked(self, experiment):
         for kind in ("empirical_table", "gaussian"):
@@ -287,19 +311,20 @@ class TestExample1BlockPath:
             assert row.error_e == pytest.approx(error, rel=1e-10)
             assert (row.beta, row.seed, row.sigma) == (beta, seed, cfg["noise.sigma"])
 
-    def test_timings_are_per_case_shares(self):
-        res = run_example1(small_example1())
-        assert len(res.timings) == len(res.rows)
-        by_cell = {}
-        for t in res.timings:
-            by_cell.setdefault((t["method"], t["n"], t["m"], t["alpha"]), set()).add(
-                t["runtime_ms"])
-        # one block time per cell and method, shared evenly by its cases
-        assert all(len(times) == 1 for times in by_cell.values())
-        for n in (1, 3, 5):
-            (plain,) = by_cell[("pbdw", n, 25, 0.1)]
-            (corrected,) = by_cell[("bpbdw", n, 25, 0.1)]
-            assert 0 < plain <= corrected
+    def test_timings_are_block_rows(self, monkeypatch):
+        # a clock that advances one second per reading: every solve takes 1000 ms
+        clock = itertools.count()
+        monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        cfg = small_example1(**{"sweep.alpha": [0.0, 0.1]})
+        res = run_example1(cfg)
+        # one row per (n, m, alpha) cell and method, in loop order; the corrected
+        # block's time includes the plain solve it starts from
+        assert res.timings == [
+            dict(zip(TIMING_FIELDS, (method, n, 25, alpha, cfg["noise.sigma"], 0, 8, ms)))
+            for n in (1, 3, 5) for alpha in (0.0, 0.1)
+            for method, ms in (("pbdw", 1000.0), ("bpbdw", 2000.0))
+        ]
+        assert len(res.rows) == sum(t["cases"] for t in res.timings)
 
 
 class TestRunExample2:
@@ -430,21 +455,19 @@ class TestExample2BlockPath:
             for key in ("tv_truth", "tv_excess_spbdw", "tv_excess_pbdw"):
                 assert abs(diag[key] - expected[key]) <= 1e-10 * tv_truth
 
-    def test_timings_are_per_case_shares(self, monkeypatch):
+    def test_timings_are_block_rows(self, monkeypatch):
         # a clock that advances one second per reading: every block takes 1000 ms
         clock = itertools.count()
         monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-        res = run_example2(small_example2())
-        assert len(res.timings) == len(res.rows)
-        by_block = {}
-        for t in res.timings:
-            key = (t["method"], t["n"], t["m"], t["case_id"] // _CHUNK)
-            by_block.setdefault(key, []).append(t["runtime_ms"])
-        # one block time per chunk and method, shared evenly by its cases
-        assert len(by_block) == 2 * 4 * 2
-        for (_method, _n, _m, chunk), times in by_block.items():
-            width = _CHUNK if chunk == 0 else 5
-            assert times == [1000.0 / width] * width
+        cfg = small_example2()
+        res = run_example2(cfg)
+        # one row per column block and method: a full chunk, then the remaining 5 cases
+        assert res.timings == [
+            dict(zip(TIMING_FIELDS, (method, n, m, 0.0, 0.0, first, cases, 1000.0)))
+            for m in (25, 40) for n in (10, 20) for first, cases in ((0, _CHUNK), (_CHUNK, 5))
+            for method in ("spbdw", "pbdw")
+        ]
+        assert len(res.rows) == sum(t["cases"] for t in res.timings)
 
 
 class TestRunExample3:
@@ -526,18 +549,21 @@ class TestExample3Oracle:
         assert [((d["case_id"], d["method"], d["n"], d["m"]), d["mode1_energy_fraction"])
                 for d in res.diagnostics] == diagnostics
 
-    def test_timings_are_block_shares(self, monkeypatch):
+    def test_timings_are_block_rows(self, monkeypatch):
         # a clock that advances one second per reading: every solve takes 1000 ms
         clock = itertools.count()
         monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         cfg = default_config("example3_analog")
         cfg.update({"validation.count": 8, "sweep.n": [3, 5], "sweep.m": [20, 40]})
         res = run_example3_analog(cfg)
-        assert len(res.timings) == len(res.rows) == 2 * 4 * 8
+        assert len(res.rows) == 2 * 4 * 8
         # the plain block's time and the corrected block's, which includes it,
-        # shared evenly by the block's 8 cases
-        for t in res.timings:
-            assert t["runtime_ms"] == {"pbdw": 1000.0, "bpbdw": 2000.0}[t["method"]] / 8
+        # each on one row for the cell's 8 cases
+        assert res.timings == [
+            dict(zip(TIMING_FIELDS, (method, n, m, 0.15, 2.0, 0, 8, ms)))
+            for m in (20, 40) for n in (3, 5)
+            for method, ms in (("pbdw", 1000.0), ("bpbdw", 2000.0))
+        ]
 
 
 class TestOutputs:
@@ -635,8 +661,9 @@ def reference_write(result, out):
         table("pod_decay.csv", ("label", "n", "approximation_error"), result.pod_decay)
     if result.diagnostics:
         table("diagnostics.csv", list(result.diagnostics[0]), result.diagnostics)
-    timings = sorted(result.timings, key=lambda r: tuple(r[k] for k in TIMING_FIELDS[:6]))
-    table("timings.csv", TIMING_FIELDS, timings)
+    # one row per block and method, or the dicts a caller passed, as they came
+    table("timings.csv", list(result.timings[0]) if result.timings else TIMING_FIELDS,
+          result.timings)
     _write_run_json(result.config, out / "run.json")
 
 
@@ -677,13 +704,15 @@ class TestColumnarWrite:
 
     @pytest.mark.parametrize("config", ["example1.cfg", "example2.cfg", "example3.cfg"])
     def test_result_built_from_shuffled_rows(self, tmp_path, config):
-        # the benchmark's library runner hands RunResult row and timing lists
+        # the benchmark's library runner hands RunResult row lists and per-case
+        # timing dicts of its own
         cfg = load_config(CONFIGS / config, ["validation.count=6", "sweep.m=10,25"])
         run = run_experiment(cfg)
-        rows, timings = run.rows, run.timings
         shuffle = np.random.default_rng(5).permutation
-        rows = [rows[i] for i in shuffle(len(rows))]
-        timings = [timings[i] for i in shuffle(len(timings))]
+        rows = [run.rows[i] for i in shuffle(len(run.rows))]
+        timings = [{"case_id": r.case_id, "method": r.method, "n": r.n, "m": r.m,
+                    "alpha": r.alpha, "sigma": r.sigma, "runtime_ms": 0.25 * k}
+                   for k, r in enumerate(rows)]
         result = RunResult(cfg, rows, run.pod_decay, run.diagnostics, timings)
         assert result.rows == rows and result.timings == timings
         assert_same_files(result, tmp_path)
@@ -713,12 +742,13 @@ class TestColumnarWrite:
                  ("pbdw", 12, 80, 0.1, 0.0), ("bpbdw", 1, 10, -0.0, 0.30000000000000004),
                  ('split,"q"', 2, 20, 0.05, 0.325)]
         rows, timings = [], []
-        for (method, n, m, alpha, sigma), (seed, beta) in zip(
-                cells, [(0, -0.0), (2**64 - 1, 5e-324), (2**63, 1 / 3), (1, 1.0), (7, 0.5)]):
-            for case_id, error in enumerate(errors):
-                rows.append(ResultRow(case_id, method, n, m, alpha, sigma, error, beta, seed))
-                timings.append(dict(zip(TIMING_FIELDS, (case_id, method, n, m, alpha, sigma,
-                                                        errors[-1 - case_id]))))
+        for (method, n, m, alpha, sigma), (seed, beta), block_ms in zip(
+                cells, [(0, -0.0), (2**64 - 1, 5e-324), (2**63, 1 / 3), (1, 1.0), (7, 0.5)],
+                errors):
+            rows += [ResultRow(case_id, method, n, m, alpha, sigma, error, beta, seed)
+                     for case_id, error in enumerate(errors)]
+            timings.append(dict(zip(TIMING_FIELDS, (method, n, m, alpha, sigma, 0, len(errors),
+                                                    block_ms))))
         result = RunResult(small_example1(), rows, timings=timings)
         # the largest float's deviation squares to inf in aggregates.csv, in both writers
         with np.errstate(over="ignore"):
@@ -1276,8 +1306,9 @@ class TestExample2OverrideFuzz:
         })
         if counts is not None:
             cases = _feasible_cells(m, n) * count
+            blocks = _feasible_cells(m, n) * -(-count // _CHUNK)
             assert counts == {"diagnostics.csv": cases, "results.csv": 2 * cases,
-                              "timings.csv": 2 * cases}
+                              "timings.csv": 2 * blocks}
 
 
 class TestExample1OverrideFuzz:
@@ -1303,8 +1334,8 @@ class TestExample1OverrideFuzz:
             "training.count": training,
         })
         if counts is not None:
-            rows = 2 * _feasible_cells(m, n) * len(alpha) * count
-            assert counts == {"results.csv": rows, "timings.csv": rows}
+            blocks = 2 * _feasible_cells(m, n) * len(alpha)
+            assert counts == {"results.csv": blocks * count, "timings.csv": blocks}
 
 
 class TestExample3OverrideFuzz:
@@ -1350,8 +1381,9 @@ class TestExample3OverrideFuzz:
         if peak_velocity <= 1e-160 or flow_index <= 0:
             assert counts is None
         if counts is not None:
-            rows = 2 * _feasible_cells(m, n) * count
-            assert counts == {"diagnostics.csv": rows, "results.csv": rows, "timings.csv": rows}
+            blocks = 2 * _feasible_cells(m, n)
+            assert counts == {"diagnostics.csv": blocks * count, "results.csv": blocks * count,
+                              "timings.csv": blocks}
 
 
 class TestRunExperimentDispatch:
