@@ -12,35 +12,31 @@ Three experiments are provided:
   bias-corrected reconstruction of a fixed parabolic truth under biased
   noise, reported as a mean/max/min/stddev table.
 
-One online loop (``_run``) runs every experiment after its offline set-up
-(``setup_experiment``).  An experiment is a record in ``_EXPERIMENTS``: its
-set-up, what the cells of one sensor count m and of one dimension n share,
-and a block solve.  The loop takes the (n, m, alpha) cells with n <= m in
-blocks of cases, the whole cell or at most ``_CHUNK`` cases (``example2``);
-``example3_analog`` solves a block case by case.  Every block's errors go
-into the run's columnar store as arrays (``_Cases.emit``), and ``results.csv``
-is streamed from those columns a line at a time, each cell key formatted
-once.  Each block also gives one ``timings.csv`` row per method: the time
-its solve took, and the first case id and case count of the block.
+One online loop (``_run``) runs every experiment, a record in ``_EXPERIMENTS``,
+after its offline set-up (``setup_experiment``): it builds the solve plans of
+each sensor count before it times a block, solves the (n, m, alpha) cells with
+n <= m in blocks of cases, and writes one ``timings.csv`` row per block and
+method.  Every case's random stream is derived from (master_seed, case id,
+stage), so a rerun with the same master seed reproduces ``results.csv``.
 
 Configuration is a flat ``key = value`` text format with dotted keys,
-overridable one key at a time (``--set key=value`` on the CLI).  Every
-per-case random stream is derived from (master_seed, case id, stage), so a
-rerun with the same master seed reproduces ``results.csv`` byte for byte.
-The loop derives every case seed of a run, and the PCG64 seed words of its
-noise, in one vectorized pass (``derive_seeds``, ``_pcg64_words``) over the
-blocks it then walks; the pass reproduces ``derive_seed`` and
-``np.random.default_rng(seed)`` bit for bit.  Wall-clock block times go to
-``timings.csv`` to keep ``results.csv`` deterministic.
+overridable one key at a time (``--set key=value`` on the CLI).  ``SCHEMA``
+is the whole contract of each key on its own, one row per key: its type
+(parser, and the type's rule: floats finite, sweeps non-empty without
+repeats, ranges two ordered values), its default per experiment, its help,
+and its range or choices.  ``_validate`` checks every row, then the rules
+that join keys; ``assim info`` prints the rows.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import io
 import itertools
 import json
+import math
 import operator
 import time
 import zlib
@@ -48,6 +44,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +69,7 @@ from .manifold import (
 from .multiscale import spbdw_reconstruct_block, step_dictionary
 from .obs import BOX_AVERAGE, POINTWISE, SensorArray, build_observation_space, observe
 from .rom import decay_curve, pod
-from .solver import compute_box, pbdw_solve_block, pbdw_solve_boxed
+from .solver import _plan, compute_box, pbdw_solve_block, pbdw_solve_boxed
 from .space import Grid, GridFunction
 
 __all__ = [
@@ -98,7 +95,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("example1", "example2", "example3_analog")
+EXPERIMENTS = (_E1, _E2, _E3) = ("example1", "example2", "example3_analog")
 
 PI = np.pi
 
@@ -120,81 +117,139 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_PARSERS = {
-    "str": str.strip,
-    "int": lambda t: int(t.strip()),
-    "float": lambda t: float(t.strip()),
-    "bool": _parse_bool,
-    "int_list": lambda t: [int(tok) for tok in t.split(",") if tok.strip()],
-    "float_list": lambda t: [float(tok) for tok in t.split(",") if tok.strip()],
+def _list_of(parse: Callable) -> Callable:
+    return lambda text: [parse(tok) for tok in text.split(",") if tok.strip()]
+
+
+# type name -> (parser, the rule each value keeps); a list is a sweep, each value its own cells
+_TYPES = {
+    "str": (str.strip, ""),
+    "int": (lambda t: int(t.strip()), ""),
+    "float": (lambda t: float(t.strip()), "must be finite"),
+    "bool": (_parse_bool, ""),
+    "int_list": (_list_of(int), "must be a non-empty list without repeats"),
+    "float_list": (_list_of(float), "must be a non-empty list of finite values without repeats"),
+    "float_range": (_list_of(float), "must be two finite values lo <= hi"),
 }
 
-# key -> (type name, {experiment: default}, help); a key applies to the
-# experiments it has a default for
+
+class _Key(NamedTuple):
+    """A ``SCHEMA`` row: all that holds for one key on its own."""
+
+    type: str                   # a _TYPES name
+    defaults: dict              # experiment -> default; the key applies to these experiments
+    help: str
+    lower: tuple | None = None  # (bound, whether it is allowed), for each value of a list
+    upper: tuple | None = None  # the same, and only with a lower bound
+    choices: tuple = ()         # the only values allowed, if any
+
+    def limits(self) -> str:
+        """The range or choices, in the words of the error that enforces them."""
+        if self.choices:
+            return "must be " + " or ".join(map(repr, self.choices))
+        if self.upper:
+            (lo, lo_in), (hi, hi_in) = self.lower, self.upper
+            return f"must lie in {'[' if lo_in else '('}{lo}, {hi}{']' if hi_in else ')'}"
+        if self.lower:
+            return f"must be {'>=' if self.lower[1] else '>'} {self.lower[0]}"
+        return ""
+
+    def check(self, key: str, value) -> None:
+        """Reject, naming ``key``, a value that breaks its type's rule or this row's limits."""
+        values = value if isinstance(value, list) else [value]
+        sweep, pair = self.type.endswith("_list"), self.type == "float_range"
+        if self.type.startswith("float") and not all(map(math.isfinite, values)):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        if sweep and not values:
+            raise ConfigError(f"{key} must not be empty")
+        # compared by value, so 0 and -0.0 repeat; a repeat would duplicate its rows
+        if sweep and len(set(values)) < len(values):
+            raise ConfigError(f"{key} repeats a value, got {values}")
+        # the spec classes reject these two too, without the key
+        if pair and len(values) != 2:
+            raise ConfigError(f"{key} must have exactly two entries (lo, hi), got {value}")
+        if pair and not values[0] <= values[1]:
+            raise ConfigError(f"{key} range {value} is not well ordered (lo <= hi)")
+        if self.choices:
+            allowed = value in self.choices
+        else:
+            (lo, lo_in), (hi, hi_in) = self.lower or (-math.inf, 1), self.upper or (math.inf, 1)
+            allowed = all(lo < v < hi or (v == lo and lo_in) or (v == hi and hi_in) for v in values)
+        if not allowed:
+            raise ConfigError(f"{key} {self.limits()}, got {value!r}")
+
+
+def _each(*values) -> dict:
+    """Defaults in ``EXPERIMENTS`` order; one value serves every experiment."""
+    return dict(zip(EXPERIMENTS, values if len(values) > 1 else values * len(EXPERIMENTS)))
+
+
+# The library objects reject most of these limits with messages that do not
+# name the key; SeedSequence takes only non-negative seeds, and the
+# ground-truth profile divides by both truth values.
 SCHEMA = {
-    "experiment": ("str", {e: e for e in EXPERIMENTS}, "which experiment to run"),
-    "master_seed": ("int", {e: 20240605 for e in EXPERIMENTS}, "root of every random stream"),
-    "grid.a": ("float", {"example1": 0.0, "example2": 0.0, "example3_analog": -0.5}, "left endpoint"),
-    "grid.b": ("float", {"example1": 2 * PI, "example2": 2 * PI, "example3_analog": 0.5}, "right endpoint"),
-    "grid.num_points": ("int", {"example1": 512, "example2": 512, "example3_analog": 257}, "grid resolution"),
-    "training.count": ("int", {"example1": 128, "example2": 256, "example3_analog": 128}, "training snapshots"),
-    "validation.count": ("int", {"example1": 64, "example2": 20, "example3_analog": 40}, "benchmark cases"),
-    "validation.reuse_training": ("bool", {"example1": False},
-                                  "draw truths from the training set (diagnostics only)"),
-    "sensors.kind": ("str", {e: "box_average" for e in EXPERIMENTS}, "pointwise or box_average"),
-    "sensors.width": ("float", {e: 0.0 for e in EXPERIMENTS}, "box width; 0 means inter-sensor spacing"),
-    "sweep.n": ("int_list", {"example1": list(range(1, 13)), "example2": [20], "example3_analog": [5]},
-                "reduced dimensions to sweep"),
-    "sweep.m": ("int_list", {"example1": [25], "example2": [40], "example3_analog": [20]},
-                "sensor counts to sweep"),
-    "noise.kind": ("str", {e: LINEAR_BIAS_GAUSSIAN for e in EXPERIMENTS},
-                   "noise model kind; linear_bias_gaussian is the only one a config can build"),
-    "noise.sigma": ("float", {"example1": 0.325, "example2": 0.0, "example3_analog": 2.0},
-                    "Gaussian spread per raw sensor reading"),
-    "noise.mc_samples": ("int", {e: 1000 for e in EXPERIMENTS}, "Monte Carlo samples for expectations"),
-    "sweep.alpha": ("float_list", {"example1": [0.1]}, "bias slopes to sweep"),
-    "manifold.amplitude": ("float_list", {"example1": [25.0, 40.0], "example2": [0.4, 1.0]},
-                           "amplitude range"),
-    "manifold.period": ("float_list", {"example1": [PI, 2 * PI], "example2": [PI / 4, PI]},
-                        "period range"),
-    "noise.alpha": ("float", {"example2": 0.0, "example3_analog": 0.15}, "bias slope"),
-    "manifold.num_frequencies": ("int", {"example2": 3}, "sinusoids per snapshot"),
-    "manifold.phase": ("float_list", {"example2": [0.0, 2 * PI]}, "phase range"),
-    "manifold.jump_location": ("float_list", {"example2": [PI / 2, 3 * PI / 2]}, "jump location range"),
-    "manifold.jump_height": ("float_list", {"example2": [2.5, 4.5]}, "jump height range"),
-    "dictionary.stride": ("int", {"example2": 12}, "grid nodes between step candidates"),
-    "dictionary.snap_truth": ("bool", {"example2": True},
-                              "snap truth jumps onto dictionary locations"),
-    "spbdw.rel_tol": ("float", {"example2": 0.05}, "greedy stopping tolerance"),
-    "spbdw.max_iters": ("int", {"example2": 5}, "greedy iteration cap"),
-    "manifold.peak_velocity": ("float_list", {"example3_analog": [40.0, 60.0]}, "peak velocity range [cm/s]"),
-    "manifold.flow_index": ("float_list", {"example3_analog": [0.8, 1.2]}, "flow index range"),
-    "manifold.radius": ("float", {"example3_analog": 0.5}, "tube radius [cm]"),
-    "truth.peak_velocity": ("float", {"example3_analog": 50.0}, "ground-truth peak velocity"),
-    "truth.flow_index": ("float", {"example3_analog": 1.0}, "ground-truth flow index"),
-    "box.margin": ("float", {"example3_analog": 1.1}, "coefficient box widening factor"),
+    "experiment": _Key("str", _each(*EXPERIMENTS), "which experiment to run", choices=EXPERIMENTS),
+    "master_seed": _Key("int", _each(20240605), "root of every random stream", (0, True)),
+    "grid.a": _Key("float", _each(0.0, 0.0, -0.5), "left endpoint"),
+    "grid.b": _Key("float", _each(2 * PI, 2 * PI, 0.5), "right endpoint"),
+    "grid.num_points": _Key("int", _each(512, 512, 257), "grid resolution", (2, True)),
+    "training.count": _Key("int", _each(128, 256, 128), "training snapshots", (1, True)),
+    "validation.count": _Key("int", _each(64, 20, 40), "benchmark cases", (1, True)),
+    "validation.reuse_training": _Key("bool", {_E1: False},
+                                      "draw truths from the training set (diagnostics only)"),
+    "sensors.kind": _Key("str", _each(BOX_AVERAGE), "sensor kind",
+                         choices=(POINTWISE, BOX_AVERAGE)),
+    "sensors.width": _Key("float", _each(0.0), "box width, 0 for the sensor spacing", (0.0, True)),
+    "sweep.n": _Key("int_list", _each(list(range(1, 13)), [20], [5]), "reduced dimensions to sweep",
+                    (1, True)),
+    "sweep.m": _Key("int_list", _each([25], [40], [20]), "sensor counts to sweep", (1, True)),
+    # an empirical_table model needs a table, which no config key supplies
+    "noise.kind": _Key("str", _each(LINEAR_BIAS_GAUSSIAN), "noise model kind",
+                       choices=(LINEAR_BIAS_GAUSSIAN,)),
+    "noise.sigma": _Key("float", _each(0.325, 0.0, 2.0), "Gaussian spread per raw sensor reading",
+                        (0.0, True)),
+    "noise.mc_samples": _Key("int", _each(1000), "Monte Carlo samples of an empirical_table noise "
+                             "model; no config builds one, so no run reads this", (1, True)),
+    "sweep.alpha": _Key("float_list", {_E1: [0.1]}, "bias slopes to sweep", (-1.0, False)),
+    "manifold.amplitude": _Key("float_range", {_E1: [25.0, 40.0], _E2: [0.4, 1.0]},
+                               "amplitude range"),
+    "manifold.period": _Key("float_range", {_E1: [PI, 2 * PI], _E2: [PI / 4, PI]}, "period range",
+                            (0.0, False)),
+    "noise.alpha": _Key("float", {_E2: 0.0, _E3: 0.15}, "bias slope", (-1.0, False)),
+    "manifold.num_frequencies": _Key("int", {_E2: 3}, "sinusoids per snapshot", (1, True)),
+    "manifold.phase": _Key("float_range", {_E2: [0.0, 2 * PI]}, "phase range"),
+    "manifold.jump_location": _Key("float_range", {_E2: [PI / 2, 3 * PI / 2]},
+                                   "jump location range"),
+    "manifold.jump_height": _Key("float_range", {_E2: [2.5, 4.5]}, "jump height range"),
+    "dictionary.stride": _Key("int", {_E2: 12}, "grid nodes between step candidates", (1, True)),
+    "dictionary.snap_truth": _Key("bool", {_E2: True},
+                                  "snap truth jumps onto dictionary locations"),
+    "spbdw.rel_tol": _Key("float", {_E2: 0.05}, "greedy stopping tolerance", (0, False), (1, True)),
+    "spbdw.max_iters": _Key("int", {_E2: 5}, "greedy iteration cap", (1, True)),
+    "manifold.peak_velocity": _Key("float_range", {_E3: [40.0, 60.0]}, "peak velocity range [cm/s]",
+                                   (0.0, True)),
+    "manifold.flow_index": _Key("float_range", {_E3: [0.8, 1.2]}, "flow index range", (0.0, False)),
+    "manifold.radius": _Key("float", {_E3: 0.5}, "tube radius [cm]", (0.0, False)),
+    "truth.peak_velocity": _Key("float", {_E3: 50.0}, "ground-truth peak velocity", (0.0, False)),
+    "truth.flow_index": _Key("float", {_E3: 1.0}, "ground-truth flow index", (0.0, False)),
+    "box.margin": _Key("float", {_E3: 1.1}, "coefficient box widening factor", (0.0, True)),
 }
 
 
 def default_config(experiment: str) -> dict:
     """Fully resolved defaults for one experiment."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    cfg = {}
-    for key, (_typ, defaults, _help) in SCHEMA.items():
-        if experiment in defaults:
-            value = defaults[experiment]
-            cfg[key] = list(value) if isinstance(value, list) else value
-    cfg["experiment"] = experiment
-    return cfg
+    SCHEMA["experiment"].check("experiment", experiment)
+    return {key: copy.copy(row.defaults[experiment])
+            for key, row in SCHEMA.items() if experiment in row.defaults}
 
 
-def _apply_entry(entries: dict, key: str, raw: str, where: str) -> None:
+def _parse(key: str, raw: str, where: str):
+    """One entry's value, read by its key's parser."""
     if key not in SCHEMA:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    typ = SCHEMA[key][0]
+    typ = SCHEMA[key].type
     try:
-        entries[key] = _PARSERS[typ](raw)
+        return _TYPES[typ][0](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {typ} ({exc})") from None
 
@@ -209,40 +264,29 @@ def _resolve(text: str, source: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
-        _apply_entry(entries, key.strip(), raw, f"{source}:{lineno}")
-    experiment = entries.get("experiment")
-    if experiment is None:
+        entries[key.strip()] = _parse(key.strip(), raw, f"{source}:{lineno}")
+    if (experiment := entries.get("experiment")) is None:
         raise ConfigError(f"{source}: missing required key 'experiment'")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"{source}: unknown experiment {experiment!r}; choose from {EXPERIMENTS}"
-        )
     cfg = default_config(experiment)
-    for key, value in entries.items():
-        if experiment not in SCHEMA[key][1]:
-            raise ConfigError(
-                f"{source}: key {key!r} does not apply to experiment {experiment!r}"
-            )
-        cfg[key] = value
-    return cfg
+    for key in entries:
+        if experiment not in SCHEMA[key].defaults:
+            raise ConfigError(f"{source}: key {key!r} does not apply to experiment {experiment!r}")
+    return cfg | entries
 
 
 def _override(cfg: dict, pairs: list[str]) -> dict:
     """``key=value`` overrides on top of a resolved config, not yet validated."""
     cfg = dict(cfg)
-    experiment = cfg["experiment"]
     for i, pair in enumerate(pairs, start=1):
         if "=" not in pair:
             raise ConfigError(f"--set #{i}: expected key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        key = key.strip()
-        entries: dict = {}
-        _apply_entry(entries, key, raw, f"--set #{i}")
+        value = _parse(key := key.strip(), raw, f"--set #{i}")
         if key == "experiment":
             raise ConfigError("--set cannot change the experiment; edit the config file")
-        if experiment not in SCHEMA[key][1]:
-            raise ConfigError(f"--set #{i}: key {key!r} does not apply to {experiment!r}")
-        cfg[key] = entries[key]
+        if cfg["experiment"] not in SCHEMA[key].defaults:
+            raise ConfigError(f"--set #{i}: key {key!r} does not apply to {cfg['experiment']!r}")
+        cfg[key] = value
     return cfg
 
 
@@ -258,74 +302,16 @@ def parse_overrides(cfg: dict, pairs: list[str]) -> dict:
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
     """A config file with its overrides applied, validated once as a whole."""
-    cfg = _resolve(Path(path).read_text(), source=str(path))
-    return _validate(_override(cfg, overrides or []))
-
-
-# key -> (lowest value, whether it is allowed).  The library objects reject
-# most of these ranges with messages that do not name the key; SeedSequence
-# takes only non-negative seeds, and the ground-truth profile divides by both
-# truth values.
-_FLOORS = {
-    "master_seed": (0, True),
-    "grid.num_points": (2, True),
-    "training.count": (1, True),
-    "validation.count": (1, True),
-    "sensors.width": (0.0, True),       # 0 means the sensor spacing
-    "noise.mc_samples": (1, True),
-    "sweep.n": (1, True),
-    "sweep.m": (1, True),
-    "noise.sigma": (0.0, True),
-    "noise.alpha": (-1.0, False),
-    "sweep.alpha": (-1.0, False),
-    "manifold.num_frequencies": (1, True),
-    "dictionary.stride": (1, True),
-    "spbdw.max_iters": (1, True),
-    "manifold.period": (0.0, False),
-    "manifold.peak_velocity": (0.0, True),
-    "manifold.flow_index": (0.0, False),
-    "manifold.radius": (0.0, False),
-    "truth.peak_velocity": (0.0, False),
-    "truth.flow_index": (0.0, False),
-    "box.margin": (0.0, True),
-}
+    return _validate(_override(_resolve(Path(path).read_text(), str(path)), overrides or []))
 
 
 def _validate(cfg: dict) -> dict:
     for key, value in cfg.items():      # each key on its own, then the keys together
-        values = value if isinstance(value, list) else [value]
-        if SCHEMA[key][0] in ("float", "float_list") and not all(np.isfinite(values)):
-            raise ConfigError(f"{key} must be finite, got {value}")
-        # the spec classes reject these too, without the key
-        if key.startswith("manifold.") and SCHEMA[key][0] == "float_list":
-            if len(value) != 2:
-                raise ConfigError(f"{key} must have exactly two entries (lo, hi), got {value}")
-            if not value[0] <= value[1]:
-                raise ConfigError(f"{key} range {value} is not well ordered (lo <= hi)")
-        floor, allowed = _FLOORS.get(key, (None, True))
-        if floor is not None and any(v < floor or (v == floor and not allowed) for v in values):
-            raise ConfigError(f"{key} must be {'>=' if allowed else '>'} {floor}, got {value}")
-    if cfg["noise.kind"] != LINEAR_BIAS_GAUSSIAN:
-        # an empirical_table model needs a table, which no config key supplies
-        raise ConfigError(
-            f"noise.kind must be {LINEAR_BIAS_GAUSSIAN!r}, got {cfg['noise.kind']!r}"
-        )
-    for key in (k for k in ("sweep.n", "sweep.m", "sweep.alpha") if k in cfg):
-        values = cfg[key]
-        if not values:
-            raise ConfigError(f"{key} must not be empty")
-        # compared by value, so 0 and -0.0 repeat; a repeat would duplicate its rows
-        if len(set(values)) < len(values):
-            raise ConfigError(f"{key} repeats a value, got {values}")
-    if cfg["sensors.kind"] not in (POINTWISE, BOX_AVERAGE):
-        raise ConfigError(f"sensors.kind must be {POINTWISE!r} or {BOX_AVERAGE!r}, "
-                          f"got {cfg['sensors.kind']!r}")
+        SCHEMA[key].check(key, value)
     if not cfg["grid.a"] < cfg["grid.b"]:
         raise ConfigError(f"grid.a must be < grid.b, got [{cfg['grid.a']}, {cfg['grid.b']}]")
     grid = _grid(cfg)
     if cfg["experiment"] == "example2":
-        if not 0 < cfg["spbdw.rel_tol"] <= 1:
-            raise ConfigError(f"spbdw.rel_tol must lie in (0, 1], got {cfg['spbdw.rel_tol']}")
         lo, hi = _pair(cfg, "manifold.jump_location")
         if not grid.a < lo <= hi < grid.b:
             raise ConfigError(f"manifold.jump_location [{lo}, {hi}] must lie strictly inside "
@@ -338,10 +324,12 @@ def _validate(cfg: dict) -> dict:
     if R is not None and max(abs(grid.a + R), abs(grid.b - R)) > 1e-12 * max(1.0, R):
         raise ConfigError(f"grid.a and grid.b must equal -manifold.radius and "
                           f"manifold.radius = {R}, got [{grid.a}, {grid.b}]")
+    if cfg["sensors.kind"] == POINTWISE and cfg["sensors.width"]:
+        raise ConfigError(f"sensors.width={cfg['sensors.width']} has no effect on pointwise "
+                          f"sensors; set it to 0 or use sensors.kind={BOX_AVERAGE}")
     for m in cfg["sweep.m"]:
-        sensors = _sensor_array(cfg, m, grid)
         try:
-            sensors.validate_on(grid)
+            _sensor_array(cfg, m, grid).validate_on(grid)
         except ValueError as exc:
             raise ConfigError(f"sweep.m={m}: {exc}") from None
     # the online loop skips the cells with n > m, so a sweep must have one other
@@ -362,16 +350,14 @@ def describe_schema() -> str:
     """Human-readable schema listing for the CLI."""
     out = io.StringIO()
     out.write("configuration keys (flat `key = value` lines; lists are comma separated)\n\n")
-    for key, (typ, defaults, help_) in SCHEMA.items():
-        applies = ", ".join(sorted(defaults))
-        out.write(f"  {key}  [{typ}]  {help_}\n")
-        for exp in sorted(defaults):
-            out.write(f"      {exp}: default = {defaults[exp]!r}\n")
-        out.write(f"      applies to: {applies}\n")
-    out.write(
-        "\noutputs: results.csv (per-case rows), aggregates.csv, pod_decay.csv,\n"
-        "diagnostics.csv (experiment-specific), timings.csv, run.json\n"
-    )
+    for key, row in SCHEMA.items():
+        out.write(f"  {key}  [{row.type}]  {row.help}\n")
+        if rules := "; ".join(filter(None, (_TYPES[row.type][1], row.limits()))):
+            out.write(f"      {rules}\n")
+        defaults = (f"{exp} = {value!r}" for exp, value in sorted(row.defaults.items()))
+        out.write(f"      defaults: {', '.join(defaults)}\n")
+    out.write("\noutputs: results.csv (per-case rows), aggregates.csv, pod_decay.csv,\n"
+              "diagnostics.csv (experiment-specific), timings.csv, run.json\n")
     return out.getvalue()
 
 
@@ -528,6 +514,7 @@ def _normal_columns(words: np.ndarray, sigma: float, m: int) -> np.ndarray:
 RESULT_FIELDS = ("case_id", "method", "n", "m", "alpha", "sigma", "error_e", "beta", "seed")
 TIMING_FIELDS = ("method", "n", "m", "alpha", "sigma", "first_case", "cases", "block_ms")
 AGGREGATE_FIELDS = ("method", "n", "m", "alpha", "sigma", "mean", "max", "min", "stddev", "count")
+POD_DECAY_FIELDS = ("label", "n", "approximation_error")
 
 
 @dataclass(frozen=True)
@@ -714,7 +701,7 @@ class RunResult:
         _write_versioned_csv(out / "results.csv", RESULT_FIELDS, self._results.lines())
         _write_table(out / "aggregates.csv", AGGREGATE_FIELDS, self.aggregates)
         if self.pod_decay:
-            _write_pod_decay_csv(self.pod_decay, out / "pod_decay.csv")
+            _write_table(out / "pod_decay.csv", POD_DECAY_FIELDS, self.pod_decay)
         if self.diagnostics:
             _write_table(out / "diagnostics.csv", list(self.diagnostics[0]), self.diagnostics)
         _write_table(out / "timings.csv", list(self.timings[0]) if self.timings else TIMING_FIELDS,
@@ -735,10 +722,6 @@ def _write_table(path: Path, header, rows: list[dict]) -> None:
     csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(
         [r.get(k, "") for k in header] for r in rows)
     _write_versioned_csv(path, header, [buf.getvalue()])
-
-
-def _write_pod_decay_csv(rows: list[dict], path: Path) -> None:
-    _write_table(path, ("label", "n", "approximation_error"), rows)
 
 
 def _write_run_json(cfg: dict, path: Path) -> None:
@@ -800,7 +783,7 @@ def _setup_example1(cfg: dict) -> Setup:
     else:
         truths = sample_sinusoids(spec, grid, cfg["validation.count"],
                                   derive_seed(master, "validation"))
-    _check_truth_scale("manifold.amplitude", truths.matrix, basis, cfg)
+    _check_truth_scale(cfg, truths.matrix, basis, "manifold.amplitude", "manifold.amplitude")
     return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"], len(truths))
 
 
@@ -823,26 +806,38 @@ def _setup_example2(cfg: dict) -> Setup:
 
     fast_val, _slow_val, full_val = sample_multiscale(spec, grid, cfg["validation.count"],
                                                       derive_seed(master, "validation"))
+    # the truths and the snapshots are smooth parts plus jumps: the wider range sets their scale
+    key = max(("manifold.amplitude", "manifold.jump_height"), key=lambda k: max(map(abs, cfg[k])))
+    _check_truth_scale(cfg, full_val.matrix, full_basis, key, key)
     return Setup(grid, {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
                  list(range(1, max(cfg["sweep.n"]) + 1)), len(full_val))
 
 
-# smallest ratio of a ground truth's norm to the scale of a reconstruction
-# that example1 and example3 accept: relative errors then stay below about
-# 1e100, and their squares far from overflow
-_TRUTH_SCALE_FLOOR = 1e-100
+# a ground truth's norm must be at least _TRUTH_SCALE_FLOOR times the data's
+# scale, which must stay below _DATA_SCALE_CEILING: relative errors then stay
+# below about 1e100, and the squares of data, states and errors far from overflow
+_TRUTH_SCALE_FLOOR, _DATA_SCALE_CEILING = 1e-100, 1e150
 
 
-def _check_truth_scale(key: str, truths: np.ndarray, basis, cfg: dict) -> None:
-    """Reject truths (rows, set by ``key``) whose relative errors cannot stay finite."""
-    # every relative error divides by the truth's norm, and a reconstruction is
-    # about as large as the noise or the training snapshots, whose norms the
-    # POD's largest singular value bounds; a truth far below that scale gives
-    # errors whose squares (aggregates.csv's stddev) overflow
+def _check_truth_scale(cfg: dict, truths: np.ndarray, basis, truth_key: str,
+                       snapshot_key: str) -> None:
+    """Reject truths (rows, set by ``truth_key``) and data whose relative errors cannot stay
+    finite, naming the key of the data's largest term unless the truth is at fault.  A state
+    is about as large as the data: the snapshots (whose norms the POD's top singular value
+    bounds) times g**2 for the bias gain g = 1 + |alpha|, plus the noise times g."""
     with np.errstate(over="ignore"):    # an overflowing norm is reported below
         norm = np.sqrt(truths**2 @ basis.subspace.grid.weights).min()
-    scale = basis.singular_values[0] + cfg["noise.sigma"] * np.sqrt(max(cfg["sweep.m"]))
+    slope = "sweep.alpha" if "sweep.alpha" in cfg else "noise.alpha"
+    gain = 1 + float(np.abs(cfg[slope]).max())     # Python floats overflow to inf silently
+    top = float(basis.singular_values[0])
+    terms = {snapshot_key: top, slope: (gain * gain - 1) * top,
+             "noise.sigma": gain * cfg["noise.sigma"] * math.sqrt(max(cfg["sweep.m"]))}
+    scale, key = sum(terms.values()), max(terms, key=terms.get)
+    if scale > _DATA_SCALE_CEILING:
+        raise ConfigError(f"{key}={cfg[key]} puts the data's scale at {scale:.3g}, above "
+                          f"the {_DATA_SCALE_CEILING:g} whose squares stay finite")
     if not (0 < norm < np.inf and norm >= _TRUTH_SCALE_FLOOR * scale):
+        key = truth_key if key == snapshot_key or not 0 < norm < np.inf else key
         raise ConfigError(f"{key}={cfg[key]} gives a ground truth of norm {norm:.3g}, which "
                           f"must be positive, finite and at least {_TRUTH_SCALE_FLOOR:g} times "
                           f"the data's scale {scale:.3g}")
@@ -861,7 +856,8 @@ def _setup_example3_analog(cfg: dict) -> Setup:
     truth = powerlaw_profile(
         grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
     )
-    _check_truth_scale("truth.peak_velocity", truth.values[None], basis, cfg)
+    _check_truth_scale(cfg, truth.values[None], basis, "truth.peak_velocity",
+                       "manifold.peak_velocity")
     return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])),
                  cfg["validation.count"], truth)
 
@@ -934,18 +930,14 @@ class _Cases:
                                                        len(self.case_ids), block_ms))))
 
 
-def _backgrounds(cfg: dict, setup: Setup, n: int) -> tuple:
-    """Every labeled POD basis truncated to n modes, in label order."""
-    return tuple(basis.subspace.truncate(n) for _snapshots, basis in setup.labeled.values())
-
-
 @dataclass(frozen=True)
 class _Experiment:
     """One experiment as the online loop runs it.
 
-    ``per_n(cfg, setup, n)`` prepares what one dimension's cells share, and
-    ``per_m(cfg, setup, space)`` what one sensor count's cells share; it
-    returns their block solve ``(per_n, model, cases, diagnostics)``, which
+    ``per_n(cfg, setup, backgrounds)`` prepares what the cells of one n share
+    from its backgrounds (each labeled POD basis truncated to n modes, in
+    label order), and ``per_m(cfg, setup, space)`` what those of one m share;
+    it returns their block solve ``(per_n, model, cases, diagnostics)``, which
     gives ``(method, errors, beta, block_ms)`` per method and appends the
     block's diagnostic rows.  A block holds at most ``chunk`` cases (None: the
     whole cell); ``draws`` is set where the solve draws noise with ``_data_block``.
@@ -953,7 +945,7 @@ class _Experiment:
 
     setup: Callable[[dict], Setup]
     per_m: Callable
-    per_n: Callable = _backgrounds
+    per_n: Callable = lambda cfg, setup, backgrounds: backgrounds
     chunk: int | None = None
     draws: bool = True
 
@@ -987,13 +979,19 @@ def _run(cfg: dict, experiment: str) -> RunResult:
         for m, n, model, case_ids in blocks for case_id in case_ids
     ))
     words = _pcg64_words(seeds) if spec.draws and cfg["noise.sigma"] > 0 else None
-    per_n = {n: spec.per_n(cfg, setup, n) for n in dict.fromkeys(b[1] for b in blocks)}
+    backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())
+                   for n in dict.fromkeys(b[1] for b in blocks)}
+    per_n = {n: spec.per_n(cfg, setup, bgs) for n, bgs in backgrounds.items()}
 
     result = RunResult(cfg, pod_decay=setup.decay())
     taken = 0
     for m, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
-        solve = spec.per_m(cfg, setup, build_observation_space(
-            _sensor_array(cfg, m, setup.grid), setup.grid))
+        group = list(group)
+        space = build_observation_space(_sensor_array(cfg, m, setup.grid), setup.grid)
+        # build and check every solve plan of this m before any of its blocks is timed
+        for background in (bg for block in group for bg in backgrounds[block[1]]):
+            _plan(background, space)
+        solve = spec.per_m(cfg, setup, space)
         for _m, n, model, case_ids in group:
             lo, taken = taken, taken + len(case_ids)
             cases = _Cases((n, m, model.alpha, model.sigma), case_ids, seeds[lo:taken],
@@ -1108,9 +1106,9 @@ def _example2(cfg: dict, setup: Setup, space) -> Callable:
     return solve
 
 
-def _example3_per_n(cfg: dict, setup: Setup, n: int) -> tuple:
+def _example3_per_n(cfg: dict, setup: Setup, backgrounds: tuple) -> tuple:
     """The n-mode background and its coefficient box, which does not depend on m."""
-    (background,) = _backgrounds(cfg, setup, n)
+    (background,) = backgrounds
     return background, compute_box(setup.labeled["full"][0], background, cfg["box.margin"])
 
 

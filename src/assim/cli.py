@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from .bench import (
-    _write_pod_decay_csv,
+    POD_DECAY_FIELDS,
+    _write_table,
     describe_schema,
     load_config,
     run_experiment,
@@ -90,7 +91,7 @@ def _cmd_pod_decay(args) -> int:
     else:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_pod_decay_csv(rows, out / "pod_decay.csv")
+        _write_table(out / "pod_decay.csv", POD_DECAY_FIELDS, rows)
         print(f"pod decay -> {out / 'pod_decay.csv'}")
     return 0
 

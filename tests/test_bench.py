@@ -3,10 +3,13 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -34,10 +37,13 @@ from assim import (
     total_variation,
 )
 import assim.bench
+import assim.solver
 from assim.bench import (
     _CHUNK,
+    _TYPES,
     AGGREGATE_FIELDS,
     RESULT_FIELDS,
+    SCHEMA,
     TIMING_FIELDS,
     ConfigError,
     ResultRow,
@@ -75,6 +81,31 @@ def small_example1(**overrides):
     )
     cfg.update(overrides)
     return cfg
+
+
+def _limited_keys() -> list[str]:
+    return [key for key, row in SCHEMA.items() if row.lower or row.upper or row.choices]
+
+
+def _next(value, direction: float):
+    """The int or float next to ``value`` towards ``direction`` (-inf or inf)."""
+    if isinstance(value, int):
+        return value + (1 if direction > 0 else -1)
+    return math.nextafter(value, direction)
+
+
+def _around(bound: tuple, outward: float) -> tuple:
+    """(a value just outside a bound, a value on it or just inside); ``outward`` points out."""
+    value, allowed = bound
+    if allowed:
+        return _next(value, outward), value
+    return value, _next(value, -outward)
+
+
+def _text(key: str, value) -> str:
+    """An entry's text for one value: one value of a sweep, both ends of a range."""
+    text = value if isinstance(value, str) else repr(value)
+    return ",".join([text] * (2 if SCHEMA[key].type == "float_range" else 1))
 
 
 class TestConfigParsing:
@@ -156,6 +187,27 @@ class TestConfigParsing:
         cfg = {**default_config("example1"), "manifold.period": [3.0, 1.0]}
         with pytest.raises(ConfigError, match="manifold.period range"):
             setup_experiment(cfg)
+
+    @pytest.mark.parametrize("key", _limited_keys())
+    def test_value_past_a_limit_names_its_key(self, key):
+        row = SCHEMA[key]
+        experiment = sorted(row.defaults)[0]
+        if row.choices:
+            outside, inside = ["not_" + row.choices[0]], list(row.choices)
+        else:
+            pairs = [_around(row.lower, -math.inf)]
+            pairs += [_around(row.upper, math.inf)] if row.upper else []
+            outside, inside = zip(*pairs)
+        message = f"^{re.escape(key)} {re.escape(row.limits())}, got "
+        for value in outside:
+            text = _text(key, value)
+            with pytest.raises(ConfigError, match=message):
+                parse_config(f"experiment = {experiment}\n{key} = {text}\n")
+            if key != "experiment":     # which --set cannot change
+                with pytest.raises(ConfigError, match=message):
+                    parse_overrides(default_config(experiment), [f"{key}={text}"])
+        for value in inside:
+            row.check(key, _TYPES[row.type][0](_text(key, value)))
 
     @pytest.mark.parametrize("experiment", ["example1", "example2", "example3_analog"])
     def test_noise_kind_checked(self, experiment):
@@ -808,6 +860,18 @@ _REVERSED_RANGES = [
 ]
 
 
+# noise or bias at overflow scale: the data, or the truth beside it, is out of range
+_OVERFLOW_SCALE_NOISE = [
+    ("example1.cfg", "sweep.alpha=1e300", "sweep.alpha"),
+    ("example2.cfg", "noise.alpha=1e300", "noise.alpha"),
+    ("example2.cfg", "noise.sigma=1e300", "noise.sigma"),
+    ("example3.cfg", "noise.alpha=1e300", "noise.alpha"),
+    ("example3.cfg", "noise.sigma=1e200", "noise.sigma"),
+    ("example1.cfg", "noise.sigma=1e160", "noise.sigma"),
+    ("example1.cfg", "noise.sigma=1e140", "noise.sigma"),
+]
+
+
 # ``assim run --config configs/example1.cfg`` on stdout
 _EXAMPLE1_STDOUT = """\
 example1: 1536 rows -> {out}
@@ -974,7 +1038,7 @@ class TestCli:
             ("example3.cfg", "manifold.radius=0.4", "grid.a"),
             ("example2.cfg", "manifold.jump_location=0,3", "manifold.jump_location"),
             ("example2.cfg", "dictionary.stride=600", "dictionary.stride"),
-        ] + _REVERSED_RANGES,
+        ] + _OVERFLOW_SCALE_NOISE + _REVERSED_RANGES,
     )
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, config, override, key):
         out_dir = tmp_path / "o"
@@ -986,6 +1050,15 @@ class TestCli:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}"), err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config, override, key", _OVERFLOW_SCALE_NOISE)
+    def test_overflow_scale_noise_rejected_at_set_up(self, tmp_path, config, override, key):
+        # before, these ran into the online loop and overflowed there
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}="):
+                setup_experiment(load_config(CONFIGS / config, [override]))
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("command", ["run", "pod-decay"])
     def test_reuse_training_count_above_the_training_set_rejected(self, tmp_path, capsys,
@@ -1226,6 +1299,35 @@ class TestCli:
         assert "noise.sigma" in out
         assert "dictionary.stride" in out
 
+    def test_info_prints_every_limit(self, capsys):
+        assert cli_main(["info"]) == 0
+        # each key's block: its title line and the indented lines under it
+        blocks = dict(re.findall(r"^  (\S+)  \[.*\n((?:      .*\n)*)", capsys.readouterr().out,
+                                 re.MULTILINE))
+        assert list(blocks) == list(SCHEMA)
+        for key, row in SCHEMA.items():
+            rules = [rule for rule in (_TYPES[row.type][1], row.limits()) if rule]
+            assert blocks[key].startswith(f"      {'; '.join(rules)}\n" if rules else "      def")
+        assert "      must be finite; must lie in (0, 1]\n" in blocks["spbdw.rel_tol"]
+        assert "      must be 'pointwise' or 'box_average'\n" in blocks["sensors.kind"]
+        assert "must be > -1.0" in blocks["sweep.alpha"] and ">= 1" in blocks["sweep.n"]
+
+    @pytest.mark.parametrize("config", ["example1.cfg", "example2.cfg", "example3.cfg"])
+    def test_pointwise_sensors_reject_a_width(self, tmp_path, capsys, config):
+        # a pointwise sensor has no width: before, the value was silently ignored
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / config), "--set",
+                         "sensors.kind=pointwise", "--set", "sensors.width=0.3",
+                         "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1, err
+        assert err[0].startswith("error: sensors.width=0.3 ") and not out_dir.exists()
+        # a zero width, the default, is the one a pointwise array takes
+        cfg = load_config(CONFIGS / config, ["sensors.kind=pointwise", "sensors.width=0"])
+        assert cfg["sensors.kind"] == "pointwise"
+
     def test_python_dash_m(self):
         paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -1436,6 +1538,42 @@ class TestOnlineLoop:
         run_experiment(cfg)
         assert sorted(calls["truncate"]) == truncated
         assert calls["compute_box"] == boxes
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            small_example1(**{"sweep.m": [3, 10, 25], "sweep.alpha": [0.0, 0.1]}),
+            small_example2(**{"validation.count": 4}),
+            {**default_config("example3_analog"), "validation.count": 4,
+             "sweep.n": [3, 5, 8], "sweep.m": [20, 40]},
+        ],
+        ids=["example1", "example2", "example3"],
+    )
+    def test_no_solve_plan_is_built_inside_a_timed_block(self, monkeypatch, cfg):
+        # a timed region runs from a perf_counter start to the last _elapsed_ms
+        # call that reads it: a plan build is timed if a stop comes before the next start
+        events = []
+        build, elapsed = assim.solver._build_plan, assim.bench._elapsed_ms
+
+        def start():
+            events.append("start")
+            return time.perf_counter()
+
+        def stop(begin):
+            events.append("stop")
+            return elapsed(begin)
+
+        def counted_build(*args):
+            events.append("build")
+            return build(*args)
+
+        monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=start))
+        monkeypatch.setattr(assim.bench, "_elapsed_ms", stop)
+        monkeypatch.setattr(assim.solver, "_build_plan", counted_build)
+        run_experiment(cfg)
+        following = [next((e for e in events[i:] if e != "build"), None)
+                     for i, event in enumerate(events) if event == "build"]
+        assert following and "stop" not in following
 
     def test_example3_computes_no_seed_words(self, monkeypatch):
         def refuse(seeds):
