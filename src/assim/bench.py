@@ -12,12 +12,13 @@ Three experiments are provided:
   bias-corrected reconstruction of a fixed parabolic truth under biased
   noise, reported as a mean/max/min/stddev table.
 
-One online loop (``_run``) runs every experiment, a record in ``_EXPERIMENTS``,
-after its offline set-up (``setup_experiment``): it builds the solve plans of
-each sensor count before it times a block, solves the (n, m, alpha) cells with
-n <= m in blocks of cases, and writes one ``timings.csv`` row per block and
-method.  Every case's random stream is derived from (master_seed, case id,
-stage), so a rerun with the same master seed reproduces ``results.csv``.
+One online loop (``run_experiment``) runs every experiment, a record in
+``_EXPERIMENTS``, after its offline set-up (``setup_experiment``): it builds
+the solve plans of each sensor count before it times a block, solves the
+(n, m, alpha) cells with n <= m in blocks of cases, and writes one
+``timings.csv`` row per block and method.  Every case's random stream is
+derived from (master_seed, case id, stage), so a rerun with the same master
+seed reproduces ``results.csv``.
 
 Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  ``SCHEMA``
@@ -67,7 +68,8 @@ from .manifold import (
     sample_sinusoids,
 )
 from .multiscale import spbdw_reconstruct_block, step_dictionary
-from .obs import BOX_AVERAGE, POINTWISE, SensorArray, build_observation_space, observe
+from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
+                  build_observation_space, observe)
 from .rom import decay_curve, pod
 from .solver import _plan, compute_box, pbdw_solve_block, pbdw_solve_boxed
 from .space import Grid, GridFunction
@@ -85,9 +87,6 @@ __all__ = [
     "Setup",
     "setup_experiment",
     "run_experiment",
-    "run_example1",
-    "run_example2",
-    "run_example3_analog",
     "pod_decay_rows",
     "aggregate_rows",
     "describe_schema",
@@ -459,17 +458,12 @@ def derive_seeds(master_seed: int, keys) -> list[int]:
 def _pcg64_words(seeds: list[int]) -> np.ndarray:
     """(K, 4) uint64 words that ``default_rng(seeds[k])`` seeds its PCG64 with.
 
-    Row k is ``SeedSequence(seeds[k]).generate_state(4, np.uint64)``.  A seed
-    below 2**32 is one entropy word, a larger one two.
+    Row k is ``SeedSequence(seeds[k]).generate_state(4, np.uint64)``.  Every
+    seed is hashed as its two uint32 words, low word first (its little-endian
+    halves): SeedSequence pads its pool with zero words, so a seed below 2**32
+    and that seed with a zero high word give the same state.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    words = np.empty((len(seeds), 4), dtype=np.uint64)
-    short = hi == 0
-    words[short] = _seed_states(lo[short][None], 4)
-    words[~short] = _seed_states(np.stack([lo[~short], hi[~short]]), 4)
-    return words
+    return _seed_states(np.asarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T, 4)
 
 
 @functools.cache
@@ -763,7 +757,6 @@ class Setup:
     grid: Grid
     labeled: dict               # label -> (snapshots, POD basis), as pod_decay_rows takes them
     decay_n: list[int]          # the dimensions pod_decay.csv reports
-    cases: int                  # benchmark cases per cell
     truth: GridFunction | None = None   # example3_analog's fixed reference profile
 
     def decay(self) -> list[dict]:
@@ -784,7 +777,7 @@ def _setup_example1(cfg: dict) -> Setup:
         truths = sample_sinusoids(spec, grid, cfg["validation.count"],
                                   derive_seed(master, "validation"))
     _check_truth_scale(cfg, truths.matrix, basis, "manifold.amplitude", "manifold.amplitude")
-    return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"], len(truths))
+    return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"])
 
 
 def _setup_example2(cfg: dict) -> Setup:
@@ -810,7 +803,7 @@ def _setup_example2(cfg: dict) -> Setup:
     key = max(("manifold.amplitude", "manifold.jump_height"), key=lambda k: max(map(abs, cfg[k])))
     _check_truth_scale(cfg, full_val.matrix, full_basis, key, key)
     return Setup(grid, {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
-                 list(range(1, max(cfg["sweep.n"]) + 1)), len(full_val))
+                 list(range(1, max(cfg["sweep.n"]) + 1)))
 
 
 # a ground truth's norm must be at least _TRUTH_SCALE_FLOOR times the data's
@@ -858,8 +851,7 @@ def _setup_example3_analog(cfg: dict) -> Setup:
     )
     _check_truth_scale(cfg, truth.values[None], basis, "truth.peak_velocity",
                        "manifold.peak_velocity")
-    return Setup(grid, {"full": (training, basis)}, sorted(set(cfg["sweep.n"])),
-                 cfg["validation.count"], truth)
+    return Setup(grid, {"full": (training, basis)}, sorted(cfg["sweep.n"]), truth)
 
 
 def setup_experiment(cfg: dict) -> Setup:
@@ -954,18 +946,17 @@ def _elapsed_ms(start: float) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def _run(cfg: dict, experiment: str) -> RunResult:
-    """Offline set-up, then every block of cases of every feasible (n, m, alpha) cell.
+def run_experiment(cfg: dict) -> RunResult:
+    """The configured experiment: offline set-up, then every block of cases of
+    every feasible (n, m, alpha) cell.
 
     The blocks are laid out once, as (m, n, noise model, case ids) in loop
     order; every case seed comes from that layout in one ``derive_seeds`` pass
     and the loop walks the same layout, so the two orders cannot drift apart.
     """
-    if cfg["experiment"] != experiment:
-        raise ConfigError(f"config is for {cfg['experiment']!r}, expected {experiment!r}")
-    spec = _EXPERIMENTS[experiment]
+    spec = _EXPERIMENTS[cfg["experiment"]]
     setup = setup_experiment(cfg)
-    count = setup.cases
+    count = cfg["validation.count"]
     chunk = spec.chunk or count
     swept = "sweep.alpha" in cfg
     models = [NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
@@ -987,7 +978,14 @@ def _run(cfg: dict, experiment: str) -> RunResult:
     taken = 0
     for m, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
         group = list(group)
-        space = build_observation_space(_sensor_array(cfg, m, setup.grid), setup.grid)
+        try:
+            space = build_observation_space(_sensor_array(cfg, m, setup.grid), setup.grid)
+        except DependentSensorsError:     # a width of 0, the sensor spacing, keeps its text
+            if not (width := cfg["sensors.width"]):
+                raise
+            raise ConfigError(f"sensors.width={width} with sweep.m={m}: box sensors this wide "
+                              f"are linearly dependent on this grid; narrow them, or set 0 for "
+                              f"the sensor spacing") from None
         # build and check every solve plan of this m before any of its blocks is timed
         for background in (bg for block in group for bg in backgrounds[block[1]]):
             _plan(background, space)
@@ -1000,25 +998,6 @@ def _run(cfg: dict, experiment: str) -> RunResult:
                                                         result.diagnostics):
                 cases.emit(result, method, errors, beta, block_ms)
     return result
-
-
-def run_example1(cfg: dict) -> RunResult:
-    """Sinusoid background: plain vs bias-corrected solve over (n, m, alpha)."""
-    return _run(cfg, "example1")
-
-
-def run_example2(cfg: dict) -> RunResult:
-    """Discontinuous background: multiscale split vs full-basis solve."""
-    return _run(cfg, "example2")
-
-
-def run_example3_analog(cfg: dict) -> RunResult:
-    """Power-law profiles: box-constrained plain vs bias-corrected solve."""
-    return _run(cfg, "example3_analog")
-
-
-def run_experiment(cfg: dict) -> RunResult:
-    return _run(cfg, cfg["experiment"])
 
 
 def _example1(cfg: dict, setup: Setup, space) -> Callable:

@@ -24,6 +24,8 @@ from .space import (
     Grid,
     GridFunction,
     Subspace,
+    _frozen,
+    _read_only,
     _weighted_qr,
 )
 
@@ -130,12 +132,19 @@ def _window_mask(grid: Grid, center, width: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ObservationSpace:
-    """Riesz representers of the sensors, one per row, and an orthonormal basis of their span."""
+    """Riesz representers of the sensors, one per row, and an orthonormal basis of their span.
+
+    The representers and the matrices cached from them are read-only; a
+    representer array the caller can still write to is copied first.
+    """
 
     grid: Grid
     sensors: SensorArray
     representers: np.ndarray        # (m, num_points)
     onb: Subspace
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "representers", _read_only(self.representers))
 
     @property
     def m(self) -> int:
@@ -144,7 +153,7 @@ class ObservationSpace:
     @cached_property
     def functional_matrix(self) -> np.ndarray:
         """Row i applied to state values yields the exact reading l_i(u)."""
-        return self.representers * self.grid.weights
+        return _frozen(self.representers * self.grid.weights)
 
     def apply_functionals(self, u: GridFunction) -> np.ndarray:
         """All raw sensor readings of a state at once."""
@@ -155,12 +164,12 @@ class ObservationSpace:
     @cached_property
     def raw_to_onb_matrix(self) -> np.ndarray:
         """B[i, j] = <w_i, q_j>; maps onb coordinates to raw readings."""
-        return self.functional_matrix @ self.onb.matrix.T
+        return _frozen(self.functional_matrix @ self.onb.matrix.T)
 
     @cached_property
     def raw_to_onb_inverse(self) -> np.ndarray:
         """Inverse of ``raw_to_onb_matrix``, factored once per space."""
-        return np.linalg.inv(self.raw_to_onb_matrix)
+        return _frozen(np.linalg.inv(self.raw_to_onb_matrix))
 
     def coords_from_raw(self, readings: np.ndarray) -> np.ndarray:
         """Coordinates of the unique element of the span whose readings match.
@@ -244,7 +253,7 @@ def build_observation_space(sensors: SensorArray, grid: Grid) -> ObservationSpac
             f"sensors {names} are linearly dependent on this grid; "
             "spread the sensors or refine the grid"
         )
-    return ObservationSpace(grid, sensors, reps, Subspace(grid, rows))
+    return ObservationSpace(grid, sensors, _frozen(reps), Subspace(grid, rows))
 
 
 def observe(u: GridFunction, space: ObservationSpace) -> Measurement:

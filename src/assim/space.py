@@ -8,6 +8,10 @@ uniform grid with trapezoid quadrature weights.  The weighted inner product
 is exact for constants and keeps the Gram algebra symmetric positive, which
 is all the downstream reconstruction machinery relies on.  A subspace is one
 ``(dimension, num_points)`` matrix of orthonormal rows, checked when it is built.
+
+The grid's nodes and weights, a subspace's matrix and the matrices cached from
+them are read-only, so that nothing derived from them, such as a solve plan,
+can go stale.
 """
 
 from __future__ import annotations
@@ -60,13 +64,13 @@ class Grid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.num_points)
+        return _frozen(np.linspace(self.a, self.b, self.num_points))
 
     @cached_property
     def weights(self) -> np.ndarray:
         w = np.full(self.num_points, self.h)
         w[0] = w[-1] = self.h / 2
-        return w
+        return _frozen(w)
 
     def zero(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.num_points))
@@ -113,6 +117,29 @@ class GridFunction:
         return norm(self)
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only in place; for arrays the package has just built."""
+    array.flags.writeable = False
+    return array
+
+
+def _read_only(array) -> np.ndarray:
+    """A read-only C-contiguous float array of ``array``'s values that nothing can write to.
+
+    An array that the conversion builds is frozen in place.  One that shares
+    the caller's memory is copied once, unless it and every array it views
+    are read-only already (a frozen matrix or a view of one).
+    """
+    converted = np.ascontiguousarray(array, dtype=float)
+    if np.may_share_memory(converted, array):
+        base = converted
+        while isinstance(base, np.ndarray):
+            if base.flags.writeable:
+                return _frozen(converted.copy())
+            base = base.base
+    return _frozen(converted)
+
+
 def _check_same_grid(u: GridFunction, v: GridFunction) -> None:
     if u.grid != v.grid:
         raise GridMismatchError(
@@ -132,17 +159,18 @@ def norm(u: GridFunction) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """Orthonormal basis, one grid function per row of a C-contiguous matrix.
+    """Orthonormal basis, one grid function per row of a read-only C-contiguous matrix.
 
-    Shape, finiteness and orthonormality are checked once, here.  Construct
-    via :func:`orthonormalize` unless the rows are orthonormal already.
+    Shape, finiteness and orthonormality are checked once, here; a matrix
+    the caller can still write to is copied first (see ``_read_only``).
+    Construct via :func:`orthonormalize` unless the rows are orthonormal already.
     """
 
     grid: Grid
     matrix: np.ndarray          # (dimension, num_points)
 
     def __post_init__(self) -> None:
-        matrix = np.ascontiguousarray(self.matrix, dtype=float)
+        matrix = _read_only(self.matrix)
         object.__setattr__(self, "matrix", matrix)
         if matrix.ndim != 2 or matrix.shape[1] != self.grid.num_points:
             raise ValueError(f"basis matrix has shape {matrix.shape}, "
@@ -165,7 +193,7 @@ class Subspace:
     @cached_property
     def weighted_matrix(self) -> np.ndarray:
         """``matrix`` times the quadrature weights: row i maps u to <v_i, u>."""
-        return self.matrix * self.grid.weights
+        return _frozen(self.matrix * self.grid.weights)
 
     def coefficients(self, u: GridFunction) -> np.ndarray:
         """Coordinates of the projection of ``u`` onto the subspace."""
@@ -244,7 +272,7 @@ def orthonormalize(
     if not fns:
         if grid is None:
             raise ValueError("empty family: pass grid= to build the trivial subspace")
-        return Subspace(grid, np.zeros((0, grid.num_points)))
+        return Subspace(grid, _frozen(np.zeros((0, grid.num_points))))
     grid = fns[0].grid
     for fn in fns[1:]:
         _check_same_grid(fns[0], fn)

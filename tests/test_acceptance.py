@@ -38,7 +38,7 @@ from assim import (
     spbdw_reconstruct,
     step_dictionary,
 )
-from assim.bench import default_config, run_example1, run_example2, run_example3_analog
+from assim.bench import default_config, run_experiment
 from assim.rom import projection_residuals
 
 
@@ -52,7 +52,7 @@ def example1_run():
     assert cfg["sweep.m"] == [25] and cfg["sweep.alpha"] == [0.1]
     assert cfg["validation.count"] == 64 and cfg["noise.sigma"] == 0.325
     start = time.perf_counter()
-    result = run_example1(cfg)
+    result = run_experiment(cfg)
     return result, time.perf_counter() - start
 
 
@@ -61,7 +61,7 @@ def example2_run():
     cfg = default_config("example2")
     assert cfg["sweep.m"] == [40] and cfg["sweep.n"] == [20]
     assert cfg["validation.count"] == 20 and cfg["dictionary.snap_truth"]
-    return run_example2(cfg)
+    return run_experiment(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def example3_run():
     assert cfg["validation.count"] == 40
     assert cfg["noise.alpha"] == 0.15 and cfg["noise.sigma"] == 2.0
     start = time.perf_counter()
-    result = run_example3_analog(cfg)
+    result = run_experiment(cfg)
     return result, time.perf_counter() - start
 
 
@@ -147,7 +147,7 @@ def test_criterion_3_sensor_count_monotonicity():
     cfg = default_config("example1")
     cfg["sweep.n"] = [5]
     cfg["sweep.m"] = [10, 20, 40, 80]
-    result = run_example1(cfg)
+    result = run_experiment(cfg)
     worst = [max(result.errors("bpbdw", n=5, m=m)) for m in cfg["sweep.m"]]
     ok = all(b <= 1.10 * a for a, b in zip(worst, worst[1:]))
     report(
@@ -379,16 +379,16 @@ def test_criterion_8_oracle_equivalence():
 
 def test_criterion_9_determinism(tmp_path):
     pairs = []
-    for experiment, runner, narrow in (
-        ("example1", run_example1, {"validation.count": 16, "sweep.n": [1, 3, 5, 8]}),
-        ("example2", run_example2, {"validation.count": 5, "training.count": 96}),
-        ("example3_analog", run_example3_analog, {"validation.count": 10}),
+    for experiment, narrow in (
+        ("example1", {"validation.count": 16, "sweep.n": [1, 3, 5, 8]}),
+        ("example2", {"validation.count": 5, "training.count": 96}),
+        ("example3_analog", {"validation.count": 10}),
     ):
         cfg = default_config(experiment)
         cfg.update(narrow)
         a_dir, b_dir = tmp_path / f"{experiment}_a", tmp_path / f"{experiment}_b"
-        runner(cfg).write(a_dir)
-        runner(cfg).write(b_dir)
+        run_experiment(cfg).write(a_dir)
+        run_experiment(cfg).write(b_dir)
         identical = (a_dir / "results.csv").read_bytes() == (b_dir / "results.csv").read_bytes()
         pairs.append((experiment, identical))
     ok = all(identical for _, identical in pairs)

@@ -63,9 +63,6 @@ from assim.bench import (
     observe_noisy,
     parse_config,
     parse_overrides,
-    run_example1,
-    run_example2,
-    run_example3_analog,
     run_experiment,
     setup_experiment,
 )
@@ -276,33 +273,33 @@ class TestRunExample1:
         rank = int(np.sum(sv > 1e-10 * sv[0]))
         cfg["sweep.n"] = [rank]
 
-        res = run_example1(cfg)
+        res = run_experiment(cfg)
         for agg in res.aggregates:
             assert agg["max"] <= 1e-8
 
     def test_rows_and_aggregates_consistent(self):
-        res = run_example1(small_example1())
+        res = run_experiment(small_example1())
         recomputed = aggregate_rows(res.rows)
         assert recomputed == res.aggregates
         # 8 cases x 3 dims x 2 methods
         assert len(res.rows) == 48
 
     def test_determinism_in_memory(self):
-        a = run_example1(small_example1())
-        b = run_example1(small_example1())
+        a = run_experiment(small_example1())
+        b = run_experiment(small_example1())
         assert [(r.key(), r.error_e, r.seed) for r in a.rows] == [
             (r.key(), r.error_e, r.seed) for r in b.rows
         ]
 
     def test_bias_correction_helps(self):
-        res = run_example1(small_example1())
+        res = run_experiment(small_example1())
         assert res.mean_error("bpbdw", n=5) < res.mean_error("pbdw", n=5)
 
 
 def per_case_oracle(cfg):
     """example1 rows from per-case ``pbdw_solve`` / ``bpbdw_reconstruct`` calls.
 
-    Same truths, seeds and noise draws as ``run_example1``; keyed like
+    Same truths, seeds and noise draws as ``run_experiment``; keyed like
     ``ResultRow.key()`` without sigma, valued (error_e, beta, seed).
     """
     grid, master = _grid(cfg), cfg["master_seed"]
@@ -354,7 +351,7 @@ class TestExample1BlockPath:
     def test_rows_match_per_case_solves(self, overrides):
         cfg = small_example1(**{"sweep.n": [1, 4, 10, 12], "sweep.m": [10, 25],
                                 "sweep.alpha": [0.0, 0.1], **overrides})
-        res = run_example1(cfg)
+        res = run_experiment(cfg)
         oracle = per_case_oracle(cfg)
         # n=12 > m=10 is skipped: 7 (n, m) cells of 8 cases and 2 methods per alpha
         assert len(res.rows) == len(oracle) == 7 * 8 * 2 * len(cfg["sweep.alpha"])
@@ -368,7 +365,7 @@ class TestExample1BlockPath:
         clock = itertools.count()
         monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         cfg = small_example1(**{"sweep.alpha": [0.0, 0.1]})
-        res = run_example1(cfg)
+        res = run_experiment(cfg)
         # one row per (n, m, alpha) cell and method, in loop order; the corrected
         # block's time includes the plain solve it starts from
         assert res.timings == [
@@ -387,7 +384,7 @@ class TestRunExample2:
             "training.count": 64,
             "manifold.jump_height": [0.0, 0.0],
         })
-        res = run_example2(cfg)
+        res = run_experiment(cfg)
         e_split = res.mean_error("spbdw", n=20)
         e_plain = res.mean_error("pbdw", n=20)
         assert abs(e_split - e_plain) <= 0.10 * max(e_plain, 1e-12)
@@ -395,7 +392,7 @@ class TestRunExample2:
     def test_split_beats_plain_and_locates_jumps(self):
         cfg = default_config("example2")
         cfg.update({"validation.count": 8, "training.count": 128})
-        res = run_example2(cfg)
+        res = run_experiment(cfg)
         wins = sum(
             s < p for s, p in zip(res.errors("spbdw", n=20), res.errors("pbdw", n=20))
         )
@@ -407,7 +404,7 @@ class TestRunExample2:
     def test_pod_decay_rows(self):
         cfg = default_config("example2")
         cfg.update({"validation.count": 4, "training.count": 64, "sweep.n": [10]})
-        res = run_example2(cfg)
+        res = run_experiment(cfg)
         labels = {r["label"] for r in res.pod_decay}
         assert labels == {"fast", "full"}
         for label in labels:
@@ -418,7 +415,7 @@ class TestRunExample2:
 def example2_oracle(cfg):
     """example2 rows and diagnostics from per-case ``spbdw_reconstruct`` / ``pbdw_solve``.
 
-    Same truths, seeds and noise draws as ``run_example2``; rows are keyed
+    Same truths, seeds and noise draws as ``run_experiment``; rows are keyed
     like ``ResultRow.key()`` without sigma and valued (error_e, beta, seed),
     diagnostics are keyed (case_id, n, m).
     """
@@ -489,7 +486,7 @@ class TestExample2BlockPath:
     )
     def test_rows_match_per_case_solves(self, overrides):
         cfg = small_example2(**overrides)
-        res = run_example2(cfg)
+        res = run_experiment(cfg)
         rows, diagnostics = example2_oracle(cfg)
         cells = sum(n <= m for n in cfg["sweep.n"] for m in cfg["sweep.m"])
         assert len(res.rows) == len(rows) == cells * cfg["validation.count"] * 2
@@ -512,7 +509,7 @@ class TestExample2BlockPath:
         clock = itertools.count()
         monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         cfg = small_example2()
-        res = run_example2(cfg)
+        res = run_experiment(cfg)
         # one row per column block and method: a full chunk, then the remaining 5 cases
         assert res.timings == [
             dict(zip(TIMING_FIELDS, (method, n, m, 0.0, 0.0, first, cases, 1000.0)))
@@ -526,14 +523,14 @@ class TestRunExample3:
     def test_clean_data_recovers_truth(self):
         cfg = default_config("example3_analog")
         cfg.update({"validation.count": 4, "noise.alpha": 0.0, "noise.sigma": 0.0})
-        res = run_example3_analog(cfg)
+        res = run_experiment(cfg)
         for agg in res.aggregates:
             assert agg["max"] <= 1e-6
 
     def test_bias_correction_gain_and_mode1_dominance(self):
         cfg = default_config("example3_analog")
         cfg["validation.count"] = 12
-        res = run_example3_analog(cfg)
+        res = run_experiment(cfg)
         assert res.mean_error("bpbdw") <= res.mean_error("pbdw") / 1.5
         for diag in res.diagnostics:
             if diag["method"] == "bpbdw":
@@ -544,7 +541,7 @@ def example3_oracle(cfg):
     """example3_analog rows and diagnostics from per-case boxed solves.
 
     Each case runs ``pbdw_solve_boxed`` and ``bpbdw_reconstruct(box=)`` on the
-    same truth, seeds, noise draws and boxes as ``run_example3_analog``.  Rows
+    same truth, seeds, noise draws and boxes as ``run_experiment``.  Rows
     are keyed like ``ResultRow.key()`` without sigma and valued (error_e,
     beta, seed); diagnostics are ((case_id, method, n, m), mode-1 energy
     fraction) in the order the runner writes them.
@@ -591,7 +588,7 @@ class TestExample3Oracle:
     def test_rows_match_per_case_solves(self, overrides):
         cfg = default_config("example3_analog")
         cfg.update(overrides)
-        res = run_example3_analog(cfg)
+        res = run_experiment(cfg)
         rows, diagnostics = example3_oracle(cfg)
         cells = sum(n <= m for n in cfg["sweep.n"] for m in cfg["sweep.m"])
         assert len(res.rows) == len(rows) == 2 * cells * cfg["validation.count"]
@@ -607,7 +604,7 @@ class TestExample3Oracle:
         monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         cfg = default_config("example3_analog")
         cfg.update({"validation.count": 8, "sweep.n": [3, 5], "sweep.m": [20, 40]})
-        res = run_example3_analog(cfg)
+        res = run_experiment(cfg)
         assert len(res.rows) == 2 * 4 * 8
         # the plain block's time and the corrected block's, which includes it,
         # each on one row for the cell's 8 cases
@@ -622,21 +619,21 @@ class TestOutputs:
     def test_files_and_determinism(self, tmp_path):
         cfg = small_example1()
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        run_example1(cfg).write(a_dir)
-        run_example1(cfg).write(b_dir)
+        run_experiment(cfg).write(a_dir)
+        run_experiment(cfg).write(b_dir)
         for name in ("results.csv", "aggregates.csv", "pod_decay.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
         for name in ("results.csv", "aggregates.csv", "pod_decay.csv", "timings.csv", "run.json"):
             assert (a_dir / name).exists()
 
     def test_results_schema(self, tmp_path):
-        run_example1(small_example1()).write(tmp_path)
+        run_experiment(small_example1()).write(tmp_path)
         lines = (tmp_path / "results.csv").read_text().splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "case_id,method,n,m,alpha,sigma,error_e,beta,seed"
 
     def test_aggregates_recomputable_from_rows(self, tmp_path):
-        result = run_example1(small_example1())
+        result = run_experiment(small_example1())
         result.write(tmp_path)
         with open(tmp_path / "results.csv") as fh:
             fh.readline()
@@ -660,7 +657,7 @@ class TestOutputs:
             assert float(agg["stddev"]) == errors.std()
 
     def test_run_json(self, tmp_path):
-        run_example1(small_example1()).write(tmp_path)
+        run_experiment(small_example1()).write(tmp_path)
         payload = json.loads((tmp_path / "run.json").read_text())
         assert payload["schema_version"] == 1
         assert payload["config"]["experiment"] == "example1"
@@ -1154,6 +1151,19 @@ class TestCli:
         ]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("config, m", [("example1.cfg", 25), ("example2.cfg", 40),
+                                           ("example3.cfg", 20)])
+    def test_dependent_box_sensors_name_their_width(self, tmp_path, capsys, config, m):
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / config), "--set", "sensors.width=100",
+                         "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sensors.width=100.0 with sweep.m={m}: box sensors this wide are linearly "
+            "dependent on this grid; narrow them, or set 0 for the sensor spacing"
+        ]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "config, overrides, names",
         [
@@ -1494,15 +1504,6 @@ class TestRunExperimentDispatch:
         res = run_experiment(cfg)
         assert res.config["experiment"] == "example1"
 
-    def test_wrong_runner_rejected(self):
-        runners = {"example1": run_example1, "example2": run_example2,
-                   "example3_analog": run_example3_analog}
-        for expected, runner in runners.items():
-            for given in set(runners) - {expected}:
-                with pytest.raises(ConfigError,
-                                   match=f"config is for '{given}', expected '{expected}'"):
-                    runner(default_config(given))
-
 
 class TestOnlineLoop:
     """The one loop that runs every experiment."""
@@ -1582,7 +1583,7 @@ class TestOnlineLoop:
         monkeypatch.setattr(assim.bench, "_pcg64_words", refuse)
         cfg = default_config("example3_analog")
         cfg.update({"validation.count": 4, "sweep.n": [3, 5], "sweep.m": [20, 40]})
-        assert len(run_example3_analog(cfg).rows) == 2 * 4 * 4
+        assert len(run_experiment(cfg).rows) == 2 * 4 * 4
         # example1 draws its noise from the words, so the patch is in force
         with pytest.raises(AssertionError, match="seed words"):
-            run_example1(small_example1())
+            run_experiment(small_example1())

@@ -19,7 +19,7 @@ from assim import (
     pod,
     sample_sinusoids,
 )
-from assim.obs import DependentSensorsError
+from assim.obs import DependentSensorsError, ObservationSpace
 
 
 def random_fn(grid, rng, scale=1.0):
@@ -133,6 +133,23 @@ class TestBuildObservationSpace:
             raw = space.sensors.apply(u)
             riesz = [inner_product(GridFunction(grid, w), u) for w in space.representers]
             assert np.allclose(raw, riesz, atol=1e-10)
+
+
+class TestReadOnlyArrays:
+    def test_space_arrays_reject_writes(self, grid):
+        space = build_observation_space(SensorArray.equidistant(10, grid), grid)
+        for array in (space.representers, space.functional_matrix, space.raw_to_onb_matrix,
+                      space.raw_to_onb_inverse, space.onb.matrix, space.onb.weighted_matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] *= -1.0
+
+    def test_caller_representers_are_copied(self, grid):
+        space = build_observation_space(SensorArray.equidistant(4, grid), grid)
+        reps = space.representers.copy()
+        other = ObservationSpace(grid, space.sensors, reps, space.onb)
+        assert reps.flags.writeable and not np.shares_memory(other.representers, reps)
+        reps[0] = 0.0
+        assert np.array_equal(other.representers, space.representers)
 
 
 class TestObserve:

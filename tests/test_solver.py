@@ -261,6 +261,16 @@ class TestPbdwSolve:
         assert len(solver._PLANS[narrow]) == 2
         assert len(solver._PLANS[wide]) == 1
 
+    def test_cached_plan_inputs_cannot_be_changed(self, grid):
+        # a plan caches products of these arrays; a write after a solve would leave it stale
+        basis = pod(sample_sinusoids(SinusoidSpec(), grid, 20, seed=3), 4)
+        space = build_observation_space(SensorArray.equidistant(10, grid), grid)
+        pbdw_solve(observe(basis.subspace.basis[0], space), basis.subspace, space)
+        plan = solver._plan(basis.subspace, space)
+        for array in (basis.subspace.matrix, plan.background_t, plan.onb_t, plan.onb_weighted):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] *= -1
+
     def test_plan_cache_keeps_neither_object_alive(self, grid, rng):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 10, seed=14)
         background = pod(snaps, 3).subspace

@@ -151,6 +151,31 @@ class TestSubspaceMatrix:
             assert np.array_equal(fn.values, row)
 
 
+class TestReadOnlyArrays:
+    def test_grid_arrays_reject_writes(self, grid):
+        for array in (grid.nodes, grid.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_subspace_arrays_reject_writes(self, grid, rng):
+        X = orthonormalize([random_fn(grid, rng) for _ in range(3)])
+        for array in (X.matrix, X.weighted_matrix, X.truncate(2).matrix, X.basis[0].values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] *= -1.0
+
+    def test_caller_matrix_is_copied_once_and_stays_writable(self, grid, rng):
+        matrix = orthonormalize([random_fn(grid, rng) for _ in range(2)]).matrix.copy()
+        X = Subspace(grid, matrix)
+        assert matrix.flags.writeable and not np.shares_memory(X.matrix, matrix)
+        before = X.matrix.copy()
+        matrix[0] *= -1.0
+        assert np.array_equal(X.matrix, before)
+        # a read-only view of a writable array is copied too
+        view = matrix.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(Subspace(grid, view).matrix, matrix)
+
+
 class TestOrthonormalize:
     def test_dependent_inputs_collapse(self, grid, rng):
         u = random_fn(grid, rng)
