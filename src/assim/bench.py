@@ -440,14 +440,13 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
 
 
-def derive_seeds(master_seed: int, keys) -> list[int]:
-    """``[derive_seed(master_seed, *key) for key in keys]``, hashed in one pass.
+def derive_seeds(master_seed: int, texts) -> list[int]:
+    """``derive_seed(master_seed, *key)`` for every key, hashed in one pass.
 
-    ``keys`` is any iterable of part tuples; a generator keeps them out of memory.
+    Each key comes as the text ``derive_seed`` hashes, ``":".join(map(str, key))``;
+    ``texts`` may be any iterable, so a generator keeps them out of memory.
     """
-    digests = np.fromiter(
-        (zlib.crc32(":".join(str(p) for p in key).encode()) for key in keys), dtype=np.uint32
-    )
+    digests = np.fromiter((zlib.crc32(text.encode()) for text in texts), dtype=np.uint32)
     master = np.array(_uint32_words(int(master_seed)), dtype=np.uint32)
     entropy = np.empty((len(master) + 1, len(digests)), dtype=np.uint32)
     entropy[:-1] = master[:, None]
@@ -965,9 +964,13 @@ def run_experiment(cfg: dict) -> RunResult:
     blocks = [(m, n, model, range(lo, min(lo + chunk, count)))
               for m in cfg["sweep.m"] for n in cfg["sweep.n"] if n <= m
               for model in models for lo in range(0, count, chunk)]
+    # each case's key ("noise", case_id, "m", m, "n", n[, "alpha", repr(alpha)]) as the
+    # text derive_seed hashes, formatted from one template per block
     seeds = derive_seeds(cfg["master_seed"], (
-        ("noise", case_id, "m", m, "n", n, *(("alpha", repr(model.alpha)) if swept else ()))
-        for m, n, model, case_ids in blocks for case_id in case_ids
+        template % case_id
+        for m, n, model, case_ids in blocks
+        for template in [f"noise:%d:m:{m}:n:{n}" + (f":alpha:{model.alpha!r}" if swept else "")]
+        for case_id in case_ids
     ))
     words = _pcg64_words(seeds) if spec.draws and cfg["noise.sigma"] > 0 else None
     backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())

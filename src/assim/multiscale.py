@@ -34,10 +34,11 @@ from .bias import (
     corrected_constraint_block,
 )
 from .manifold import SnapshotSet
-from .obs import Measurement, ObservationSpace, inf_sup_beta
+from .obs import Measurement, ObservationSpace, cross_gramian, inf_sup_beta
 from .solver import (
     BlockReconstruction,
     Reconstruction,
+    _lstsq_pinv,
     pbdw_solve,
     pbdw_solve_block,
 )
@@ -46,9 +47,7 @@ from .space import (
     GridFunction,
     GridMismatchError,
     Subspace,
-    inner_product,
     orthonormalize,
-    project_onto,
 )
 
 __all__ = [
@@ -323,29 +322,9 @@ def spbdw_reconstruct(
     )
 
 
-# A stacked least-squares problem whose triangular factor has a diagonal entry
-# below this fraction of its largest is solved by lstsq instead, as in the
-# per-case path: back substitution would amplify roundoff there, and lstsq's
-# rank cutoff decides what a (nearly) dependent selection contributes.
-_QR_RANK_TOL = 1e-8
-
-
 def _stacked_lstsq(A: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Least-squares solution of A[k] x = d[k] for a (K, m, j) stack and (K, m) rows."""
-    K, m, j = A.shape
-    x = np.empty((K, j))
-    good = np.zeros(K, dtype=bool)
-    if j <= m:
-        Q, R = np.linalg.qr(A)
-        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        good = diag.min(axis=1) > _QR_RANK_TOL * diag.max(axis=1)
-        if good.any():
-            if not good.all():
-                Q, R = Q[good], R[good]
-            x[good] = np.linalg.solve(R, Q.transpose(0, 2, 1) @ d[good, :, None])[..., 0]
-    for k in np.flatnonzero(~good):
-        x[k] = np.linalg.lstsq(A[k], d[k], rcond=None)[0]
-    return x
+    return (_lstsq_pinv(A) @ d[:, :, None])[..., 0]
 
 
 def _stacked_images(dictionary: SlowDictionary, indices: np.ndarray) -> np.ndarray:
@@ -385,7 +364,8 @@ def extract_smoothers_block(
 
     All columns run the greedy at once in m-dimensional coordinates: one
     score product per step with ties to the lowest index, then a stacked
-    least-squares fit of each column's selection.  A column retires under
+    least-squares fit of each column's selection through its pseudo-inverse
+    at lstsq's rank cutoff, the per-case path's rule.  A column retires under
     the per-case rules: residual below 1e-12 of its data norm, a re-picked
     index, a relative drop below ``rel_tol``, or ``max_iters`` steps.  Each
     new residual is formed as d - A x, as in the per-case path, so every
@@ -465,9 +445,10 @@ def spbdw_reconstruct_block(
     The greedy split is ``extract_smoothers_block``; f* and the smoothed data
     are built for the whole block and the smooth solve is
     ``pbdw_solve_block``, followed under a noise model (analytic expectation
-    only) by ``bpbdw_correct_block``.  The steps are then refitted on the
-    stacked selections.  Column k matches ``spbdw_reconstruct`` on column k
-    up to roundoff.
+    only) by ``bpbdw_correct_block``.  The steps of every column are then
+    refitted in one stacked fit, the same pseudo-inverse rule as the greedy's:
+    an unused slot (index -1) is a zero column, which gets amplitude 0.
+    Column k matches ``spbdw_reconstruct`` on column k up to roundoff.
     """
     _check_space(space, dictionary)
     greedy = extract_smoothers_block(data, dictionary, rel_tol, max_iters)
@@ -480,12 +461,10 @@ def spbdw_reconstruct_block(
 
     u_f = bpbdw_correct_block(first, background, space, model)
     eta = corrected_constraint_block(weighted @ (first.states + f_star), model).T
-    corrected = np.zeros_like(greedy.amplitudes)
-    for count in range(1, greedy.indices.shape[1] + 1):
-        cols = np.flatnonzero(greedy.counts == count)
-        if cols.size:
-            A = _stacked_images(dictionary, greedy.indices[cols, :count])
-            corrected[cols, :count] = _stacked_lstsq(A, eta[cols])
+    # an unused slot (index -1) is a zero column, whose amplitude the fit sets to 0
+    selected = (greedy.indices >= 0)[:, None, :]
+    A = np.where(selected, _stacked_images(dictionary, greedy.indices), 0.0)
+    corrected = _stacked_lstsq(A, eta)
     f_u = dictionary.candidate_matrix @ greedy.coefficients(len(dictionary), corrected)
     return SplitBlock(greedy, f_star, u_f, corrected, u_f.states + f_u)
 
@@ -507,20 +486,21 @@ def multiscale_beta_bound(
     violation raises ``ValueError``.  Returns (beta_combined,
     beta_background, beta_slow).
     """
-    images = [project_onto(vf, space.onb) for vf in background.basis]
-    for vs in slow_space.basis:
-        for vf, img in zip(background.basis, images):
-            if abs(inner_product(vs, vf)) > orthogonality_tol:
-                raise ValueError(
-                    "slow space is not orthogonal to the background; "
-                    "orthogonalize it against the background first"
-                )
-            if abs(inner_product(vs, img)) > orthogonality_tol:
-                raise ValueError(
-                    "slow space couples to the background through the sensors; "
-                    "orthogonalize it against the observed images of the "
-                    "background basis as well"
-                )
+    if not slow_space.grid == background.grid == space.grid:
+        raise GridMismatchError("slow space, background and observation space grids differ")
+    # <v_s, v_f> and <v_s, P_W v_f> for every pair; the first failing pair in
+    # row-major order decides the message
+    plain = np.abs(slow_space.weighted_matrix @ background.matrix.T) > orthogonality_tol
+    images = space.onb.matrix.T @ cross_gramian(space, background)
+    coupled = np.abs(slow_space.weighted_matrix @ images) > orthogonality_tol
+    failed = np.flatnonzero(plain | coupled)
+    if failed.size and plain.flat[failed[0]]:
+        raise ValueError("slow space is not orthogonal to the background; "
+                         "orthogonalize it against the background first")
+    if failed.size:
+        raise ValueError("slow space couples to the background through the sensors; "
+                         "orthogonalize it against the observed images of the "
+                         "background basis as well")
     beta_f = inf_sup_beta(background, space)
     if slow_space.dimension == 0:
         return beta_f, beta_f, 1.0

@@ -291,6 +291,12 @@ def pbdw_solve_boxed(
     return _single(plan.assemble(d, c), space.grid)
 
 
+def _lstsq_pinv(A: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of a matrix or of each in a stack, at ``lstsq(rcond=None)``'s
+    cutoff: singular values at most eps * max(rows, columns) times the largest."""
+    return np.linalg.pinv(A, rcond=np.finfo(float).eps * max(A.shape[-2:]))
+
+
 def _bvls(
     A: np.ndarray,
     b: np.ndarray,
@@ -331,9 +337,7 @@ def _bvls(
         entry = free_sets.get(key)
         if entry is None:
             f, h = np.flatnonzero(free), np.flatnonzero(~free)
-            A_free = A[:, f]
-            rcond = np.finfo(float).eps * max(A_free.shape)
-            entry = (np.linalg.pinv(A_free, rcond=rcond), A[:, h], f, h)
+            entry = (_lstsq_pinv(A[:, f]), A[:, h], f, h)
             if len(free_sets) < FREE_SET_CAP:
                 free_sets[key] = entry
         return entry

@@ -353,6 +353,31 @@ class TestSpbdwReconstructBlock:
             location = None if dominant < 0 else dictionary.parameters[dominant]["jump_location"]
             assert location == dec.dominant_jump_location()
 
+    def test_one_refit_for_every_count(self, grid, space40, dictionary, rng):
+        # one stacked refit covers a zero column and columns stopping at every count
+        model, max_iters = NoiseModel(alpha=0.1, sigma=0.05), 5
+        fast_tr, _, _ = sample_multiscale(MultiscaleSpec(), grid, 64, seed=16)
+        background = pod(fast_tr, 15).subspace
+        cols = [np.zeros(space40.m)]
+        for count in range(1, max_iters + 1):
+            for _ in range(4):
+                picked = rng.permutation(np.arange(0, len(dictionary), 4))[:count]
+                cols.append(dictionary.observed[:, picked] @ 2.0 ** -np.arange(count))
+        data = np.column_stack(cols)
+        data[:, 1:] += 0.01 * rng.normal(size=(space40.m, data.shape[1] - 1))
+        split = spbdw_reconstruct_block(data, background, space40, dictionary, model=model,
+                                        max_iters=max_iters)
+        assert set(split.greedy.counts.tolist()) == set(range(max_iters + 1))
+        assert not split.corrected_amplitudes[split.greedy.indices < 0].any()
+        for k, count in enumerate(split.greedy.counts.tolist()):
+            dec = spbdw_reconstruct(Measurement(data[:, k], space40), background, space40,
+                                    dictionary, model=model, max_iters=max_iters)
+            assert len(dec.smoothers) == count
+            np.testing.assert_allclose(split.corrected_amplitudes[k, :count],
+                                       dec.corrected_amplitudes, rtol=1e-10, atol=0)
+            scale = dec.u_star.norm()
+            assert np.linalg.norm(split.u_star[:, k] - dec.u_star.values) <= 1e-10 * scale
+
     def test_dictionary_of_another_space(self, grid, space40, dictionary):
         other = build_observation_space(SensorArray.equidistant(40, grid), grid)
         background = Subspace(grid, other.onb.matrix[:3])
@@ -540,6 +565,34 @@ class TestBetaBound:
         slow = orthonormalize(fns[2:])      # not orthogonalized against background
         with pytest.raises(ValueError, match="orthogonal"):
             multiscale_beta_bound(slow, background, space40)
+
+    def test_coupling_through_the_sensors_rejected(self, grid, space40, rng):
+        # s is orthogonal to the background and to the first basis vector's observed
+        # image, but not to the second's; the first failing (slow, background) pair
+        # in row-major order names the failed check
+        fns = [GridFunction(grid, rng.normal(size=grid.num_points)) for _ in range(3)]
+        background = orthonormalize(fns[:2])
+        b0, b1 = (project_onto(v, space40.onb) for v in background.basis)
+        s = b1 - project_onto(b1, orthonormalize([*background.basis, b0]))
+        leaning = fns[2]
+        cases = [([s], "couples to the background through the sensors"),
+                 ([s, leaning], "couples to the background through the sensors"),
+                 ([leaning, s], "not orthogonal to the background")]
+        for vectors, message in cases:
+            with pytest.raises(ValueError, match=message):
+                multiscale_beta_bound(orthonormalize(vectors), background, space40)
+
+    def test_spaces_on_another_grid_rejected(self, grid, space40):
+        from assim import Grid, GridMismatchError
+
+        # the same functions on a grid of the same size: the checks alone would
+        # call them not orthogonal
+        other = Grid(0.0, 1.0, grid.num_points)
+        background = Subspace(grid, space40.onb.matrix[:2])
+        slow = Subspace(other, space40.onb.matrix[:2] * np.sqrt(2 * np.pi))
+        for args in ((slow, background, space40), (background, slow, space40)):
+            with pytest.raises(GridMismatchError):
+                multiscale_beta_bound(*args)
 
     def test_bound_violation_raises(self, grid, space40, rng):
         # a slow vector leaning on the background breaks the hypothesis; with

@@ -595,6 +595,21 @@ class TestFreeSetCache:
             assert np.array_equal(states, full_states)
 
 
+class TestLstsqPinv:
+    def test_drops_what_lstsq_drops(self, rng):
+        # a singular value of 4e-15 relative lies between pinv's own default
+        # cutoff (1e-15) and lstsq's eps * max(rows, columns) (8.9e-15 at 40)
+        for shape in ((40, 3), (3, 40)):
+            U = np.linalg.qr(rng.normal(size=(shape[0], 3)))[0]
+            V = np.linalg.qr(rng.normal(size=(shape[1], 3)))[0]
+            A = (U * [1.0, 0.5, 4e-15]) @ V.T
+            b = rng.normal(size=shape[0])
+            expected = np.linalg.lstsq(A, b, rcond=None)[0]
+            np.testing.assert_allclose(solver._lstsq_pinv(A) @ b, expected, rtol=1e-10)
+            stacked = solver._lstsq_pinv(np.stack([A, 2.0 * A])) @ b
+            np.testing.assert_allclose(stacked, [expected, expected / 2.0], rtol=1e-10)
+
+
 class TestBvls:
     """The bounded least-squares kernel on the SVD factors of a cross-Gramian."""
 
