@@ -28,18 +28,6 @@ from .manifold import (
     sample_powerlaw,
     sample_sinusoids,
 )
-from .multiscale import (
-    MultiscaleDecomposition,
-    SlowDictionary,
-    Smoother,
-    build_slow_dictionary,
-    extract_smoothers,
-    multiscale_beta_bound,
-    orthogonal_search,
-    spbdw_reconstruct,
-    step_dictionary,
-    total_variation,
-)
 from .obs import (
     Measurement,
     ObservationSpace,
@@ -68,6 +56,35 @@ from .space import (
     orthonormalize,
     project_onto,
 )
+
+# The multiscale split's names are imported on first access (PEP 562), so
+# that a program which never uses the split does not load its module.
+_MULTISCALE = (
+    "MultiscaleDecomposition",
+    "SlowDictionary",
+    "Smoother",
+    "build_slow_dictionary",
+    "extract_smoothers",
+    "multiscale_beta_bound",
+    "orthogonal_search",
+    "spbdw_reconstruct",
+    "step_dictionary",
+    "total_variation",
+)
+
+
+def __getattr__(name: str):
+    if name not in _MULTISCALE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import multiscale
+
+    value = globals()[name] = getattr(multiscale, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MULTISCALE})
+
 
 __all__ = [
     "__version__",
@@ -111,14 +128,5 @@ __all__ = [
     "noise_expectation",
     "discrepancy_xi",
     "bpbdw_reconstruct",
-    "SlowDictionary",
-    "Smoother",
-    "MultiscaleDecomposition",
-    "build_slow_dictionary",
-    "step_dictionary",
-    "orthogonal_search",
-    "extract_smoothers",
-    "spbdw_reconstruct",
-    "multiscale_beta_bound",
-    "total_variation",
+    *_MULTISCALE,
 ]

@@ -15,10 +15,10 @@ Three experiments are provided:
 One online loop (``run_experiment``) runs every experiment, a record in
 ``_EXPERIMENTS``, after its offline set-up (``setup_experiment``): it builds
 the solve plans of each sensor count before it times a block, solves the
-(n, m, alpha) cells with n <= m in blocks of cases, and writes one
-``timings.csv`` row per block and method.  Every case's random stream is
-derived from (master_seed, case id, stage), so a rerun with the same master
-seed reproduces ``results.csv``.
+(n, m) pairs with n <= m in blocks of cases, each case at every alpha of the
+run, and writes one ``timings.csv`` row per block and method.  Every case's
+random stream is derived from (master_seed, case id, stage), so a rerun with
+the same master seed reproduces ``results.csv``.
 
 Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  ``SCHEMA``
@@ -67,7 +67,6 @@ from .manifold import (
     sample_powerlaw,
     sample_sinusoids,
 )
-from .multiscale import spbdw_reconstruct_block, step_dictionary
 from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
                   build_observation_space, observe)
 from .rom import decay_curve, pod
@@ -505,7 +504,7 @@ def _normal_columns(words: np.ndarray, sigma: float, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 RESULT_FIELDS = ("case_id", "method", "n", "m", "alpha", "sigma", "error_e", "beta", "seed")
-TIMING_FIELDS = ("method", "n", "m", "alpha", "sigma", "first_case", "cases", "block_ms")
+TIMING_FIELDS = ("method", "n", "m", "sigma", "first_case", "cases", "block_ms")
 AGGREGATE_FIELDS = ("method", "n", "m", "alpha", "sigma", "mean", "max", "min", "stddev", "count")
 POD_DECAY_FIELDS = ("label", "n", "approximation_error")
 
@@ -554,9 +553,11 @@ class _Columns:
         codes = [self.cells.setdefault(cell, len(self.cells)) for cell in zip(*columns[1:6])]
         self._extend(codes, columns[0], dict(zip(_VALUES, columns[6:])))
 
-    def append(self, cell: tuple, case_ids, **values) -> None:
-        """The cases ``case_ids`` of one cell; a scalar value is shared by all of them."""
-        self._extend(self.cells.setdefault(cell, len(self.cells)), case_ids, values)
+    def append(self, cells: list[tuple], case_ids, **values) -> None:
+        """The cases ``case_ids`` of each cell in ``cells`` in turn; a value is one per
+        row, or a scalar shared by all of them."""
+        codes = [self.cells.setdefault(cell, len(self.cells)) for cell in cells]
+        self._extend(np.repeat(codes, len(case_ids)), np.tile(case_ids, len(cells)), values)
 
     def _extend(self, codes, case_ids, values: dict) -> None:
         for name, column in (("cell", codes), ("case_id", case_ids), *values.items()):
@@ -647,7 +648,9 @@ class RunResult:
     (``_Cases.emit``), and ``ResultRow``s passed in become columns once;
     ``rows`` is a view built from them, in the order the rows came in.
     ``timings`` is a plain list of dicts, like ``diagnostics``: the loop
-    appends one ``TIMING_FIELDS`` row per solved block and method.
+    appends one ``TIMING_FIELDS`` row per solved block and method, whose
+    ``cases`` counts the result rows the block appended for that method
+    (its case ids at each alpha of the run, so the row has no alpha).
     """
 
     def __init__(self, config: dict, rows=(), pod_decay=(), diagnostics=(), timings=()) -> None:
@@ -871,18 +874,42 @@ def _is_exact(model: NoiseModel) -> bool:
     return model.alpha == 0.0 and model.sigma == 0.0 and model.kind == LINEAR_BIAS_GAUSSIAN
 
 
-def _data_block(truths: np.ndarray, space, model: NoiseModel, cases: _Cases) -> np.ndarray:
-    """m x K onb data of a (num_points, K) truth block, case k's seed drawing column k's noise.
+class _Observed:
+    """A (num_points, K) truth block's clean observations on one space, each made on first use."""
 
-    Column k is ``observe_noisy`` of truth k up to roundoff: the exact
-    coordinates for a noiseless model, else ``apply_noise``.
+    def __init__(self, truths: np.ndarray, space) -> None:
+        self.truths, self.space = truths, space
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        """m x K raw sensor readings."""
+        return self.space.functional_matrix @ self.truths
+
+    @cached_property
+    def exact(self) -> np.ndarray:
+        """m x K exact onb coordinates."""
+        return self.space.onb.weighted_matrix @ self.truths
+
+
+def _data_block(observed: _Observed, cases: _Cases) -> np.ndarray:
+    """m x AK onb data of the block's K truths under its A noise models (``_Cases``).
+
+    Column j is ``observe_noisy`` of its truth up to roundoff, its seed drawing
+    its noise: the exact coordinates where its model is noiseless, else
+    ``apply_noise``'s, with its own alpha broadcast over the rows.  Every
+    model a config builds is linear_bias_gaussian.
     """
-    if _is_exact(model):
-        return space.onb.weighted_matrix @ truths
-    readings = model.biased_readings(space.functional_matrix @ truths)
-    if model.sigma > 0:
-        readings = readings + _normal_columns(cases.words, model.sigma, space.m)
-    return space.coords_from_raw(readings)
+    slopes = len(cases.models)
+    exact = cases.per_column([_is_exact(model) for model in cases.models])
+    if exact.all():
+        return np.tile(observed.exact, slopes)
+    readings = (1.0 + cases.alpha) * np.tile(observed.raw, slopes)
+    if (sigma := cases.models[0].sigma) > 0:
+        readings = readings + _normal_columns(cases.words, sigma, observed.space.m)
+    data = observed.space.coords_from_raw(readings)
+    if exact.any():     # the alpha = 0 columns of a noiseless run
+        data[:, exact] = np.tile(observed.exact, slopes)[:, exact]
+    return data
 
 
 def observe_noisy(truth, space, model: NoiseModel, seed: int):
@@ -897,17 +924,43 @@ def _norms(grid: Grid, block: np.ndarray) -> np.ndarray:
     return np.sqrt(grid.weights @ block**2)
 
 
+def _errors(grid: Grid, states: np.ndarray, truths: np.ndarray,
+            truth_norms: np.ndarray) -> np.ndarray:
+    """Relative error of every column of an AK state block, whose column j
+    estimates truth ``j % K`` of the (num_points, K) ``truths``."""
+    points, K = truths.shape
+    diff = (states.reshape(points, -1, K) - truths[:, None, :]).reshape(points, -1)
+    return (_norms(grid, diff).reshape(-1, K) / truth_norms).ravel()
+
+
 @dataclass(frozen=True)
 class _Cases:
-    """Cases of one (n, m, alpha) cell whose solves are timed together."""
+    """One block: the cases ``case_ids`` of an (n, m) pair under each of the run's
+    noise models, solved and timed together.
 
-    key: tuple                  # (n, m, alpha, sigma)
+    Its columns run over (model, case): with K = len(case_ids), column j is
+    case ``case_ids[j % K]`` under ``models[j // K]``, and ``seeds[j]`` draws
+    its noise.  The models differ in alpha alone.
+    """
+
+    n: int
+    m: int
+    models: tuple               # the run's NoiseModels, one per alpha
     case_ids: range
-    seeds: list[int]            # seeds[k] draws the noise of case_ids[k]
+    seeds: list[int]
     words: np.ndarray | None    # the seeds' _pcg64_words, where _data_block draws noise
 
+    def per_column(self, values) -> np.ndarray:
+        """One value per model, repeated over that model's columns."""
+        return np.repeat(values, len(self.case_ids))
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """Each column's bias slope."""
+        return self.per_column([model.alpha for model in self.models])
+
     def emit(self, result: RunResult, method: str, errors, beta: float, block_ms: float) -> None:
-        """The block's result columns and its one timing row for ``method``.
+        """The block's result columns, one cell per model, and its one timing row for ``method``.
 
         A non-finite or negative error rejects the block before any of it is kept.
         """
@@ -915,27 +968,31 @@ class _Cases:
         bad = ~np.isfinite(errors) | (errors < 0)     # ResultRow's check, once per block
         if bad.any():
             raise ValueError(f"error_e must be finite and nonnegative, got {errors[bad][0]}")
-        cell = (method, *self.key)
-        result._results.append(cell, self.case_ids, error_e=errors, beta=beta, seed=self.seeds)
-        result.timings.append(dict(zip(TIMING_FIELDS, (*cell, self.case_ids.start,
-                                                       len(self.case_ids), block_ms))))
+        cells = [(method, self.n, self.m, model.alpha, model.sigma) for model in self.models]
+        result._results.append(cells, self.case_ids, error_e=errors, beta=beta, seed=self.seeds)
+        result.timings.append(dict(zip(TIMING_FIELDS, (
+            method, self.n, self.m, self.models[0].sigma, self.case_ids.start, len(errors),
+            block_ms))))
 
 
 @dataclass(frozen=True)
 class _Experiment:
     """One experiment as the online loop runs it.
 
+    ``per_run(cfg, setup)`` prepares what the whole run shares and returns
+    ``per_m(space)``, which prepares what the cells of one m share and returns
+    their block solve ``(per_n, cases, diagnostics)``.  That gives
+    ``(method, errors, beta, block_ms)`` per method, errors in the block's
+    column order (``_Cases``), and appends the block's diagnostic rows.
     ``per_n(cfg, setup, backgrounds)`` prepares what the cells of one n share
-    from its backgrounds (each labeled POD basis truncated to n modes, in
-    label order), and ``per_m(cfg, setup, space)`` what those of one m share;
-    it returns their block solve ``(per_n, model, cases, diagnostics)``, which
-    gives ``(method, errors, beta, block_ms)`` per method and appends the
-    block's diagnostic rows.  A block holds at most ``chunk`` cases (None: the
-    whole cell); ``draws`` is set where the solve draws noise with ``_data_block``.
+    from its backgrounds (each labeled POD basis truncated to n modes, in label
+    order).  A block holds at most ``chunk`` case ids (None: all of them) at
+    each noise model; ``draws`` is set where the solve draws noise with
+    ``_data_block``.
     """
 
     setup: Callable[[dict], Setup]
-    per_m: Callable
+    per_run: Callable
     per_n: Callable = lambda cfg, setup, backgrounds: backgrounds
     chunk: int | None = None
     draws: bool = True
@@ -947,28 +1004,31 @@ def _elapsed_ms(start: float) -> float:
 
 def run_experiment(cfg: dict) -> RunResult:
     """The configured experiment: offline set-up, then every block of cases of
-    every feasible (n, m, alpha) cell.
+    every feasible (n, m) pair.
 
-    The blocks are laid out once, as (m, n, noise model, case ids) in loop
-    order; every case seed comes from that layout in one ``derive_seeds`` pass
-    and the loop walks the same layout, so the two orders cannot drift apart.
+    The blocks are laid out once, as (m, n, case ids) in loop order, and each
+    holds its case ids at every alpha of the run (every noise model), so
+    example1 solves one block per (n, m) pair across its alpha sweep.  Every
+    case seed, one per (case, m, n, alpha), comes from that layout in one
+    ``derive_seeds`` pass and the loop walks the same layout, so the two
+    orders cannot drift apart.
     """
     spec = _EXPERIMENTS[cfg["experiment"]]
     setup = setup_experiment(cfg)
     count = cfg["validation.count"]
     chunk = spec.chunk or count
     swept = "sweep.alpha" in cfg
-    models = [NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
-              for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]])]
+    models = tuple(NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
+                   for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]]))
     # cells with n > m are skipped; _validate has checked that one is not
-    blocks = [(m, n, model, range(lo, min(lo + chunk, count)))
+    blocks = [(m, n, range(lo, min(lo + chunk, count)))
               for m in cfg["sweep.m"] for n in cfg["sweep.n"] if n <= m
-              for model in models for lo in range(0, count, chunk)]
-    # each case's key ("noise", case_id, "m", m, "n", n[, "alpha", repr(alpha)]) as the
-    # text derive_seed hashes, formatted from one template per block
+              for lo in range(0, count, chunk)]
+    # each column's key ("noise", case_id, "m", m, "n", n[, "alpha", repr(alpha)]) as the
+    # text derive_seed hashes, formatted from one template per block and model
     seeds = derive_seeds(cfg["master_seed"], (
         template % case_id
-        for m, n, model, case_ids in blocks
+        for m, n, case_ids in blocks for model in models
         for template in [f"noise:%d:m:{m}:n:{n}" + (f":alpha:{model.alpha!r}" if swept else "")]
         for case_id in case_ids
     ))
@@ -976,6 +1036,7 @@ def run_experiment(cfg: dict) -> RunResult:
     backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())
                    for n in dict.fromkeys(b[1] for b in blocks)}
     per_n = {n: spec.per_n(cfg, setup, bgs) for n, bgs in backgrounds.items()}
+    per_m = spec.per_run(cfg, setup)
 
     result = RunResult(cfg, pod_decay=setup.decay())
     taken = 0
@@ -992,36 +1053,41 @@ def run_experiment(cfg: dict) -> RunResult:
         # build and check every solve plan of this m before any of its blocks is timed
         for background in (bg for block in group for bg in backgrounds[block[1]]):
             _plan(background, space)
-        solve = spec.per_m(cfg, setup, space)
-        for _m, n, model, case_ids in group:
-            lo, taken = taken, taken + len(case_ids)
-            cases = _Cases((n, m, model.alpha, model.sigma), case_ids, seeds[lo:taken],
+        solve = per_m(space)
+        for _m, n, case_ids in group:
+            lo, taken = taken, taken + len(models) * len(case_ids)
+            cases = _Cases(n, m, models, case_ids, seeds[lo:taken],
                            None if words is None else words[lo:taken])
-            for method, errors, beta, block_ms in solve(per_n[n], model, cases,
-                                                        result.diagnostics):
+            for method, errors, beta, block_ms in solve(per_n[n], cases, result.diagnostics):
                 cases.emit(result, method, errors, beta, block_ms)
     return result
 
 
-def _example1(cfg: dict, setup: Setup, space) -> Callable:
-    """A cell's plain and bias-corrected solves, each one m x K block solve."""
-    truth_block = np.ascontiguousarray(setup.labeled["full"][0].matrix.T)
-    truth_norms = _norms(setup.grid, truth_block)
+def _example1(cfg: dict, setup: Setup) -> Callable:
+    """Each (n, m) pair's plain and bias-corrected solves, each one block solve of
+    every case at every alpha."""
+    grid = setup.grid
+    truths = np.ascontiguousarray(setup.labeled["full"][0].matrix.T)    # a block holds them all
+    truth_norms = _norms(grid, truths)
 
-    def solve(backgrounds, model: NoiseModel, cases: _Cases, _diagnostics: list) -> list:
-        (background,) = backgrounds
-        data = _data_block(truth_block, space, model, cases)
-        start = time.perf_counter()
-        plain = pbdw_solve_block(data, background, space)
-        plain_ms = _elapsed_ms(start)
-        corrected = bpbdw_correct_block(plain, background, space, model)
-        # the corrected method includes the plain solve it starts from
-        corrected_ms = _elapsed_ms(start)
-        return [(method, _norms(setup.grid, rec.states - truth_block) / truth_norms,
-                 rec.beta, block_ms)
-                for method, rec, block_ms in (("pbdw", plain, plain_ms),
-                                              ("bpbdw", corrected, corrected_ms))]
-    return solve
+    def per_m(space) -> Callable:
+        observed = _Observed(truths, space)
+
+        def solve(backgrounds, cases: _Cases, _diagnostics: list) -> list:
+            (background,) = backgrounds
+            data = _data_block(observed, cases)
+            start = time.perf_counter()
+            plain = pbdw_solve_block(data, background, space)
+            plain_ms = _elapsed_ms(start)
+            corrected = bpbdw_correct_block(plain, background, space, cases.models[0],
+                                            cases.alpha)
+            # the corrected method includes the plain solve it starts from
+            corrected_ms = _elapsed_ms(start)
+            return [(method, _errors(grid, rec.states, truths, truth_norms), rec.beta, block_ms)
+                    for method, rec, block_ms in (("pbdw", plain, plain_ms),
+                                                  ("bpbdw", corrected, corrected_ms))]
+        return solve
+    return per_m
 
 
 # Columns per example2 block.  Whole-cell blocks run no faster and raise the
@@ -1029,63 +1095,69 @@ def _example1(cfg: dict, setup: Setup, space) -> Callable:
 _CHUNK = 32
 
 
-def _example2(cfg: dict, setup: Setup, space) -> Callable:
+def _example2(cfg: dict, setup: Setup) -> Callable:
     """A column block's split and full-basis solves, and its jump diagnostics."""
+    # loaded here, so that the other experiments never import the multiscale module
+    from .multiscale import spbdw_reconstruct_block, step_dictionary
+
     grid = setup.grid
-    dictionary = step_dictionary(grid, space, _pair(cfg, "manifold.jump_location"),
-                                 cfg["dictionary.stride"])
-    locations = np.array([p["jump_location"] for p in dictionary.parameters])
-    # the truths as rows and their jump locations, optionally snapped onto the dictionary
-    (fast_val, _), (full_val, _) = setup.labeled["fast"], setup.labeled["full"]
-    true_locations = np.array([p["jump_location"] for p in full_val.parameters])
-    truths = full_val.matrix
-    if cfg["dictionary.snap_truth"]:
-        true_locations = locations[np.abs(locations - true_locations[:, None]).argmin(axis=1)]
-        heights = np.array([p["jump_height"] for p in full_val.parameters])
-        steps = grid.nodes >= true_locations[:, None] - 1e-12
-        truths = fast_val.matrix + heights[:, None] * steps
-    locations, true_locations = locations.tolist(), true_locations.tolist()
 
-    def solve(backgrounds, model: NoiseModel, cases: _Cases, diagnostics: list) -> list:
-        fast_bg, full_bg = backgrounds
-        ids = cases.case_ids
-        truth_block = np.ascontiguousarray(truths[ids.start:ids.stop].T)
-        data = _data_block(truth_block, space, model, cases)
-        start = time.perf_counter()
-        split = spbdw_reconstruct_block(
-            data, fast_bg, space, dictionary,
-            # the split is bias-corrected only when the data are noisy
-            model=None if _is_exact(model) else model,
-            rel_tol=cfg["spbdw.rel_tol"], max_iters=cfg["spbdw.max_iters"],
-        )
-        split_ms = _elapsed_ms(start)
-        start = time.perf_counter()
-        plain = pbdw_solve_block(data, full_bg, space)
-        plain_ms = _elapsed_ms(start)
+    def per_m(space) -> Callable:
+        dictionary = step_dictionary(grid, space, _pair(cfg, "manifold.jump_location"),
+                                     cfg["dictionary.stride"])
+        locations = np.array([p["jump_location"] for p in dictionary.parameters])
+        # the truths as rows and their jump locations, optionally snapped onto the dictionary
+        (fast_val, _), (full_val, _) = setup.labeled["fast"], setup.labeled["full"]
+        true_locations = np.array([p["jump_location"] for p in full_val.parameters])
+        truths = full_val.matrix
+        if cfg["dictionary.snap_truth"]:
+            true_locations = locations[np.abs(locations - true_locations[:, None]).argmin(axis=1)]
+            heights = np.array([p["jump_height"] for p in full_val.parameters])
+            steps = grid.nodes >= true_locations[:, None] - 1e-12
+            truths = fast_val.matrix + heights[:, None] * steps
+        locations, true_locations = locations.tolist(), true_locations.tolist()
 
-        n, m = cases.key[:2]
-        # multiscale.total_variation of every column: the truth's, then each method's
-        tv_truth, *tv_methods = (np.abs(np.diff(block, axis=0)).sum(axis=0)
-                                 for block in (truth_block, split.u_star, plain.states))
-        per_case = zip(ids, split.dominant_indices().tolist(), split.greedy.counts.tolist(),
-                       tv_truth.tolist(), *((tv - tv_truth).tolist() for tv in tv_methods))
-        for case_id, dominant, count, tv, tv_split, tv_plain in per_case:
-            true_location = true_locations[case_id]
-            estimated = "" if dominant < 0 else locations[dominant]
-            cells_off = "" if dominant < 0 else abs(estimated - true_location) / grid.h
-            diagnostics.append({
-                "case_id": case_id, "n": n, "m": m,
-                "jump_location_true": true_location,
-                "jump_location_estimated": estimated, "jump_cells_off": cells_off,
-                "num_smoothers": count, "tv_truth": tv,
-                "tv_excess_spbdw": tv_split, "tv_excess_pbdw": tv_plain,
-            })
-        truth_norms = _norms(grid, truth_block)
-        return [(method, _norms(grid, states - truth_block) / truth_norms, beta, block_ms)
-                for method, states, beta, block_ms in (
-                    ("spbdw", split.u_star, split.u_f.beta, split_ms),
-                    ("pbdw", plain.states, plain.beta, plain_ms))]
-    return solve
+        def solve(backgrounds, cases: _Cases, diagnostics: list) -> list:
+            fast_bg, full_bg = backgrounds
+            (model,) = cases.models
+            ids = cases.case_ids
+            truth_block = np.ascontiguousarray(truths[ids.start:ids.stop].T)
+            data = _data_block(_Observed(truth_block, space), cases)
+            start = time.perf_counter()
+            split = spbdw_reconstruct_block(
+                data, fast_bg, space, dictionary,
+                # the split is bias-corrected only when the data are noisy
+                model=None if _is_exact(model) else model,
+                rel_tol=cfg["spbdw.rel_tol"], max_iters=cfg["spbdw.max_iters"],
+            )
+            split_ms = _elapsed_ms(start)
+            start = time.perf_counter()
+            plain = pbdw_solve_block(data, full_bg, space)
+            plain_ms = _elapsed_ms(start)
+
+            # multiscale.total_variation of every column: the truth's, then each method's
+            tv_truth, *tv_methods = (np.abs(np.diff(block, axis=0)).sum(axis=0)
+                                     for block in (truth_block, split.u_star, plain.states))
+            per_case = zip(ids, split.dominant_indices().tolist(), split.greedy.counts.tolist(),
+                           tv_truth.tolist(), *((tv - tv_truth).tolist() for tv in tv_methods))
+            for case_id, dominant, count, tv, tv_split, tv_plain in per_case:
+                true_location = true_locations[case_id]
+                estimated = "" if dominant < 0 else locations[dominant]
+                cells_off = "" if dominant < 0 else abs(estimated - true_location) / grid.h
+                diagnostics.append({
+                    "case_id": case_id, "n": cases.n, "m": cases.m,
+                    "jump_location_true": true_location,
+                    "jump_location_estimated": estimated, "jump_cells_off": cells_off,
+                    "num_smoothers": count, "tv_truth": tv,
+                    "tv_excess_spbdw": tv_split, "tv_excess_pbdw": tv_plain,
+                })
+            truth_norms = _norms(grid, truth_block)
+            return [(method, _errors(grid, states, truth_block, truth_norms), beta, block_ms)
+                    for method, states, beta, block_ms in (
+                        ("spbdw", split.u_star, split.u_f.beta, split_ms),
+                        ("pbdw", plain.states, plain.beta, plain_ms))]
+        return solve
+    return per_m
 
 
 def _example3_per_n(cfg: dict, setup: Setup, backgrounds: tuple) -> tuple:
@@ -1094,7 +1166,7 @@ def _example3_per_n(cfg: dict, setup: Setup, backgrounds: tuple) -> tuple:
     return background, compute_box(setup.labeled["full"][0], background, cfg["box.margin"])
 
 
-def _example3(cfg: dict, setup: Setup, space) -> Callable:
+def _example3(cfg: dict, setup: Setup) -> Callable:
     """A cell's box-constrained plain and bias-corrected solves, case by case.
 
     The benchmark's library runner rebuilds these rows with per-case calls and
@@ -1103,31 +1175,33 @@ def _example3(cfg: dict, setup: Setup, space) -> Callable:
     truth = setup.truth
     truth_norm = truth.norm()
 
-    def solve(prepared, model: NoiseModel, cases: _Cases, diagnostics: list) -> list:
-        background, box = prepared
-        observations = [observe_noisy(truth, space, model, seed) for seed in cases.seeds]
-        start = time.perf_counter()
-        plain = [pbdw_solve_boxed(omega, background, space, box) for omega in observations]
-        plain_ms = _elapsed_ms(start)
-        # each corrected solve starts from its plain one, as bpbdw_reconstruct does
-        corrected = [
-            pbdw_solve_boxed(corrected_constraint(rec.state, space, model, seed),
-                             background, space, box)
-            for rec, seed in zip(plain, cases.seeds)
-        ]
-        corrected_ms = _elapsed_ms(start)
-        n, m = cases.key[:2]
-        for case_id, pair in zip(cases.case_ids, zip(plain, corrected)):
-            for method, rec in zip(("pbdw", "bpbdw"), pair):
-                energy = float(np.sum(rec.rom_coeffs**2))
-                fraction = float(rec.rom_coeffs[0] ** 2 / energy) if energy > 0 else 0.0
-                diagnostics.append({"case_id": case_id, "method": method, "n": n,
-                                    "m": m, "mode1_energy_fraction": fraction})
-        return [(method, [(rec.state - truth).norm() / truth_norm for rec in recs],
-                 recs[0].beta, block_ms)
-                for method, recs, block_ms in (("pbdw", plain, plain_ms),
-                                               ("bpbdw", corrected, corrected_ms))]
-    return solve
+    def per_m(space) -> Callable:
+        def solve(prepared, cases: _Cases, diagnostics: list) -> list:
+            background, box = prepared
+            (model,) = cases.models
+            observations = [observe_noisy(truth, space, model, seed) for seed in cases.seeds]
+            start = time.perf_counter()
+            plain = [pbdw_solve_boxed(omega, background, space, box) for omega in observations]
+            plain_ms = _elapsed_ms(start)
+            # each corrected solve starts from its plain one, as bpbdw_reconstruct does
+            corrected = [
+                pbdw_solve_boxed(corrected_constraint(rec.state, space, model, seed),
+                                 background, space, box)
+                for rec, seed in zip(plain, cases.seeds)
+            ]
+            corrected_ms = _elapsed_ms(start)
+            for case_id, pair in zip(cases.case_ids, zip(plain, corrected)):
+                for method, rec in zip(("pbdw", "bpbdw"), pair):
+                    energy = float(np.sum(rec.rom_coeffs**2))
+                    fraction = float(rec.rom_coeffs[0] ** 2 / energy) if energy > 0 else 0.0
+                    diagnostics.append({"case_id": case_id, "method": method, "n": cases.n,
+                                        "m": cases.m, "mode1_energy_fraction": fraction})
+            return [(method, [(rec.state - truth).norm() / truth_norm for rec in recs],
+                     recs[0].beta, block_ms)
+                    for method, recs, block_ms in (("pbdw", plain, plain_ms),
+                                                   ("bpbdw", corrected, corrected_ms))]
+        return solve
+    return per_m
 
 
 _EXPERIMENTS = {

@@ -172,16 +172,22 @@ def corrected_constraint(
     return Measurement(observed + (observed - expected), space)
 
 
-def corrected_constraint_block(observed: np.ndarray, model: NoiseModel) -> np.ndarray:
+def corrected_constraint_block(
+    observed: np.ndarray, model: NoiseModel, alpha: float | np.ndarray | None = None
+) -> np.ndarray:
     """``corrected_constraint`` for an (m, K) block of observed coordinates.
 
-    Only the analytic expectation applies: Monte Carlo draws are seeded per
-    case.  Column k equals ``corrected_constraint`` of the state whose
-    coordinates are column k, with the same arithmetic order.
+    ``alpha`` is the bias slope of each column, a scalar or a length-K vector
+    that broadcasts over the rows; by default every column has
+    ``model.alpha``.  Only the analytic expectation applies: Monte Carlo
+    draws are seeded per case.  Column k equals ``corrected_constraint`` of
+    the state whose coordinates are column k, under a model with column k's
+    slope, with the same arithmetic order.
     """
     if not model.has_analytic_expectation:
         raise ValueError(f"block correction needs an analytic expectation, not {model.kind!r}")
-    return observed + (observed - observed * (1.0 + model.alpha))
+    alpha = model.alpha if alpha is None else alpha
+    return observed + (observed - observed * (1.0 + alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,12 +237,14 @@ def bpbdw_correct_block(
     background: Subspace,
     space: ObservationSpace,
     model: NoiseModel,
+    alpha: float | np.ndarray | None = None,
 ) -> BlockReconstruction:
     """Second step of ``bpbdw_reconstruct`` for a block of first estimates.
 
     ``first`` is the plain block solve of the data on the same pair, and
-    the model needs an analytic expectation (``corrected_constraint_block``).
-    Column k matches ``bpbdw_reconstruct`` on case k up to roundoff.
+    the model needs an analytic expectation (``corrected_constraint_block``,
+    which also takes each column's ``alpha``).  Column k matches
+    ``bpbdw_reconstruct`` on case k up to roundoff.
     """
-    eta = corrected_constraint_block(first.observed, model)
+    eta = corrected_constraint_block(first.observed, model, alpha)
     return pbdw_solve_block(eta, background, space)

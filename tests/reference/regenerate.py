@@ -1,9 +1,10 @@
 """Reference outputs of the shipped configs, and the rule that holds a run to them.
 
-``tests/reference/<example>/`` keeps what ``assim run --config
-configs/<example>.cfg`` writes at the config's default seed: ``results.csv``,
-``aggregates.csv``, ``pod_decay.csv`` and, where written, ``diagnostics.csv``.
-``tests/test_reference.py`` runs each config and compares its outputs with
+``tests/reference/<entry>/`` keeps what ``assim run --config
+configs/<config>.cfg --set ...`` writes for each entry of ``EXAMPLES``, at
+the config's default seed: ``results.csv``, ``aggregates.csv``,
+``pod_decay.csv`` and, where written, ``diagnostics.csv``.
+``tests/test_reference.py`` runs each entry and compares its outputs with
 these files by ``compare``:
 
 * the schema line, headers, row count and row order match exactly;
@@ -37,7 +38,16 @@ from assim.bench import load_config, run_experiment, setup_experiment
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = HERE.parents[1] / "configs"
-EXAMPLES = ("example1", "example2", "example3")
+# entry -> (shipped config, its --set overrides)
+EXAMPLES = {
+    "example1": ("example1", ()),
+    "example2": ("example2", ()),
+    "example3": ("example3", ()),
+    # the benchmark's four bias slopes at two of its sensor counts: every block spans
+    # the slopes; 16 cases keep the files small and give the benchmark's 64-column blocks
+    "example1_alpha_sweep": ("example1", ("sweep.alpha=0,0.05,0.1,0.2", "sweep.m=10,25",
+                                          "validation.count=16")),
+}
 FILES = ("results.csv", "aggregates.csv", "pod_decay.csv", "diagnostics.csv")
 
 RTOL = 1e-10
@@ -47,11 +57,12 @@ EXACT = frozenset({"case_id", "method", "n", "m", "alpha", "sigma", "seed", "lab
 
 
 def produce(example: str, out: Path) -> dict[str, float]:
-    """Run one shipped config in-process and write its outputs to ``out``.
+    """Run one ``EXAMPLES`` entry in-process and write its outputs to ``out``.
 
     Returns the largest snapshot norm of each ``pod_decay.csv`` label.
     """
-    cfg = load_config(CONFIGS / f"{example}.cfg")
+    config, overrides = EXAMPLES[example]
+    cfg = load_config(CONFIGS / f"{config}.cfg", list(overrides))
     run_experiment(cfg).write(out)
     scales = {}
     for label, (snapshots, _) in setup_experiment(cfg).labeled.items():

@@ -365,16 +365,57 @@ class TestExample1BlockPath:
         # a clock that advances one second per reading: every solve takes 1000 ms
         clock = itertools.count()
         monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
-        cfg = small_example1(**{"sweep.alpha": [0.0, 0.1]})
+        cfg = small_example1(**{"sweep.m": [4, 25], "sweep.alpha": [0.0, 0.1, 0.2]})
         res = run_experiment(cfg)
-        # one row per (n, m, alpha) cell and method, in loop order; the corrected
-        # block's time includes the plain solve it starts from
+        # one row per (n, m) pair and method, in loop order, over the 8 cases at each of
+        # the 3 alphas; n=5 > m=4 is skipped; the corrected block's time includes the
+        # plain solve it starts from
         assert res.timings == [
-            dict(zip(TIMING_FIELDS, (method, n, 25, alpha, cfg["noise.sigma"], 0, 8, ms)))
-            for n in (1, 3, 5) for alpha in (0.0, 0.1)
+            dict(zip(TIMING_FIELDS, (method, n, m, cfg["noise.sigma"], 0, 3 * 8, ms)))
+            for m, ns in ((4, (1, 3)), (25, (1, 3, 5))) for n in ns
             for method, ms in (("pbdw", 1000.0), ("bpbdw", 2000.0))
         ]
         assert len(res.rows) == sum(t["cases"] for t in res.timings)
+
+    def test_alpha_sweep_matches_one_run_per_alpha(self):
+        # a block spans every alpha of the run; each case's seed is keyed by its alpha,
+        # so a run of one alpha draws the same noise for it
+        alphas = [0.0, 0.05, -0.3, 0.2]
+        cfg = small_example1(**{"sweep.n": [1, 4, 10, 12], "sweep.m": [10, 25],
+                                "sweep.alpha": alphas})
+        swept = {row.key(): row for row in run_experiment(cfg).rows}
+        single = {row.key(): row for alpha in alphas
+                  for row in run_experiment({**cfg, "sweep.alpha": [alpha]}).rows}
+        assert swept.keys() == single.keys() and len(swept) == 7 * 8 * 2 * len(alphas)
+        for key, row in swept.items():
+            assert row.error_e == pytest.approx(single[key].error_e, rel=1e-12, abs=0)
+            assert (row.beta, row.seed) == (single[key].beta, single[key].seed)
+
+    def test_noiseless_alpha_zero_columns_keep_the_exact_coordinates(self, monkeypatch):
+        # at sigma = 0 a block mixes exact columns (alpha = 0) with biased ones
+        data_blocks = []
+        solve = assim.bench.pbdw_solve_block
+
+        def spy(data, background, space):
+            data_blocks.append((data.copy(), space))
+            return solve(data, background, space)
+
+        monkeypatch.setattr(assim.bench, "pbdw_solve_block", spy)
+        # a signed zero is a zero slope
+        cfg = small_example1(**{"noise.sigma": 0.0, "sweep.alpha": [0.1, -0.0, 0.2],
+                                "sweep.m": [10, 25]})
+        run_experiment(cfg)
+        truths = np.ascontiguousarray(setup_experiment(cfg).labeled["full"][0].matrix.T)
+        # one plain block per (n, m) pair
+        assert len(data_blocks) == 6
+        for data, space in data_blocks:
+            K = truths.shape[1]
+            biased, exact, more_biased = (data[:, a * K:(a + 1) * K] for a in range(3))
+            assert np.array_equal(exact, space.onb.weighted_matrix @ truths)
+            raw = space.functional_matrix @ truths
+            for got, gain in ((biased, 1.1), (more_biased, 1.2)):
+                want = space.coords_from_raw(gain * raw)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestRunExample2:
@@ -513,7 +554,7 @@ class TestExample2BlockPath:
         res = run_experiment(cfg)
         # one row per column block and method: a full chunk, then the remaining 5 cases
         assert res.timings == [
-            dict(zip(TIMING_FIELDS, (method, n, m, 0.0, 0.0, first, cases, 1000.0)))
+            dict(zip(TIMING_FIELDS, (method, n, m, 0.0, first, cases, 1000.0)))
             for m in (25, 40) for n in (10, 20) for first, cases in ((0, _CHUNK), (_CHUNK, 5))
             for method in ("spbdw", "pbdw")
         ]
@@ -610,7 +651,7 @@ class TestExample3Oracle:
         # the plain block's time and the corrected block's, which includes it,
         # each on one row for the cell's 8 cases
         assert res.timings == [
-            dict(zip(TIMING_FIELDS, (method, n, m, 0.15, 2.0, 0, 8, ms)))
+            dict(zip(TIMING_FIELDS, (method, n, m, 2.0, 0, 8, ms)))
             for m in (20, 40) for n in (3, 5)
             for method, ms in (("pbdw", 1000.0), ("bpbdw", 2000.0))
         ]
@@ -797,7 +838,7 @@ class TestColumnarWrite:
                 errors):
             rows += [ResultRow(case_id, method, n, m, alpha, sigma, error, beta, seed)
                      for case_id, error in enumerate(errors)]
-            timings.append(dict(zip(TIMING_FIELDS, (method, n, m, alpha, sigma, 0, len(errors),
+            timings.append(dict(zip(TIMING_FIELDS, (method, n, m, sigma, 0, len(errors),
                                                     block_ms))))
         result = RunResult(small_example1(), rows, timings=timings)
         # the largest float's deviation squares to inf in aggregates.csv, in both writers
@@ -811,8 +852,10 @@ class TestColumnarWrite:
             assert line in text.splitlines(), line
         # the block path appends the same columns
         blocks = RunResult(small_example1())
-        for (method, *key), (seed, beta) in zip(cells, [(0, -0.0), (2**64 - 1, 5e-324)]):
-            cases = _Cases(tuple(key), range(len(errors)), [seed] * len(errors), None)
+        for (method, n, m, alpha, sigma), (seed, beta) in zip(cells, [(0, -0.0),
+                                                                    (2**64 - 1, 5e-324)]):
+            cases = _Cases(n, m, (NoiseModel(alpha=alpha, sigma=sigma),), range(len(errors)),
+                           [seed] * len(errors), None)
             cases.emit(blocks, method, errors, beta, 1.5)
         with np.errstate(over="ignore"):
             assert_same_files(blocks, tmp_path / "blocks")
@@ -828,7 +871,7 @@ class TestColumnarWrite:
     @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (-0.5, "-0.5")])
     def test_block_with_a_bad_error_is_rejected_whole(self, tmp_path, bad, shown):
         result = RunResult(small_example1())
-        cases = _Cases((3, 25, 0.1, 0.325), range(3), [7, 8, 9], None)
+        cases = _Cases(3, 25, (NoiseModel(alpha=0.1, sigma=0.325),), range(3), [7, 8, 9], None)
         with pytest.raises(ValueError,
                            match=f"^error_e must be finite and nonnegative, got {shown}$"):
             cases.emit(result, "pbdw", [0.1, bad, 0.2], 0.9, 1.5)
@@ -1449,8 +1492,9 @@ class TestExample1OverrideFuzz:
             "training.count": training,
         })
         if counts is not None:
-            blocks = 2 * _feasible_cells(m, n) * len(alpha)
-            assert counts == {"results.csv": blocks * count, "timings.csv": blocks}
+            # one block per (n, m) pair and method, holding every alpha
+            blocks = 2 * _feasible_cells(m, n)
+            assert counts == {"results.csv": blocks * len(alpha) * count, "timings.csv": blocks}
 
 
 class TestExample3OverrideFuzz:

@@ -17,7 +17,8 @@ from assim import (
     pod,
     sample_sinusoids,
 )
-from assim.bias import bpbdw_correct_block, corrected_constraint, mc_expectation
+from assim.bias import (bpbdw_correct_block, corrected_constraint, corrected_constraint_block,
+                        mc_expectation)
 from assim.solver import pbdw_solve_block
 
 
@@ -263,3 +264,17 @@ class TestBpbdwBlock:
         model = NoiseModel(kind="empirical_table", table=((0.0, 1.0, 0.1),))
         with pytest.raises(ValueError, match="analytic"):
             bpbdw_correct_block(plain, basis.subspace, space, model)
+
+    def test_per_column_alpha_is_each_columns_own_model(self, grid):
+        # one slope per column, broadcast over the rows: each column is
+        # corrected_constraint under its own model, to the last bit
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 8, seed=23)
+        space = build_observation_space(SensorArray.equidistant(12, grid), grid)
+        alphas = np.array([0.0, -0.0, 0.05, 0.2, -0.3, 1e-5, 0.1, 3.0])
+        observed = np.stack([space.onb.coefficients(u) for u in snaps.snapshots], axis=1)
+        block = corrected_constraint_block(observed, NoiseModel(sigma=0.5), alphas)
+        for k, (u, alpha) in enumerate(zip(snaps.snapshots, alphas)):
+            model = NoiseModel(alpha=float(alpha), sigma=0.5)
+            assert np.array_equal(block[:, k], corrected_constraint(u, space, model).coeffs)
+            assert np.array_equal(block[:, k],
+                                  corrected_constraint_block(observed[:, k:k + 1], model)[:, 0])

@@ -52,21 +52,27 @@ def test_run_writes_the_files_the_benchmark_reads(tmp_path, capsys, checks, conf
 
     _, results = checks.read_csv(out / "results.csv")
     header, timings = checks.read_csv(out / "timings.csv")
-    assert header == ["method", "n", "m", "alpha", "sigma", "first_case", "cases", "block_ms"]
-    cell = ("method", "n", "m", "alpha", "sigma")
-    case_ids: dict[tuple, list[int]] = {}
-    for row in results:
-        case_ids.setdefault(tuple(row[k] for k in cell), []).append(int(row["case_id"]))
-    # each cell's blocks hold its case ids, each once: the cases columns of a
-    # method sum to its results.csv rows
-    blocks: dict[tuple, list[int]] = {}
+    assert header == ["method", "n", "m", "sigma", "first_case", "cases", "block_ms"]
+    # a block holds case ids first_case ... at each of the run's alphas
+    alphas = sorted({row["alpha"] for row in results}, key=float)
+    block = ("method", "n", "m", "sigma")
+    covered: dict[tuple, list[tuple]] = {}
     for row in timings:
         first, cases = int(row["first_case"]), int(row["cases"])
-        blocks.setdefault(tuple(row[k] for k in cell), []).extend(range(first, first + cases))
+        assert cases % len(alphas) == 0
+        covered.setdefault(tuple(row[k] for k in block), []).extend(
+            (alpha, case_id) for alpha in alphas
+            for case_id in range(first, first + cases // len(alphas)))
         assert 0 <= float(row["block_ms"]) < math.inf
-    assert blocks.keys() == case_ids.keys()
-    for key, ids in case_ids.items():
-        assert sorted(blocks[key]) == sorted(ids), key
+    # each results row is covered by exactly one timing row
+    produced: dict[tuple, list[tuple]] = {}
+    for row in results:
+        produced.setdefault(tuple(row[k] for k in block), []).append(
+            (row["alpha"], int(row["case_id"])))
+    assert covered.keys() == produced.keys()
+    for key, cases in produced.items():
+        assert sorted(covered[key]) == sorted(cases), key
+    # so the cases columns of a method sum to its results.csv rows
     for method in {row["method"] for row in results}:
         assert sum(int(row["cases"]) for row in timings if row["method"] == method) == \
             sum(row["method"] == method for row in results)
