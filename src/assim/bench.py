@@ -55,7 +55,7 @@ from .bias import (
     NoiseModel,
     apply_noise,
     bpbdw_correct_block,
-    corrected_constraint,
+    corrected_constraint_block,
 )
 from .manifold import (
     MultiscaleSpec,
@@ -70,7 +70,7 @@ from .manifold import (
 from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
                   build_observation_space, observe)
 from .rom import decay_curve, pod
-from .solver import _plan, compute_box, pbdw_solve_block, pbdw_solve_boxed
+from .solver import _matvec, _plan, compute_box, pbdw_solve_block, pbdw_solve_boxed_block
 from .space import Grid, GridFunction
 
 __all__ = [
@@ -948,7 +948,7 @@ class _Cases:
     models: tuple               # the run's NoiseModels, one per alpha
     case_ids: range
     seeds: list[int]
-    words: np.ndarray | None    # the seeds' _pcg64_words, where _data_block draws noise
+    words: np.ndarray | None    # the seeds' _pcg64_words, where the run draws noise
 
     def per_column(self, values) -> np.ndarray:
         """One value per model, repeated over that model's columns."""
@@ -987,15 +987,13 @@ class _Experiment:
     ``per_n(cfg, setup, backgrounds)`` prepares what the cells of one n share
     from its backgrounds (each labeled POD basis truncated to n modes, in label
     order).  A block holds at most ``chunk`` case ids (None: all of them) at
-    each noise model; ``draws`` is set where the solve draws noise with
-    ``_data_block``.
+    each noise model.
     """
 
     setup: Callable[[dict], Setup]
     per_run: Callable
     per_n: Callable = lambda cfg, setup, backgrounds: backgrounds
     chunk: int | None = None
-    draws: bool = True
 
 
 def _elapsed_ms(start: float) -> float:
@@ -1032,7 +1030,7 @@ def run_experiment(cfg: dict) -> RunResult:
         for template in [f"noise:%d:m:{m}:n:{n}" + (f":alpha:{model.alpha!r}" if swept else "")]
         for case_id in case_ids
     ))
-    words = _pcg64_words(seeds) if spec.draws and cfg["noise.sigma"] > 0 else None
+    words = _pcg64_words(seeds) if cfg["noise.sigma"] > 0 else None
     backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())
                    for n in dict.fromkeys(b[1] for b in blocks)}
     per_n = {n: spec.per_n(cfg, setup, bgs) for n, bgs in backgrounds.items()}
@@ -1167,39 +1165,63 @@ def _example3_per_n(cfg: dict, setup: Setup, backgrounds: tuple) -> tuple:
 
 
 def _example3(cfg: dict, setup: Setup) -> Callable:
-    """A cell's box-constrained plain and bias-corrected solves, case by case.
+    """Each (n, m) pair's box-constrained plain and bias-corrected solves, each
+    one block solve of every case.
 
-    The benchmark's library runner rebuilds these rows with per-case calls and
-    compares them for equality; observe_noisy draws each case's noise itself.
+    Every column equals the per-case route bit for bit: ``observe_noisy``'s
+    data (the biased clean readings plus ``default_rng(seed).normal``, drawn
+    by ``_normal_columns``, mapped to onb coordinates one column at a time),
+    then ``pbdw_solve_boxed`` and ``bpbdw_reconstruct(box=)``, whose columns
+    ``pbdw_solve_boxed_block`` reproduces.  The errors and mode-1 energy
+    fractions are reductions over one contiguous row per case, as each
+    per-case reduction runs over its own vector.  The benchmark's library
+    runner rebuilds these rows with per-case calls and compares them for
+    equality.
     """
     truth = setup.truth
     truth_norm = truth.norm()
+    weights = setup.grid.weights
+
+    def errors(rec) -> np.ndarray:
+        squares = weights * (rec.states.T - truth.values) ** 2
+        return np.sqrt(np.add.reduce(squares, axis=1)) / truth_norm
+
+    def mode1_fractions(rec) -> list[float]:
+        coeffs = rec.rom_coeffs.T
+        energies = np.add.reduce(coeffs**2, axis=1).tolist()
+        # a scalar's square is libm's pow, which an array's x * x misses by an ulp at times
+        return [first**2 / energy if energy > 0 else 0.0
+                for first, energy in zip(coeffs[:, 0].tolist(), energies)]
 
     def per_m(space) -> Callable:
+        clean = space.apply_functionals(truth)
+
         def solve(prepared, cases: _Cases, diagnostics: list) -> list:
             background, box = prepared
             (model,) = cases.models
-            observations = [observe_noisy(truth, space, model, seed) for seed in cases.seeds]
+            count = len(cases.case_ids)
+            if _is_exact(model):
+                data = np.tile(space.onb.coefficients(truth), (count, 1))
+            else:
+                readings = np.tile(model.biased_readings(clean), (count, 1))
+                if model.sigma > 0:
+                    readings = readings + _normal_columns(cases.words, model.sigma, space.m).T
+                data = _matvec(space.raw_to_onb_inverse, readings)
             start = time.perf_counter()
-            plain = [pbdw_solve_boxed(omega, background, space, box) for omega in observations]
+            plain = pbdw_solve_boxed_block(data.T, background, space, box)
             plain_ms = _elapsed_ms(start)
-            # each corrected solve starts from its plain one, as bpbdw_reconstruct does
-            corrected = [
-                pbdw_solve_boxed(corrected_constraint(rec.state, space, model, seed),
-                                 background, space, box)
-                for rec, seed in zip(plain, cases.seeds)
-            ]
+            # the corrected solve starts from the plain one, as bpbdw_reconstruct does
+            corrected = pbdw_solve_boxed_block(corrected_constraint_block(plain.observed, model),
+                                               background, space, box)
             corrected_ms = _elapsed_ms(start)
-            for case_id, pair in zip(cases.case_ids, zip(plain, corrected)):
-                for method, rec in zip(("pbdw", "bpbdw"), pair):
-                    energy = float(np.sum(rec.rom_coeffs**2))
-                    fraction = float(rec.rom_coeffs[0] ** 2 / energy) if energy > 0 else 0.0
+            fractions = zip(mode1_fractions(plain), mode1_fractions(corrected))
+            for case_id, pair in zip(cases.case_ids, fractions):
+                for method, fraction in zip(("pbdw", "bpbdw"), pair):
                     diagnostics.append({"case_id": case_id, "method": method, "n": cases.n,
                                         "m": cases.m, "mode1_energy_fraction": fraction})
-            return [(method, [(rec.state - truth).norm() / truth_norm for rec in recs],
-                     recs[0].beta, block_ms)
-                    for method, recs, block_ms in (("pbdw", plain, plain_ms),
-                                                   ("bpbdw", corrected, corrected_ms))]
+            return [(method, errors(rec), rec.beta, block_ms)
+                    for method, rec, block_ms in (("pbdw", plain, plain_ms),
+                                                  ("bpbdw", corrected, corrected_ms))]
         return solve
     return per_m
 
@@ -1207,8 +1229,7 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
 _EXPERIMENTS = {
     "example1": _Experiment(_setup_example1, _example1),
     "example2": _Experiment(_setup_example2, _example2, chunk=_CHUNK),
-    "example3_analog": _Experiment(_setup_example3_analog, _example3, _example3_per_n,
-                                   draws=False),
+    "example3_analog": _Experiment(_setup_example3_analog, _example3, _example3_per_n),
 }
 
 

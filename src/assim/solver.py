@@ -40,11 +40,18 @@ square.  A solve visits few of the 2^n free sets, and later solves on the
 pair mostly revisit them, so the plan caches each set's pseudo-inverse,
 held columns and free and held indices the first time it is needed, up to
 ``FREE_SET_CAP`` sets per plan.  The bounded solve is nonlinear in the data,
-so ``pbdw_solve_boxed`` runs it on one data vector at a time.
+so ``pbdw_solve_boxed_block`` runs it on an m x K block column by column and
+``pbdw_solve_boxed`` runs the same kernel on one data vector: every product
+runs once per column in one batched call (``_matvec``), and the bounded
+least-squares passes of a block's columns run in lockstep, grouped by free set
+(``_bvls_lockstep``), so column k equals the solve of column k alone bit for
+bit.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import weakref
 from dataclasses import dataclass, field
 
@@ -62,6 +69,7 @@ __all__ = [
     "pbdw_solve",
     "pbdw_solve_block",
     "pbdw_solve_boxed",
+    "pbdw_solve_boxed_block",
     "compute_box",
 ]
 
@@ -139,7 +147,9 @@ class BlockReconstruction:
     Column k of every array belongs to the k-th data column; ``observed``
     holds the observation-space coordinates of each assembled state, from
     which ``constraint_residuals`` are measured.  A single solve runs the
-    same kernel on one data vector, and then no array has the K axis.
+    same kernel on one data vector, and then no array has the K axis.  A
+    boxed block's arrays are transposed views of one contiguous row per
+    column (``_SolvePlan.assemble``).
     """
 
     states: np.ndarray              # (num_points, K)
@@ -173,18 +183,25 @@ class _SolvePlan:
     onb_weighted: np.ndarray        # (m, num_points): maps states to onb coordinates
     free_sets: dict = field(default_factory=dict, repr=False)
 
-    def assemble(self, D: np.ndarray, C: np.ndarray) -> BlockReconstruction:
+    def assemble(self, D: np.ndarray, C: np.ndarray,
+                 columnwise: bool = False) -> BlockReconstruction:
         """States V C + W (D - G C) for m x K data D and n x K coefficients C.
 
-        D and C may also be one data vector and its coefficients.  The caller
-        checks the states for finiteness: once per block, or in the
-        ``GridFunction`` of a single solve.
+        D and C may also be one data vector and its coefficients.  With
+        ``columnwise``, D and C are K x m and K x n, one row per column, and
+        every product and sum runs once per row (``_matvec``), so column k is
+        the assembly of column k alone bit for bit; one vector gives the same
+        bits.  The caller checks the states for finiteness: once per block, or
+        in the ``GridFunction`` of a single solve.
         """
-        correction = D - self.G @ C
-        states = self.onb_t @ correction + self.background_t @ C
+        product = _matvec if columnwise else operator.matmul
+        correction = D - product(self.G, C)
+        states = product(self.onb_t, correction) + product(self.background_t, C)
         # measure the constraint violation on the assembled states, not on paper
-        observed = self.onb_weighted @ states
-        residuals = np.sqrt(((observed - D) ** 2).sum(axis=0))
+        observed = product(self.onb_weighted, states)
+        residuals = np.sqrt(((observed - D) ** 2).sum(axis=-1 if columnwise else 0))
+        if columnwise:
+            states, C, correction, observed = states.T, C.T, correction.T, observed.T
         return BlockReconstruction(states, C, correction, observed, self.beta, residuals)
 
     def solve(self, D: np.ndarray) -> BlockReconstruction:
@@ -278,17 +295,76 @@ def pbdw_solve_block(
 def pbdw_solve_boxed(
     target, background: Subspace, space: ObservationSpace, box: Box
 ) -> Reconstruction:
-    """Reconstruction with the background coefficients clamped to a box."""
+    """Reconstruction with the background coefficients clamped to a box.
+
+    Runs the kernel of ``pbdw_solve_boxed_block`` on one data vector, so it
+    equals that block solve's column for the same data bit for bit.
+    """
+    d = _target_coeffs(target, space)
+    return _single(_solve_boxed(d, background, space, box), space.grid)
+
+
+def pbdw_solve_boxed_block(
+    data: np.ndarray, background: Subspace, space: ObservationSpace, box: Box
+) -> BlockReconstruction:
+    """Box-constrained solve for every column of an m x K block of onb data coordinates.
+
+    Column k equals ``pbdw_solve_boxed`` on column k bit for bit: every
+    product runs once per column (``_matvec``), never as one gemm over the
+    block, and the columns' bounded least-squares passes run in lockstep
+    (``_bvls_lockstep``; one column runs ``_bvls``).  The pair's checks run
+    once for the whole block.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] != space.m:
+        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
+    if not np.isfinite(data).all():
+        raise ValueError("data block must be finite")
+    block = _solve_boxed(np.ascontiguousarray(data.T), background, space, box)
+    if not np.isfinite(block.states).all():
+        raise ValueError("reconstructed states must be finite")
+    return block
+
+
+def _solve_boxed(D: np.ndarray, background: Subspace, space: ObservationSpace,
+                 box: Box) -> BlockReconstruction:
+    """The boxed solve of one data vector D, or of each row of a K x m stack D."""
     if box.dimension != background.dimension:
         raise ValueError(
             f"box has {box.dimension} bounds for a background of dimension "
             f"{background.dimension}"
         )
     plan = _plan(background, space)
-    d = _target_coeffs(target, space)
     # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
-    c = _bvls(plan.R, plan.Ut @ d, box.lo, box.hi, box.fixed, plan.free_sets)
-    return _single(plan.assemble(d, c), space.grid)
+    B = _matvec(plan.Ut, D)
+    bounds = (box.lo, box.hi, box.fixed, plan.free_sets)
+    if D.ndim == 1:
+        C = _bvls(plan.R, B, *bounds)
+    elif len(D) == 1:
+        # _bvls itself: the lockstep kernel costs several times as much on one row
+        C = _bvls(plan.R, B[0], *bounds)[None]
+    else:
+        C = _bvls_lockstep(plan.R, B, *bounds)
+    # on one vector the plain products are the same gemv as _matvec's
+    return plan.assemble(D, C, columnwise=D.ndim == 2)
+
+
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M @ x`` for every row x of the K x columns block X, as a K x rows
+    block; ``M @ X`` for one vector X.
+
+    One batched matmul runs, for each row, the gemv that the 1-D product
+    ``M @ x`` runs, on the row made contiguous as a 1-D vector is, so row k
+    equals ``M @ X[k]`` bit for bit; one gemm over the block does not.
+    """
+    if X.ndim == 1:
+        return M @ X
+    return np.matmul(M, np.ascontiguousarray(X)[:, :, None])[:, :, 0]
+
+
+def _dots(X: np.ndarray) -> np.ndarray:
+    """``x @ x`` for every row x of X, each the 1-D product's own dot, bit for bit."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def _lstsq_pinv(A: np.ndarray) -> np.ndarray:
@@ -331,16 +407,7 @@ def _bvls(
     free = ~fixed
     # side[i] is -1 / +1 while x[i] is held at its lower / upper bound, else 0
     side = np.zeros(n)
-
-    def free_set() -> tuple:
-        key = free.tobytes()
-        entry = free_sets.get(key)
-        if entry is None:
-            f, h = np.flatnonzero(free), np.flatnonzero(~free)
-            entry = (_lstsq_pinv(A[:, f]), A[:, h], f, h)
-            if len(free_sets) < FREE_SET_CAP:
-                free_sets[key] = entry
-        return entry
+    free_set = functools.partial(_free_set, A, free, free_sets)
 
     # initialisation, from the unconstrained solution: each pass pins at least
     # one coordinate or ends with a feasible free-set solution
@@ -394,6 +461,128 @@ def _bvls(
         if cost >= previous:                 # no descent: the push was roundoff
             break
     return x
+
+
+def _free_set(A: np.ndarray, free: np.ndarray, free_sets: dict) -> tuple:
+    """(P_F, A_H, free index, held index) of the free mask ``free``, from the
+    cache ``free_sets`` or built and stored while it holds fewer than
+    ``FREE_SET_CAP`` sets (see ``_bvls``)."""
+    key = free.tobytes()
+    entry = free_sets.get(key)
+    if entry is None:
+        f, h = np.flatnonzero(free), np.flatnonzero(~free)
+        entry = (_lstsq_pinv(A[:, f]), A[:, h], f, h)
+        if len(free_sets) < FREE_SET_CAP:
+            free_sets[key] = entry
+    return entry
+
+
+def _bvls_lockstep(
+    A: np.ndarray,
+    B: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    fixed: np.ndarray,
+    free_sets: dict,
+) -> np.ndarray:
+    """``_bvls`` on every row b of the K x n block B at once; row k of the
+    result is ``_bvls(A, B[k], lo, hi, fixed, free_sets)`` bit for bit.
+
+    The rows run ``_bvls``'s passes in lockstep, each row with its own pass
+    counts.  Every pass groups the rows still iterating by their current free
+    set, as combinatorial NNLS does (Van Benthem & Keenan, J. Chemometrics
+    18, 2004), and solves each group with one ``_matvec`` on the set's cached
+    P_F and A_H.  The bound, step-length, KKT-sign and no-descent tests then
+    run once for all those rows, as array operations on whole rows, masked
+    to each row's free coordinates.
+    """
+    B = np.ascontiguousarray(B)     # rows as contiguous as 1-D vectors, for _matvec and _dots
+    K, n = B.shape
+    X = np.tile(np.where(fixed, lo, 0.0), (K, 1))
+    free = np.tile(~fixed, (K, 1))
+    side = np.zeros((K, n))         # as in _bvls, a row per row of B
+    none = np.arange(0)
+
+    def solve(rows: np.ndarray) -> tuple:
+        """The rows' free masks, and their free-set solutions written into the
+        free coordinates of a copy of their X rows."""
+        F, Z = free[rows], X[rows]
+        keys = F.tobytes()
+        groups: dict = {}
+        for i in range(rows.size):
+            groups.setdefault(keys[i * n:(i + 1) * n], []).append(i)
+        for at in map(np.array, groups.values()):
+            P_F, A_H, f, h = _free_set(A, F[at[0]], free_sets)
+            group = rows[at]
+            Z[at[:, None], f] = _matvec(P_F, B[group] - _matvec(A_H, X[group[:, None], h]))
+        return F, Z
+
+    # initialisation: every row starts from the unconstrained solution
+    rows = np.arange(K)
+    for _ in range(n if free.any() else 0):
+        F, Z = solve(rows)
+        below, above = F & (Z < lo), F & (Z > hi)
+        out = below | above
+        X[rows] = np.where(F, np.minimum(np.maximum(Z, lo), hi), X[rows])
+        side[rows] = np.where(below, -1.0, np.where(above, 1.0, side[rows]))
+        free[rows] = F & ~out
+        pinned = out.sum(axis=1)
+        rows = rows[(pinned > 0) & (pinned < F.sum(axis=1))]
+        if rows.size == 0:
+            break
+
+    # main loop: a row pushes (frees a held coordinate), re-solves until no
+    # bound is crossed or n passes are spent, then tests for descent
+    At = A.T
+    residual = _matvec(A, X) - B
+    cost = _dots(residual)
+    outer = np.zeros(K, dtype=np.intp)
+    inner = np.zeros(K, dtype=np.intp)
+    pushing, solving = (np.arange(K) if n else none), none
+    while pushing.size or solving.size:
+        if pushing.size:
+            push = _matvec(At, residual[pushing]) * side[pushing]
+            k = push.argmax(axis=1)
+            go = ~(push[np.arange(pushing.size), k] <= 0.0)     # the KKT sign test
+            rows, k = pushing[go], k[go]
+            side[rows, k] = 0.0
+            free[rows, k] = True
+            inner[rows] = 0
+            solving = np.concatenate([solving, rows])
+        F, Z = solve(solving)
+        below = F & (Z < lo)
+        crossed = below | (F & (Z > hi))
+        hit = crossed.any(axis=1)
+        done = solving[~hit]
+        X[done] = np.where(F[~hit], Z[~hit], X[done])
+        rows, Z, below, crossed = solving[hit], Z[hit], below[hit], crossed[hit]
+        if rows.size:
+            # step back to the first bound crossed
+            X_F = X[rows]
+            bound = np.where(below, lo, hi)
+            steps = np.divide(bound - X_F, Z - X_F, out=np.full(Z.shape, np.inf), where=crossed)
+            r = np.arange(rows.size)
+            j = steps.argmin(axis=1)
+            # _bvls takes the first least step among the crossed ones; the fill
+            # ties with it only where every crossed step is inf
+            tie = ~crossed[r, j]
+            j[tie] = crossed[tie].argmax(axis=1)
+            X_F = np.where(F[hit], X_F + steps[r, j][:, None] * (Z - X_F), X_F)
+            X_F[r, j] = bound[r, j]
+            X[rows] = X_F
+            side[rows, j] = np.where(below[r, j], -1.0, 1.0)
+            free[rows, j] = False
+            inner[rows] += 1
+            spent = inner[rows] == n
+            done = np.concatenate([done, rows[spent]])
+            rows = rows[~spent]
+        solving = rows
+        residual[done] = _matvec(A, X[done]) - B[done]
+        previous, cost[done] = cost[done], _dots(residual[done])
+        outer[done] += 1
+        # no descent means the push was roundoff
+        pushing = done[~(cost[done] >= previous) & (outer[done] < 3 * n)]
+    return X
 
 
 def compute_box(snapshots: SnapshotSet, background: Subspace, margin: float = 1.1) -> Box:

@@ -47,6 +47,10 @@ EXAMPLES = {
     # the slopes; 16 cases keep the files small and give the benchmark's 64-column blocks
     "example1_alpha_sweep": ("example1", ("sweep.alpha=0,0.05,0.1,0.2", "sweep.m=10,25",
                                           "validation.count=16")),
+    # the boxed benchmark's cells: at n = 8 most bounds end up active and a BVLS
+    # solve takes many free-set passes, which the single default cell never reaches
+    "example3_boxed_sweep": ("example3", ("sweep.n=3,5,8", "sweep.m=20,40",
+                                          "validation.count=40")),
 }
 FILES = ("results.csv", "aggregates.csv", "pod_decay.csv", "diagnostics.csv")
 

@@ -1622,15 +1622,3 @@ class TestOnlineLoop:
         following = [next((e for e in events[i:] if e != "build"), None)
                      for i, event in enumerate(events) if event == "build"]
         assert following and "stop" not in following
-
-    def test_example3_computes_no_seed_words(self, monkeypatch):
-        def refuse(seeds):
-            raise AssertionError("PCG64 seed words computed")
-
-        monkeypatch.setattr(assim.bench, "_pcg64_words", refuse)
-        cfg = default_config("example3_analog")
-        cfg.update({"validation.count": 4, "sweep.n": [3, 5], "sweep.m": [20, 40]})
-        assert len(run_experiment(cfg).rows) == 2 * 4 * 4
-        # example1 draws its noise from the words, so the patch is in force
-        with pytest.raises(AssertionError, match="seed words"):
-            run_experiment(small_example1())

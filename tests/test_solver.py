@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import os
@@ -36,7 +37,7 @@ from assim import (
 from assim import solver
 from assim.rom import projection_residuals
 from assim.obs import cross_gramian
-from assim.solver import pbdw_solve_block
+from assim.solver import pbdw_solve_block, pbdw_solve_boxed_block
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -498,18 +499,22 @@ def boxed_columns(D, V, space, box):
     return C, states, recs
 
 
-class TestPbdwSolveBoxedBlock:
-    """``pbdw_solve_boxed`` over a block of data columns, one column at a time."""
+BLOCK_KINDS = pytest.mark.parametrize(
+    "kinds",
+    [
+        ("fixed", "finite", "finite", "fixed"),
+        ("unbounded", "no_lower", "no_upper", "finite"),
+        ("no_lower", "no_lower", "no_lower", "no_lower"),
+    ],
+    ids=["fixed", "infinite", "one_sided"],
+)
 
-    @pytest.mark.parametrize(
-        "kinds",
-        [
-            ("fixed", "finite", "finite", "fixed"),
-            ("unbounded", "no_lower", "no_upper", "finite"),
-            ("no_lower", "no_lower", "no_lower", "no_lower"),
-        ],
-        ids=["fixed", "infinite", "one_sided"],
-    )
+
+class TestPbdwSolveBoxedBlock:
+    """The boxed solve of a block of data columns, against ``pbdw_solve_boxed``
+    on each column and the face oracle."""
+
+    @BLOCK_KINDS
     def test_columns_against_face_oracle(self, rng, kinds):
         grid, V, space, _ = random_instance(rng, num_points=40, n=4, m=9)
         lo, hi = random_bounds(rng, kinds)
@@ -525,10 +530,37 @@ class TestPbdwSolveBoxedBlock:
             assert np.array_equal(rec.rom_coeffs[fixed], lo[fixed])
             assert rec.constraint_residual < 1e-10 * max(1.0, np.linalg.norm(D[:, k]))
 
+    @BLOCK_KINDS
+    def test_columns_are_the_per_case_solves(self, rng, kinds):
+        grid, V, space, _ = random_instance(rng, num_points=40, n=4, m=9)
+        box = Box(*random_bounds(rng, kinds))
+        D = 3.0 * rng.normal(size=(9, 6))
+        C, states, recs = boxed_columns(D, V, space, box)
+        # the columns end on different active sets, so the lockstep passes split them
+        held = np.isclose(C, box.lo[:, None]) | np.isclose(C, box.hi[:, None])
+        assert len({column.tobytes() for column in held.T}) > 1
+        for block in (pbdw_solve_boxed_block(D, V, space, box),
+                      pbdw_solve_boxed_block(D[:, :1], V, space, box)):   # K = 1 runs _bvls
+            K = block.states.shape[1]
+            assert np.array_equal(block.states, states[:, :K])
+            assert np.array_equal(block.rom_coeffs, C[:, :K])
+            for k, rec in enumerate(recs[:K]):
+                assert block.beta == rec.beta
+                assert np.array_equal(block.correction_coeffs[:, k], rec.correction_coeffs)
+                assert block.constraint_residuals[k] == rec.constraint_residual
+
     def test_bad_inputs_rejected(self, rng):
         grid, V, space, target = random_instance(rng, num_points=30, n=4, m=9)
         with pytest.raises(ValueError, match="box has 3 bounds"):
             pbdw_solve_boxed(target, V, space, Box(-np.ones(3), np.ones(3)))
+        box = Box(-np.ones(4), np.ones(4))
+        for bad in (np.zeros(9), np.zeros((8, 3))):
+            with pytest.raises(ValueError, match="data block"):
+                pbdw_solve_boxed_block(bad, V, space, box)
+        D = np.zeros((9, 3))
+        D[2, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            pbdw_solve_boxed_block(D, V, space, box)
 
 
 class TestFreeSetCache:
@@ -579,6 +611,9 @@ class TestFreeSetCache:
         # a revisited free set rebuilds neither its pseudo-inverse nor its indices
         calls.clear()
         boxed_columns(D, V, space, box)
+        assert calls == []
+        # the lockstep passes of a block visit the free sets of its columns' own solves
+        pbdw_solve_boxed_block(D, V, space, box)
         assert calls == []
 
     def test_capped_cache_gives_the_same_results(self, rng, monkeypatch):
@@ -666,6 +701,12 @@ class TestBvls:
                 assert np.array_equal(solver._bvls(R, b, lo, hi, lo == hi, warm), x)
                 with mock.patch.object(solver, "FREE_SET_CAP", 2):
                     assert np.array_equal(solver._bvls(R, b, lo, hi, lo == hi, capped), x)
+            # the six columns at once, each row with its own passes
+            lockstep = functools.partial(solver._bvls_lockstep, R, B.T, lo, hi, lo == hi)
+            assert np.array_equal(lockstep({}), expected)
+            assert np.array_equal(lockstep(warm), expected)
+            with mock.patch.object(solver, "FREE_SET_CAP", 2):
+                assert np.array_equal(lockstep(capped), expected)
         assert len(capped) <= 2
 
     def test_no_scipy_import(self):
