@@ -15,8 +15,9 @@ Three experiments are provided:
 One online loop (``run_experiment``) runs every experiment, a record in
 ``_EXPERIMENTS``, after its offline set-up (``setup_experiment``): it builds
 the solve plans of each sensor count before it times a block, solves the
-(n, m) pairs with n <= m in blocks of cases, each case at every alpha of the
-run, and writes one ``timings.csv`` row per block and method.  Every case's
+(n, m) pairs with n <= m and a stable plan in blocks of cases, each case at
+every alpha of the run, and writes one ``timings.csv`` row per block and
+method; ``run.json`` lists the skipped cells.  Every case's
 random stream is derived from (master_seed, case id, stage), so a rerun with
 the same master seed reproduces ``results.csv``.
 
@@ -31,6 +32,7 @@ that join keys; ``assim info`` prints the rows.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import functools
@@ -42,7 +44,7 @@ import operator
 import time
 import zlib
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -66,11 +68,13 @@ from .manifold import (
     sample_multiscale,
     sample_powerlaw,
     sample_sinusoids,
+    unit_steps,
 )
 from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
                   build_observation_space, observe)
 from .rom import decay_curve, pod
-from .solver import _matvec, _plan, compute_box, pbdw_solve_block, pbdw_solve_boxed_block
+from .solver import (StabilityError, _matvec, _plan, compute_box, pbdw_solve_block,
+                     pbdw_solve_boxed_block)
 from .space import Grid, GridFunction
 
 __all__ = [
@@ -218,7 +222,9 @@ SCHEMA = {
     "manifold.phase": _Key("float_range", {_E2: [0.0, 2 * PI]}, "phase range"),
     "manifold.jump_location": _Key("float_range", {_E2: [PI / 2, 3 * PI / 2]},
                                    "jump location range"),
-    "manifold.jump_height": _Key("float_range", {_E2: [2.5, 4.5]}, "jump height range"),
+    "manifold.jump_height": _Key("float_range", {_E2: [2.5, 4.5]},
+                                 "jump height range; the split's step search looks for "
+                                 "upward steps", (0.0, True)),
     "dictionary.stride": _Key("int", {_E2: 12}, "grid nodes between step candidates", (1, True)),
     "dictionary.snap_truth": _Key("bool", {_E2: True},
                                   "snap truth jumps onto dictionary locations"),
@@ -308,28 +314,25 @@ def _validate(cfg: dict) -> dict:
         SCHEMA[key].check(key, value)
     if not cfg["grid.a"] < cfg["grid.b"]:
         raise ConfigError(f"grid.a must be < grid.b, got [{cfg['grid.a']}, {cfg['grid.b']}]")
-    grid = _grid(cfg)
-    if cfg["experiment"] == "example2":
-        lo, hi = _pair(cfg, "manifold.jump_location")
-        if not grid.a < lo <= hi < grid.b:
-            raise ConfigError(f"manifold.jump_location [{lo}, {hi}] must lie strictly inside "
-                              f"the grid ({grid.a}, {grid.b})")
-        nodes = grid.nodes[::cfg["dictionary.stride"]]     # step_dictionary's, for every m
-        if not ((lo <= nodes) & (nodes <= hi)).any():
-            raise ConfigError(f"dictionary.stride={cfg['dictionary.stride']} puts no step "
-                              f"candidate inside manifold.jump_location [{lo}, {hi}]")
-    R = cfg.get("manifold.radius")      # example3's domain, by sample_powerlaw's rule
-    if R is not None and max(abs(grid.a + R), abs(grid.b - R)) > 1e-12 * max(1.0, R):
-        raise ConfigError(f"grid.a and grid.b must equal -manifold.radius and "
-                          f"manifold.radius = {R}, got [{grid.a}, {grid.b}]")
+    grid, spec = _grid(cfg), _manifold_spec(cfg)
+    # the library's own checks of what set-up and the split build, each naming its keys
+    if cfg["experiment"] == _E2:
+        from .multiscale import step_nodes
+
+        stride = cfg["dictionary.stride"]
+        with _naming("manifold.jump_location"):
+            spec.validate_on(grid)
+        with _naming(f"dictionary.stride={stride}"):
+            step_nodes(grid, spec.jump_location_range, stride)
+    if cfg["experiment"] == _E3:
+        with _naming("grid.a, grid.b and manifold.radius"):
+            spec.validate_on(grid)
     if cfg["sensors.kind"] == POINTWISE and cfg["sensors.width"]:
         raise ConfigError(f"sensors.width={cfg['sensors.width']} has no effect on pointwise "
                           f"sensors; set it to 0 or use sensors.kind={BOX_AVERAGE}")
     for m in cfg["sweep.m"]:
-        try:
+        with _naming(f"sweep.m={m}"):
             _sensor_array(cfg, m, grid).validate_on(grid)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.m={m}: {exc}") from None
     # the online loop skips the cells with n > m, so a sweep must have one other
     n_min, n_max, m_max = min(cfg["sweep.n"]), max(cfg["sweep.n"]), max(cfg["sweep.m"])
     if n_min > m_max:
@@ -342,6 +345,15 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"validation.count={count} exceeds training.count={train}, "
                           f"the truths validation.reuse_training draws from")
     return cfg
+
+
+@contextlib.contextmanager
+def _naming(key: str):
+    """Turn the ValueError of a library check run inside into a ConfigError led by ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def describe_schema() -> str:
@@ -651,13 +663,17 @@ class RunResult:
     appends one ``TIMING_FIELDS`` row per solved block and method, whose
     ``cases`` counts the result rows the block appended for that method
     (its case ids at each alpha of the run, so the row has no alpha).
+    ``skipped`` holds one ``{"n", "m", "reason"}`` dict per swept cell the
+    loop did not solve, for ``run.json``.
     """
 
-    def __init__(self, config: dict, rows=(), pod_decay=(), diagnostics=(), timings=()) -> None:
+    def __init__(self, config: dict, rows=(), pod_decay=(), diagnostics=(), timings=(),
+                 skipped=()) -> None:
         self.config = config
         self.pod_decay = list(pod_decay)
         self.diagnostics = list(diagnostics)
         self.timings = list(timings)
+        self.skipped = list(skipped)
         self._results = _result_columns(rows)
 
     @property
@@ -702,7 +718,7 @@ class RunResult:
             _write_table(out / "diagnostics.csv", list(self.diagnostics[0]), self.diagnostics)
         _write_table(out / "timings.csv", list(self.timings[0]) if self.timings else TIMING_FIELDS,
                      self.timings)
-        _write_run_json(self.config, out / "run.json")
+        _write_run_json(self.config, out / "run.json", self.skipped)
 
 
 def _write_versioned_csv(path: Path, header, lines) -> None:
@@ -720,10 +736,11 @@ def _write_table(path: Path, header, rows: list[dict]) -> None:
     _write_versioned_csv(path, header, [buf.getvalue()])
 
 
-def _write_run_json(cfg: dict, path: Path) -> None:
+def _write_run_json(cfg: dict, path: Path, skipped=()) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
+        "skipped": list(skipped),
         "versions": {"assim": __version__, "numpy": np.__version__},
     }
     with open(path, "w") as fh:
@@ -748,6 +765,14 @@ def _pair(cfg: dict, key: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _manifold_spec(cfg: dict):
+    """The experiment's manifold spec: its field ``x_range`` or ``x`` is the key ``manifold.x``."""
+    cls = _EXPERIMENTS[cfg["experiment"]].manifold
+    return cls(**{field.name: _pair(cfg, f"manifold.{field.name[:-6]}")
+                  if field.name.endswith("_range") else cfg[f"manifold.{field.name}"]
+                  for field in fields(cls)})
+
+
 # ---------------------------------------------------------------------------
 # offline set-up: everything an experiment builds before its first solve
 # ---------------------------------------------------------------------------
@@ -765,9 +790,7 @@ class Setup:
         return pod_decay_rows(self.labeled, self.decay_n)
 
 
-def _setup_example1(cfg: dict) -> Setup:
-    grid = _grid(cfg)
-    spec = SinusoidSpec(_pair(cfg, "manifold.amplitude"), _pair(cfg, "manifold.period"))
+def _setup_example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> Setup:
     master = cfg["master_seed"]
     training = sample_sinusoids(spec, grid, cfg["training.count"], derive_seed(master, "training"))
     basis = pod(training, max(cfg["sweep.n"]))
@@ -782,16 +805,7 @@ def _setup_example1(cfg: dict) -> Setup:
     return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"])
 
 
-def _setup_example2(cfg: dict) -> Setup:
-    grid = _grid(cfg)
-    spec = MultiscaleSpec(
-        num_frequencies=cfg["manifold.num_frequencies"],
-        amplitude_range=_pair(cfg, "manifold.amplitude"),
-        period_range=_pair(cfg, "manifold.period"),
-        phase_range=_pair(cfg, "manifold.phase"),
-        jump_location_range=_pair(cfg, "manifold.jump_location"),
-        jump_height_range=_pair(cfg, "manifold.jump_height"),
-    )
+def _setup_example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> Setup:
     master = cfg["master_seed"]
 
     fast_train, _slow_train, full_train = sample_multiscale(spec, grid, cfg["training.count"],
@@ -838,13 +852,7 @@ def _check_truth_scale(cfg: dict, truths: np.ndarray, basis, truth_key: str,
                           f"the data's scale {scale:.3g}")
 
 
-def _setup_example3_analog(cfg: dict) -> Setup:
-    grid = _grid(cfg)
-    spec = PowerLawSpec(
-        peak_velocity_range=_pair(cfg, "manifold.peak_velocity"),
-        flow_index_range=_pair(cfg, "manifold.flow_index"),
-        radius=cfg["manifold.radius"],
-    )
+def _setup_example3_analog(cfg: dict, grid: Grid, spec: PowerLawSpec) -> Setup:
     seed = derive_seed(cfg["master_seed"], "training")
     training = sample_powerlaw(spec, grid, cfg["training.count"], seed)
     basis = pod(training, max(cfg["sweep.n"]))
@@ -863,7 +871,7 @@ def setup_experiment(cfg: dict) -> Setup:
     a parsed one does; set-up itself only rejects what needs its data.
     """
     _validate(cfg)
-    return _EXPERIMENTS[cfg["experiment"]].setup(cfg)
+    return _EXPERIMENTS[cfg["experiment"]].setup(cfg, _grid(cfg), _manifold_spec(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +987,8 @@ class _Cases:
 class _Experiment:
     """One experiment as the online loop runs it.
 
-    ``per_run(cfg, setup)`` prepares what the whole run shares and returns
+    ``manifold`` is the class of its manifold spec, which ``_manifold_spec``
+    builds for ``setup(cfg, grid, spec)``.  ``per_run(cfg, setup)`` prepares what the whole run shares and returns
     ``per_m(space)``, which prepares what the cells of one m share and returns
     their block solve ``(per_n, cases, diagnostics)``.  That gives
     ``(method, errors, beta, block_ms)`` per method, errors in the block's
@@ -990,7 +999,8 @@ class _Experiment:
     each noise model.
     """
 
-    setup: Callable[[dict], Setup]
+    manifold: type
+    setup: Callable[[dict, Grid, object], Setup]
     per_run: Callable
     per_n: Callable = lambda cfg, setup, backgrounds: backgrounds
     chunk: int | None = None
@@ -1009,7 +1019,9 @@ def run_experiment(cfg: dict) -> RunResult:
     example1 solves one block per (n, m) pair across its alpha sweep.  Every
     case seed, one per (case, m, n, alpha), comes from that layout in one
     ``derive_seeds`` pass and the loop walks the same layout, so the two
-    orders cannot drift apart.
+    orders cannot drift apart.  A cell with n > m, or whose solve plan is
+    unstable (``StabilityError``), is skipped and listed in ``skipped``; a
+    run whose every cell with n <= m is unstable raises the first error.
     """
     spec = _EXPERIMENTS[cfg["experiment"]]
     setup = setup_experiment(cfg)
@@ -1036,8 +1048,10 @@ def run_experiment(cfg: dict) -> RunResult:
     per_n = {n: spec.per_n(cfg, setup, bgs) for n, bgs in backgrounds.items()}
     per_m = spec.per_run(cfg, setup)
 
-    result = RunResult(cfg, pod_decay=setup.decay())
-    taken = 0
+    result = RunResult(cfg, pod_decay=setup.decay(), skipped=[
+        {"n": n, "m": m, "reason": "n > m"}
+        for m in cfg["sweep.m"] for n in cfg["sweep.n"] if n > m])
+    taken, unstable = 0, []
     for m, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
         group = list(group)
         try:
@@ -1048,16 +1062,28 @@ def run_experiment(cfg: dict) -> RunResult:
             raise ConfigError(f"sensors.width={width} with sweep.m={m}: box sensors this wide "
                               f"are linearly dependent on this grid; narrow them, or set 0 for "
                               f"the sensor spacing") from None
-        # build and check every solve plan of this m before any of its blocks is timed
-        for background in (bg for block in group for bg in backgrounds[block[1]]):
-            _plan(background, space)
+        # build and check every solve plan of this m before any of its blocks is timed;
+        # a pair with an unstable plan is skipped
+        skip = set()
+        for n in dict.fromkeys(block[1] for block in group):
+            try:
+                for background in backgrounds[n]:
+                    _plan(background, space)
+            except StabilityError as exc:
+                skip.add(n)
+                unstable.append(exc)
+                result.skipped.append({"n": n, "m": m, "reason": str(exc)})
         solve = per_m(space)
         for _m, n, case_ids in group:
             lo, taken = taken, taken + len(models) * len(case_ids)
+            if n in skip:
+                continue
             cases = _Cases(n, m, models, case_ids, seeds[lo:taken],
                            None if words is None else words[lo:taken])
             for method, errors, beta, block_ms in solve(per_n[n], cases, result.diagnostics):
                 cases.emit(result, method, errors, beta, block_ms)
+    if len(result.skipped) == len(cfg["sweep.m"]) * len(cfg["sweep.n"]):
+        raise unstable[0]       # every pair with n <= m is unstable: nothing to report
     return result
 
 
@@ -1111,8 +1137,7 @@ def _example2(cfg: dict, setup: Setup) -> Callable:
         if cfg["dictionary.snap_truth"]:
             true_locations = locations[np.abs(locations - true_locations[:, None]).argmin(axis=1)]
             heights = np.array([p["jump_height"] for p in full_val.parameters])
-            steps = grid.nodes >= true_locations[:, None] - 1e-12
-            truths = fast_val.matrix + heights[:, None] * steps
+            truths = fast_val.matrix + heights[:, None] * unit_steps(grid, true_locations)
         locations, true_locations = locations.tolist(), true_locations.tolist()
 
         def solve(backgrounds, cases: _Cases, diagnostics: list) -> list:
@@ -1227,9 +1252,10 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
 
 
 _EXPERIMENTS = {
-    "example1": _Experiment(_setup_example1, _example1),
-    "example2": _Experiment(_setup_example2, _example2, chunk=_CHUNK),
-    "example3_analog": _Experiment(_setup_example3_analog, _example3, _example3_per_n),
+    "example1": _Experiment(SinusoidSpec, _setup_example1, _example1),
+    "example2": _Experiment(MultiscaleSpec, _setup_example2, _example2, chunk=_CHUNK),
+    "example3_analog": _Experiment(PowerLawSpec, _setup_example3_analog, _example3,
+                                   _example3_per_n),
 }
 
 

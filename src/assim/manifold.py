@@ -33,6 +33,7 @@ __all__ = [
     "sample_multiscale",
     "sample_powerlaw",
     "heaviside",
+    "unit_steps",
 ]
 
 
@@ -109,6 +110,12 @@ class PowerLawSpec:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
+    def validate_on(self, grid: Grid) -> None:
+        """Reject a grid whose domain is not the cross-section [-R, R]."""
+        R, tol = self.radius, 1e-12 * max(1.0, self.radius)
+        if abs(grid.a + R) > tol or abs(grid.b - R) > tol:
+            raise ValueError(f"grid domain [{grid.a}, {grid.b}] must equal [-R, R] = [{-R}, {R}]")
+
 
 @dataclass(frozen=True, eq=False)
 class SnapshotSet:
@@ -144,26 +151,32 @@ class SnapshotSet:
         return tuple(GridFunction(self.grid, row) for row in self.matrix)
 
 
+def unit_steps(grid: Grid, locations) -> np.ndarray:
+    """Unit steps closed on the right, one boolean row per location: True where
+    x >= location.  Booleans, not floats: a caller scales them by its heights."""
+    return grid.nodes >= np.asarray(locations, dtype=float)[:, None]
+
+
 def heaviside(grid: Grid, location: float) -> GridFunction:
     """Unit step on the grid, closed on the right (1 where x >= location)."""
-    return GridFunction(grid, (grid.nodes >= location).astype(float))
+    return GridFunction(grid, unit_steps(grid, [location])[0])
 
 
 def _uniform_block(rng: np.random.Generator, count: int, ranges) -> np.ndarray:
-    """(count, len(ranges)) uniform draws, column j scaled to ``ranges[j]``.
+    """(count, len(ranges)) uniform draws, column j scaled to ``ranges[j]``; count >= 1.
 
     Row k holds the draws that ``rng.uniform`` makes one range after another
     for sample k, with the same ``lo + (hi - lo) u``, so a per-sample loop is
     reproduced bit for bit.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     lo, hi = np.array(ranges, dtype=float).T
     return lo + (hi - lo) * rng.random((count, len(ranges)))
 
 
 def sample_sinusoids(spec: SinusoidSpec, grid: Grid, count: int, seed: int) -> SnapshotSet:
     """Draw ``count`` sinusoid snapshots with uniform (A, T)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     draws = _uniform_block(
         np.random.default_rng(seed), count, (spec.amplitude_range, spec.period_range)
     )
@@ -180,8 +193,6 @@ def sample_multiscale(
     The parameter draws are shared across the three sets, so pointwise
     ``full[k] == fast[k] + slow[k]`` holds exactly.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     spec.validate_on(grid)
     k = spec.num_frequencies
     draws = _uniform_block(
@@ -196,7 +207,7 @@ def sample_multiscale(
     for i in range(k):
         fast += A[:, i, None] * np.sin((2 * np.pi / T[:, i, None]) * grid.nodes + d[:, i, None])
     fast /= k
-    slow = height * (grid.nodes >= x_jump)
+    slow = height * unit_steps(grid, x_jump[:, 0])
     params = tuple(
         {"amplitudes": row[:k], "periods": row[k:2 * k], "phases": row[2 * k:3 * k],
          "jump_location": row[-2], "jump_height": row[-1]}
@@ -219,18 +230,11 @@ def powerlaw_profile(grid: Grid, peak_velocity: float, flow_index: float, radius
 
 def sample_powerlaw(spec: PowerLawSpec, grid: Grid, count: int, seed: int) -> SnapshotSet:
     """Draw ``count`` power-law profiles with uniform (v0, n)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    R = spec.radius
-    tol = 1e-12 * max(1.0, R)
-    if abs(grid.a + R) > tol or abs(grid.b - R) > tol:
-        raise ValueError(
-            f"grid domain [{grid.a}, {grid.b}] must equal [-R, R] = [{-R}, {R}]"
-        )
+    spec.validate_on(grid)
     draws = _uniform_block(
         np.random.default_rng(seed), count, (spec.peak_velocity_range, spec.flow_index_range)
     ).tolist()
     # row by row: one power with a per-row exponent rounds some entries differently
-    matrix = [powerlaw_profile(grid, v0, n, R).values for v0, n in draws]
+    matrix = [powerlaw_profile(grid, v0, n, spec.radius).values for v0, n in draws]
     params = [{"peak_velocity": v0, "flow_index": n} for v0, n in draws]
     return SnapshotSet(grid, matrix, params, label="full")

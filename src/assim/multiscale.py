@@ -33,11 +33,12 @@ from .bias import (
     corrected_constraint,
     corrected_constraint_block,
 )
-from .manifold import SnapshotSet
+from .manifold import SnapshotSet, unit_steps
 from .obs import Measurement, ObservationSpace, cross_gramian, inf_sup_beta
 from .solver import (
     BlockReconstruction,
     Reconstruction,
+    _block_data,
     _lstsq_pinv,
     pbdw_solve,
     pbdw_solve_block,
@@ -55,6 +56,7 @@ __all__ = [
     "Smoother",
     "MultiscaleDecomposition",
     "build_slow_dictionary",
+    "step_nodes",
     "step_dictionary",
     "orthogonal_search",
     "extract_smoothers",
@@ -132,27 +134,37 @@ def build_slow_dictionary(
     )
 
 
+def step_nodes(grid: Grid, location_range: tuple[float, float], stride: int) -> np.ndarray:
+    """Indices of the ``stride``-th grid nodes in a closed range; it must hold one."""
+    lo, hi = location_range
+    nodes = np.array(range(0, grid.num_points, stride), dtype=int)   # stride 0: ValueError
+    nodes = nodes[(lo <= grid.nodes[nodes]) & (grid.nodes[nodes] <= hi)]
+    if not nodes.size:
+        raise ValueError(f"no step node (one every {stride} grid nodes) falls inside "
+                         f"the jump range [{lo}, {hi}]")
+    return nodes
+
+
 def step_dictionary(
     grid: Grid,
     space: ObservationSpace,
     location_range: tuple[float, float],
     stride: int = 12,
 ) -> SlowDictionary:
-    """Dictionary of unit steps at every ``stride``-th grid node in a range.
+    """Dictionary of upward unit steps at the ``step_nodes`` of a range.
 
     The default spacing is on the order of one sensor window, which keeps
     neighboring candidates distinguishable in the observed coordinates.
+    Every candidate rises by one, so the search (``orthogonal_search``) looks
+    for upward steps: a downward jump is matched, if at all, by an upward
+    candidate somewhere else.
     """
-    lo, hi = location_range
-    nodes = np.array(range(0, grid.num_points, stride), dtype=int)   # stride 0: ValueError
-    nodes = nodes[(lo <= grid.nodes[nodes]) & (grid.nodes[nodes] <= hi)]
-    if not nodes.size:
-        raise ValueError("no dictionary node falls inside the jump range")
+    nodes = step_nodes(grid, location_range, stride)
     x = grid.nodes[nodes]
     params = [{"jump_location": loc, "jump_height": 1.0, "node": k}
               for loc, k in zip(x.tolist(), nodes.tolist())]
-    steps = (grid.nodes >= x[:, None]).astype(float)
-    return build_slow_dictionary(SnapshotSet(grid, steps, params, label="slow"), space)
+    return build_slow_dictionary(SnapshotSet(grid, unit_steps(grid, x), params, label="slow"),
+                                 space)
 
 
 def _check_space(space: ObservationSpace, dictionary: SlowDictionary) -> None:
@@ -165,8 +177,10 @@ def orthogonal_search(
 ) -> tuple[GridFunction, float, int]:
     """Best-correlated slow candidate and its least-squares amplitude.
 
-    Scores ``<omega, P_W v / ||P_W v||>`` for every candidate, exhaustively;
-    ties resolve to the lowest index.  Returns (candidate, amplitude, index).
+    Scores ``<omega, P_W v / ||P_W v||>`` for every candidate, exhaustively,
+    and picks the largest signed score; ties resolve to the lowest index.
+    With ``step_dictionary``'s candidates it therefore looks for upward unit
+    steps.  Returns (candidate, amplitude, index).
     """
     _check_space(omega.space, dictionary)
     scores = (omega.coeffs @ dictionary.observed) / dictionary.observed_norms
@@ -372,13 +386,7 @@ def extract_smoothers_block(
     stop decision sees the same numbers up to roundoff.
     """
     _check_greedy(rel_tol, max_iters)
-    data = np.asarray(data, dtype=float)
-    m = dictionary.space.m
-    if data.ndim != 2 or data.shape[0] != m:
-        raise ValueError(f"expected an ({m}, K) data block, got {data.shape}")
-    if not np.isfinite(data).all():
-        raise ValueError("measurement coefficients must be finite")
-    cases = data.T                                  # one case per row
+    cases = _block_data(data, dictionary.space.m).T      # one case per row
     K = len(cases)
     indices = np.full((K, max_iters), -1)
     amplitudes = np.zeros((K, max_iters))

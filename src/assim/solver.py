@@ -51,6 +51,7 @@ bit.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import weakref
 from dataclasses import dataclass, field
@@ -78,6 +79,13 @@ BETA_FLOOR = 1e-12
 # most free sets whose pseudo-inverses one plan caches: BVLS may visit any of
 # the 2^n subsets of the coordinates, and n may reach 20
 FREE_SET_CAP = 1024
+
+# BVLS's iteration caps, per coordinate of a solve on n coordinates and rounded
+# up: at most PUSH_CAP * n pushes (passes of the main loop, each freeing a held
+# coordinate), each followed by at most PASS_CAP * n free-set solves.  Every
+# crossing solve holds one more coordinate, so a pass cap of n changes no result;
+# fractions are allowed, and PASS_CAP must be positive
+PUSH_CAP, PASS_CAP = 3, 1
 
 
 class StabilityError(RuntimeError):
@@ -281,15 +289,7 @@ def pbdw_solve_block(
     Column k equals ``pbdw_solve`` on column k up to roundoff; the pair's
     checks run once for the whole block.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] != space.m:
-        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
-    if not np.isfinite(data).all():
-        raise ValueError("data block must be finite")
-    block = _plan(background, space).solve(data)
-    if not np.isfinite(block.states).all():
-        raise ValueError("reconstructed states must be finite")
-    return block
+    return _finite(_plan(background, space).solve(_block_data(data, space.m)))
 
 
 def pbdw_solve_boxed(
@@ -315,12 +315,22 @@ def pbdw_solve_boxed_block(
     (``_bvls_lockstep``; one column runs ``_bvls``).  The pair's checks run
     once for the whole block.
     """
+    D = np.ascontiguousarray(_block_data(data, space.m).T)
+    return _finite(_solve_boxed(D, background, space, box))
+
+
+def _block_data(data, m: int) -> np.ndarray:
+    """``data`` as an (m, K) float block, rejected unless it has that shape and is finite."""
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] != space.m:
-        raise ValueError(f"expected an ({space.m}, K) data block, got {data.shape}")
+    if data.ndim != 2 or data.shape[0] != m:
+        raise ValueError(f"expected an ({m}, K) data block, got {data.shape}")
     if not np.isfinite(data).all():
         raise ValueError("data block must be finite")
-    block = _solve_boxed(np.ascontiguousarray(data.T), background, space, box)
+    return data
+
+
+def _finite(block: BlockReconstruction) -> BlockReconstruction:
+    """A block solve's result, rejected unless every state is finite."""
     if not np.isfinite(block.states).all():
         raise ValueError("reconstructed states must be finite")
     return block
@@ -430,7 +440,7 @@ def _bvls(
     At = A.T
     residual = A @ x - b
     cost = residual @ residual
-    for _ in range(3 * n):
+    for _ in range(math.ceil(PUSH_CAP * n)):
         push = (At @ residual) * side
         k = push.argmax()
         if push[k] <= 0.0:                   # KKT sign test: x is optimal
@@ -438,7 +448,7 @@ def _bvls(
         side[k] = 0.0
         free[k] = True
         # re-solve on the free set, stepping back to the first bound crossed
-        for _ in range(n):
+        for _ in range(math.ceil(PASS_CAP * n)):
             P_F, A_H, f, h = free_set()
             z = P_F @ (b - A_H @ x[h])
             x_free, lo_free, hi_free = x[f], lo[f], hi[f]
@@ -532,13 +542,14 @@ def _bvls_lockstep(
             break
 
     # main loop: a row pushes (frees a held coordinate), re-solves until no
-    # bound is crossed or n passes are spent, then tests for descent
+    # bound is crossed or its passes are spent, then tests for descent
     At = A.T
     residual = _matvec(A, X) - B
     cost = _dots(residual)
     outer = np.zeros(K, dtype=np.intp)
     inner = np.zeros(K, dtype=np.intp)
-    pushing, solving = (np.arange(K) if n else none), none
+    pushes, passes = math.ceil(PUSH_CAP * n), math.ceil(PASS_CAP * n)
+    pushing, solving = (np.arange(K) if pushes else none), none
     while pushing.size or solving.size:
         if pushing.size:
             push = _matvec(At, residual[pushing]) * side[pushing]
@@ -573,7 +584,7 @@ def _bvls_lockstep(
             side[rows, j] = np.where(below[r, j], -1.0, 1.0)
             free[rows, j] = False
             inner[rows] += 1
-            spent = inner[rows] == n
+            spent = inner[rows] == passes
             done = np.concatenate([done, rows[spent]])
             rows = rows[~spent]
         solving = rows
@@ -581,7 +592,7 @@ def _bvls_lockstep(
         previous, cost[done] = cost[done], _dots(residual[done])
         outer[done] += 1
         # no descent means the push was roundoff
-        pushing = done[~(cost[done] >= previous) & (outer[done] < 3 * n)]
+        pushing = done[~(cost[done] >= previous) & (outer[done] < pushes)]
     return X
 
 

@@ -11,16 +11,17 @@ these files by ``compare``:
 * keys, case ids, seeds and every integer match exactly;
 * every other float matches within ``RTOL`` relative;
 * ``approximation_error`` may instead match within ``FLOOR`` times the
-  largest snapshot norm of its label: a residual at the roundoff of its
-  snapshots moves by a large relative amount when the arithmetic's order
-  changes.
+  largest snapshot norm of its label, and ``error_e``, already relative to
+  its truth's norm, within ``FLOOR``: a value at the roundoff of its scale
+  moves by a large relative amount when the arithmetic's order changes.
 
 To regenerate after a change that moves outputs on purpose, run
 
-    PYTHONPATH=src python tests/reference/regenerate.py
+    PYTHONPATH=src python tests/reference/regenerate.py [entry ...]
 
-from the repository root.  It prints the largest relative drift of each file
-against the files it replaces, then overwrites them.
+from the repository root.  It rewrites the named ``EXAMPLES`` entries, or
+every entry when none is named, and prints the largest relative drift of each
+file against the files it replaces before it overwrites them.
 """
 
 from __future__ import annotations
@@ -124,14 +125,20 @@ def compare(out: Path, ref: Path, scales: dict[str, float]) -> tuple[list[str], 
                 floor = 0.0
                 if column == "approximation_error":
                     floor = FLOOR * scales[row[header.index("label")]]
+                if column == "error_e":
+                    floor = FLOOR
                 if rel > RTOL and abs(x - y) > floor:
                     problems.append(f"{name} line {line}: {column} {a} != {b} "
                                     f"(relative {rel:.2e})")
     return problems, drift
 
 
-def main() -> int:
-    for example in EXAMPLES:
+def main(names: list[str]) -> int:
+    """Rewrite the named entries, or every entry when ``names`` is empty."""
+    if unknown := [name for name in names if name not in EXAMPLES]:
+        print(f"unknown entries {unknown}; the entries are {list(EXAMPLES)}", file=sys.stderr)
+        return 2
+    for example in names or EXAMPLES:
         ref = HERE / example
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
@@ -152,4 +159,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 
 from assim import (
     GridFunction,
+    MultiscaleSpec,
     NoiseModel,
+    PowerLawSpec,
     SinusoidSpec,
     Subspace,
     bpbdw_reconstruct,
@@ -50,6 +53,7 @@ from assim.bench import (
     RunResult,
     _Cases,
     _grid,
+    _manifold_spec,
     _normal_columns,
     _pair,
     _pcg64_words,
@@ -178,6 +182,16 @@ class TestConfigParsing:
                                                              message):
         with pytest.raises(ConfigError, match=message):
             parse_overrides(default_config(experiment), overrides)
+
+    @pytest.mark.parametrize("experiment, spec", [
+        ("example1", SinusoidSpec()), ("example2", MultiscaleSpec()),
+        ("example3_analog", PowerLawSpec())])
+    def test_manifold_keys_are_the_spec_fields(self, experiment, spec):
+        # set-up and the config checks build the spec from these keys alone
+        cfg = default_config(experiment)
+        assert _manifold_spec(cfg) == spec
+        assert {key for key in cfg if key.startswith("manifold.")} == {
+            "manifold." + field.name.removesuffix("_range") for field in dataclasses.fields(spec)}
 
     def test_set_up_validates_a_dict_edited_by_hand(self, monkeypatch):
         monkeypatch.setattr(assim.bench, "sample_sinusoids", lambda *args: pytest.fail("sampled"))
@@ -755,7 +769,7 @@ def reference_write(result, out):
     # one row per block and method, or the dicts a caller passed, as they came
     table("timings.csv", list(result.timings[0]) if result.timings else TIMING_FIELDS,
           result.timings)
-    _write_run_json(result.config, out / "run.json")
+    _write_run_json(result.config, out / "run.json", result.skipped)
 
 
 def assert_same_files(result, tmp_path):
@@ -913,6 +927,42 @@ _OVERFLOW_SCALE_NOISE = [
 ]
 
 
+# a value out of its key's range, and the key the one error line starts with
+_KEYED_REJECTIONS = [
+    ("example1.cfg", "master_seed=-1", "master_seed"),
+    ("example1.cfg", "sweep.alpha=-1", "sweep.alpha"),
+    ("example1.cfg", "manifold.period=0,3", "manifold.period"),
+    ("example2.cfg", "manifold.num_frequencies=0", "manifold.num_frequencies"),
+    ("example3.cfg", "manifold.flow_index=0,1", "manifold.flow_index"),
+    ("example3.cfg", "manifold.peak_velocity=-5,10", "manifold.peak_velocity"),
+    ("example3.cfg", "manifold.radius=0", "manifold.radius"),
+    ("example3.cfg", "noise.sigma=-1", "noise.sigma"),
+    ("example3.cfg", "noise.alpha=-1", "noise.alpha"),
+    ("example3.cfg", "box.margin=-1", "box.margin"),
+    ("example1.cfg", "grid.num_points=1", "grid.num_points"),
+    ("example1.cfg", "validation.count=0", "validation.count"),
+    ("example2.cfg", "training.count=0", "training.count"),
+    ("example2.cfg", "noise.mc_samples=0", "noise.mc_samples"),
+    ("example1.cfg", "sensors.kind=foo", "sensors.kind"),
+    ("example1.cfg", "grid.b=-1", "grid.a must be < grid.b"),
+    ("example3.cfg", "grid.a=0.5", "grid.a must be < grid.b"),
+    # the truth's norm, the relative errors' denominator, under- or overflows
+    ("example3.cfg", "truth.peak_velocity=1e-300", "truth.peak_velocity"),
+    ("example3.cfg", "truth.peak_velocity=1e300", "truth.peak_velocity"),
+    # a norm so far below the data's scale that the errors' squares overflow
+    ("example3.cfg", "truth.peak_velocity=1e-160", "truth.peak_velocity"),
+    ("example1.cfg", "manifold.amplitude=0,0", "manifold.amplitude"),
+    # library checks, whose messages the config boundary leads with the keys
+    ("example3.cfg", "grid.a=-0.4", "grid.a"),
+    ("example3.cfg", "manifold.radius=0.4", "grid.a"),
+    ("example2.cfg", "manifold.jump_location=0,3", "manifold.jump_location"),
+    ("example2.cfg", "dictionary.stride=600", "dictionary.stride"),
+    # the split's step search looks for upward steps
+    ("example2.cfg", "manifold.jump_height=-4.5,-2.5", "manifold.jump_height"),
+    ("example2.cfg", "manifold.jump_height=-1,1", "manifold.jump_height"),
+] + _OVERFLOW_SCALE_NOISE + _REVERSED_RANGES
+
+
 # ``assim run --config configs/example1.cfg`` on stdout
 _EXAMPLE1_STDOUT = """\
 example1: 1536 rows -> {out}
@@ -1048,42 +1098,23 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: manifold.amplitude="), err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize(
-        "config, override, key",
-        [
-            ("example1.cfg", "master_seed=-1", "master_seed"),
-            ("example1.cfg", "sweep.alpha=-1", "sweep.alpha"),
-            ("example1.cfg", "manifold.period=0,3", "manifold.period"),
-            ("example2.cfg", "manifold.num_frequencies=0", "manifold.num_frequencies"),
-            ("example3.cfg", "manifold.flow_index=0,1", "manifold.flow_index"),
-            ("example3.cfg", "manifold.peak_velocity=-5,10", "manifold.peak_velocity"),
-            ("example3.cfg", "manifold.radius=0", "manifold.radius"),
-            ("example3.cfg", "noise.sigma=-1", "noise.sigma"),
-            ("example3.cfg", "noise.alpha=-1", "noise.alpha"),
-            ("example3.cfg", "box.margin=-1", "box.margin"),
-            ("example1.cfg", "grid.num_points=1", "grid.num_points"),
-            ("example1.cfg", "validation.count=0", "validation.count"),
-            ("example2.cfg", "training.count=0", "training.count"),
-            ("example2.cfg", "noise.mc_samples=0", "noise.mc_samples"),
-            ("example1.cfg", "sensors.kind=foo", "sensors.kind"),
-            ("example1.cfg", "grid.b=-1", "grid.a must be < grid.b"),
-            ("example3.cfg", "grid.a=0.5", "grid.a must be < grid.b"),
-            # the truth's norm, the relative errors' denominator, under- or overflows
-            ("example3.cfg", "truth.peak_velocity=1e-300", "truth.peak_velocity"),
-            ("example3.cfg", "truth.peak_velocity=1e300", "truth.peak_velocity"),
-            # a norm so far below the data's scale that the errors' squares overflow
-            ("example3.cfg", "truth.peak_velocity=1e-160", "truth.peak_velocity"),
-            ("example1.cfg", "manifold.amplitude=0,0", "manifold.amplitude"),
-            # the library rejects these with messages that do not name the keys
-            ("example3.cfg", "grid.a=-0.4", "grid.a"),
-            ("example3.cfg", "manifold.radius=0.4", "grid.a"),
-            ("example2.cfg", "manifold.jump_location=0,3", "manifold.jump_location"),
-            ("example2.cfg", "dictionary.stride=600", "dictionary.stride"),
-        ] + _OVERFLOW_SCALE_NOISE + _REVERSED_RANGES,
-    )
+    @pytest.mark.parametrize("config, override, key", _KEYED_REJECTIONS)
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, config, override, key):
         out_dir = tmp_path / "o"
         code = cli_main(["run", "--config", str(CONFIGS / config), "--set", override,
+                         "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}"), err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config, override, key", _KEYED_REJECTIONS)
+    def test_pod_decay_names_the_same_key(self, tmp_path, capsys, config, override, key):
+        # pod-decay runs the same config checks and set-up as run
+        out_dir = tmp_path / "o"
+        code = cli_main(["pod-decay", "--config", str(CONFIGS / config), "--set", override,
                          "--out", str(out_dir)])
         assert code == 2
         captured = capsys.readouterr()
@@ -1279,15 +1310,42 @@ class TestCli:
         assert len(rows) == 2 * len(cells) * count
 
     def test_unstable_cell_after_a_skipped_one(self, tmp_path, capsys):
-        # (25, 20) is skipped; (25, 40) passes the n <= m check but its beta is
-        # below the floor, and an unstable cell still rejects the whole sweep
+        # (25, 20) is skipped as n > m; (25, 40) passes that check but its beta is
+        # below the floor, so it is skipped too and the stable cells are written
         out_dir = tmp_path / "o"
         code = cli_main(["run", "--config", str(CONFIGS / "example3.cfg"), "--set",
                          "sweep.m=20,40", "--set", "sweep.n=5,25", "--out", str(out_dir)])
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: stability constant")
-        assert "n=25, m=40" in err[0] and not out_dir.exists()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        with open(out_dir / "results.csv") as fh:
+            fh.readline()
+            assert {(int(r["n"]), int(r["m"])) for r in csv.DictReader(fh)} == {(5, 20), (5, 40)}
+        skipped = json.loads((out_dir / "run.json").read_text())["skipped"]
+        assert [(s["n"], s["m"]) for s in skipped] == [(25, 20), (25, 40)]
+        assert skipped[0]["reason"] == "n > m"
+        assert skipped[1]["reason"].startswith("stability constant beta=")
+        assert "below 1e-12 for n=25, m=40" in skipped[1]["reason"]
+
+    def test_skipped_unstable_cell_leaves_the_other_cells_unchanged(self, tmp_path):
+        # the unstable (25, 40) comes before (5, 40) in the loop; the rows and seeds
+        # of every solved cell are those of a sweep without it
+        args = ["run", "--config", str(CONFIGS / "example3.cfg"), "--set", "sweep.m=20,40",
+                "--set", "validation.count=6"]
+        assert cli_main(args + ["--set", "sweep.n=25,5", "--out", str(tmp_path / "a")]) == 0
+        assert cli_main(args + ["--set", "sweep.n=5", "--out", str(tmp_path / "b")]) == 0
+        for name in ("results.csv", "aggregates.csv", "diagnostics.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert json.loads((tmp_path / "b" / "run.json").read_text())["skipped"] == []
+
+    def test_unstable_cell_still_raises_for_a_library_caller(self):
+        cfg = load_config(CONFIGS / "example3.cfg", ["sweep.m=40", "sweep.n=25"])
+        background = setup_experiment(cfg).labeled["full"][1].subspace
+        space = build_observation_space(_sensor_array(cfg, 40, _grid(cfg)), _grid(cfg))
+        with pytest.raises(assim.solver.StabilityError, match="n=25, m=40"):
+            pbdw_solve(GridFunction(space.grid, np.ones(space.grid.num_points)), background,
+                       space)
+        with pytest.raises(assim.solver.StabilityError, match="n=25, m=40"):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("config", ["example1.cfg", "example2.cfg", "example3.cfg"])
     def test_noise_kind_rejected(self, tmp_path, capsys, config):
@@ -1402,7 +1460,8 @@ def _run_or_one_error_line(config: str, overrides: dict) -> dict | None:
 
     A rejected run must print exactly one ``error:`` line and write nothing;
     it returns None.  A cell with n > m is skipped, never the reason for a
-    rejection.  Otherwise the data-row count of each CSV written.
+    rejection.  Otherwise the data-row count of each CSV written, and under
+    ``skipped`` the cells ``run.json`` lists as skipped.
     """
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp) / "out"
@@ -1419,13 +1478,21 @@ def _run_or_one_error_line(config: str, overrides: dict) -> dict | None:
             assert stdout.getvalue() == "" and not out_dir.exists()
             return None
         assert code == 0, stderr.getvalue()
-        return {path.name: _data_rows(path) for path in out_dir.glob("*.csv")
-                if path.name in ("results.csv", "timings.csv", "diagnostics.csv")}
+        counts = {path.name: _data_rows(path) for path in out_dir.glob("*.csv")
+                  if path.name in ("results.csv", "timings.csv", "diagnostics.csv")}
+        counts["skipped"] = json.loads((out_dir / "run.json").read_text())["skipped"]
+        return counts
 
 
-def _feasible_cells(m: list[int], n: list[int]) -> int:
-    """Number of swept (n, m) cells with n <= m; the runs skip the others."""
-    return sum(n_ <= m_ for m_ in m for n_ in n)
+def _solved_cells(m: list[int], n: list[int], skipped: list[dict]) -> int:
+    """Number of swept (n, m) cells a run solved, given its ``run.json`` ``skipped``:
+    first each cell with n > m, then each cell with n <= m whose plan is unstable."""
+    beyond = [(n_, m_) for m_ in m for n_ in n if n_ > m_]
+    assert [(s["n"], s["m"], s["reason"]) for s in skipped[:len(beyond)]] == [
+        (*cell, "n > m") for cell in beyond]
+    assert all(s["n"] <= s["m"] and s["reason"].startswith("stability constant")
+               for s in skipped[len(beyond):])
+    return len(m) * len(n) - len(skipped)
 
 
 def _joined(values) -> str:
@@ -1463,8 +1530,9 @@ class TestExample2OverrideFuzz:
             "spbdw.max_iters": max_iters,
         })
         if counts is not None:
-            cases = _feasible_cells(m, n) * count
-            blocks = _feasible_cells(m, n) * -(-count // _CHUNK)
+            cells = _solved_cells(m, n, counts.pop("skipped"))
+            cases = cells * count
+            blocks = cells * -(-count // _CHUNK)
             assert counts == {"diagnostics.csv": cases, "results.csv": 2 * cases,
                               "timings.csv": 2 * blocks}
 
@@ -1493,7 +1561,7 @@ class TestExample1OverrideFuzz:
         })
         if counts is not None:
             # one block per (n, m) pair and method, holding every alpha
-            blocks = 2 * _feasible_cells(m, n)
+            blocks = 2 * _solved_cells(m, n, counts.pop("skipped"))
             assert counts == {"results.csv": blocks * len(alpha) * count, "timings.csv": blocks}
 
 
@@ -1525,6 +1593,9 @@ class TestExample3OverrideFuzz:
              flow_index=1.0)
     @example(m=[20], n=[5], count=2, training=16, margin=1.1, peak_velocity=1e-160,
              flow_index=1.0)
+    # (2, 2) is unstable and skipped; (1, 2) is solved
+    @example(m=[2], n=[1, 2], count=1, training=2, margin=0.0, peak_velocity=50.0,
+             flow_index=1.0)
     @settings(max_examples=20, deadline=None)
     def test_outputs_consistent_or_one_error_line(self, m, n, count, training, margin,
                                                   peak_velocity, flow_index):
@@ -1540,7 +1611,7 @@ class TestExample3OverrideFuzz:
         if peak_velocity <= 1e-160 or flow_index <= 0:
             assert counts is None
         if counts is not None:
-            blocks = 2 * _feasible_cells(m, n)
+            blocks = 2 * _solved_cells(m, n, counts.pop("skipped"))
             assert counts == {"diagnostics.csv": blocks * count, "results.csv": blocks * count,
                               "timings.csv": blocks}
 

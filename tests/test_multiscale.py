@@ -29,7 +29,8 @@ from assim import (
     step_dictionary,
     total_variation,
 )
-from assim.multiscale import _stacked_lstsq, extract_smoothers_block, spbdw_reconstruct_block
+from assim.multiscale import (_stacked_lstsq, extract_smoothers_block, spbdw_reconstruct_block,
+                              step_nodes)
 from assim.rom import projection_residuals
 
 
@@ -140,6 +141,15 @@ class TestSlowDictionary:
         with pytest.raises(ValueError):
             step_dictionary(grid, space40, (100.0, 101.0))
 
+    def test_candidates_sit_on_the_step_nodes(self, grid, space40):
+        # every stride-th node in the closed range, its ends included
+        location_range = (grid.nodes[24], grid.nodes[48])
+        assert step_nodes(grid, location_range, 12).tolist() == [24, 36, 48]
+        d = step_dictionary(grid, space40, location_range, 12)
+        assert [p["node"] for p in d.parameters] == [24, 36, 48]
+        with pytest.raises(ValueError, match="no step node"):
+            step_nodes(grid, (grid.nodes[25], grid.nodes[35]), 12)
+
 
 class TestOrthogonalSearch:
     def test_in_dictionary_signal(self, grid, space40, dictionary):
@@ -158,6 +168,22 @@ class TestOrthogonalSearch:
         cand, amplitude, index = orthogonal_search(omega, dictionary)
         assert amplitude == pytest.approx(0.0, abs=1e-12)
         assert index == 0
+
+    def test_signed_pick_looks_for_upward_steps(self, grid, space40, dictionary):
+        # the largest signed score wins, so a downward step scores lowest at its
+        # own candidate and the search picks an upward step somewhere else
+        k = 5
+        omega = observe(-2.7 * dictionary.candidates[k], space40)
+        scores = (omega.coeffs @ dictionary.observed) / dictionary.observed_norms
+        _, amplitude, index = orthogonal_search(omega, dictionary)
+        assert int(np.argmin(scores)) == k
+        assert index == int(np.argmax(scores)) != k
+        assert abs(index - k) > 1 and amplitude < 0
+        greedy = extract_smoothers_block(omega.coeffs[:, None], dictionary, 1e-6, max_iters=1)
+        assert greedy.indices.tolist() == [[index]]
+        # the same step, upward, is found where it is
+        assert orthogonal_search(observe(2.7 * dictionary.candidates[k], space40),
+                                 dictionary)[2] == k
 
     def test_against_exhaustive_oracle(self, grid, space40, rng):
         locations = grid.nodes[40:460:20]

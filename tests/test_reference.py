@@ -7,6 +7,7 @@ The rule and the way to regenerate the reference files are in
 import shutil
 
 import pytest
+import regenerate
 from regenerate import EXAMPLES, HERE, compare, produce
 
 
@@ -37,6 +38,7 @@ SCALES = {"full": 70.0}
 @pytest.mark.parametrize("name, line, column, edit, held", [
     ("results.csv", 3, "error_e", lambda t: repr(float(t) * (1 + 1e-8)), False),
     ("results.csv", 3, "error_e", lambda t: repr(float(t) * (1 + 1e-12)), True),
+    ("results.csv", 3, "error_e", lambda t: repr(float(t) * (1 + 1e-6)), False),
     ("results.csv", 3, "seed", lambda t: str(int(t) + 1), False),
     ("aggregates.csv", 5, "count", lambda t: str(int(t) - 1), False),
     # n = 12: 9.1e-12, at the roundoff of its snapshots; the floor is 7e-13
@@ -60,3 +62,24 @@ def test_comparator_catches_reordered_and_missing_rows(tmp_path):
     assert any(p.startswith("results.csv line 3") for p in problems)
     assert any(p.startswith("pod_decay.csv") for p in problems)
 
+
+
+@pytest.mark.parametrize("drift, held", [(9e-17, True), (1e-13, False)])
+def test_roundoff_level_error_has_an_absolute_floor(tmp_path, drift, held):
+    # a noiseless case's error sits at roundoff, about 1e-14, and moved by up to
+    # 9e-17 when the BLAS grouping of its block changed
+    ref = _perturbed(tmp_path / "ref", "results.csv", 3, "error_e", lambda t: "1e-14")
+    out = _perturbed(tmp_path / "out", "results.csv", 3, "error_e",
+                     lambda t: repr(1e-14 + drift))
+    problems, _ = compare(out, ref, SCALES)
+    assert (problems == []) is held, problems
+
+
+def test_regenerate_rewrites_only_the_named_entries(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(regenerate, "HERE", tmp_path)
+    assert regenerate.main(["example3"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["example3"]
+    assert sorted(p.name for p in (tmp_path / "example3").iterdir()) == sorted(
+        p.name for p in (HERE / "example3").iterdir())
+    assert regenerate.main(["example3", "nonsense"]) == 2
+    assert "nonsense" in capsys.readouterr().err

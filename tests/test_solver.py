@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -124,14 +125,14 @@ def reference_bvls(A, b, lo, hi):
 
     residual = A @ x - b
     cost = residual @ residual
-    for _ in range(3 * n):
+    for _ in range(math.ceil(solver.PUSH_CAP * n)):
         push = (A.T @ residual) * side
         k = int(np.argmax(push))
         if push[k] <= 0.0:
             break
         side[k] = 0.0
         held[k] = False
-        for _ in range(n):
+        for _ in range(math.ceil(solver.PASS_CAP * n)):
             free = ~held
             z = free_solve(free)
             x_free, lo_free, hi_free = x[free], lo[free], hi[free]
@@ -708,6 +709,37 @@ class TestBvls:
             with mock.patch.object(solver, "FREE_SET_CAP", 2):
                 assert np.array_equal(lockstep(capped), expected)
         assert len(capped) <= 2
+
+    # push and pass caps per coordinate: each binds for some rows below the default
+    LOW_CAPS = [(0, 1), (0.25, 1), (0.5, 1), (1, 1), (3, 0.1), (3, 0.25), (0.5, 0.25)]
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_rows_keep_their_own_counts_where_the_caps_bind(self, seed):
+        # 256 rows on one box of mixed widths: below the default caps the caps stop
+        # rows at different passes, and row k of the lockstep kernel must still be
+        # _bvls, and the reference loop, on row k alone; the seeds are ones where a
+        # pass count, a step length or a no-descent verdict shared across rows
+        # would change some row
+        rng = np.random.default_rng(seed)
+        n = 6
+        _, G = self.gramian(rng, n + 2, n, -1.0)
+        lo = rng.normal(size=n)
+        hi = lo + rng.uniform(0.01, 2.0, size=n)
+        Uf, S, Vt = np.linalg.svd(G, full_matrices=False)
+        R, B = S[:, None] * Vt, Uf.T @ (G @ rng.normal(size=(n, 256)))
+        default = (solver.PUSH_CAP, solver.PASS_CAP)
+        results = {}
+        for caps in self.LOW_CAPS + [default]:
+            with mock.patch.multiple(solver, PUSH_CAP=caps[0], PASS_CAP=caps[1]):
+                expected = [solver._bvls(R, b, lo, hi, lo == hi, {}) for b in B.T]
+                for b, x in zip(B.T[:16], expected):
+                    assert np.array_equal(reference_bvls(R, b, lo, hi), x)
+                results[caps] = solver._bvls_lockstep(R, B.T, lo, hi, lo == hi, {})
+            assert np.array_equal(results[caps], expected), caps
+        # each cap binds: some rows, not all, stop short of their solution
+        for caps in [(0.25, 1), (3, 0.1)]:
+            stopped = (results[caps] != results[default]).any(axis=1)
+            assert 0 < stopped.sum() < len(stopped), caps
 
     def test_no_scipy_import(self):
         code = (
