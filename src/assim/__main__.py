@@ -1,8 +1,6 @@
 """``python -m assim``: the ``assim`` command line."""
 
-import sys
-
-from .cli import main
+from .cli import console
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -10,13 +10,19 @@ Subcommands:
   writes) the rows ``assim run`` writes to pod_decay.csv, computed from the
   experiment's offline set-up alone, with no solves;
 * ``assim info`` prints the configuration schema.
+
+The program starts at :func:`console`, which ends the process once ``main``
+has returned and its output is flushed; :func:`main` returns the exit code,
+for tests and library callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .bench import (
     POD_DECAY_FIELDS,
@@ -28,7 +34,7 @@ from .bench import (
 )
 from .solver import StabilityError
 
-__all__ = ["main"]
+__all__ = ["console", "main"]
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -78,6 +84,8 @@ def _cmd_run(args) -> int:
             f"{100 * agg['mean']:8.3f} {100 * agg['max']:8.3f} "
             f"{100 * agg['min']:8.3f} {100 * agg['stddev']:8.3f}"
         )
+    for cell in result.skipped:
+        print(f"skipped n={cell['n']} m={cell['m']}: {cell['reason']}")
     return 0
 
 
@@ -107,6 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "info":
             print(describe_schema())
             return 0
+    except BrokenPipeError:     # stdout's reader has gone; console() ends quietly
+        raise
     # ValueError covers ConfigError and the library's input checks
     except (ValueError, StabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -114,5 +124,26 @@ def main(argv: list[str] | None = None) -> int:
     return 1
 
 
+def console() -> NoReturn:
+    """Run :func:`main`, flush stdout and stderr, and end the process with its code.
+
+    ``os._exit`` skips the interpreter's teardown (module clean-up and a last
+    garbage collection over numpy's objects), 20-30 ms of every run.  That
+    is safe because every file ``main`` writes is closed before it returns and
+    the package registers no ``atexit`` work.  A closed stdout pipe (``assim
+    info | head -n 1``) ends the process with status 1 and nothing on stderr,
+    as the "Note on SIGPIPE" in the ``signal`` module's documentation
+    advises.  Any other exception propagates, with its traceback and a normal
+    shutdown.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(1)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -40,6 +40,7 @@ from assim import (
     total_variation,
 )
 import assim.bench
+import assim.cli
 import assim.solver
 from assim.bench import (
     _CHUNK,
@@ -994,6 +995,14 @@ example1: 1536 rows -> {out}
 """
 
 
+def _child_env(**env_changes) -> dict:
+    """Environment for a child ``python`` that imports the package from src/; a None
+    value unsets its variable."""
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env_changes)
+    return {k: v for k, v in env.items() if v is not None}
+
+
 class TestCli:
     def write_cfg(self, tmp_path):
         cfg_path = tmp_path / "bench.cfg"
@@ -1316,7 +1325,8 @@ class TestCli:
         code = cli_main(["run", "--config", str(CONFIGS / "example3.cfg"), "--set",
                          "sweep.m=20,40", "--set", "sweep.n=5,25", "--out", str(out_dir)])
         assert code == 0
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
         with open(out_dir / "results.csv") as fh:
             fh.readline()
             assert {(int(r["n"]), int(r["m"])) for r in csv.DictReader(fh)} == {(5, 20), (5, 40)}
@@ -1325,6 +1335,11 @@ class TestCli:
         assert skipped[0]["reason"] == "n > m"
         assert skipped[1]["reason"].startswith("stability constant beta=")
         assert "below 1e-12 for n=25, m=40" in skipped[1]["reason"]
+        # the terminal says so too, one line per skipped cell after the aggregate table
+        out = captured.out.splitlines()
+        assert out[-2:] == ["skipped n=25 m=20: n > m",
+                            f"skipped n=25 m=40: {skipped[1]['reason']}"]
+        assert [line.split()[1] for line in out[2:-2]] == ["5"] * 4
 
     def test_skipped_unstable_cell_leaves_the_other_cells_unchanged(self, tmp_path):
         # the unstable (25, 40) comes before (5, 40) in the loop; the rows and seeds
@@ -1443,11 +1458,108 @@ class TestCli:
         assert cfg["sensors.kind"] == "pointwise"
 
     def test_python_dash_m(self):
-        paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        proc = subprocess.run([sys.executable, "-m", "assim", "info"], env=env,
+        proc = subprocess.run([sys.executable, "-m", "assim", "info"], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and "dictionary.stride" in proc.stdout
+
+    def test_broken_pipe_is_not_an_error_line(self, monkeypatch, capsys):
+        # console() ends quietly on it; every other OSError keeps its one line and exit 2
+        def closed(*_):
+            raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr(assim.cli, "describe_schema", closed)
+        with pytest.raises(BrokenPipeError):
+            cli_main(["info"])
+        assert cli_main(["run", "--config", str(CONFIGS / "missing.cfg"), "--out", "o"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno 2] "), err
+
+
+# the three ways to start the program, each through assim.cli.console()
+_ENTRIES = {
+    "python -m assim": ["-m", "assim"],
+    "python -m assim.cli": ["-m", "assim.cli"],
+    "console()": ["-c", "import assim.cli; assim.cli.console()"],
+}
+# the same starts as scripts that run after a prelude; runpy is what -m runs
+_SCRIPTED_ENTRIES = {
+    "python -m assim": "import runpy; runpy.run_module('assim', run_name='__main__', alter_sys=True)",
+    "python -m assim.cli": "import runpy; runpy.run_module('assim.cli', run_name='__main__', alter_sys=True)",
+    "console()": "import assim.cli; assim.cli.console()",
+}
+
+
+def _without_block_ms(path: Path) -> list[list[str]]:
+    """timings.csv without its wall-clock column: the schema line, then the csv rows."""
+    schema, *lines = path.read_text().splitlines()
+    rows = list(csv.reader(lines))
+    drop = rows[0].index("block_ms")
+    return [[schema]] + [row[:drop] + row[drop + 1:] for row in rows]
+
+
+class TestExitPath:
+    """Each start runs main() and ends the process with os._exit once stdout and
+    stderr are flushed; the process must show what main() returned and wrote."""
+
+    @pytest.fixture(scope="class")
+    def in_process(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("in_process") / "o"
+        assert cli_main(["run", "--config", str(CONFIGS / "example1.cfg"),
+                         "--out", str(out_dir)]) == 0
+        return out_dir
+
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_run_writes_what_main_writes(self, entry, in_process, tmp_path):
+        out_dir = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, *_ENTRIES[entry], "run", "--config", str(CONFIGS / "example1.cfg"),
+             "--out", str(out_dir)], env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == _EXAMPLE1_STDOUT.format(out=out_dir)
+        names = sorted(p.name for p in in_process.iterdir())
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        for name in names:
+            if name == "timings.csv":
+                assert _without_block_ms(out_dir / name) == _without_block_ms(in_process / name)
+            else:
+                assert (out_dir / name).read_bytes() == (in_process / name).read_bytes(), name
+
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_rejected_override_exits_2(self, entry, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, *_ENTRIES[entry], "run", "--config", str(CONFIGS / "example1.cfg"),
+             "--set", "sweep.m=0", "--out", str(tmp_path / "o")],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sweep.m "), err
+
+    @pytest.mark.parametrize("entry", _SCRIPTED_ENTRIES)
+    def test_uncaught_exception_keeps_its_traceback(self, entry, tmp_path):
+        script = ("import assim.bench\n"
+                  "def fail(cfg):\n"
+                  "    raise RuntimeError('run_experiment failed')\n"
+                  "assim.bench.run_experiment = fail\n" + _SCRIPTED_ENTRIES[entry])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(CONFIGS / "example1.cfg"),
+             "--out", str(tmp_path / "o")],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("Traceback (most recent call last):"), proc.stderr
+        assert proc.stderr.endswith("RuntimeError: run_experiment failed\n"), proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_closed_stdout_pipe_exits_1_quietly(self, entry, unbuffered):
+        # unbuffered, print() meets the closed pipe inside main(); buffered, the flush does
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *_ENTRIES[entry], "info"], stdout=write,
+                                  stderr=subprocess.PIPE, timeout=120,
+                                  env=_child_env(PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def _data_rows(path: Path) -> int:
