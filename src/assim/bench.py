@@ -990,19 +990,18 @@ class _Experiment:
     ``manifold`` is the class of its manifold spec, which ``_manifold_spec``
     builds for ``setup(cfg, grid, spec)``.  ``per_run(cfg, setup)`` prepares what the whole run shares and returns
     ``per_m(space)``, which prepares what the cells of one m share and returns
-    their block solve ``(per_n, cases, diagnostics)``.  That gives
+    their block solve ``(backgrounds, cases, diagnostics)``, where
+    ``backgrounds`` holds each labeled POD basis truncated to n modes, in label
+    order, built once per n for the whole run.  That gives
     ``(method, errors, beta, block_ms)`` per method, errors in the block's
-    column order (``_Cases``), and appends the block's diagnostic rows.
-    ``per_n(cfg, setup, backgrounds)`` prepares what the cells of one n share
-    from its backgrounds (each labeled POD basis truncated to n modes, in label
-    order).  A block holds at most ``chunk`` case ids (None: all of them) at
-    each noise model.
+    column order (``_Cases``), and appends the block's diagnostic rows.  A
+    block holds at most ``chunk`` case ids (None: all of them) at each noise
+    model.
     """
 
     manifold: type
     setup: Callable[[dict, Grid, object], Setup]
     per_run: Callable
-    per_n: Callable = lambda cfg, setup, backgrounds: backgrounds
     chunk: int | None = None
 
 
@@ -1045,7 +1044,6 @@ def run_experiment(cfg: dict) -> RunResult:
     words = _pcg64_words(seeds) if cfg["noise.sigma"] > 0 else None
     backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())
                    for n in dict.fromkeys(b[1] for b in blocks)}
-    per_n = {n: spec.per_n(cfg, setup, bgs) for n, bgs in backgrounds.items()}
     per_m = spec.per_run(cfg, setup)
 
     result = RunResult(cfg, pod_decay=setup.decay(), skipped=[
@@ -1080,7 +1078,7 @@ def run_experiment(cfg: dict) -> RunResult:
                 continue
             cases = _Cases(n, m, models, case_ids, seeds[lo:taken],
                            None if words is None else words[lo:taken])
-            for method, errors, beta, block_ms in solve(per_n[n], cases, result.diagnostics):
+            for method, errors, beta, block_ms in solve(backgrounds[n], cases, result.diagnostics):
                 cases.emit(result, method, errors, beta, block_ms)
     if len(result.skipped) == len(cfg["sweep.m"]) * len(cfg["sweep.n"]):
         raise unstable[0]       # every pair with n <= m is unstable: nothing to report
@@ -1183,12 +1181,6 @@ def _example2(cfg: dict, setup: Setup) -> Callable:
     return per_m
 
 
-def _example3_per_n(cfg: dict, setup: Setup, backgrounds: tuple) -> tuple:
-    """The n-mode background and its coefficient box, which does not depend on m."""
-    (background,) = backgrounds
-    return background, compute_box(setup.labeled["full"][0], background, cfg["box.margin"])
-
-
 def _example3(cfg: dict, setup: Setup) -> Callable:
     """Each (n, m) pair's box-constrained plain and bias-corrected solves, each
     one block solve of every case.
@@ -1201,11 +1193,14 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
     fractions are reductions over one contiguous row per case, as each
     per-case reduction runs over its own vector.  The benchmark's library
     runner rebuilds these rows with per-case calls and compares them for
-    equality.
+    equality.  Each background's coefficient box, which does not depend on m,
+    is built once per run, before the first block of that n is timed.
     """
     truth = setup.truth
     truth_norm = truth.norm()
     weights = setup.grid.weights
+    training = setup.labeled["full"][0]
+    boxes = {}                          # background -> its box
 
     def errors(rec) -> np.ndarray:
         squares = weights * (rec.states.T - truth.values) ** 2
@@ -1221,8 +1216,11 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
     def per_m(space) -> Callable:
         clean = space.apply_functionals(truth)
 
-        def solve(prepared, cases: _Cases, diagnostics: list) -> list:
-            background, box = prepared
+        def solve(backgrounds, cases: _Cases, diagnostics: list) -> list:
+            (background,) = backgrounds
+            if background not in boxes:
+                boxes[background] = compute_box(training, background, cfg["box.margin"])
+            box = boxes[background]
             (model,) = cases.models
             count = len(cases.case_ids)
             if _is_exact(model):
@@ -1254,8 +1252,7 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
 _EXPERIMENTS = {
     "example1": _Experiment(SinusoidSpec, _setup_example1, _example1),
     "example2": _Experiment(MultiscaleSpec, _setup_example2, _example2, chunk=_CHUNK),
-    "example3_analog": _Experiment(PowerLawSpec, _setup_example3_analog, _example3,
-                                   _example3_per_n),
+    "example3_analog": _Experiment(PowerLawSpec, _setup_example3_analog, _example3),
 }
 
 

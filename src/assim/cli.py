@@ -117,8 +117,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
     except BrokenPipeError:     # stdout's reader has gone; console() ends quietly
         raise
-    # ValueError covers ConfigError and the library's input checks
-    except (ValueError, StabilityError, OSError) as exc:
+    # ValueError covers ConfigError and the library's input checks; MemoryError,
+    # a size too large to allocate
+    except (ValueError, StabilityError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1

@@ -69,6 +69,8 @@ __all__ = [
     "total_variation",
 ]
 
+VISIBILITY_TOL = 1e-12      # observed-image norm at or below which a candidate is invisible
+
 
 @dataclass(frozen=True, eq=False)
 class SlowDictionary:
@@ -98,13 +100,11 @@ class SlowDictionary:
         return tuple(GridFunction(self.space.grid, col) for col in self.candidate_matrix.T)
 
 
-def build_slow_dictionary(
-    candidates: SnapshotSet, space: ObservationSpace, visibility_tol: float = 1e-12
-) -> SlowDictionary:
+def build_slow_dictionary(candidates: SnapshotSet, space: ObservationSpace) -> SlowDictionary:
     """Normalize slow-manifold samples and precompute their observed images.
 
-    Candidates of zero norm, or invisible to the sensors (observed image
-    below ``visibility_tol``), cannot be fitted and are dropped with a
+    Candidates of zero norm, or invisible to the sensors (observed image at
+    most ``VISIBILITY_TOL``, 1e-12), cannot be fitted and are dropped with a
     warning.
     """
     if candidates.grid != space.grid:
@@ -115,7 +115,7 @@ def build_slow_dictionary(
     units = X[kept] * (1.0 / norms[kept])[:, None]
     # one product per candidate: a single matrix product rounds differently
     images = np.array([space.onb.weighted_matrix @ u for u in units]).reshape(len(units), space.m)
-    visible = np.linalg.norm(images, axis=1) > visibility_tol
+    visible = np.linalg.norm(images, axis=1) > VISIBILITY_TOL
     kept[kept] = visible                # of the nonzero candidates, the visible ones
     dropped = np.flatnonzero(~kept).tolist()
     if dropped:
@@ -352,11 +352,12 @@ class GreedyBlock:
 
     Row k belongs to column k: the first ``counts[k]`` entries of its
     ``indices`` and ``amplitudes`` are the selected candidates in selection
-    order and their joint amplitudes; the rest hold -1 and 0.
+    order and their joint amplitudes; the rest hold -1 and 0.  A row has
+    min(max_iters, len(dictionary)) slots.
     """
 
-    indices: np.ndarray             # (K, max_iters) dictionary indices
-    amplitudes: np.ndarray          # (K, max_iters)
+    indices: np.ndarray             # (K, slots) dictionary indices
+    amplitudes: np.ndarray          # (K, slots)
     counts: np.ndarray              # (K,) greedy iterations
 
     def coefficients(self, size: int, amplitudes: np.ndarray | None = None) -> np.ndarray:
@@ -383,9 +384,11 @@ def extract_smoothers_block(
     the per-case rules: residual below 1e-12 of its data norm, a re-picked
     index, a relative drop below ``rel_tol``, or ``max_iters`` steps.  Each
     new residual is formed as d - A x, as in the per-case path, so every
-    stop decision sees the same numbers up to roundoff.
+    stop decision sees the same numbers up to roundoff.  A column picks each
+    index at most once, so it never fills more than len(dictionary) slots.
     """
     _check_greedy(rel_tol, max_iters)
+    max_iters = min(max_iters, len(dictionary))
     cases = _block_data(data, dictionary.space.m).T      # one case per row
     K = len(cases)
     indices = np.full((K, max_iters), -1)
@@ -429,7 +432,7 @@ class SplitBlock:
     greedy: GreedyBlock
     f_star: np.ndarray              # (num_points, K)
     u_f: BlockReconstruction        # smooth solve of the smoothed data
-    corrected_amplitudes: np.ndarray  # (K, max_iters), laid out as greedy.amplitudes
+    corrected_amplitudes: np.ndarray  # (K, slots), laid out as greedy.amplitudes
     u_star: np.ndarray              # (num_points, K)
 
     def dominant_indices(self) -> np.ndarray:

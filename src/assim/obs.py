@@ -245,7 +245,7 @@ def build_observation_space(sensors: SensorArray, grid: Grid) -> ObservationSpac
     else:
         mask = _window_mask(grid, sensors.centers, sensors.width)
         reps = mask / (mask @ grid.weights)[:, None]
-    rows, kept = _weighted_qr(reps, grid.weights, tol_drop=1e-10)
+    rows, kept = _weighted_qr(reps, grid.weights)
     if len(kept) != sensors.m:
         dropped = sorted(set(range(sensors.m)) - set(kept))
         names = ", ".join(f"#{i} (center {sensors.centers[i]:g})" for i in dropped)

@@ -312,8 +312,8 @@ def pbdw_solve_boxed_block(
     Column k equals ``pbdw_solve_boxed`` on column k bit for bit: every
     product runs once per column (``_matvec``), never as one gemm over the
     block, and the columns' bounded least-squares passes run in lockstep
-    (``_bvls_lockstep``; one column runs ``_bvls``).  The pair's checks run
-    once for the whole block.
+    (``_bvls_lockstep``, one column too).  The pair's checks run once for
+    the whole block.
     """
     D = np.ascontiguousarray(_block_data(data, space.m).T)
     return _finite(_solve_boxed(D, background, space, box))
@@ -347,14 +347,8 @@ def _solve_boxed(D: np.ndarray, background: Subspace, space: ObservationSpace,
     plan = _plan(background, space)
     # G c - d = U (R c - U^T d) + (U U^T d - d): same minimizer on R
     B = _matvec(plan.Ut, D)
-    bounds = (box.lo, box.hi, box.fixed, plan.free_sets)
-    if D.ndim == 1:
-        C = _bvls(plan.R, B, *bounds)
-    elif len(D) == 1:
-        # _bvls itself: the lockstep kernel costs several times as much on one row
-        C = _bvls(plan.R, B[0], *bounds)[None]
-    else:
-        C = _bvls_lockstep(plan.R, B, *bounds)
+    kernel = _bvls if D.ndim == 1 else _bvls_lockstep
+    C = kernel(plan.R, B, box.lo, box.hi, box.fixed, plan.free_sets)
     # on one vector the plain products are the same gemv as _matvec's
     return plan.assemble(D, C, columnwise=D.ndim == 2)
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 ORTHONORMALITY_TOL = 1e-10
+DROP_TOL = 1e-10        # relative residual below which orthonormalization drops a row
 
 
 class GridMismatchError(ValueError):
@@ -220,7 +221,7 @@ def project_onto(u: GridFunction, subspace: Subspace) -> GridFunction:
     return subspace.combine(subspace.coefficients(u))
 
 
-def _weighted_qr(vectors: np.ndarray, weights: np.ndarray, tol_drop: float):
+def _weighted_qr(vectors: np.ndarray, weights: np.ndarray):
     """Orthonormalize rows in the weighted inner product with one Householder QR.
 
     The rows are scaled by sqrt(w), so that the weighted product becomes the
@@ -228,7 +229,7 @@ def _weighted_qr(vectors: np.ndarray, weights: np.ndarray, tol_drop: float):
     so that diag(R) > 0, which makes it the Gram-Schmidt basis up to
     roundoff, and is then unscaled.  Row i is dropped when its norm is zero,
     or when its residual against the kept rows before it, |R_ii|, is below
-    ``tol_drop`` times its norm.  Once a row fails, the later diagonal
+    ``DROP_TOL`` times its norm.  Once a row fails, the later diagonal
     entries of an unpivoted QR no longer measure those residuals, so only the
     first failing row is dropped and the rest are factored again: one QR for
     full-rank rows, d + 1 for d dropped rows.
@@ -242,7 +243,7 @@ def _weighted_qr(vectors: np.ndarray, weights: np.ndarray, tol_drop: float):
     while kept.size:
         q, r = np.linalg.qr(scaled[kept].T)
         diag = np.diag(r)
-        failed = np.flatnonzero(np.abs(diag) < tol_drop * norms[kept[:diag.size]])
+        failed = np.flatnonzero(np.abs(diag) < DROP_TOL * norms[kept[:diag.size]])
         # with more rows than nodes, row diag.size lies in the span of those before it
         first = failed[0] if failed.size else diag.size
         if first == kept.size:
@@ -253,7 +254,6 @@ def _weighted_qr(vectors: np.ndarray, weights: np.ndarray, tol_drop: float):
 
 def orthonormalize(
     fns: list[GridFunction] | tuple[GridFunction, ...],
-    tol_drop: float = 1e-10,
     grid: Grid | None = None,
 ) -> Subspace:
     """Orthonormalize a family of grid functions, dropping dependent ones.
@@ -262,12 +262,10 @@ def orthonormalize(
     basis of the family, in order, with the sign that makes each function's
     coordinate on its own basis vector positive.  A function is dropped when
     it is zero or its residual against the kept functions before it is below
-    ``tol_drop`` times its norm; after the first such function is dropped the
-    rest are factored again.  An empty family yields the trivial subspace
-    (``grid`` must then be given).
+    ``DROP_TOL`` (1e-10) times its norm; after the first such function is
+    dropped the rest are factored again.  An empty family yields the trivial
+    subspace (``grid`` must then be given).
     """
-    if tol_drop <= 0:
-        raise ValueError("tol_drop must be positive")
     fns = list(fns)
     if not fns:
         if grid is None:
@@ -276,5 +274,5 @@ def orthonormalize(
     grid = fns[0].grid
     for fn in fns[1:]:
         _check_same_grid(fns[0], fn)
-    rows, _ = _weighted_qr(np.stack([fn.values for fn in fns]), grid.weights, tol_drop)
+    rows, _ = _weighted_qr(np.stack([fn.values for fn in fns]), grid.weights)
     return Subspace(grid, rows)

@@ -1119,6 +1119,31 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {key}"), err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("key", ["training.count", "validation.count", "grid.num_points",
+                                     "sweep.m"])
+    def test_size_too_large_to_allocate_is_reported(self, tmp_path, capsys, key):
+        # numpy refuses an array of 10**12 entries before touching any memory
+        out_dir = tmp_path / "o"
+        code = cli_main(["run", "--config", str(CONFIGS / "example1.cfg"),
+                         "--set", f"{key}={10**12}", "--out", str(out_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+        assert not out_dir.exists()
+
+    def test_greedy_cap_past_the_dictionary_size_changes_no_output(self, tmp_path):
+        # example2's dictionary holds 21 steps and a column picks each at most once,
+        # so a larger cap allocates and finds no more; run.json records the cap
+        outs = {cap: tmp_path / str(cap) for cap in (21, 10**12)}
+        for cap, out_dir in outs.items():
+            code = cli_main(["run", "--config", str(CONFIGS / "example2.cfg"),
+                             "--set", f"spbdw.max_iters={cap}", "--out", str(out_dir)])
+            assert code == 0
+        for name in ("results.csv", "aggregates.csv", "pod_decay.csv", "diagnostics.csv"):
+            assert (outs[21] / name).read_bytes() == (outs[10**12] / name).read_bytes(), name
+
     @pytest.mark.parametrize("config, override, key", _KEYED_REJECTIONS)
     def test_pod_decay_names_the_same_key(self, tmp_path, capsys, config, override, key):
         # pod-decay runs the same config checks and set-up as run
@@ -1781,10 +1806,11 @@ class TestOnlineLoop:
         ids=["example1", "example2", "example3"],
     )
     def test_no_solve_plan_is_built_inside_a_timed_block(self, monkeypatch, cfg):
-        # a timed region runs from a perf_counter start to the last _elapsed_ms
-        # call that reads it: a plan build is timed if a stop comes before the next start
+        # a timed region runs from a perf_counter start to the last _elapsed_ms call
+        # that reads it: a plan or box build is timed if a stop comes before the next start
         events = []
         build, elapsed = assim.solver._build_plan, assim.bench._elapsed_ms
+        box = assim.bench.compute_box
 
         def start():
             events.append("start")
@@ -1798,9 +1824,14 @@ class TestOnlineLoop:
             events.append("build")
             return build(*args)
 
+        def counted_box(*args):
+            events.append("build")
+            return box(*args)
+
         monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=start))
         monkeypatch.setattr(assim.bench, "_elapsed_ms", stop)
         monkeypatch.setattr(assim.solver, "_build_plan", counted_build)
+        monkeypatch.setattr(assim.bench, "compute_box", counted_box)
         run_experiment(cfg)
         following = [next((e for e in events[i:] if e != "build"), None)
                      for i, event in enumerate(events) if event == "build"]

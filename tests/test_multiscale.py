@@ -328,6 +328,16 @@ class TestExtractSmoothersBlock:
         block = extract_smoothers_block(data, d, rel_tol=1e-3, max_iters=5)
         assert_greedy_matches(block, data, d, 1e-3, 5)
 
+    def test_slots_stop_at_the_dictionary_size(self, space40, dictionary, rng):
+        # a column picks each index at most once, so a cap past len(dictionary)
+        # allocates and finds no more
+        data = dictionary.observed @ rng.uniform(0, 2, size=(len(dictionary), 8))
+        exact = extract_smoothers_block(data, dictionary, 1e-6, len(dictionary))
+        capped = extract_smoothers_block(data, dictionary, 1e-6, 10**12)
+        assert exact.counts.max() > 5           # the columns fill more than the default cap
+        for name in ("indices", "amplitudes", "counts"):
+            assert np.array_equal(getattr(capped, name), getattr(exact, name)), name
+
     def test_stacked_fits_match_lstsq(self, rng):
         # a repeated column and a fit wider than tall follow lstsq's rank cutoff
         tall = rng.normal(size=(4, 6, 3))
@@ -441,6 +451,7 @@ class TestSpbdwReconstruct:
         dec = spbdw_reconstruct(omega, basis.subspace, space40, dictionary, max_iters=1)
         assert len(dec.smoothers) == 1
         assert dec.smoothers[0].index == 9
+        assert dec.dominant_jump_location() == dictionary.parameters[9]["jump_location"]
         assert (dec.u_star - truth).norm() / truth.norm() <= 1e-8
 
     def test_degenerates_to_plain_solve_without_smoothers(self, grid, space40, dictionary):
@@ -452,6 +463,7 @@ class TestSpbdwReconstruct:
         omega = observe(truth, space40)
         dec = spbdw_reconstruct(omega, basis.subspace, space40, dictionary, rel_tol=1.0)
         assert len(dec.smoothers) == 0
+        assert dec.dominant_jump_location() is None
         plain = pbdw_solve(omega, basis.subspace, space40)
         assert (dec.u_star - plain.state).norm() <= 1e-10 * max(1.0, plain.state.norm())
 

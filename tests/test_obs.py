@@ -134,6 +134,13 @@ class TestBuildObservationSpace:
             riesz = [inner_product(GridFunction(grid, w), u) for w in space.representers]
             assert np.allclose(raw, riesz, atol=1e-10)
 
+    def test_pointwise_readings_are_the_functional_matrix(self, grid, rng):
+        space = build_observation_space(SensorArray.equidistant(10, grid, kind="pointwise"), grid)
+        for _ in range(5):
+            u = random_fn(grid, rng)
+            np.testing.assert_allclose(space.sensors.apply(u), space.functional_matrix @ u.values,
+                                       rtol=1e-12, atol=1e-12)
+
 
 class TestReadOnlyArrays:
     def test_space_arrays_reject_writes(self, grid):
@@ -236,6 +243,16 @@ class TestInfSupBeta:
         beta_small = inf_sup_beta(V5, build_observation_space(small, grid))
         beta_large = inf_sup_beta(V5, build_observation_space(large, grid))
         assert beta_large >= beta_small - 1e-10
+
+    def test_trivial_subspace_is_unconstrained(self, grid):
+        space = build_observation_space(SensorArray.equidistant(3, grid), grid)
+        assert inf_sup_beta(orthonormalize([], grid=grid), space) == 1.0
+
+    def test_more_modes_than_sensors_is_unstable(self, grid, rng):
+        space = build_observation_space(SensorArray.equidistant(3, grid), grid)
+        V = orthonormalize([random_fn(grid, rng) for _ in range(4)])
+        assert V.dimension == 4
+        assert inf_sup_beta(V, space) == 0.0
 
     def test_range(self, grid):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 30, seed=3)

@@ -541,7 +541,7 @@ class TestPbdwSolveBoxedBlock:
         held = np.isclose(C, box.lo[:, None]) | np.isclose(C, box.hi[:, None])
         assert len({column.tobytes() for column in held.T}) > 1
         for block in (pbdw_solve_boxed_block(D, V, space, box),
-                      pbdw_solve_boxed_block(D[:, :1], V, space, box)):   # K = 1 runs _bvls
+                      pbdw_solve_boxed_block(D[:, :1], V, space, box)):   # K = 1 too
             K = block.states.shape[1]
             assert np.array_equal(block.states, states[:, :K])
             assert np.array_equal(block.rom_coeffs, C[:, :K])

@@ -200,10 +200,6 @@ class TestOrthonormalize:
         X = orthonormalize([], grid=grid)
         assert X.dimension == 0
 
-    def test_drop_tolerance_must_be_positive(self, grid, rng):
-        with pytest.raises(ValueError):
-            orthonormalize([random_fn(grid, rng)], tol_drop=0.0)
-
     @pytest.mark.parametrize(
         "family, dimension",
         [
