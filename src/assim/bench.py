@@ -451,13 +451,16 @@ def _seed_states(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return state[:, 0::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << np.uint64(32)
 
 
-def derive_seeds(master_seed: int, texts) -> list[int]:
+def derive_seeds(master_seed: int, texts, count: int = -1) -> list[int]:
     """``derive_seed(master_seed, *key)`` for every key, hashed in one pass.
 
     Each key comes as the text ``derive_seed`` hashes, ``":".join(map(str, key))``;
-    ``texts`` may be any iterable, so a generator keeps them out of memory.
+    ``texts`` may be any iterable, so a generator keeps them out of memory.  A
+    ``count`` of keys, when given, is allocated before the first key is hashed,
+    so a count too large to allocate raises ``MemoryError`` at once.
     """
-    digests = np.fromiter((zlib.crc32(text.encode()) for text in texts), dtype=np.uint32)
+    digests = np.fromiter((zlib.crc32(text.encode()) for text in texts), dtype=np.uint32,
+                          count=count)
     master = np.array(_uint32_words(int(master_seed)), dtype=np.uint32)
     entropy = np.empty((len(master) + 1, len(digests)), dtype=np.uint32)
     entropy[:-1] = master[:, None]
@@ -1035,12 +1038,17 @@ def run_experiment(cfg: dict) -> RunResult:
               for lo in range(0, count, chunk)]
     # each column's key ("noise", case_id, "m", m, "n", n[, "alpha", repr(alpha)]) as the
     # text derive_seed hashes, formatted from one template per block and model
-    seeds = derive_seeds(cfg["master_seed"], (
-        template % case_id
-        for m, n, case_ids in blocks for model in models
-        for template in [f"noise:%d:m:{m}:n:{n}" + (f":alpha:{model.alpha!r}" if swept else "")]
-        for case_id in case_ids
-    ))
+    total = len(models) * sum(len(case_ids) for *_, case_ids in blocks)
+    try:
+        seeds = derive_seeds(cfg["master_seed"], (
+            template % case_id
+            for m, n, case_ids in blocks for model in models
+            for template in [f"noise:%d:m:{m}:n:{n}" + (f":alpha:{model.alpha!r}" if swept else "")]
+            for case_id in case_ids
+        ), total)
+    except MemoryError:
+        raise MemoryError(f"validation.count={count}: the run's {total} case seeds are too "
+                          f"many to allocate") from None
     words = _pcg64_words(seeds) if cfg["noise.sigma"] > 0 else None
     backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())
                    for n in dict.fromkeys(b[1] for b in blocks)}

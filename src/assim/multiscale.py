@@ -94,6 +94,11 @@ class SlowDictionary:
     def observed_norms(self) -> np.ndarray:
         return np.linalg.norm(self.observed, axis=0)
 
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """``<x, P_W v / ||P_W v||>`` for every candidate v, of one coefficient vector
+        or of each row of a stack; the search picks the largest."""
+        return (X @ self.observed) / self.observed_norms
+
     @cached_property
     def candidates(self) -> tuple[GridFunction, ...]:
         """The columns of ``candidate_matrix`` as grid functions (views, not copies)."""
@@ -183,8 +188,7 @@ def orthogonal_search(
     steps.  Returns (candidate, amplitude, index).
     """
     _check_space(omega.space, dictionary)
-    scores = (omega.coeffs @ dictionary.observed) / dictionary.observed_norms
-    best = int(np.argmax(scores))
+    best = int(np.argmax(dictionary.scores(omega.coeffs)))
     g = dictionary.observed[:, best]
     amplitude = float(omega.coeffs @ g) / float(g @ g)
     return dictionary.candidates[best], amplitude, best
@@ -234,7 +238,7 @@ def extract_smoothers(
         rn = history[-1]
         if rn <= 1e-12 * history[0]:        # residual is numerical noise
             break
-        _, _, index = orthogonal_search(Measurement(residual, omega.space), dictionary)
+        index = int(np.argmax(dictionary.scores(residual)))     # orthogonal_search's pick
         if index in selected:
             break
         trial = selected + [index]
@@ -253,12 +257,18 @@ def extract_smoothers(
         Smoother(dictionary.candidates[k], float(a), k, dictionary.parameters[k])
         for k, a in zip(selected, amplitudes)
     ]
-    grid = omega.space.grid
-    f_star = grid.zero()
-    for sm in smoothers:
-        f_star = f_star + sm.amplitude * sm.function
-    omega_f = Measurement(data - omega.space.onb.coefficients(f_star), omega.space)
-    return smoothers, f_star, omega_f, history
+    f_star = _step_sum(omega.space.grid, smoothers, [sm.amplitude for sm in smoothers])
+    omega_f = Measurement(data - omega.space.onb.weighted_matrix @ f_star, omega.space)
+    return smoothers, GridFunction(omega.space.grid, f_star), omega_f, history
+
+
+def _step_sum(grid: Grid, smoothers: list[Smoother], amplitudes) -> np.ndarray:
+    """Values of the smoothers' steps at the given amplitudes, summed from zeros in
+    selection order; the order fixes the rounding."""
+    values = np.zeros(grid.num_points)
+    for sm, amplitude in zip(smoothers, amplitudes):
+        values = values + sm.function.values * amplitude
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,13 +325,11 @@ def spbdw_reconstruct(
         eta = corrected_constraint(u_f.initial.state + f_star, space, model, seed)
         # refit the recorded steps jointly against eta
         corrected = []
-        f_u = space.grid.zero()
         if smoothers:
             A = dictionary.observed[:, [sm.index for sm in smoothers]]
             gamma, *_ = np.linalg.lstsq(A, eta.coeffs, rcond=None)
             corrected = [float(g) for g in gamma]
-            for sm, g in zip(smoothers, corrected):
-                f_u = f_u + g * sm.function
+        f_u = GridFunction(space.grid, _step_sum(space.grid, smoothers, corrected))
 
     u_star = u_f.state + f_u
     return MultiscaleDecomposition(
@@ -402,8 +410,7 @@ def extract_smoothers_block(
         active = active[norms[active] > floor[active]]
         if not active.size:
             break
-        scores = (residual[active] @ dictionary.observed) / dictionary.observed_norms
-        picked = np.argmax(scores, axis=1)
+        picked = np.argmax(dictionary.scores(residual[active]), axis=1)
         fresh = (indices[active, :t] != picked[:, None]).all(axis=1)
         active, picked = active[fresh], picked[fresh]
         if not active.size:
@@ -532,4 +539,5 @@ def multiscale_beta_bound(
 
 def total_variation(u: GridFunction) -> float:
     """Sum of absolute nodewise increments."""
-    return float(np.sum(np.abs(np.diff(u.values))))
+    v = u.values
+    return float(np.add.reduce(np.abs(v[1:] - v[:-1])))

@@ -155,7 +155,7 @@ def inner_product(u: GridFunction, v: GridFunction) -> float:
 
 
 def norm(u: GridFunction) -> float:
-    return float(np.sqrt(np.sum(u.grid.weights * u.values**2)))
+    return float(np.sqrt(np.add.reduce(u.grid.weights * u.values**2)))
 
 
 @dataclass(frozen=True, eq=False)

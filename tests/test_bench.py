@@ -245,7 +245,13 @@ class TestSeeding:
         assert zlib.crc32(b"") == 0   # the empty key's digest
         texts = [":".join(map(str, key)) for key in keys]
         assert derive_seeds(master, texts) == [derive_seed(master, *key) for key in keys]
-        assert derive_seeds(master, []) == []
+        assert derive_seeds(master, iter(texts), len(texts)) == derive_seeds(master, texts)
+        assert derive_seeds(master, []) == derive_seeds(master, [], 0) == []
+
+    def test_derive_seeds_allocates_its_count_before_hashing(self):
+        # a generator that never ends: the allocation must fail before it is read
+        with pytest.raises(MemoryError):
+            derive_seeds(0, itertools.repeat("noise"), 10**15)
 
     def test_derive_seeds_rejects_a_negative_master(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -1131,6 +1137,22 @@ class TestCli:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+        assert not out_dir.exists()
+
+    def test_case_seeds_too_many_to_allocate_name_the_count(self, tmp_path, capsys):
+        # example3's cases are noisy readings of one truth, so no validation set is
+        # sampled: the seed pass is the first thing the count sizes, and it fails
+        # before it hashes a key
+        out_dir = tmp_path / "o"
+        start = time.perf_counter()
+        code = cli_main(["run", "--config", str(CONFIGS / "example3.cfg"),
+                         "--set", f"validation.count={10**12}", "--out", str(out_dir)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: validation.count={10**12}: "), err
         assert not out_dir.exists()
 
     def test_greedy_cap_past_the_dictionary_size_changes_no_output(self, tmp_path):

@@ -1,17 +1,23 @@
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from assim import (
+    Grid,
     GridFunction,
     Measurement,
     MultiscaleSpec,
     NoiseModel,
     SensorArray,
     SnapshotSet,
+    Smoother,
     Subspace,
+    bpbdw_reconstruct,
     build_observation_space,
     build_slow_dictionary,
     extract_smoothers,
@@ -29,6 +35,7 @@ from assim import (
     step_dictionary,
     total_variation,
 )
+from assim.bias import corrected_constraint
 from assim.multiscale import (_stacked_lstsq, extract_smoothers_block, spbdw_reconstruct_block,
                               step_nodes)
 from assim.rom import projection_residuals
@@ -284,15 +291,16 @@ def assert_greedy_matches(block, data, dictionary, rel_tol, max_iters):
         assert not block.amplitudes[k, count:].any()
 
 
+@pytest.fixture
+def tied(grid, space40):
+    # candidate 5 is listed twice, so data along it scores an exact tie
+    locations = list(grid.nodes[40:460:20])
+    locations.insert(6, locations[5])
+    return build_slow_dictionary(step_set(grid, locations), space40)
+
+
 class TestExtractSmoothersBlock:
     """The block greedy against per-case ``extract_smoothers``, column by column."""
-
-    @pytest.fixture
-    def tied(self, grid, space40):
-        # candidate 5 is listed twice, so data along it scores an exact tie
-        locations = list(grid.nodes[40:460:20])
-        locations.insert(6, locations[5])
-        return build_slow_dictionary(step_set(grid, locations), space40)
 
     def test_every_stop_rule_in_one_block(self, space40, tied, rng):
         rel_tol, max_iters = 0.01, 5
@@ -359,6 +367,144 @@ class TestExtractSmoothersBlock:
             extract_smoothers_block(np.ones(space40.m), dictionary)
         with pytest.raises(ValueError, match="finite"):
             extract_smoothers_block(np.full((space40.m, 2), np.nan), dictionary)
+
+
+def reference_extract_smoothers(omega, dictionary, rel_tol=0.05, max_iters=5):
+    """The per-case greedy before it ran on plain arrays, as a bit-for-bit reference:
+    ``orthogonal_search`` on every step, and f* summed as grid functions."""
+    data = omega.coeffs
+    residual = data.copy()
+    history = [float(np.linalg.norm(residual))]
+    selected, amplitudes = [], np.zeros(0)
+    for _ in range(max_iters):
+        rn = history[-1]
+        if rn <= 1e-12 * history[0]:
+            break
+        _, _, index = orthogonal_search(Measurement(residual, omega.space), dictionary)
+        if index in selected:
+            break
+        trial = selected + [index]
+        A = dictionary.observed[:, trial]
+        sol, *_ = np.linalg.lstsq(A, data, rcond=None)
+        new_residual = data - A @ sol
+        rn_new = float(np.linalg.norm(new_residual))
+        if (rn - rn_new) / rn < rel_tol:
+            break
+        selected, amplitudes, residual = trial, sol, new_residual
+        history.append(rn_new)
+    smoothers = [Smoother(dictionary.candidates[k], float(a), k, dictionary.parameters[k])
+                 for k, a in zip(selected, amplitudes)]
+    f_star = omega.space.grid.zero()
+    for sm in smoothers:
+        f_star = f_star + sm.amplitude * sm.function
+    omega_f = Measurement(data - omega.space.onb.coefficients(f_star), omega.space)
+    return smoothers, f_star, omega_f, history
+
+
+def reference_spbdw(omega, background, space, dictionary, model=None):
+    """``spbdw_reconstruct`` composed from the reference greedy and grid-function sums:
+    returns (smoothers, f*, omega_f, history, corrected amplitudes, f_u, u_star)."""
+    smoothers, f_star, omega_f, history = reference_extract_smoothers(omega, dictionary)
+    if model is None:
+        u_f = pbdw_solve(omega_f, background, space)
+        return (smoothers, f_star, omega_f, history, [sm.amplitude for sm in smoothers],
+                f_star, u_f.state + f_star)
+    u_f = bpbdw_reconstruct(omega_f, background, space, model)
+    eta = corrected_constraint(u_f.initial.state + f_star, space, model)
+    corrected, f_u = [], space.grid.zero()
+    if smoothers:
+        A = dictionary.observed[:, [sm.index for sm in smoothers]]
+        gamma, *_ = np.linalg.lstsq(A, eta.coeffs, rcond=None)
+        corrected = [float(g) for g in gamma]
+        for sm, g in zip(smoothers, corrected):
+            f_u = f_u + g * sm.function
+    return smoothers, f_star, omega_f, history, corrected, f_u, u_f.state + f_u
+
+
+def assert_same_bits(actual, expected):
+    """Equal arrays, the signs of zeros included."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestArrayLevelSplitMatchesReference:
+    """The per-case split on plain arrays equals the grid-function loop bit for bit."""
+
+    @pytest.fixture(params=["tied", "three_sensors", "random"])
+    def fixture(self, request, grid, space40, dictionary, rng):
+        """(dictionary, background, data columns) of one case family."""
+        fast_tr, _, _ = sample_multiscale(MultiscaleSpec(), grid, 64, seed=16)
+        if request.param == "three_sensors":
+            # 3 sensors cannot separate 5 steps: later fits are rank deficient
+            space = build_observation_space(SensorArray.equidistant(3, grid), grid)
+            d = step_dictionary(grid, space, (np.pi / 2, 3 * np.pi / 2), stride=12)
+            return d, pod(fast_tr, 2).subspace, rng.normal(size=(3, 40))
+        background = pod(fast_tr, 15).subspace
+        if request.param == "tied":
+            d = request.getfixturevalue("tied")
+            tie = 2.0 * d.observed[:, 5]
+            data = np.column_stack([np.zeros(space40.m), tie,
+                                    d.observed @ rng.normal(size=(len(d), 30))])
+            return d, background, data
+        data = rng.normal(size=(space40.m, 37))
+        data[:, ::2] += dictionary.observed @ rng.uniform(0, 2, size=(len(dictionary), 1))
+        return dictionary, background, data
+
+    def test_extract_smoothers(self, fixture):
+        d, _, data = fixture
+        counts = set()
+        for col in data.T:
+            omega = Measurement(col, d.space)
+            smoothers, f_star, omega_f, history = extract_smoothers(omega, d)
+            ref = reference_extract_smoothers(omega, d)
+            assert [sm.index for sm in smoothers] == [sm.index for sm in ref[0]]
+            assert [sm.function for sm in smoothers] == [sm.function for sm in ref[0]]
+            assert_same_bits([sm.amplitude for sm in smoothers], [sm.amplitude for sm in ref[0]])
+            assert_same_bits(f_star.values, ref[1].values)
+            assert_same_bits(omega_f.coeffs, ref[2].coeffs)
+            assert_same_bits(history, ref[3])
+            counts.add(len(smoothers))
+        assert len(counts) >= 2
+
+    @pytest.mark.parametrize("model", [None, NoiseModel(alpha=0.1, sigma=0.05)],
+                             ids=["plain", "corrected"])
+    def test_spbdw_reconstruct(self, fixture, model):
+        d, background, data = fixture
+        for col in data.T:
+            omega = Measurement(col, d.space)
+            dec = spbdw_reconstruct(omega, background, d.space, d, model=model)
+            smoothers, f_star, omega_f, history, corrected, f_u, u_star = reference_spbdw(
+                omega, background, d.space, d, model)
+            assert [sm.index for sm in dec.smoothers] == [sm.index for sm in smoothers]
+            assert_same_bits([sm.amplitude for sm in dec.smoothers],
+                             [sm.amplitude for sm in smoothers])
+            assert_same_bits(dec.f_star.values, f_star.values)
+            assert_same_bits(dec.omega_f.coeffs, omega_f.coeffs)
+            assert_same_bits(dec.residual_history, history)
+            assert_same_bits(dec.corrected_amplitudes, corrected)
+            assert_same_bits(dec.f_u.values, f_u.values)
+            assert_same_bits(dec.u_star.values, u_star.values)
+
+
+# finite values, -0.0 and subnormals among them, at 1 to 40 nodes
+node_values = st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=40).map(np.array)
+
+
+class TestTotalVariation:
+    @given(node_values)
+    @example(np.array([-0.0]))
+    @example(np.array([0.0, -0.0]))
+    @example(np.array([-0.0, 5e-324]))
+    @example(np.array([5e-324, -5e-324, 2.5e-308, -0.0, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_sum_of_the_diff(self, values):
+        # a grid has at least 2 nodes; total_variation reads only the values
+        u = (GridFunction(Grid(0.0, 1.0, len(values)), values) if len(values) > 1
+             else SimpleNamespace(values=values))
+        expected = float(np.sum(np.abs(np.diff(values))))
+        assert_same_bits(total_variation(u), expected)
 
 
 class TestSpbdwReconstructBlock:

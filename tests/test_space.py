@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assim import (
@@ -248,6 +250,26 @@ def pair_of_functions(draw):
     u = draw(st.lists(vals, min_size=16, max_size=16))
     v = draw(st.lists(vals, min_size=16, max_size=16))
     return GridFunction(g, np.array(u)), GridFunction(g, np.array(v))
+
+
+# finite values, -0.0 and subnormals among them, at 1 to 40 nodes
+node_values = st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=40).map(np.array)
+
+
+class TestNormReduction:
+    @given(node_values)
+    @example(np.array([-0.0]))
+    @example(np.array([0.0, -0.0]))
+    @example(np.array([5e-324, -5e-324]))
+    @example(np.array([5e-324, -2.5e-308, -0.0, 1.0, 1e150]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_root_of_the_weighted_sum(self, values):
+        # a grid has at least 2 nodes; norm reads only the weights and the values
+        weights = np.array([0.5]) if len(values) == 1 else Grid(0.0, 1.0, len(values)).weights
+        u = (GridFunction(Grid(0.0, 1.0, len(values)), values) if len(values) > 1
+             else SimpleNamespace(grid=SimpleNamespace(weights=weights), values=values))
+        expected = float(np.sqrt(np.sum(weights * values**2)))
+        assert norm(u) == expected and np.signbit(norm(u)) == np.signbit(expected)
 
 
 class TestInvariants:
