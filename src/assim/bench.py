@@ -44,7 +44,6 @@ import operator
 import time
 import zlib
 from collections.abc import Callable
-from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -75,7 +74,7 @@ from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
 from .rom import decay_curve, pod
 from .solver import (StabilityError, _matvec, _plan, compute_box, pbdw_solve_block,
                      pbdw_solve_boxed_block)
-from .space import Grid, GridFunction
+from .space import Grid, GridFunction, _Record, _Value
 
 __all__ = [
     "ConfigError",
@@ -524,23 +523,15 @@ AGGREGATE_FIELDS = ("method", "n", "m", "alpha", "sigma", "mean", "max", "min", 
 POD_DECAY_FIELDS = ("label", "n", "approximation_error")
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(_Value):
     """One reconstruction outcome."""
 
-    case_id: int
-    method: str
-    n: int
-    m: int
-    alpha: float
-    sigma: float
-    error_e: float
-    beta: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.error_e) or self.error_e < 0:
-            raise ValueError(f"error_e must be finite and nonnegative, got {self.error_e}")
+    def __init__(self, case_id: int, method: str, n: int, m: int, alpha: float, sigma: float,
+                 error_e: float, beta: float, seed: int) -> None:
+        if not np.isfinite(error_e) or error_e < 0:
+            raise ValueError(f"error_e must be finite and nonnegative, got {error_e}")
+        self.__dict__.update(case_id=case_id, method=method, n=n, m=m, alpha=alpha, sigma=sigma,
+                             error_e=error_e, beta=beta, seed=seed)
 
     def key(self):
         return (self.case_id, self.method, self.n, self.m, self.alpha, self.sigma)
@@ -771,23 +762,26 @@ def _pair(cfg: dict, key: str) -> tuple[float, float]:
 def _manifold_spec(cfg: dict):
     """The experiment's manifold spec: its field ``x_range`` or ``x`` is the key ``manifold.x``."""
     cls = _EXPERIMENTS[cfg["experiment"]].manifold
-    return cls(**{field.name: _pair(cfg, f"manifold.{field.name[:-6]}")
-                  if field.name.endswith("_range") else cfg[f"manifold.{field.name}"]
-                  for field in fields(cls)})
+    return cls(**{name: _pair(cfg, f"manifold.{name[:-6]}")
+                  if name.endswith("_range") else cfg[f"manifold.{name}"]
+                  for name in cls._fields})
 
 
 # ---------------------------------------------------------------------------
 # offline set-up: everything an experiment builds before its first solve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Setup:
+class Setup(_Record):
     """The sampled snapshots, POD bases and truths of one experiment."""
 
-    grid: Grid
-    labeled: dict               # label -> (snapshots, POD basis), as pod_decay_rows takes them
-    decay_n: list[int]          # the dimensions pod_decay.csv reports
-    truth: GridFunction | None = None   # example3_analog's fixed reference profile
+    def __init__(
+        self,
+        grid: Grid,
+        labeled: dict,      # label -> (snapshots, POD basis), as pod_decay_rows takes them
+        decay_n: list[int],     # the dimensions pod_decay.csv reports
+        truth: GridFunction | None = None,  # example3_analog's fixed reference profile
+    ) -> None:
+        self.__dict__.update(grid=grid, labeled=labeled, decay_n=decay_n, truth=truth)
 
     def decay(self) -> list[dict]:
         return pod_decay_rows(self.labeled, self.decay_n)
@@ -944,8 +938,7 @@ def _errors(grid: Grid, states: np.ndarray, truths: np.ndarray,
     return (_norms(grid, diff).reshape(-1, K) / truth_norms).ravel()
 
 
-@dataclass(frozen=True)
-class _Cases:
+class _Cases(_Value):
     """One block: the cases ``case_ids`` of an (n, m) pair under each of the run's
     noise models, solved and timed together.
 
@@ -954,12 +947,16 @@ class _Cases:
     its noise.  The models differ in alpha alone.
     """
 
-    n: int
-    m: int
-    models: tuple               # the run's NoiseModels, one per alpha
-    case_ids: range
-    seeds: list[int]
-    words: np.ndarray | None    # the seeds' _pcg64_words, where the run draws noise
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        models: tuple,              # the run's NoiseModels, one per alpha
+        case_ids: range,
+        seeds: list[int],
+        words: np.ndarray | None,   # the seeds' _pcg64_words, where the run draws noise
+    ) -> None:
+        self.__dict__.update(n=n, m=m, models=models, case_ids=case_ids, seeds=seeds, words=words)
 
     def per_column(self, values) -> np.ndarray:
         """One value per model, repeated over that model's columns."""
@@ -986,8 +983,7 @@ class _Cases:
             block_ms))))
 
 
-@dataclass(frozen=True)
-class _Experiment:
+class _Experiment(_Value):
     """One experiment as the online loop runs it.
 
     ``manifold`` is the class of its manifold spec, which ``_manifold_spec``
@@ -1002,10 +998,9 @@ class _Experiment:
     model.
     """
 
-    manifold: type
-    setup: Callable[[dict, Grid, object], Setup]
-    per_run: Callable
-    chunk: int | None = None
+    def __init__(self, manifold: type, setup: Callable[[dict, Grid, object], Setup],
+                 per_run: Callable, chunk: int | None = None) -> None:
+        self.__dict__.update(manifold=manifold, setup=setup, per_run=per_run, chunk=chunk)
 
 
 def _elapsed_ms(start: float) -> float:

@@ -17,7 +17,6 @@ error of order ``alpha**2`` instead of ``alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .solver import (
     pbdw_solve_block,
     pbdw_solve_boxed,
 )
-from .space import GridFunction, Subspace
+from .space import GridFunction, Subspace, _Value
 
 __all__ = [
     "NoiseModel",
@@ -49,8 +48,7 @@ LINEAR_BIAS_GAUSSIAN = "linear_bias_gaussian"
 EMPIRICAL_TABLE = "empirical_table"
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Value):
     """Randomized observation model with a state-dependent bias.
 
     ``linear_bias_gaussian`` reads ``(1 + alpha) u`` plus Gaussian(0, sigma)
@@ -62,34 +60,31 @@ class NoiseModel:
     Monte Carlo with ``mc_samples`` draws.
     """
 
-    kind: str = LINEAR_BIAS_GAUSSIAN
-    alpha: float = 0.0
-    sigma: float = 0.0
-    mc_samples: int = 1000
-    table: tuple[tuple[float, float, float], ...] | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LINEAR_BIAS_GAUSSIAN, EMPIRICAL_TABLE):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (math.isfinite(self.sigma) and math.isfinite(self.alpha)):
-            raise ValueError(f"sigma={self.sigma} and alpha={self.alpha} must be finite")
-        if self.sigma < 0:
+    def __init__(self, kind: str = LINEAR_BIAS_GAUSSIAN, alpha: float = 0.0, sigma: float = 0.0,
+                 mc_samples: int = 1000,
+                 table: tuple[tuple[float, float, float], ...] | None = None) -> None:
+        if kind not in (LINEAR_BIAS_GAUSSIAN, EMPIRICAL_TABLE):
+            raise ValueError(f"unknown noise kind {kind!r}")
+        if not (math.isfinite(sigma) and math.isfinite(alpha)):
+            raise ValueError(f"sigma={sigma} and alpha={alpha} must be finite")
+        if sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if self.alpha <= -1:
-            raise ValueError(f"alpha={self.alpha} must exceed -1")
-        if self.mc_samples < 1:
+        if alpha <= -1:
+            raise ValueError(f"alpha={alpha} must exceed -1")
+        if mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        if self.kind == EMPIRICAL_TABLE:
-            if not self.table:
+        if kind == EMPIRICAL_TABLE:
+            if not table:
                 raise ValueError("empirical_table model needs a table")
-            table = tuple(tuple(map(float, row)) for row in self.table)
-            object.__setattr__(self, "table", table)
+            table = tuple(tuple(map(float, row)) for row in table)
             for lo, hi, _ in table:
                 if not lo < hi:
                     raise ValueError(f"table bin [{lo}, {hi}] is empty")
             for (_, hi, _), (lo, _, _) in zip(table, table[1:]):
                 if lo != hi:
                     raise ValueError("table bins must be contiguous (no gaps, no overlap)")
+        self.__dict__.update(kind=kind, alpha=alpha, sigma=sigma, mc_samples=mc_samples,
+                             table=table)
 
     def _table_offset(self, magnitude: float) -> float:
         for lo, hi, offset in self.table:
@@ -190,12 +185,14 @@ def corrected_constraint_block(
     return observed + (observed - observed * (1.0 + alpha))
 
 
-@dataclass(frozen=True, eq=False)
 class BiasCorrectedReconstruction(Reconstruction):
     """Final corrected solve plus the first-pass diagnostics."""
 
-    initial: Reconstruction | None = None
-    eta: Measurement | None = None
+    def __init__(self, state: GridFunction, rom_coeffs: np.ndarray,
+                 correction_coeffs: np.ndarray, beta: float, constraint_residual: float,
+                 initial: Reconstruction | None = None, eta: Measurement | None = None) -> None:
+        super().__init__(state, rom_coeffs, correction_coeffs, beta, constraint_residual)
+        self.__dict__.update(initial=initial, eta=eta)
 
 
 def bpbdw_reconstruct(

@@ -17,12 +17,11 @@ identical snapshot sets bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .space import Grid, GridFunction
+from .space import Grid, GridFunction, _Record, _Value
 
 __all__ = [
     "SinusoidSpec",
@@ -42,22 +41,19 @@ def _check_range(name: str, lo: float, hi: float) -> None:
         raise ValueError(f"{name} range [{lo}, {hi}] is not well ordered")
 
 
-@dataclass(frozen=True)
-class SinusoidSpec:
+class SinusoidSpec(_Value):
     """Amplitude and period ranges for the sinusoid family."""
 
-    amplitude_range: tuple[float, float] = (25.0, 40.0)
-    period_range: tuple[float, float] = (np.pi, 2 * np.pi)
-
-    def __post_init__(self) -> None:
-        _check_range("amplitude", *self.amplitude_range)
-        _check_range("period", *self.period_range)
-        if self.period_range[0] <= 0:
+    def __init__(self, amplitude_range: tuple[float, float] = (25.0, 40.0),
+                 period_range: tuple[float, float] = (np.pi, 2 * np.pi)) -> None:
+        _check_range("amplitude", *amplitude_range)
+        _check_range("period", *period_range)
+        if period_range[0] <= 0:
             raise ValueError("periods must be positive")
+        self.__dict__.update(amplitude_range=amplitude_range, period_range=period_range)
 
 
-@dataclass(frozen=True)
-class MultiscaleSpec:
+class MultiscaleSpec(_Value):
     """Parameter ranges for the oscillation-plus-jump family.
 
     ``jump_height`` is the Heaviside amplitude (the step is closed on the
@@ -66,23 +62,29 @@ class MultiscaleSpec:
     remain separable downstream.
     """
 
-    num_frequencies: int = 3
-    amplitude_range: tuple[float, float] = (0.4, 1.0)
-    period_range: tuple[float, float] = (np.pi / 4, np.pi)
-    phase_range: tuple[float, float] = (0.0, 2 * np.pi)
-    jump_location_range: tuple[float, float] = (np.pi / 2, 3 * np.pi / 2)
-    jump_height_range: tuple[float, float] = (2.5, 4.5)
-
-    def __post_init__(self) -> None:
-        if self.num_frequencies < 1:
+    def __init__(
+        self,
+        num_frequencies: int = 3,
+        amplitude_range: tuple[float, float] = (0.4, 1.0),
+        period_range: tuple[float, float] = (np.pi / 4, np.pi),
+        phase_range: tuple[float, float] = (0.0, 2 * np.pi),
+        jump_location_range: tuple[float, float] = (np.pi / 2, 3 * np.pi / 2),
+        jump_height_range: tuple[float, float] = (2.5, 4.5),
+    ) -> None:
+        if num_frequencies < 1:
             raise ValueError("num_frequencies must be >= 1")
-        _check_range("amplitude", *self.amplitude_range)
-        _check_range("period", *self.period_range)
-        if self.period_range[0] <= 0:
+        _check_range("amplitude", *amplitude_range)
+        _check_range("period", *period_range)
+        if period_range[0] <= 0:
             raise ValueError("periods must be positive")
-        _check_range("phase", *self.phase_range)
-        _check_range("jump_location", *self.jump_location_range)
-        _check_range("jump_height", *self.jump_height_range)
+        _check_range("phase", *phase_range)
+        _check_range("jump_location", *jump_location_range)
+        _check_range("jump_height", *jump_height_range)
+        self.__dict__.update(
+            num_frequencies=num_frequencies, amplitude_range=amplitude_range,
+            period_range=period_range, phase_range=phase_range,
+            jump_location_range=jump_location_range, jump_height_range=jump_height_range,
+        )
 
     def validate_on(self, grid: Grid) -> None:
         lo, hi = self.jump_location_range
@@ -92,23 +94,22 @@ class MultiscaleSpec:
             )
 
 
-@dataclass(frozen=True)
-class PowerLawSpec:
+class PowerLawSpec(_Value):
     """Power-law velocity profiles on a tube cross-section [-R, R]."""
 
-    peak_velocity_range: tuple[float, float] = (40.0, 60.0)
-    flow_index_range: tuple[float, float] = (0.8, 1.2)
-    radius: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check_range("peak_velocity", *self.peak_velocity_range)
-        _check_range("flow_index", *self.flow_index_range)
-        if self.peak_velocity_range[0] < 0:
+    def __init__(self, peak_velocity_range: tuple[float, float] = (40.0, 60.0),
+                 flow_index_range: tuple[float, float] = (0.8, 1.2),
+                 radius: float = 0.5) -> None:
+        _check_range("peak_velocity", *peak_velocity_range)
+        _check_range("flow_index", *flow_index_range)
+        if peak_velocity_range[0] < 0:
             raise ValueError("peak velocities must be nonnegative")
-        if self.flow_index_range[0] <= 0:
+        if flow_index_range[0] <= 0:
             raise ValueError("flow indices must be positive")
-        if self.radius <= 0:
+        if radius <= 0:
             raise ValueError("radius must be positive")
+        self.__dict__.update(peak_velocity_range=peak_velocity_range,
+                             flow_index_range=flow_index_range, radius=radius)
 
     def validate_on(self, grid: Grid) -> None:
         """Reject a grid whose domain is not the cross-section [-R, R]."""
@@ -117,27 +118,22 @@ class PowerLawSpec:
             raise ValueError(f"grid domain [{grid.a}, {grid.b}] must equal [-R, R] = [{-R}, {R}]")
 
 
-@dataclass(frozen=True, eq=False)
-class SnapshotSet:
+class SnapshotSet(_Record):
     """Snapshots on one grid, one per row of ``matrix``, with their parameter records."""
 
-    grid: Grid
-    matrix: np.ndarray          # (count, num_points)
-    parameters: tuple[dict, ...]
-    label: str = "full"
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "parameters", tuple(self.parameters))
-        if matrix.ndim != 2 or matrix.shape[1] != self.grid.num_points:
+    def __init__(self, grid: Grid, matrix: np.ndarray,     # (count, num_points)
+                 parameters: tuple[dict, ...], label: str = "full") -> None:
+        matrix = np.asarray(matrix, dtype=float)
+        parameters = tuple(parameters)
+        if matrix.ndim != 2 or matrix.shape[1] != grid.num_points:
             raise ValueError(
-                f"snapshot matrix has shape {matrix.shape}, expected (count, {self.grid.num_points})"
+                f"snapshot matrix has shape {matrix.shape}, expected (count, {grid.num_points})"
             )
-        if len(matrix) != len(self.parameters):
+        if len(matrix) != len(parameters):
             raise ValueError("snapshots and parameters must have equal length")
         if not np.isfinite(matrix).all():
             raise ValueError("snapshot values must be finite")
+        self.__dict__.update(grid=grid, matrix=matrix, parameters=parameters, label=label)
 
     def __len__(self) -> int:
         return len(self.matrix)

@@ -21,7 +21,6 @@ holds its candidates and their observed images as the columns of two matrices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,6 +47,7 @@ from .space import (
     GridFunction,
     GridMismatchError,
     Subspace,
+    _Record,
     orthonormalize,
 )
 
@@ -72,20 +72,22 @@ __all__ = [
 VISIBILITY_TOL = 1e-12      # observed-image norm at or below which a candidate is invisible
 
 
-@dataclass(frozen=True, eq=False)
-class SlowDictionary:
+class SlowDictionary(_Record):
     """Unit-norm slow-component candidates, as columns, and their observed images."""
 
-    candidate_matrix: np.ndarray      # (num_points, K): candidate values
-    observed: np.ndarray              # (m, K): observed image coordinates
-    parameters: tuple[dict, ...]
-    space: ObservationSpace
-
-    def __post_init__(self) -> None:
-        if len(self) == 0:
+    def __init__(
+        self,
+        candidate_matrix: np.ndarray,       # (num_points, K): candidate values
+        observed: np.ndarray,               # (m, K): observed image coordinates
+        parameters: tuple[dict, ...],
+        space: ObservationSpace,
+    ) -> None:
+        if len(parameters) == 0:
             raise ValueError("slow dictionary is empty")
-        if self.observed.shape != (self.space.m, len(self)):
+        if observed.shape != (space.m, len(parameters)):
             raise ValueError("observed image matrix has the wrong shape")
+        self.__dict__.update(candidate_matrix=candidate_matrix, observed=observed,
+                             parameters=parameters, space=space)
 
     def __len__(self) -> int:
         return len(self.parameters)
@@ -194,14 +196,12 @@ def orthogonal_search(
     return dictionary.candidates[best], amplitude, best
 
 
-@dataclass(frozen=True, eq=False)
-class Smoother:
+class Smoother(_Record):
     """One fitted slow component: unit-norm candidate and its amplitude."""
 
-    function: GridFunction
-    amplitude: float
-    index: int
-    params: dict
+    def __init__(self, function: GridFunction, amplitude: float, index: int,
+                 params: dict) -> None:
+        self.__dict__.update(function=function, amplitude=amplitude, index=index, params=params)
 
 
 def _check_greedy(rel_tol: float, max_iters: int) -> None:
@@ -271,18 +271,23 @@ def _step_sum(grid: Grid, smoothers: list[Smoother], amplitudes) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True, eq=False)
-class MultiscaleDecomposition:
+class MultiscaleDecomposition(_Record):
     """Outputs of the split reconstruction."""
 
-    smoothers: tuple[Smoother, ...]
-    f_star: GridFunction
-    omega_f: Measurement
-    u_f: Reconstruction
-    f_u: GridFunction
-    u_star: GridFunction
-    corrected_amplitudes: tuple[float, ...]
-    residual_history: tuple[float, ...]
+    def __init__(
+        self,
+        smoothers: tuple[Smoother, ...],
+        f_star: GridFunction,
+        omega_f: Measurement,
+        u_f: Reconstruction,
+        f_u: GridFunction,
+        u_star: GridFunction,
+        corrected_amplitudes: tuple[float, ...],
+        residual_history: tuple[float, ...],
+    ) -> None:
+        self.__dict__.update(smoothers=smoothers, f_star=f_star, omega_f=omega_f, u_f=u_f,
+                             f_u=f_u, u_star=u_star, corrected_amplitudes=corrected_amplitudes,
+                             residual_history=residual_history)
 
     def dominant_jump_location(self) -> float | None:
         """Location of the largest refitted step, if any step was recorded."""
@@ -354,8 +359,7 @@ def _stacked_images(dictionary: SlowDictionary, indices: np.ndarray) -> np.ndarr
     return dictionary.observed.T[indices].transpose(0, 2, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class GreedyBlock:
+class GreedyBlock(_Record):
     """``extract_smoothers`` outputs for every column of an (m, K) data block.
 
     Row k belongs to column k: the first ``counts[k]`` entries of its
@@ -364,9 +368,13 @@ class GreedyBlock:
     min(max_iters, len(dictionary)) slots.
     """
 
-    indices: np.ndarray             # (K, slots) dictionary indices
-    amplitudes: np.ndarray          # (K, slots)
-    counts: np.ndarray              # (K,) greedy iterations
+    def __init__(
+        self,
+        indices: np.ndarray,        # (K, slots) dictionary indices
+        amplitudes: np.ndarray,     # (K, slots)
+        counts: np.ndarray,         # (K,) greedy iterations
+    ) -> None:
+        self.__dict__.update(indices=indices, amplitudes=amplitudes, counts=counts)
 
     def coefficients(self, size: int, amplitudes: np.ndarray | None = None) -> np.ndarray:
         """(size, K) block holding each column's amplitudes at its selected indices."""
@@ -432,15 +440,19 @@ def extract_smoothers_block(
     return GreedyBlock(indices, amplitudes, counts)
 
 
-@dataclass(frozen=True, eq=False)
-class SplitBlock:
+class SplitBlock(_Record):
     """``spbdw_reconstruct`` outputs for every column of an (m, K) data block."""
 
-    greedy: GreedyBlock
-    f_star: np.ndarray              # (num_points, K)
-    u_f: BlockReconstruction        # smooth solve of the smoothed data
-    corrected_amplitudes: np.ndarray  # (K, slots), laid out as greedy.amplitudes
-    u_star: np.ndarray              # (num_points, K)
+    def __init__(
+        self,
+        greedy: GreedyBlock,
+        f_star: np.ndarray,                 # (num_points, K)
+        u_f: BlockReconstruction,           # smooth solve of the smoothed data
+        corrected_amplitudes: np.ndarray,   # (K, slots), laid out as greedy.amplitudes
+        u_star: np.ndarray,                 # (num_points, K)
+    ) -> None:
+        self.__dict__.update(greedy=greedy, f_star=f_star, u_f=u_f,
+                             corrected_amplitudes=corrected_amplitudes, u_star=u_star)
 
     def dominant_indices(self) -> np.ndarray:
         """Dictionary index of each column's largest refitted step; -1 without steps."""

@@ -15,7 +15,6 @@ model real transducers and keep the representers independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +25,8 @@ from .space import (
     Subspace,
     _frozen,
     _read_only,
+    _Record,
+    _Value,
     _weighted_qr,
 )
 
@@ -48,28 +49,25 @@ class DependentSensorsError(ValueError):
     """Sensor functionals are linearly dependent on the given grid."""
 
 
-@dataclass(frozen=True)
-class SensorArray:
+class SensorArray(_Value):
     """Sensor centers plus the functional kind.
 
     ``width`` is required for ``box_average`` and ignored for ``pointwise``.
     """
 
-    centers: tuple[float, ...]
-    kind: str = BOX_AVERAGE
-    width: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
-        if len(self.centers) < 1:
+    def __init__(self, centers: tuple[float, ...], kind: str = BOX_AVERAGE,
+                 width: float | None = None) -> None:
+        centers = tuple(float(c) for c in centers)
+        if len(centers) < 1:
             raise ValueError("need at least one sensor")
-        if any(c2 <= c1 for c1, c2 in zip(self.centers, self.centers[1:])):
+        if any(c2 <= c1 for c1, c2 in zip(centers, centers[1:])):
             raise ValueError("sensor centers must be strictly increasing")
-        if self.kind not in (POINTWISE, BOX_AVERAGE):
-            raise ValueError(f"unknown sensor kind {self.kind!r}")
-        if self.kind == BOX_AVERAGE:
-            if self.width is None or self.width <= 0:
+        if kind not in (POINTWISE, BOX_AVERAGE):
+            raise ValueError(f"unknown sensor kind {kind!r}")
+        if kind == BOX_AVERAGE:
+            if width is None or width <= 0:
                 raise ValueError("box_average sensors need a positive width")
+        self.__dict__.update(centers=centers, kind=kind, width=width)
 
     @property
     def m(self) -> int:
@@ -130,21 +128,18 @@ def _window_mask(grid: Grid, center, width: float) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True, eq=False)
-class ObservationSpace:
+class ObservationSpace(_Record):
     """Riesz representers of the sensors, one per row, and an orthonormal basis of their span.
 
     The representers and the matrices cached from them are read-only; a
     representer array the caller can still write to is copied first.
     """
 
-    grid: Grid
-    sensors: SensorArray
-    representers: np.ndarray        # (m, num_points)
-    onb: Subspace
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "representers", _read_only(self.representers))
+    def __init__(self, grid: Grid, sensors: SensorArray,
+                 representers: np.ndarray,      # (m, num_points)
+                 onb: Subspace) -> None:
+        self.__dict__.update(grid=grid, sensors=sensors, representers=_read_only(representers),
+                             onb=onb)
 
     @property
     def m(self) -> int:
@@ -182,20 +177,16 @@ class ObservationSpace:
         return self.raw_to_onb_matrix @ np.asarray(coords, dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class Measurement:
+class Measurement(_Record):
     """Coordinates of an observation-space element in the orthonormal basis."""
 
-    coeffs: np.ndarray
-    space: ObservationSpace
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.shape != (self.space.m,):
-            raise ValueError(f"expected {self.space.m} coefficients, got {coeffs.shape}")
+    def __init__(self, coeffs: np.ndarray, space: ObservationSpace) -> None:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape != (space.m,):
+            raise ValueError(f"expected {space.m} coefficients, got {coeffs.shape}")
         if not np.isfinite(coeffs).all():
             raise ValueError("measurement coefficients must be finite")
+        self.__dict__.update(coeffs=coeffs, space=space)
 
     def lift(self) -> GridFunction:
         """The observation-space element with these coordinates."""

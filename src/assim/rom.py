@@ -11,12 +11,10 @@ backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .manifold import SnapshotSet
-from .space import GridMismatchError, Subspace
+from .space import GridMismatchError, Subspace, _Record
 
 __all__ = [
     "ReducedBasis",
@@ -27,22 +25,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedBasis:
+class ReducedBasis(_Record):
     """POD subspace together with the full singular spectrum."""
 
-    subspace: Subspace
-    singular_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        sv = np.asarray(self.singular_values, dtype=float)
-        object.__setattr__(self, "singular_values", sv)
+    def __init__(self, subspace: Subspace, singular_values: np.ndarray) -> None:
+        sv = np.asarray(singular_values, dtype=float)
         if np.any(sv < -1e-300):
             raise ValueError("singular values must be nonnegative")
         if np.any(np.diff(sv) > 1e-12 * max(sv[0] if sv.size else 0.0, 1.0)):
             raise ValueError("singular values must be nonincreasing")
-        if self.subspace.dimension > sv.size:
+        if subspace.dimension > sv.size:
             raise ValueError("basis dimension exceeds the number of snapshots")
+        self.__dict__.update(subspace=subspace, singular_values=sv)
 
     @property
     def dimension(self) -> int:

@@ -54,13 +54,12 @@ import functools
 import math
 import operator
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .manifold import SnapshotSet
 from .obs import Measurement, ObservationSpace, cross_gramian
-from .space import GridFunction, GridMismatchError, Subspace
+from .space import GridFunction, GridMismatchError, Subspace, _Record
 
 __all__ = [
     "Reconstruction",
@@ -92,34 +91,26 @@ class StabilityError(RuntimeError):
     """The background space is not observable enough for a stable solve."""
 
 
-@dataclass(frozen=True, eq=False)
-class Reconstruction:
+class Reconstruction(_Record):
     """Reconstructed state plus solve diagnostics."""
 
-    state: GridFunction
-    rom_coeffs: np.ndarray
-    correction_coeffs: np.ndarray
-    beta: float
-    constraint_residual: float
+    def __init__(self, state: GridFunction, rom_coeffs: np.ndarray,
+                 correction_coeffs: np.ndarray, beta: float, constraint_residual: float) -> None:
+        self.__dict__.update(state=state, rom_coeffs=rom_coeffs,
+                             correction_coeffs=correction_coeffs, beta=beta,
+                             constraint_residual=constraint_residual)
 
 
-@dataclass(frozen=True, eq=False)
-class Box:
+class Box(_Record):
     """Per-coefficient bounds for the background component.
 
     A bound may be infinite, which leaves its side of the coordinate open;
     ``lo == hi`` fixes the coordinate, at a finite value.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    fixed: np.ndarray = field(init=False, repr=False)  # lo == hi
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape:
             raise ValueError("bound arrays must have the same shape")
         if lo.ndim != 1:
@@ -131,7 +122,7 @@ class Box:
         fixed = lo == hi
         if np.isinf(lo[fixed]).any():
             raise ValueError("a fixed coordinate (lo == hi) must have a finite bound")
-        object.__setattr__(self, "fixed", fixed)
+        self.__dict__.update(lo=lo, hi=hi, fixed=fixed)
 
     @property
     def dimension(self) -> int:
@@ -148,8 +139,7 @@ def _target_coeffs(target, space: ObservationSpace) -> np.ndarray:
     raise TypeError(f"target must be a Measurement or GridFunction, got {type(target)!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class BlockReconstruction:
+class BlockReconstruction(_Record):
     """K reconstructions on one (background, observation space) pair.
 
     Column k of every array belongs to the k-th data column; ``observed``
@@ -160,16 +150,21 @@ class BlockReconstruction:
     column (``_SolvePlan.assemble``).
     """
 
-    states: np.ndarray              # (num_points, K)
-    rom_coeffs: np.ndarray          # (n, K)
-    correction_coeffs: np.ndarray   # (m, K)
-    observed: np.ndarray            # (m, K)
-    beta: float
-    constraint_residuals: np.ndarray  # (K,)
+    def __init__(
+        self,
+        states: np.ndarray,                 # (num_points, K)
+        rom_coeffs: np.ndarray,             # (n, K)
+        correction_coeffs: np.ndarray,      # (m, K)
+        observed: np.ndarray,               # (m, K)
+        beta: float,
+        constraint_residuals: np.ndarray,   # (K,)
+    ) -> None:
+        self.__dict__.update(states=states, rom_coeffs=rom_coeffs,
+                             correction_coeffs=correction_coeffs, observed=observed, beta=beta,
+                             constraint_residuals=constraint_residuals)
 
 
-@dataclass(frozen=True, eq=False)
-class _SolvePlan:
+class _SolvePlan(_Record):
     """Offline part of the solve for one (background, observation space) pair.
 
     ``pinv`` is None when ``beta`` falls below ``BETA_FLOOR``: such a pair is
@@ -177,19 +172,24 @@ class _SolvePlan:
     and ``Ut`` are the SVD factors diag(S) V^T and U^T of G = U diag(S) V^T
     that the box-constrained solve runs on, and ``free_sets`` caches what
     that solve needs of each subset of R's columns it has visited so far (see
-    ``_bvls``).  The remaining fields are the two bases' cached matrices, kept
-    here so that the online kernel needs nothing but the plan.
+    ``_bvls``); each plan starts its own, empty.  The remaining fields are the
+    two bases' cached matrices, kept here so that the online kernel needs
+    nothing but the plan.
     """
 
-    G: np.ndarray
-    beta: float
-    pinv: np.ndarray | None
-    R: np.ndarray                   # (n, n)
-    Ut: np.ndarray                  # (n, m)
-    background_t: np.ndarray        # (num_points, n): background basis as columns
-    onb_t: np.ndarray               # (num_points, m): observation onb as columns
-    onb_weighted: np.ndarray        # (m, num_points): maps states to onb coordinates
-    free_sets: dict = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        G: np.ndarray,
+        beta: float,
+        pinv: np.ndarray | None,
+        R: np.ndarray,                  # (n, n)
+        Ut: np.ndarray,                 # (n, m)
+        background_t: np.ndarray,       # (num_points, n): background basis as columns
+        onb_t: np.ndarray,              # (num_points, m): observation onb as columns
+        onb_weighted: np.ndarray,       # (m, num_points): maps states to onb coordinates
+    ) -> None:
+        self.__dict__.update(G=G, beta=beta, pinv=pinv, R=R, Ut=Ut, background_t=background_t,
+                             onb_t=onb_t, onb_weighted=onb_weighted, free_sets={})
 
     def assemble(self, D: np.ndarray, C: np.ndarray,
                  columnwise: bool = False) -> BlockReconstruction:

@@ -12,11 +12,14 @@ is all the downstream reconstruction machinery relies on.  A subspace is one
 The grid's nodes and weights, a subspace's matrix and the matrices cached from
 them are read-only, so that nothing derived from them, such as a solve plan,
 can go stale.
+
+The package's records (grids, bases, measurements, specs, results) derive
+from ``_Record``: plain classes whose constructor checks its arguments and
+then stores each field once, and which refuse any later assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +40,53 @@ ORTHONORMALITY_TOL = 1e-10
 DROP_TOL = 1e-10        # relative residual below which orthonormalization drops a row
 
 
+class _Record:
+    """An immutable record.
+
+    A subclass's ``__init__`` checks and normalises its arguments, then
+    stores each field once, straight into ``__dict__``; a cached property
+    stores its value there too.  Assigning or deleting an attribute later
+    raises ``AttributeError``.  The fields are the parameters of ``__init__``,
+    named in order by ``_fields``, which ``repr`` shows.  A record compares
+    by identity.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A record that compares equal to a record of its own class with equal
+    ``_fields``, and hashes by them."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or _field_values(self) == _field_values(other)
+
+    def __hash__(self) -> int:
+        return hash(_field_values(self))
+
+
+def _field_values(record: _Record) -> tuple:
+    return tuple([getattr(record, name) for name in record._fields])
+
+
 class GridMismatchError(ValueError):
     """Two grid functions come from incompatible discretizations."""
 
@@ -45,19 +95,15 @@ class NotOrthonormalError(ValueError):
     """A basis that must be orthonormal is not."""
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(_Value):
     """Uniform grid on [a, b] with trapezoid quadrature weights."""
 
-    a: float
-    b: float
-    num_points: int
-
-    def __post_init__(self) -> None:
-        if not self.b > self.a:
-            raise ValueError(f"grid requires b > a, got [{self.a}, {self.b}]")
-        if self.num_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.num_points}")
+    def __init__(self, a: float, b: float, num_points: int) -> None:
+        if not b > a:
+            raise ValueError(f"grid requires b > a, got [{a}, {b}]")
+        if num_points < 2:
+            raise ValueError(f"grid needs at least 2 points, got {num_points}")
+        self.__dict__.update(a=a, b=b, num_points=num_points)
 
     @property
     def h(self) -> float:
@@ -81,22 +127,18 @@ class Grid:
         return GridFunction(self, np.asarray(f(self.nodes), dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(_Record):
     """Real values on a grid; an element of the ambient space."""
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.num_points,):
+    def __init__(self, grid: Grid, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.num_points,):
             raise ValueError(
-                f"values have shape {values.shape}, expected ({self.grid.num_points},)"
+                f"values have shape {values.shape}, expected ({grid.num_points},)"
             )
         if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
+        self.__dict__.update(grid=grid, values=values)
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         _check_same_grid(self, other)
@@ -158,8 +200,7 @@ def norm(u: GridFunction) -> float:
     return float(np.sqrt(np.add.reduce(u.grid.weights * u.values**2)))
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
+class Subspace(_Record):
     """Orthonormal basis, one grid function per row of a read-only C-contiguous matrix.
 
     Shape, finiteness and orthonormality are checked once, here; a matrix
@@ -167,17 +208,15 @@ class Subspace:
     Construct via :func:`orthonormalize` unless the rows are orthonormal already.
     """
 
-    grid: Grid
-    matrix: np.ndarray          # (dimension, num_points)
-
-    def __post_init__(self) -> None:
-        matrix = _read_only(self.matrix)
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2 or matrix.shape[1] != self.grid.num_points:
+    def __init__(self, grid: Grid, matrix: np.ndarray) -> None:   # (dimension, num_points)
+        matrix = _read_only(matrix)
+        if matrix.ndim != 2 or matrix.shape[1] != grid.num_points:
             raise ValueError(f"basis matrix has shape {matrix.shape}, "
-                             f"expected (dimension, {self.grid.num_points})")
+                             f"expected (dimension, {grid.num_points})")
         if not np.isfinite(matrix).all():
             raise ValueError("basis values must be finite")
+        self.__dict__.update(grid=grid, matrix=matrix)
+        # the orthonormality check caches weighted_matrix for the solves to come
         gram = self.weighted_matrix @ matrix.T
         if np.abs(gram - np.eye(self.dimension)).max(initial=0.0) > ORTHONORMALITY_TOL:
             raise NotOrthonormalError("basis is not orthonormal; run orthonormalize() first")

@@ -1,6 +1,6 @@
 import contextlib
 import csv
-import dataclasses
+import inspect
 import io
 import itertools
 import json
@@ -192,7 +192,8 @@ class TestConfigParsing:
         cfg = default_config(experiment)
         assert _manifold_spec(cfg) == spec
         assert {key for key in cfg if key.startswith("manifold.")} == {
-            "manifold." + field.name.removesuffix("_range") for field in dataclasses.fields(spec)}
+            "manifold." + name.removesuffix("_range")
+            for name in inspect.signature(type(spec)).parameters}
 
     def test_set_up_validates_a_dict_edited_by_hand(self, monkeypatch):
         monkeypatch.setattr(assim.bench, "sample_sinusoids", lambda *args: pytest.fail("sampled"))
