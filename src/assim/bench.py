@@ -70,7 +70,7 @@ from .manifold import (
     unit_steps,
 )
 from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
-                  build_observation_space, observe)
+                  build_observation_space)
 from .rom import decay_curve, pod
 from .solver import (StabilityError, _matvec, _plan, compute_box, pbdw_solve_block,
                      pbdw_solve_boxed_block)
@@ -787,31 +787,33 @@ class Setup(_Record):
         return pod_decay_rows(self.labeled, self.decay_n)
 
 
+def _sample(cfg: dict, sampler: Callable, spec, grid: Grid, stage: str):
+    """The ``stage`` snapshots ("training" or "validation"), ``<stage>.count`` of them.
+    Snapshots that overflow are rejected naming the manifold keys, without numpy's warnings."""
+    keys = ", ".join(key for key in cfg if key.startswith("manifold."))
+    with np.errstate(over="ignore", invalid="ignore"), _naming(keys):
+        return sampler(spec, grid, cfg[f"{stage}.count"], derive_seed(cfg["master_seed"], stage))
+
+
 def _setup_example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> Setup:
-    master = cfg["master_seed"]
-    training = sample_sinusoids(spec, grid, cfg["training.count"], derive_seed(master, "training"))
+    training = _sample(cfg, sample_sinusoids, spec, grid, "training")
     basis = pod(training, max(cfg["sweep.n"]))
 
     if cfg["validation.reuse_training"]:
         count = cfg["validation.count"]
         truths = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
     else:
-        truths = sample_sinusoids(spec, grid, cfg["validation.count"],
-                                  derive_seed(master, "validation"))
+        truths = _sample(cfg, sample_sinusoids, spec, grid, "validation")
     _check_truth_scale(cfg, truths.matrix, basis, "manifold.amplitude", "manifold.amplitude")
     return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"])
 
 
 def _setup_example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> Setup:
-    master = cfg["master_seed"]
-
-    fast_train, _slow_train, full_train = sample_multiscale(spec, grid, cfg["training.count"],
-                                                            derive_seed(master, "training"))
+    fast_train, _slow_train, full_train = _sample(cfg, sample_multiscale, spec, grid, "training")
     n_max = max(cfg["sweep.n"])
     fast_basis, full_basis = pod(fast_train, n_max), pod(full_train, n_max)
 
-    fast_val, _slow_val, full_val = sample_multiscale(spec, grid, cfg["validation.count"],
-                                                      derive_seed(master, "validation"))
+    fast_val, _slow_val, full_val = _sample(cfg, sample_multiscale, spec, grid, "validation")
     # the truths and the snapshots are smooth parts plus jumps: the wider range sets their scale
     key = max(("manifold.amplitude", "manifold.jump_height"), key=lambda k: max(map(abs, cfg[k])))
     _check_truth_scale(cfg, full_val.matrix, full_basis, key, key)
@@ -850,8 +852,7 @@ def _check_truth_scale(cfg: dict, truths: np.ndarray, basis, truth_key: str,
 
 
 def _setup_example3_analog(cfg: dict, grid: Grid, spec: PowerLawSpec) -> Setup:
-    seed = derive_seed(cfg["master_seed"], "training")
-    training = sample_powerlaw(spec, grid, cfg["training.count"], seed)
+    training = _sample(cfg, sample_powerlaw, spec, grid, "training")
     basis = pod(training, max(cfg["sweep.n"]))
     truth = powerlaw_profile(
         grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
@@ -859,6 +860,15 @@ def _setup_example3_analog(cfg: dict, grid: Grid, spec: PowerLawSpec) -> Setup:
     _check_truth_scale(cfg, truth.values[None], basis, "truth.peak_velocity",
                        "manifold.peak_velocity")
     return Setup(grid, {"full": (training, basis)}, sorted(cfg["sweep.n"]), truth)
+
+
+def _numerical_rank(basis, count: int) -> int:
+    """The rank of a weighted training matrix of ``count`` snapshots, from the singular
+    values its POD ``basis`` keeps, by numpy's ``matrix_rank`` rule:
+    sigma_k > max(shape) * eps * sigma_1."""
+    values = basis.singular_values
+    size = max(basis.subspace.grid.num_points, count)
+    return int(np.count_nonzero(values > size * np.finfo(float).eps * values[0]))
 
 
 def setup_experiment(cfg: dict) -> Setup:
@@ -879,49 +889,23 @@ def _is_exact(model: NoiseModel) -> bool:
     return model.alpha == 0.0 and model.sigma == 0.0 and model.kind == LINEAR_BIAS_GAUSSIAN
 
 
-class _Observed:
-    """A (num_points, K) truth block's clean observations on one space, each made on first use."""
+def _data_block(raw: np.ndarray, space, cases: _Cases) -> np.ndarray:
+    """m x AK onb data of a block's K truths, whose m x K sensor readings are ``raw``,
+    under its A noise models (``_Cases``).
 
-    def __init__(self, truths: np.ndarray, space) -> None:
-        self.truths, self.space = truths, space
-
-    @cached_property
-    def raw(self) -> np.ndarray:
-        """m x K raw sensor readings."""
-        return self.space.functional_matrix @ self.truths
-
-    @cached_property
-    def exact(self) -> np.ndarray:
-        """m x K exact onb coordinates."""
-        return self.space.onb.weighted_matrix @ self.truths
-
-
-def _data_block(observed: _Observed, cases: _Cases) -> np.ndarray:
-    """m x AK onb data of the block's K truths under its A noise models (``_Cases``).
-
-    Column j is ``observe_noisy`` of its truth up to roundoff, its seed drawing
-    its noise: the exact coordinates where its model is noiseless, else
-    ``apply_noise``'s, with its own alpha broadcast over the rows.  Every
-    model a config builds is linear_bias_gaussian.
+    Column j follows ``observe_noisy``'s one rule, noiseless or not, up to
+    roundoff: its readings times 1 + its alpha, plus its seed's
+    ``_normal_columns`` draw when sigma > 0, mapped by ``coords_from_raw``.
+    Every model a config builds is linear_bias_gaussian.
     """
-    slopes = len(cases.models)
-    exact = cases.per_column([_is_exact(model) for model in cases.models])
-    if exact.all():
-        return np.tile(observed.exact, slopes)
-    readings = (1.0 + cases.alpha) * np.tile(observed.raw, slopes)
+    readings = (1.0 + cases.alpha) * np.tile(raw, len(cases.models))
     if (sigma := cases.models[0].sigma) > 0:
-        readings = readings + _normal_columns(cases.words, sigma, observed.space.m)
-    data = observed.space.coords_from_raw(readings)
-    if exact.any():     # the alpha = 0 columns of a noiseless run
-        data[:, exact] = np.tile(observed.exact, slopes)[:, exact]
-    return data
+        readings = readings + _normal_columns(cases.words, sigma, space.m)
+    return space.coords_from_raw(readings)
 
 
-def observe_noisy(truth, space, model: NoiseModel, seed: int):
-    """Noisy observation, falling back to the exact one for a degenerate model."""
-    if _is_exact(model):
-        return observe(truth, space)
-    return apply_noise(truth, space, model, seed)
+# one observation rule, noiseless or not; the benchmark's library runner imports it by this name
+observe_noisy = apply_noise
 
 
 def _norms(grid: Grid, block: np.ndarray) -> np.ndarray:
@@ -938,7 +922,7 @@ def _errors(grid: Grid, states: np.ndarray, truths: np.ndarray,
     return (_norms(grid, diff).reshape(-1, K) / truth_norms).ravel()
 
 
-class _Cases(_Value):
+class _Cases(_Record):
     """One block: the cases ``case_ids`` of an (n, m) pair under each of the run's
     noise models, solved and timed together.
 
@@ -958,14 +942,10 @@ class _Cases(_Value):
     ) -> None:
         self.__dict__.update(n=n, m=m, models=models, case_ids=case_ids, seeds=seeds, words=words)
 
-    def per_column(self, values) -> np.ndarray:
-        """One value per model, repeated over that model's columns."""
-        return np.repeat(values, len(self.case_ids))
-
     @cached_property
     def alpha(self) -> np.ndarray:
-        """Each column's bias slope."""
-        return self.per_column([model.alpha for model in self.models])
+        """Each column's bias slope: its model's, repeated over that model's columns."""
+        return np.repeat([model.alpha for model in self.models], len(self.case_ids))
 
     def emit(self, result: RunResult, method: str, errors, beta: float, block_ms: float) -> None:
         """The block's result columns, one cell per model, and its one timing row for ``method``.
@@ -983,7 +963,7 @@ class _Cases(_Value):
             block_ms))))
 
 
-class _Experiment(_Value):
+class _Experiment(_Record):
     """One experiment as the online loop runs it.
 
     ``manifold`` is the class of its manifold spec, which ``_manifold_spec``
@@ -1016,9 +996,12 @@ def run_experiment(cfg: dict) -> RunResult:
     example1 solves one block per (n, m) pair across its alpha sweep.  Every
     case seed, one per (case, m, n, alpha), comes from that layout in one
     ``derive_seeds`` pass and the loop walks the same layout, so the two
-    orders cannot drift apart.  A cell with n > m, or whose solve plan is
-    unstable (``StabilityError``), is skipped and listed in ``skipped``; a
-    run whose every cell with n <= m is unstable raises the first error.
+    orders cannot drift apart.  A cell with n > m, with n above the numerical
+    rank of a label's training set (``_numerical_rank``), or whose solve plan
+    is unstable (``StabilityError``), is skipped and listed in ``skipped``.  A
+    run whose every cell is skipped for its rank raises a ``ConfigError``
+    naming ``sweep.n``; one whose every other cell is unstable raises the first
+    error.
     """
     spec = _EXPERIMENTS[cfg["experiment"]]
     setup = setup_experiment(cfg)
@@ -1027,9 +1010,23 @@ def run_experiment(cfg: dict) -> RunResult:
     swept = "sweep.alpha" in cfg
     models = tuple(NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
                    for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]]))
-    # cells with n > m are skipped; _validate has checked that one is not
+    ranks = {label: _numerical_rank(basis, cfg["training.count"])
+             for label, (_, basis) in setup.labeled.items()}
+
+    def skip_reason(n: int, m: int) -> str:
+        if n > m:
+            return "n > m"
+        return next((f"n exceeds the numerical rank {rank} of the {label!r} training set"
+                     for label, rank in ranks.items() if n > rank), "")
+
+    reasons = {(n, m): skip_reason(n, m) for m in cfg["sweep.m"] for n in cfg["sweep.n"]}
+    # _validate has checked that some cell has n <= m
+    if all(reasons.values()):
+        label = min(ranks, key=ranks.get)
+        raise ConfigError(f"sweep.n={cfg['sweep.n']}: every n <= m exceeds the numerical rank "
+                          f"{ranks[label]} of the {label!r} training set")
     blocks = [(m, n, range(lo, min(lo + chunk, count)))
-              for m in cfg["sweep.m"] for n in cfg["sweep.n"] if n <= m
+              for m in cfg["sweep.m"] for n in cfg["sweep.n"] if not reasons[(n, m)]
               for lo in range(0, count, chunk)]
     # each column's key ("noise", case_id, "m", m, "n", n[, "alpha", repr(alpha)]) as the
     # text derive_seed hashes, formatted from one template per block and model
@@ -1050,16 +1047,15 @@ def run_experiment(cfg: dict) -> RunResult:
     per_m = spec.per_run(cfg, setup)
 
     result = RunResult(cfg, pod_decay=setup.decay(), skipped=[
-        {"n": n, "m": m, "reason": "n > m"}
-        for m in cfg["sweep.m"] for n in cfg["sweep.n"] if n > m])
+        {"n": n, "m": m, "reason": reason} for (n, m), reason in reasons.items() if reason])
     taken, unstable = 0, []
     for m, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
         group = list(group)
         try:
             space = build_observation_space(_sensor_array(cfg, m, setup.grid), setup.grid)
-        except DependentSensorsError:     # a width of 0, the sensor spacing, keeps its text
+        except DependentSensorsError as exc:     # a width of 0, the sensor spacing, names m
             if not (width := cfg["sensors.width"]):
-                raise
+                raise ConfigError(f"sweep.m={m}: {exc}") from None
             raise ConfigError(f"sensors.width={width} with sweep.m={m}: box sensors this wide "
                               f"are linearly dependent on this grid; narrow them, or set 0 for "
                               f"the sensor spacing") from None
@@ -1096,11 +1092,11 @@ def _example1(cfg: dict, setup: Setup) -> Callable:
     truth_norms = _norms(grid, truths)
 
     def per_m(space) -> Callable:
-        observed = _Observed(truths, space)
+        raw = space.functional_matrix @ truths
 
         def solve(backgrounds, cases: _Cases, _diagnostics: list) -> list:
             (background,) = backgrounds
-            data = _data_block(observed, cases)
+            data = _data_block(raw, space, cases)
             start = time.perf_counter()
             plain = pbdw_solve_block(data, background, space)
             plain_ms = _elapsed_ms(start)
@@ -1146,7 +1142,7 @@ def _example2(cfg: dict, setup: Setup) -> Callable:
             (model,) = cases.models
             ids = cases.case_ids
             truth_block = np.ascontiguousarray(truths[ids.start:ids.stop].T)
-            data = _data_block(_Observed(truth_block, space), cases)
+            data = _data_block(space.functional_matrix @ truth_block, space, cases)
             start = time.perf_counter()
             split = spbdw_reconstruct_block(
                 data, fast_bg, space, dictionary,
@@ -1189,9 +1185,10 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
     one block solve of every case.
 
     Every column equals the per-case route bit for bit: ``observe_noisy``'s
-    data (the biased clean readings plus ``default_rng(seed).normal``, drawn
-    by ``_normal_columns``, mapped to onb coordinates one column at a time),
-    then ``pbdw_solve_boxed`` and ``bpbdw_reconstruct(box=)``, whose columns
+    one rule, noiseless or not (the biased clean readings, plus
+    ``default_rng(seed).normal`` drawn by ``_normal_columns`` when sigma > 0,
+    mapped to onb coordinates one row at a time by ``_matvec``), then
+    ``pbdw_solve_boxed`` and ``bpbdw_reconstruct(box=)``, whose columns
     ``pbdw_solve_boxed_block`` reproduces.  The errors and mode-1 energy
     fractions are reductions over one contiguous row per case, as each
     per-case reduction runs over its own vector.  The benchmark's library
@@ -1225,14 +1222,10 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
                 boxes[background] = compute_box(training, background, cfg["box.margin"])
             box = boxes[background]
             (model,) = cases.models
-            count = len(cases.case_ids)
-            if _is_exact(model):
-                data = np.tile(space.onb.coefficients(truth), (count, 1))
-            else:
-                readings = np.tile(model.biased_readings(clean), (count, 1))
-                if model.sigma > 0:
-                    readings = readings + _normal_columns(cases.words, model.sigma, space.m).T
-                data = _matvec(space.raw_to_onb_inverse, readings)
+            readings = np.tile(model.biased_readings(clean), (len(cases.case_ids), 1))
+            if model.sigma > 0:
+                readings = readings + _normal_columns(cases.words, model.sigma, space.m).T
+            data = _matvec(space.raw_to_onb_inverse, readings)
             start = time.perf_counter()
             plain = pbdw_solve_boxed_block(data.T, background, space, box)
             plain_ms = _elapsed_ms(start)

@@ -110,12 +110,11 @@ class NoiseModel(_Value):
 def apply_noise(
     u: GridFunction, space: ObservationSpace, model: NoiseModel, seed: int
 ) -> Measurement:
-    """One noisy observation of a state, deterministic under ``seed``."""
-    rng = np.random.default_rng(seed)
-    clean = space.apply_functionals(u)
-    readings = model.biased_readings(clean)
+    """One observation of a state: its biased sensor readings, plus
+    ``default_rng(seed).normal(0, sigma)`` when sigma > 0, in onb coordinates."""
+    readings = model.biased_readings(space.apply_functionals(u))
     if model.sigma > 0:
-        readings = readings + rng.normal(0.0, model.sigma, space.m)
+        readings = readings + np.random.default_rng(seed).normal(0.0, model.sigma, space.m)
     return Measurement(space.coords_from_raw(readings), space)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -9,6 +10,21 @@ from assim import Grid
 # the cross-commit contract's rule (tests/reference/regenerate.py) is shared by its
 # own test and by the oracle tests that check matrix forms under the same tolerance
 sys.path.insert(0, str(Path(__file__).parent / "reference"))
+
+
+@pytest.fixture(scope="session")
+def checks():
+    """``perfbench/checks.py``, loaded from its path as it is."""
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    # checks.py imports its sibling workloads.py; both use the standard library only
+    sys.path.insert(0, str(perfbench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_checks", perfbench / "checks.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(perfbench))
+    return module
 
 
 @pytest.fixture

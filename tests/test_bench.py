@@ -414,7 +414,9 @@ class TestExample1BlockPath:
             assert (row.beta, row.seed) == (single[key].beta, single[key].seed)
 
     def test_noiseless_alpha_zero_columns_keep_the_exact_coordinates(self, monkeypatch):
-        # at sigma = 0 a block mixes exact columns (alpha = 0) with biased ones
+        # at sigma = 0 a block mixes unbiased columns (alpha = 0) with biased ones; all of
+        # them are their readings times 1 + alpha in onb coordinates, so the unbiased ones
+        # are the exact coordinates up to roundoff
         data_blocks = []
         solve = assim.bench.pbdw_solve_block
 
@@ -433,9 +435,10 @@ class TestExample1BlockPath:
         for data, space in data_blocks:
             K = truths.shape[1]
             biased, exact, more_biased = (data[:, a * K:(a + 1) * K] for a in range(3))
-            assert np.array_equal(exact, space.onb.weighted_matrix @ truths)
+            coords = space.onb.weighted_matrix @ truths
+            np.testing.assert_allclose(exact, coords, rtol=0, atol=1e-12 * np.abs(coords).max())
             raw = space.functional_matrix @ truths
-            for got, gain in ((biased, 1.1), (more_biased, 1.2)):
+            for got, gain in ((biased, 1.1), (exact, 1.0), (more_biased, 1.2)):
                 want = space.coords_from_raw(gain * raw)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -1264,16 +1267,16 @@ class TestCli:
         assert len(calls) == 1
 
     def test_dependent_pointwise_sensors_message_pinned(self, tmp_path, capsys):
-        # 40 pointwise sensors on 20 nodes: the message names every sensor that
-        # shares a node with an earlier one, exactly as before the QR kernel
+        # 40 pointwise sensors on 20 nodes: the message names the key, then every
+        # sensor that shares a node with an earlier one, exactly as before the QR kernel
         out_dir = tmp_path / "o"
         code = cli_main(["run", "--config", str(CONFIGS / "example1.cfg"),
                          "--set", "sensors.kind=pointwise", "--set", "grid.num_points=20",
                          "--set", "sweep.m=40", "--set", "sweep.n=3", "--out", str(out_dir)])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: sensors #2 (center 0.392699), #4 (center 0.706858), #6 (center 1.02102), "
-            "#8 (center 1.33518), #10 (center 1.64934), #11 (center 1.80642), "
+            "error: sweep.m=40: sensors #2 (center 0.392699), #4 (center 0.706858), "
+            "#6 (center 1.02102), #8 (center 1.33518), #10 (center 1.64934), #11 (center 1.80642), "
             "#13 (center 2.12058), #15 (center 2.43473), #17 (center 2.74889), "
             "#19 (center 3.06305), #21 (center 3.37721), #23 (center 3.69137), "
             "#25 (center 4.00553), #27 (center 4.31969), #29 (center 4.63385), "
@@ -1348,7 +1351,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "config, overrides, cells",
         [
-            ("example1.cfg", ["sweep.m=10,40", "sweep.n=5,20"], {(5, 10), (5, 40), (20, 40)}),
+            ("example1.cfg", ["sweep.m=10,40", "sweep.n=5,12"], {(5, 10), (5, 40), (12, 40)}),
             ("example2.cfg", ["sweep.m=10,40", "sweep.n=5,20"], {(5, 10), (5, 40), (20, 40)}),
             ("example3.cfg", ["sweep.m=5,20", "sweep.n=3,8"], {(3, 5), (3, 20), (8, 20)}),
         ],
@@ -1366,48 +1369,85 @@ class TestCli:
         count = load_config(CONFIGS / config)["validation.count"]
         assert len(rows) == 2 * len(cells) * count
 
+    # identical training snapshots: the weighted snapshot matrix has numerical rank 1
+    SAME_SNAPSHOTS = ["manifold.amplitude=30,30", "manifold.period=3,3"]
+
+    def test_cells_above_the_numerical_rank_skipped(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        args = ["run", "--config", str(CONFIGS / "example1.cfg"), "--out", str(out_dir)]
+        for override in [*self.SAME_SNAPSHOTS, "sweep.n=1,2,3,6,12"]:
+            args += ["--set", override]
+        assert cli_main(args) == 0
+        with open(out_dir / "results.csv") as fh:
+            fh.readline()
+            assert {int(r["n"]) for r in csv.DictReader(fh)} == {1}
+        reason = "n exceeds the numerical rank 1 of the 'full' training set"
+        skipped = json.loads((out_dir / "run.json").read_text())["skipped"]
+        assert skipped == [{"n": n, "m": 25, "reason": reason} for n in (2, 3, 6, 12)]
+        assert capsys.readouterr().out.splitlines()[-4:] == [
+            f"skipped n={n} m=25: {reason}" for n in (2, 3, 6, 12)]
+
+    @pytest.mark.parametrize("overrides, names", [
+        # every n <= m is above the training set's rank
+        (SAME_SNAPSHOTS + ["sweep.n=2,3"], ["sweep.n=[2, 3]", "numerical rank 1"]),
+        # a grid of 5 nodes has rank 5, so n = 6 is skipped, not truncated; its 8 sensors
+        # of the sensor spacing share nodes
+        (["grid.num_points=5", "sweep.m=8"], ["sweep.m=8: sensors #2"]),
+    ], ids=["every_cell_above_the_rank", "grid_coarser_than_n"])
+    def test_no_cell_left_names_its_key(self, tmp_path, capsys, overrides, names):
+        out_dir = tmp_path / "o"
+        args = ["run", "--config", str(CONFIGS / "example1.cfg"), "--out", str(out_dir)]
+        for override in overrides:
+            args += ["--set", override]
+        assert cli_main(args) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and all(name in line for name in names), line
+        assert captured.out == "" and not out_dir.exists()
+
     def test_unstable_cell_after_a_skipped_one(self, tmp_path, capsys):
-        # (25, 20) is skipped as n > m; (25, 40) passes that check but its beta is
-        # below the floor, so it is skipped too and the stable cells are written
+        # (8, 5) is skipped as n > m; (8, 10) passes that check and n = 8 is the
+        # training set's numerical rank, but its beta is below the floor, so it is
+        # skipped too and the stable cells are written
         out_dir = tmp_path / "o"
         code = cli_main(["run", "--config", str(CONFIGS / "example3.cfg"), "--set",
-                         "sweep.m=20,40", "--set", "sweep.n=5,25", "--out", str(out_dir)])
+                         "sweep.m=5,10", "--set", "sweep.n=3,8", "--out", str(out_dir)])
         assert code == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         with open(out_dir / "results.csv") as fh:
             fh.readline()
-            assert {(int(r["n"]), int(r["m"])) for r in csv.DictReader(fh)} == {(5, 20), (5, 40)}
+            assert {(int(r["n"]), int(r["m"])) for r in csv.DictReader(fh)} == {(3, 5), (3, 10)}
         skipped = json.loads((out_dir / "run.json").read_text())["skipped"]
-        assert [(s["n"], s["m"]) for s in skipped] == [(25, 20), (25, 40)]
+        assert [(s["n"], s["m"]) for s in skipped] == [(8, 5), (8, 10)]
         assert skipped[0]["reason"] == "n > m"
         assert skipped[1]["reason"].startswith("stability constant beta=")
-        assert "below 1e-12 for n=25, m=40" in skipped[1]["reason"]
+        assert "below 1e-12 for n=8, m=10" in skipped[1]["reason"]
         # the terminal says so too, one line per skipped cell after the aggregate table
         out = captured.out.splitlines()
-        assert out[-2:] == ["skipped n=25 m=20: n > m",
-                            f"skipped n=25 m=40: {skipped[1]['reason']}"]
-        assert [line.split()[1] for line in out[2:-2]] == ["5"] * 4
+        assert out[-2:] == ["skipped n=8 m=5: n > m",
+                            f"skipped n=8 m=10: {skipped[1]['reason']}"]
+        assert [line.split()[1] for line in out[2:-2]] == ["3"] * 4
 
     def test_skipped_unstable_cell_leaves_the_other_cells_unchanged(self, tmp_path):
-        # the unstable (25, 40) comes before (5, 40) in the loop; the rows and seeds
+        # the unstable (8, 10) comes before (3, 10) in the loop; the rows and seeds
         # of every solved cell are those of a sweep without it
-        args = ["run", "--config", str(CONFIGS / "example3.cfg"), "--set", "sweep.m=20,40",
+        args = ["run", "--config", str(CONFIGS / "example3.cfg"), "--set", "sweep.m=5,10",
                 "--set", "validation.count=6"]
-        assert cli_main(args + ["--set", "sweep.n=25,5", "--out", str(tmp_path / "a")]) == 0
-        assert cli_main(args + ["--set", "sweep.n=5", "--out", str(tmp_path / "b")]) == 0
+        assert cli_main(args + ["--set", "sweep.n=8,3", "--out", str(tmp_path / "a")]) == 0
+        assert cli_main(args + ["--set", "sweep.n=3", "--out", str(tmp_path / "b")]) == 0
         for name in ("results.csv", "aggregates.csv", "diagnostics.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert json.loads((tmp_path / "b" / "run.json").read_text())["skipped"] == []
 
     def test_unstable_cell_still_raises_for_a_library_caller(self):
-        cfg = load_config(CONFIGS / "example3.cfg", ["sweep.m=40", "sweep.n=25"])
+        cfg = load_config(CONFIGS / "example3.cfg", ["sweep.m=10", "sweep.n=8"])
         background = setup_experiment(cfg).labeled["full"][1].subspace
-        space = build_observation_space(_sensor_array(cfg, 40, _grid(cfg)), _grid(cfg))
-        with pytest.raises(assim.solver.StabilityError, match="n=25, m=40"):
+        space = build_observation_space(_sensor_array(cfg, 10, _grid(cfg)), _grid(cfg))
+        with pytest.raises(assim.solver.StabilityError, match="n=8, m=10"):
             pbdw_solve(GridFunction(space.grid, np.ones(space.grid.num_points)), background,
                        space)
-        with pytest.raises(assim.solver.StabilityError, match="n=25, m=40"):
+        with pytest.raises(assim.solver.StabilityError, match="n=8, m=10"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("config", ["example1.cfg", "example2.cfg", "example3.cfg"])
@@ -1646,12 +1686,15 @@ def _run_or_one_error_line(config: str, overrides: dict) -> dict | None:
 
 def _solved_cells(m: list[int], n: list[int], skipped: list[dict]) -> int:
     """Number of swept (n, m) cells a run solved, given its ``run.json`` ``skipped``:
-    first each cell with n > m, then each cell with n <= m whose plan is unstable."""
+    first each cell with n > m or with n above the training set's numerical rank, in
+    loop order, then each other cell whose plan is unstable."""
     beyond = [(n_, m_) for m_ in m for n_ in n if n_ > m_]
-    assert [(s["n"], s["m"], s["reason"]) for s in skipped[:len(beyond)]] == [
-        (*cell, "n > m") for cell in beyond]
-    assert all(s["n"] <= s["m"] and s["reason"].startswith("stability constant")
-               for s in skipped[len(beyond):])
+    laid_out = [(s["n"], s["m"]) for s in skipped if not s["reason"].startswith("stability")]
+    assert skipped[:len(laid_out)] == [s for s in skipped if (s["n"], s["m"]) in laid_out]
+    assert [(s["n"], s["m"]) for s in skipped if s["reason"] == "n > m"] == beyond
+    assert all(s["n"] <= s["m"] and s["reason"].startswith(
+        ("n exceeds the numerical rank", "stability constant")) for s in skipped
+        if s["reason"] != "n > m")
     return len(m) * len(n) - len(skipped)
 
 
@@ -1776,6 +1819,115 @@ class TestExample3OverrideFuzz:
                               "timings.csv": blocks}
 
 
+# the sizes every schema draw sets, each at most its cap, so that a run takes milliseconds
+_FUZZ_CAPS = {"grid.num_points": 64, "training.count": 40, "validation.count": 3,
+              "sweep.m": 32, "sweep.n": 12}
+# exit-2 lines that name no key, each a class of input the program still rejects in its
+# own words: a sweep whose every cell with n <= m has an unstable solve plan
+_KEYLESS = {"every cell unstable": re.compile(r"error: stability constant beta=\S+ below ")}
+_FUZZ_CONFIGS = {"example1": "example1.cfg", "example2": "example2.cfg",
+                 "example3_analog": "example3.cfg"}
+
+
+def _scalars(key: str, experiment: str):
+    """One value of a numeric key: inside its range, on a bound, or just outside one."""
+    row = SCHEMA[key]
+    default = row.defaults[experiment]
+    scale = max(map(abs, default)) if isinstance(default, list) else abs(default)
+    lo, lo_in = row.lower or (-2 * scale - 1, True)
+    hi, hi_in = (_FUZZ_CAPS[key], True) if key in _FUZZ_CAPS else row.upper or (2 * scale + 1, True)
+    edges = [value for bound, outward in ((row.lower, -math.inf), (row.upper, math.inf))
+             if bound for value in _around(bound, outward)]
+    if key in _FUZZ_CAPS:
+        edges = [value for value in edges if value <= hi]
+    if row.type.startswith("int"):
+        inside = st.integers(lo + (not lo_in), hi - (not hi_in))
+    else:
+        inside = st.floats(lo, hi, exclude_min=not lo_in, exclude_max=not hi_in)
+    if not edges:
+        return inside
+    # one draw in ten on a bound or just outside it (not k = 0, which hypothesis favours)
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(edges) if k == 5 else inside)
+
+
+def _entries(key: str, experiment: str):
+    """The ``--set`` text of one value of ``key``, drawn from its ``SCHEMA`` row."""
+    row = SCHEMA[key]
+    if row.choices:
+        return st.sampled_from([*row.choices, "not_" + row.choices[0]])
+    if row.type == "bool":
+        return st.sampled_from(["true", "false"])
+    scalars = _scalars(key, experiment)
+    if row.type == "float_range":
+        return st.lists(scalars, min_size=2, max_size=2).map(lambda pair: _joined(sorted(pair)))
+    if row.type.endswith("_list"):
+        return st.lists(scalars, min_size=1, max_size=3, unique=True).map(_joined)
+    return scalars.map(repr)
+
+
+@st.composite
+def _schema_draws(draw):
+    """An experiment and its overrides: the capped sizes, then up to four other keys."""
+    experiment = draw(st.sampled_from(list(_FUZZ_CONFIGS)))
+    keys = sorted(key for key, row in SCHEMA.items()
+                  if experiment in row.defaults and key != "experiment" and key not in _FUZZ_CAPS)
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    return experiment, {key: draw(_entries(key, experiment)) for key in [*_FUZZ_CAPS, *chosen]}
+
+
+class TestSchemaFuzz:
+    """Every input ends in a result or in one ``error:`` line that names a ``SCHEMA`` key.
+
+    The strategies come from the ``SCHEMA`` rows alone.  An exit-2 line that
+    names no key must be one of the ``_KEYLESS`` classes.
+    """
+
+    # one noiseless draw (alpha = sigma = 0) per experiment, so every observation in it
+    # takes the zero-noise path
+    @example(draw=("example1", {"grid.num_points": "64", "training.count": "40",
+                                "validation.count": "3", "noise.sigma": "0.0",
+                                "sweep.alpha": "0.0"}))
+    @example(draw=("example2", {"grid.num_points": "64", "training.count": "40",
+                                "validation.count": "3", "noise.alpha": "0.0",
+                                "noise.sigma": "0.0", "sweep.n": "5", "sweep.m": "20",
+                                "dictionary.stride": "4"}))
+    @example(draw=("example3_analog", {"grid.num_points": "64", "training.count": "40",
+                                       "validation.count": "3", "noise.alpha": "0.0",
+                                       "noise.sigma": "0.0"}))
+    @given(draw=_schema_draws())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_result_or_one_line_naming_a_key(self, checks, draw):
+        experiment, overrides = draw
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            args = ["run", "--config", str(CONFIGS / _FUZZ_CONFIGS[experiment]),
+                    "--out", str(out_dir)]
+            for key, text in overrides.items():
+                args += ["--set", f"{key}={text}"]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli_main(args)
+            # a warning is one more stderr line of assim run
+            assert [str(w.message) for w in caught] == []
+            if code == 2:
+                (line,) = stderr.getvalue().splitlines()
+                named = [key for key in SCHEMA
+                         if re.search(rf"(?<![\w.]){re.escape(key)}(?![\w])", line)]
+                assert line.startswith("error: ") and (
+                    named or any(p.match(line) for p in _KEYLESS.values())), line
+                assert stdout.getvalue() == "" and not out_dir.exists()
+                return
+            assert code == 0, stderr.getvalue()
+            # every file the benchmark reads from a run
+            assert [name for name in checks.RUN_FILES if not (out_dir / name).is_file()] == []
+            with open(out_dir / "results.csv") as fh:
+                fh.readline()
+                errors = [float(row["error_e"]) for row in csv.DictReader(fh)]
+            assert errors and all(map(math.isfinite, errors))
+
+
 class TestRunExperimentDispatch:
     def test_dispatch(self):
         cfg = small_example1()
@@ -1785,6 +1937,30 @@ class TestRunExperimentDispatch:
 
 class TestOnlineLoop:
     """The one loop that runs every experiment."""
+
+    @pytest.mark.parametrize("config, ranks", [
+        ("example1.cfg", {"full": 12}),
+        ("example2.cfg", {"fast": 36, "full": 194}),
+        ("example3.cfg", {"full": 8}),
+    ])
+    def test_numerical_rank_is_numpys_rule(self, config, ranks):
+        # the shipped sweeps stay at or below these ranks, so no shipped cell is skipped
+        cfg = load_config(CONFIGS / config)
+        setup = setup_experiment(cfg)
+        sampler = {"example1": assim.bench.sample_sinusoids,
+                   "example2": assim.bench.sample_multiscale,
+                   "example3_analog": assim.bench.sample_powerlaw}[cfg["experiment"]]
+        training = assim.bench._sample(cfg, sampler, _manifold_spec(cfg), setup.grid, "training")
+        if isinstance(training, tuple):     # example2's fast, slow and full sets
+            training = {"fast": training[0], "full": training[2]}
+        else:
+            training = {"full": training}
+        sqrt_w = np.sqrt(setup.grid.weights)
+        got = {label: assim.bench._numerical_rank(basis, cfg["training.count"])
+               for label, (_, basis) in setup.labeled.items()}
+        assert got == ranks == {label: np.linalg.matrix_rank((snaps.matrix * sqrt_w).T)
+                                for label, snaps in training.items()}
+        assert max(cfg["sweep.n"]) <= min(ranks.values())
 
     @pytest.mark.parametrize(
         "cfg, truncated, boxes",

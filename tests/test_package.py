@@ -117,16 +117,14 @@ def _records():
         (ResultRow, (0, "pbdw", 1, 2, 0.1, 0.0, 0.5, 1.0, 7),
          (0, "pbdw", 1, 2, 0.1, 0.0, 0.6, 1.0, 7)),
         (Setup, (grid, {}, [1]), None),
-        (_Cases, (1, 2, models, range(2), [7, 8, 9, 10], None),
-         (2, 2, models, range(2), [7, 8, 9, 10], None)),
-        (_Experiment, (SinusoidSpec, len, len), (SinusoidSpec, len, len, 4)),
+        (_Cases, (1, 2, models, range(2), [7, 8, 9, 10], None), None),
+        (_Experiment, (SinusoidSpec, len, len), None),
     ]
 
 
 RECORDS = _records()
 CACHED = {Grid: "nodes", Subspace: "weighted_matrix", ObservationSpace: "functional_matrix",
           _Cases: "alpha", SlowDictionary: "observed_norms"}
-UNHASHABLE = {_Cases}      # its seeds are a list
 
 
 def test_every_record_class_is_covered():
@@ -156,9 +154,8 @@ def test_records_are_immutable_and_compare_as_before(cls, args, other):
     else:
         assert record == twin and not record != twin
         assert record != cls(*other)
-        if cls not in UNHASHABLE:
-            assert hash(record) == hash(twin) and {record: 1}[twin] == 1
-            assert hash(record) != hash(cls(*other))
+        assert hash(record) == hash(twin) and {record: 1}[twin] == 1
+        assert hash(record) != hash(cls(*other))
     assert repr(record).startswith(f"{cls.__name__}(")
 
 

@@ -1,12 +1,10 @@
 """The files ``assim run`` writes, held to what the benchmark in ``perfbench/`` reads.
 
-``perfbench/checks.py`` is loaded from its path as it is: its ``RUN_FILES``
+The ``checks`` fixture is ``perfbench/checks.py`` as it is: its ``RUN_FILES``
 and its CSV reader are the benchmark's side of the contract.
 """
 
-import importlib.util
 import math
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,20 +12,6 @@ import pytest
 from assim.cli import main as cli_main
 
 ROOT = Path(__file__).parents[1]
-PERFBENCH = ROOT / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def checks():
-    # checks.py imports its sibling workloads.py; both use the standard library only
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return module
 
 
 @pytest.mark.parametrize(
