@@ -51,13 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .bias import (
-    LINEAR_BIAS_GAUSSIAN,
-    NoiseModel,
-    apply_noise,
-    bpbdw_correct_block,
-    corrected_constraint_block,
-)
+from .bias import LINEAR_BIAS_GAUSSIAN, NoiseModel, apply_noise, bpbdw_correct_block
 from .manifold import (
     MultiscaleSpec,
     PowerLawSpec,
@@ -72,8 +66,7 @@ from .manifold import (
 from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
                   build_observation_space)
 from .rom import decay_curve, pod
-from .solver import (StabilityError, _matvec, _plan, compute_box, pbdw_solve_block,
-                     pbdw_solve_boxed_block)
+from .solver import StabilityError, _matvec, _plan, compute_box, pbdw_solve_block
 from .space import Grid, GridFunction, _Record, _Value
 
 __all__ = [
@@ -313,7 +306,12 @@ def _validate(cfg: dict) -> dict:
         SCHEMA[key].check(key, value)
     if not cfg["grid.a"] < cfg["grid.b"]:
         raise ConfigError(f"grid.a must be < grid.b, got [{cfg['grid.a']}, {cfg['grid.b']}]")
+    if (m_max := max(cfg["sweep.m"])) > (points := cfg["grid.num_points"]):
+        raise ConfigError(f"sweep.m={m_max} exceeds grid.num_points={points}: a grid of "
+                          f"{points} nodes holds at most {points} independent sensors")
     grid, spec = _grid(cfg), _manifold_spec(cfg)
+    with _naming(f"grid.num_points={points}"):     # built first, so a size error names its key
+        grid.nodes
     # the library's own checks of what set-up and the split build, each naming its keys
     if cfg["experiment"] == _E2:
         from .multiscale import step_nodes
@@ -330,10 +328,11 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"sensors.width={cfg['sensors.width']} has no effect on pointwise "
                           f"sensors; set it to 0 or use sensors.kind={BOX_AVERAGE}")
     for m in cfg["sweep.m"]:
-        with _naming(f"sweep.m={m}"):
+        # a sensor array's windows are an m x grid.num_points array
+        with _naming(f"sweep.m={m}", f"sweep.m={m}, grid.num_points={points}"):
             _sensor_array(cfg, m, grid).validate_on(grid)
     # the online loop skips the cells with n > m, so a sweep must have one other
-    n_min, n_max, m_max = min(cfg["sweep.n"]), max(cfg["sweep.n"]), max(cfg["sweep.m"])
+    n_min, n_max = min(cfg["sweep.n"]), max(cfg["sweep.n"])
     if n_min > m_max:
         raise ConfigError(f"no feasible (n, m) cell: every sweep.n exceeds every sweep.m "
                           f"(smallest n={n_min}, largest m={m_max})")
@@ -347,12 +346,16 @@ def _validate(cfg: dict) -> dict:
 
 
 @contextlib.contextmanager
-def _naming(key: str):
-    """Turn the ValueError of a library check run inside into a ConfigError led by ``key``."""
+def _naming(key: str, sizes: str = ""):
+    """Turn the ValueError of a library check run inside into a ConfigError led by
+    ``key``, and a MemoryError into one led by ``sizes`` (by default ``key``), the keys
+    that size what it allocates."""
     try:
         yield
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"{sizes or key}: {str(exc) or 'too large to allocate'}") from None
 
 
 def describe_schema() -> str:
@@ -789,9 +792,12 @@ class Setup(_Record):
 
 def _sample(cfg: dict, sampler: Callable, spec, grid: Grid, stage: str):
     """The ``stage`` snapshots ("training" or "validation"), ``<stage>.count`` of them.
-    Snapshots that overflow are rejected naming the manifold keys, without numpy's warnings."""
-    keys = ", ".join(key for key in cfg if key.startswith("manifold."))
-    with np.errstate(over="ignore", invalid="ignore"), _naming(keys):
+    Snapshots that overflow are rejected naming the manifold keys, without numpy's warnings;
+    arrays too large to allocate, naming the integer keys that size them."""
+    keys = [key for key in cfg if key.startswith("manifold.")]
+    sizes = [f"{stage}.count", "grid.num_points", *(k for k in keys if SCHEMA[k].type == "int")]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            _naming(", ".join(keys), ", ".join(f"{key}={cfg[key]}" for key in sizes)):
         return sampler(spec, grid, cfg[f"{stage}.count"], derive_seed(cfg["master_seed"], stage))
 
 
@@ -999,9 +1005,8 @@ def run_experiment(cfg: dict) -> RunResult:
     orders cannot drift apart.  A cell with n > m, with n above the numerical
     rank of a label's training set (``_numerical_rank``), or whose solve plan
     is unstable (``StabilityError``), is skipped and listed in ``skipped``.  A
-    run whose every cell is skipped for its rank raises a ``ConfigError``
-    naming ``sweep.n``; one whose every other cell is unstable raises the first
-    error.
+    run whose every cell is skipped raises a ``ConfigError`` led by
+    ``sweep.n`` and ``sweep.m`` that quotes the first reason other than n > m.
     """
     spec = _EXPERIMENTS[cfg["experiment"]]
     setup = setup_experiment(cfg)
@@ -1020,27 +1025,19 @@ def run_experiment(cfg: dict) -> RunResult:
                      for label, rank in ranks.items() if n > rank), "")
 
     reasons = {(n, m): skip_reason(n, m) for m in cfg["sweep.m"] for n in cfg["sweep.n"]}
-    # _validate has checked that some cell has n <= m
-    if all(reasons.values()):
-        label = min(ranks, key=ranks.get)
-        raise ConfigError(f"sweep.n={cfg['sweep.n']}: every n <= m exceeds the numerical rank "
-                          f"{ranks[label]} of the {label!r} training set")
     blocks = [(m, n, range(lo, min(lo + chunk, count)))
               for m in cfg["sweep.m"] for n in cfg["sweep.n"] if not reasons[(n, m)]
               for lo in range(0, count, chunk)]
     # each column's key ("noise", case_id, "m", m, "n", n[, "alpha", repr(alpha)]) as the
     # text derive_seed hashes, formatted from one template per block and model
     total = len(models) * sum(len(case_ids) for *_, case_ids in blocks)
-    try:
+    with _naming(f"validation.count={count}"):
         seeds = derive_seeds(cfg["master_seed"], (
             template % case_id
             for m, n, case_ids in blocks for model in models
             for template in [f"noise:%d:m:{m}:n:{n}" + (f":alpha:{model.alpha!r}" if swept else "")]
             for case_id in case_ids
         ), total)
-    except MemoryError:
-        raise MemoryError(f"validation.count={count}: the run's {total} case seeds are too "
-                          f"many to allocate") from None
     words = _pcg64_words(seeds) if cfg["noise.sigma"] > 0 else None
     backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())
                    for n in dict.fromkeys(b[1] for b in blocks)}
@@ -1048,7 +1045,7 @@ def run_experiment(cfg: dict) -> RunResult:
 
     result = RunResult(cfg, pod_decay=setup.decay(), skipped=[
         {"n": n, "m": m, "reason": reason} for (n, m), reason in reasons.items() if reason])
-    taken, unstable = 0, []
+    taken = 0
     for m, group in itertools.groupby(blocks, key=operator.itemgetter(0)):
         group = list(group)
         try:
@@ -1068,7 +1065,6 @@ def run_experiment(cfg: dict) -> RunResult:
                     _plan(background, space)
             except StabilityError as exc:
                 skip.add(n)
-                unstable.append(exc)
                 result.skipped.append({"n": n, "m": m, "reason": str(exc)})
         solve = per_m(space)
         for _m, n, case_ids in group:
@@ -1079,9 +1075,24 @@ def run_experiment(cfg: dict) -> RunResult:
                            None if words is None else words[lo:taken])
             for method, errors, beta, block_ms in solve(backgrounds[n], cases, result.diagnostics):
                 cases.emit(result, method, errors, beta, block_ms)
-    if len(result.skipped) == len(cfg["sweep.m"]) * len(cfg["sweep.n"]):
-        raise unstable[0]       # every pair with n <= m is unstable: nothing to report
+    if len(result.skipped) == len(reasons):
+        # _validate has checked that some cell has n <= m
+        first = next(cell for cell in result.skipped if cell["reason"] != "n > m")
+        raise ConfigError(f"sweep.n={cfg['sweep.n']}, sweep.m={cfg['sweep.m']}: no cell is "
+                          f"left to solve; n={first['n']}, m={first['m']}: {first['reason']}")
     return result
+
+
+def _plain_then_corrected(data: np.ndarray, background, space, cases: _Cases,
+                          box=None) -> tuple:
+    """(method, reconstruction, block_ms) of a block's plain solve and of its bias
+    correction, which starts from it (``bpbdw_correct_block``), so the corrected
+    method's time includes the plain solve."""
+    start = time.perf_counter()
+    plain = pbdw_solve_block(data, background, space, box)
+    plain_ms = _elapsed_ms(start)
+    corrected = bpbdw_correct_block(plain, background, space, cases.models[0], cases.alpha, box)
+    return ("pbdw", plain, plain_ms), ("bpbdw", corrected, _elapsed_ms(start))
 
 
 def _example1(cfg: dict, setup: Setup) -> Callable:
@@ -1097,16 +1108,9 @@ def _example1(cfg: dict, setup: Setup) -> Callable:
         def solve(backgrounds, cases: _Cases, _diagnostics: list) -> list:
             (background,) = backgrounds
             data = _data_block(raw, space, cases)
-            start = time.perf_counter()
-            plain = pbdw_solve_block(data, background, space)
-            plain_ms = _elapsed_ms(start)
-            corrected = bpbdw_correct_block(plain, background, space, cases.models[0],
-                                            cases.alpha)
-            # the corrected method includes the plain solve it starts from
-            corrected_ms = _elapsed_ms(start)
             return [(method, _errors(grid, rec.states, truths, truth_norms), rec.beta, block_ms)
-                    for method, rec, block_ms in (("pbdw", plain, plain_ms),
-                                                  ("bpbdw", corrected, corrected_ms))]
+                    for method, rec, block_ms in _plain_then_corrected(data, background, space,
+                                                                       cases)]
         return solve
     return per_m
 
@@ -1188,12 +1192,12 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
     one rule, noiseless or not (the biased clean readings, plus
     ``default_rng(seed).normal`` drawn by ``_normal_columns`` when sigma > 0,
     mapped to onb coordinates one row at a time by ``_matvec``), then
-    ``pbdw_solve_boxed`` and ``bpbdw_reconstruct(box=)``, whose columns
-    ``pbdw_solve_boxed_block`` reproduces.  The errors and mode-1 energy
-    fractions are reductions over one contiguous row per case, as each
-    per-case reduction runs over its own vector.  The benchmark's library
-    runner rebuilds these rows with per-case calls and compares them for
-    equality.  Each background's coefficient box, which does not depend on m,
+    ``pbdw_solve(box=)`` and ``bpbdw_reconstruct(box=)``, whose columns the
+    boxed block solves of ``_plain_then_corrected`` reproduce.  The errors and
+    mode-1 energy fractions are reductions over one contiguous row per case,
+    as each per-case reduction runs over its own vector.  The benchmark's
+    library runner rebuilds these rows with per-case calls and compares them
+    for equality.  Each background's coefficient box, which does not depend on m,
     is built once per run, before the first block of that n is timed.
     """
     truth = setup.truth
@@ -1226,21 +1230,13 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
             if model.sigma > 0:
                 readings = readings + _normal_columns(cases.words, model.sigma, space.m).T
             data = _matvec(space.raw_to_onb_inverse, readings)
-            start = time.perf_counter()
-            plain = pbdw_solve_boxed_block(data.T, background, space, box)
-            plain_ms = _elapsed_ms(start)
-            # the corrected solve starts from the plain one, as bpbdw_reconstruct does
-            corrected = pbdw_solve_boxed_block(corrected_constraint_block(plain.observed, model),
-                                               background, space, box)
-            corrected_ms = _elapsed_ms(start)
-            fractions = zip(mode1_fractions(plain), mode1_fractions(corrected))
+            solves = _plain_then_corrected(data.T, background, space, cases, box)
+            fractions = zip(*(mode1_fractions(rec) for _, rec, _ in solves))
             for case_id, pair in zip(cases.case_ids, fractions):
-                for method, fraction in zip(("pbdw", "bpbdw"), pair):
+                for (method, _, _), fraction in zip(solves, pair):
                     diagnostics.append({"case_id": case_id, "method": method, "n": cases.n,
                                         "m": cases.m, "mode1_energy_fraction": fraction})
-            return [(method, errors(rec), rec.beta, block_ms)
-                    for method, rec, block_ms in (("pbdw", plain, plain_ms),
-                                                  ("bpbdw", corrected, corrected_ms))]
+            return [(method, errors(rec), rec.beta, block_ms) for method, rec, block_ms in solves]
         return solve
     return per_m
 

@@ -21,14 +21,7 @@ import math
 import numpy as np
 
 from .obs import Measurement, ObservationSpace, observe
-from .solver import (
-    BlockReconstruction,
-    Box,
-    Reconstruction,
-    pbdw_solve,
-    pbdw_solve_block,
-    pbdw_solve_boxed,
-)
+from .solver import BlockReconstruction, Box, Reconstruction, pbdw_solve, pbdw_solve_block
 from .space import GridFunction, Subspace, _Value
 
 __all__ = [
@@ -209,14 +202,9 @@ def bpbdw_reconstruct(
     first estimate.  Passing ``box`` clamps the background coefficients in
     both solves.
     """
-    solve = (
-        (lambda target: pbdw_solve_boxed(target, background, space, box))
-        if box is not None
-        else (lambda target: pbdw_solve(target, background, space))
-    )
-    first = solve(omega_star)
+    first = pbdw_solve(omega_star, background, space, box)
     eta = corrected_constraint(first.state, space, model, seed)
-    corrected = solve(eta)
+    corrected = pbdw_solve(eta, background, space, box)
     return BiasCorrectedReconstruction(
         state=corrected.state,
         rom_coeffs=corrected.rom_coeffs,
@@ -234,13 +222,15 @@ def bpbdw_correct_block(
     space: ObservationSpace,
     model: NoiseModel,
     alpha: float | np.ndarray | None = None,
+    box: Box | None = None,
 ) -> BlockReconstruction:
     """Second step of ``bpbdw_reconstruct`` for a block of first estimates.
 
-    ``first`` is the plain block solve of the data on the same pair, and
-    the model needs an analytic expectation (``corrected_constraint_block``,
-    which also takes each column's ``alpha``).  Column k matches
-    ``bpbdw_reconstruct`` on case k up to roundoff.
+    ``first`` is the plain block solve of the data on the same pair and with
+    the same ``box``, and the model needs an analytic expectation
+    (``corrected_constraint_block``, which also takes each column's
+    ``alpha``).  Column k matches ``bpbdw_reconstruct`` on case k up to
+    roundoff, and bit for bit with a ``box``.
     """
     eta = corrected_constraint_block(first.observed, model, alpha)
-    return pbdw_solve_block(eta, background, space)
+    return pbdw_solve_block(eta, background, space, box)

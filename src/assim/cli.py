@@ -32,7 +32,6 @@ from .bench import (
     run_experiment,
     setup_experiment,
 )
-from .solver import StabilityError
 
 __all__ = ["console", "main"]
 
@@ -119,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         raise
     # ValueError covers ConfigError and the library's input checks; MemoryError,
     # a size too large to allocate
-    except (ValueError, StabilityError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1

@@ -39,13 +39,13 @@ the held columns leave, so it sees the condition number of G, not its
 square.  A solve visits few of the 2^n free sets, and later solves on the
 pair mostly revisit them, so the plan caches each set's pseudo-inverse,
 held columns and free and held indices the first time it is needed, up to
-``FREE_SET_CAP`` sets per plan.  The bounded solve is nonlinear in the data,
-so ``pbdw_solve_boxed_block`` runs it on an m x K block column by column and
-``pbdw_solve_boxed`` runs the same kernel on one data vector: every product
+``FREE_SET_CAP`` sets per plan.  The box is an argument of the same two
+solves, ``pbdw_solve`` and ``pbdw_solve_block``.  The bounded solve is
+nonlinear in the data, so a boxed block runs column by column: every product
 runs once per column in one batched call (``_matvec``), and the bounded
 least-squares passes of a block's columns run in lockstep, grouped by free set
-(``_bvls_lockstep``), so column k equals the solve of column k alone bit for
-bit.
+(``_bvls_lockstep``), so column k equals the boxed solve of column k alone bit
+for bit.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "pbdw_solve",
     "pbdw_solve_block",
     "pbdw_solve_boxed",
-    "pbdw_solve_boxed_block",
     "compute_box",
 ]
 
@@ -270,53 +269,40 @@ def _single(block: BlockReconstruction, grid) -> Reconstruction:
     )
 
 
-def pbdw_solve(target, background: Subspace, space: ObservationSpace) -> Reconstruction:
+def pbdw_solve(target, background: Subspace, space: ObservationSpace,
+               box: Box | None = None) -> Reconstruction:
     """Reconstruct a state from observation data over a background space.
 
     ``target`` is a :class:`Measurement` or a state whose projection supplies
     the data.  With an empty background the result is the plain lift of the
-    data into the observation space.
+    data into the observation space.  Passing ``box`` clamps the background
+    coefficients to it; the result then equals the boxed block solve's column
+    for the same data bit for bit.
     """
     d = _target_coeffs(target, space)
-    return _single(_plan(background, space).solve(d), space.grid)
+    return _single(_solve(d, background, space, box), space.grid)
 
 
 def pbdw_solve_block(
-    data: np.ndarray, background: Subspace, space: ObservationSpace
+    data: np.ndarray, background: Subspace, space: ObservationSpace, box: Box | None = None
 ) -> BlockReconstruction:
     """Solve for every column of an m x K block of onb data coordinates at once.
 
-    Column k equals ``pbdw_solve`` on column k up to roundoff; the pair's
-    checks run once for the whole block.
+    Column k equals ``pbdw_solve`` on column k up to roundoff, and bit for
+    bit with a ``box``: a boxed block runs every product once per column
+    (``_matvec``), never as one gemm over the block, and the columns' bounded
+    least-squares passes in lockstep (``_bvls_lockstep``, one column too).
+    The pair's checks run once for the whole block.
     """
-    return _finite(_plan(background, space).solve(_block_data(data, space.m)))
+    D = _block_data(data, space.m)
+    return _finite(_solve(D if box is None else np.ascontiguousarray(D.T), background, space, box))
 
 
 def pbdw_solve_boxed(
     target, background: Subspace, space: ObservationSpace, box: Box
 ) -> Reconstruction:
-    """Reconstruction with the background coefficients clamped to a box.
-
-    Runs the kernel of ``pbdw_solve_boxed_block`` on one data vector, so it
-    equals that block solve's column for the same data bit for bit.
-    """
-    d = _target_coeffs(target, space)
-    return _single(_solve_boxed(d, background, space, box), space.grid)
-
-
-def pbdw_solve_boxed_block(
-    data: np.ndarray, background: Subspace, space: ObservationSpace, box: Box
-) -> BlockReconstruction:
-    """Box-constrained solve for every column of an m x K block of onb data coordinates.
-
-    Column k equals ``pbdw_solve_boxed`` on column k bit for bit: every
-    product runs once per column (``_matvec``), never as one gemm over the
-    block, and the columns' bounded least-squares passes run in lockstep
-    (``_bvls_lockstep``, one column too).  The pair's checks run once for
-    the whole block.
-    """
-    D = np.ascontiguousarray(_block_data(data, space.m).T)
-    return _finite(_solve_boxed(D, background, space, box))
+    """``pbdw_solve`` with a box, under the name the benchmark's library runner imports."""
+    return pbdw_solve(target, background, space, box)
 
 
 def _block_data(data, m: int) -> np.ndarray:
@@ -336,9 +322,12 @@ def _finite(block: BlockReconstruction) -> BlockReconstruction:
     return block
 
 
-def _solve_boxed(D: np.ndarray, background: Subspace, space: ObservationSpace,
-                 box: Box) -> BlockReconstruction:
-    """The boxed solve of one data vector D, or of each row of a K x m stack D."""
+def _solve(D: np.ndarray, background: Subspace, space: ObservationSpace,
+           box: Box | None) -> BlockReconstruction:
+    """The solve of one data vector D or of an m x K block D; with a box, of one
+    data vector D or of each row of a K x m stack D."""
+    if box is None:
+        return _plan(background, space).solve(D)
     if box.dimension != background.dimension:
         raise ValueError(
             f"box has {box.dimension} bounds for a background of dimension "

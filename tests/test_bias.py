@@ -9,6 +9,7 @@ from assim import (
     apply_noise,
     bpbdw_reconstruct,
     build_observation_space,
+    compute_box,
     discrepancy_xi,
     noise_expectation,
     observe,
@@ -255,6 +256,29 @@ class TestBpbdwBlock:
             assert np.max(np.abs(corrected.states[:, k] - oracle.state.values)) <= 1e-12 * scale
             assert corrected.constraint_residuals[k] <= 1e-10 * scale
         assert corrected.beta == oracle.beta
+
+    @pytest.mark.parametrize("per_column", [False, True], ids=["model_alpha", "column_alpha"])
+    def test_boxed_columns_are_the_per_case_solves(self, grid, per_column):
+        # a box narrower than the training coefficients binds: column k of the boxed block
+        # correction is bpbdw_reconstruct(box=) on case k, to the last bit
+        snaps = sample_sinusoids(SinusoidSpec(), grid, 48, seed=24)
+        basis = pod(snaps, 5)
+        box = compute_box(snaps, basis.subspace, margin=0.5)
+        space = build_observation_space(SensorArray.equidistant(15, grid), grid)
+        model = NoiseModel(alpha=0.15, sigma=0.5)
+        omegas = [apply_noise(u, space, model, seed=k) for k, u in enumerate(snaps.snapshots[:9])]
+        data = np.stack([o.coeffs for o in omegas], axis=1)
+        plain = pbdw_solve_block(data, basis.subspace, space, box)
+        alpha = np.full(len(omegas), model.alpha) if per_column else None
+        corrected = bpbdw_correct_block(plain, basis.subspace, space, model, alpha, box)
+        held = np.isclose(corrected.rom_coeffs, box.lo[:, None])
+        assert (held | np.isclose(corrected.rom_coeffs, box.hi[:, None])).any()
+        for k, omega in enumerate(omegas):
+            oracle = bpbdw_reconstruct(omega, basis.subspace, space, model, box=box)
+            assert np.array_equal(plain.states[:, k], oracle.initial.state.values)
+            assert np.array_equal(corrected.states[:, k], oracle.state.values)
+            assert np.array_equal(corrected.rom_coeffs[:, k], oracle.rom_coeffs)
+            assert corrected.constraint_residuals[k] == oracle.constraint_residual
 
     def test_monte_carlo_model_rejected(self, grid):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 16, seed=22)

@@ -38,7 +38,7 @@ from assim import (
 from assim import solver
 from assim.rom import projection_residuals
 from assim.obs import cross_gramian
-from assim.solver import pbdw_solve_block, pbdw_solve_boxed_block
+from assim.solver import pbdw_solve_block
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -540,8 +540,8 @@ class TestPbdwSolveBoxedBlock:
         # the columns end on different active sets, so the lockstep passes split them
         held = np.isclose(C, box.lo[:, None]) | np.isclose(C, box.hi[:, None])
         assert len({column.tobytes() for column in held.T}) > 1
-        for block in (pbdw_solve_boxed_block(D, V, space, box),
-                      pbdw_solve_boxed_block(D[:, :1], V, space, box)):   # K = 1 too
+        for block in (pbdw_solve_block(D, V, space, box),
+                      pbdw_solve_block(D[:, :1], V, space, box)):   # K = 1 too
             K = block.states.shape[1]
             assert np.array_equal(block.states, states[:, :K])
             assert np.array_equal(block.rom_coeffs, C[:, :K])
@@ -550,6 +550,20 @@ class TestPbdwSolveBoxedBlock:
                 assert np.array_equal(block.correction_coeffs[:, k], rec.correction_coeffs)
                 assert block.constraint_residuals[k] == rec.constraint_residual
 
+    @BLOCK_KINDS
+    def test_box_is_an_argument_of_pbdw_solve(self, rng, kinds):
+        grid, V, space, _ = random_instance(rng, num_points=40, n=4, m=9)
+        box = Box(*random_bounds(rng, kinds))
+        D = 3.0 * rng.normal(size=(9, 6))
+        C, _, recs = boxed_columns(D, V, space, box)
+        assert not np.allclose(C, pbdw_solve_block(D, V, space).rom_coeffs)   # the box binds
+        for d, rec in zip(D.T, recs):
+            got = pbdw_solve(Measurement(d, space), V, space, box)
+            assert np.array_equal(got.state.values, rec.state.values)
+            assert np.array_equal(got.rom_coeffs, rec.rom_coeffs)
+            assert np.array_equal(got.correction_coeffs, rec.correction_coeffs)
+            assert (got.beta, got.constraint_residual) == (rec.beta, rec.constraint_residual)
+
     def test_bad_inputs_rejected(self, rng):
         grid, V, space, target = random_instance(rng, num_points=30, n=4, m=9)
         with pytest.raises(ValueError, match="box has 3 bounds"):
@@ -557,11 +571,11 @@ class TestPbdwSolveBoxedBlock:
         box = Box(-np.ones(4), np.ones(4))
         for bad in (np.zeros(9), np.zeros((8, 3))):
             with pytest.raises(ValueError, match="data block"):
-                pbdw_solve_boxed_block(bad, V, space, box)
+                pbdw_solve_block(bad, V, space, box)
         D = np.zeros((9, 3))
         D[2, 1] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            pbdw_solve_boxed_block(D, V, space, box)
+            pbdw_solve_block(D, V, space, box)
 
 
 class TestFreeSetCache:
@@ -614,7 +628,7 @@ class TestFreeSetCache:
         boxed_columns(D, V, space, box)
         assert calls == []
         # the lockstep passes of a block visit the free sets of its columns' own solves
-        pbdw_solve_boxed_block(D, V, space, box)
+        pbdw_solve_block(D, V, space, box)
         assert calls == []
 
     def test_capped_cache_gives_the_same_results(self, rng, monkeypatch):
