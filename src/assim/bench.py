@@ -507,13 +507,22 @@ def _normal_columns(words: np.ndarray, sigma: float, m: int) -> np.ndarray:
     """(m, K) block whose column k is ``default_rng(seed k).normal(0, sigma, m)``.
 
     ``words`` holds the seeds' ``_pcg64_words`` rows; numpy's own PCG64 and
-    Generator do the rest, so the draws are the same to the last bit.
+    Generator draw each column's standard normals, into one row of a K x m
+    array, which is then scaled and shifted in two passes: ``Generator.normal``
+    returns ``loc + scale * z`` element by element, so ``0.0 + sigma * z``
+    keeps every bit, the ``0.0 +`` turning a product that underflows to -0.0
+    into +0.0.  A product past the largest float is inf without a warning, as
+    numpy's own draw.  The block returned is the transpose of that array.
     """
     seed_words = _seed_words_type()
     generator, pcg64 = np.random.Generator, np.random.PCG64
-    return np.stack(
-        [generator(pcg64(seed_words(row))).normal(0.0, sigma, m) for row in words], axis=1
-    )
+    draws = np.empty((len(words), m))
+    for row, out in zip(words, draws):
+        generator(pcg64(seed_words(row))).standard_normal(out=out)
+    with np.errstate(over="ignore"):
+        draws *= sigma
+    draws += 0.0
+    return draws.T
 
 
 # ---------------------------------------------------------------------------
@@ -599,24 +608,32 @@ class _Columns:
         return [[case_id, *keys[cell], *values] for case_id, cell, *values in
                 zip(*(self[name].tolist() for name in ("case_id", "cell", *_VALUES)))]
 
-    def lines(self):
-        """CSV lines of the rows in ``order()``: each cell key formatted once by
-        the csv module, integers by ``str``, floats by ``_reprs``."""
+    def render(self) -> bytes:
+        """``results.csv`` as one bytes string, its rows in ``order()``: each cell
+        key formatted once by the csv module, integers by ``%d``, floats by
+        ``_reprs``, and every line filled in by one ``%`` of one format.  Bytes,
+        because writing a str this large would make an encoded copy of it."""
         writer = csv.writer(buf := io.StringIO(), lineterminator="")
         ends = list(itertools.accumulate(map(writer.writerow, self.cells)))   # lengths written
-        text = buf.getvalue()
+        text = buf.getvalue().encode()
         keys = np.array([text[a:b] for a, b in zip([0, *ends], ends)], dtype=object)
         order = self.order()
-        columns = [self["case_id"][order].tolist(), keys[self["cell"][order]].tolist()]
-        columns += [_reprs(c) if c.dtype == np.float64 else c.tolist()
-                    for c in (self[name][order] for name in _VALUES)]
-        return map((",".join(["%s"] * len(columns)) + "\n").__mod__, zip(*columns))
+        columns = [(b"%d", self["case_id"][order].tolist()),
+                   (b"%s", keys[self["cell"][order]].tolist())]
+        for column in (self[name][order] for name in _VALUES):
+            columns.append((b"%s", _reprs(column)) if column.dtype == np.float64
+                           else (b"%d", column.tolist()))
+        formats, columns = zip(*columns)
+        line = b",".join(formats) + b"\n"
+        values = tuple(itertools.chain.from_iterable(zip(*columns)))     # row by row
+        return (_head(RESULT_FIELDS).encode() + line * len(order)) % values
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of every float, each distinct bit pattern (so -0.0 apart from 0.0) once."""
-    texts: dict[int, str] = {}
-    return [texts.get(bits) or texts.setdefault(bits, repr(v))
+def _reprs(values: np.ndarray) -> list[bytes]:
+    """``repr`` of every float, as bytes, each distinct bit pattern (so -0.0 apart
+    from 0.0) once."""
+    texts: dict[int, bytes] = {}
+    return [texts.get(bits) or texts.setdefault(bits, repr(v).encode())
             for bits, v in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
@@ -627,27 +644,32 @@ def _result_columns(rows) -> _Columns:
 def aggregate_rows(rows) -> list[dict]:
     """Mean/max/min/stddev of the error per (method, n, m, alpha, sigma) cell.
 
-    ``rows`` is a list of ``ResultRow`` or a run's result columns.  A cell's
-    errors are reduced as one contiguous array, in row order, by the ufunc
-    reductions that ``ndarray.mean``, ``max``, ``min`` and ``std`` call, in
-    the same order, without their Python-level wrappers.
+    ``rows`` is a list of ``ResultRow`` or a run's result columns.  The cells
+    of one size are reduced together: their errors, each cell's in row order,
+    are the rows of one contiguous 2-D array, reduced along its rows by the
+    ufunc reductions that ``ndarray.mean``, ``max``, ``min`` and ``std`` call,
+    in the same order.  A reduction along a contiguous row runs the same loop
+    as over a 1-D array, so each cell's statistics are those of its own errors
+    to the last bit.
     """
     table = rows if isinstance(rows, _Columns) else _result_columns(rows)
     ranks = table.ranks()
     counts = np.bincount(ranks, minlength=len(table.cells))
-    by_cell = np.split(np.argsort(ranks, kind="stable"), np.cumsum(counts)[:-1])
-    out = []
-    for (method, n, m, alpha, sigma), indices in zip(sorted(table.cells), by_cell):
-        errors = table["error_e"][indices]
-        mean = np.add.reduce(errors) / errors.size
-        out.append({
-            "method": method, "n": n, "m": m, "alpha": alpha, "sigma": sigma,
-            "mean": float(mean), "max": float(np.maximum.reduce(errors)),
-            "min": float(np.minimum.reduce(errors)),
-            "stddev": float(np.sqrt(np.add.reduce((errors - mean) ** 2) / errors.size)),
-            "count": int(errors.size),
-        })
-    return out
+    starts = np.cumsum(counts) - counts
+    errors = table["error_e"][np.argsort(ranks, kind="stable")]     # grouped by cell, in rank order
+    stats = np.empty((len(counts), 4))              # mean, max, min, stddev of each cell
+    for size in dict.fromkeys(counts.tolist()):     # not np.unique: it would load numpy.ma
+        cells = np.flatnonzero(counts == size)
+        block = errors[starts[cells, None] + np.arange(size)]
+        mean = np.add.reduce(block, axis=1) / size
+        squares = (block - mean[:, None]) ** 2
+        stats[cells] = np.column_stack((mean, np.maximum.reduce(block, axis=1),
+                                        np.minimum.reduce(block, axis=1),
+                                        np.sqrt(np.add.reduce(squares, axis=1) / size)))
+    return [{"method": method, "n": n, "m": m, "alpha": alpha, "sigma": sigma, "mean": mean,
+             "max": high, "min": low, "stddev": stddev, "count": count}
+            for (method, n, m, alpha, sigma), (mean, high, low, stddev), count
+            in zip(sorted(table.cells), stats.tolist(), counts.tolist())]
 
 
 class RunResult:
@@ -707,7 +729,7 @@ class RunResult:
         in the order their rows came, headed by the first row's keys."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_versioned_csv(out / "results.csv", RESULT_FIELDS, self._results.lines())
+        (out / "results.csv").write_bytes(self._results.render())
         _write_table(out / "aggregates.csv", AGGREGATE_FIELDS, self.aggregates)
         if self.pod_decay:
             _write_table(out / "pod_decay.csv", POD_DECAY_FIELDS, self.pod_decay)
@@ -718,19 +740,18 @@ class RunResult:
         _write_run_json(self.config, out / "run.json", self.skipped)
 
 
-def _write_versioned_csv(path: Path, header, lines) -> None:
-    """The schema line and the CSV header, then the text ``lines``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(lines)
+def _head(header) -> str:
+    """The schema line and the CSV header of a versioned CSV."""
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(header)
+    return f"# schema_version={SCHEMA_VERSION}\n{buf.getvalue()}"
 
 
 def _write_table(path: Path, header, rows: list[dict]) -> None:
     """One CSV row per dict, its values in header order ("" where a key is missing)."""
-    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(
-        [r.get(k, "") for k in header] for r in rows)
-    _write_versioned_csv(path, header, [buf.getvalue()])
+    buf = io.StringIO()
+    buf.write(_head(header))
+    csv.writer(buf, lineterminator="\n").writerows([r.get(k, "") for k in header] for r in rows)
+    path.write_text(buf.getvalue(), newline="")
 
 
 def _write_run_json(cfg: dict, path: Path, skipped=()) -> None:
@@ -904,9 +925,10 @@ def _data_block(raw: np.ndarray, space, cases: _Cases) -> np.ndarray:
     ``_normal_columns`` draw when sigma > 0, mapped by ``coords_from_raw``.
     Every model a config builds is linear_bias_gaussian.
     """
-    readings = (1.0 + cases.alpha) * np.tile(raw, len(cases.models))
+    readings = np.tile(raw, len(cases.models))
+    readings *= 1.0 + cases.alpha
     if (sigma := cases.models[0].sigma) > 0:
-        readings = readings + _normal_columns(cases.words, sigma, space.m)
+        readings += _normal_columns(cases.words, sigma, space.m)
     return space.coords_from_raw(readings)
 
 
@@ -924,8 +946,13 @@ def _errors(grid: Grid, states: np.ndarray, truths: np.ndarray,
     """Relative error of every column of an AK state block, whose column j
     estimates truth ``j % K`` of the (num_points, K) ``truths``."""
     points, K = truths.shape
-    diff = (states.reshape(points, -1, K) - truths[:, None, :]).reshape(points, -1)
-    return (_norms(grid, diff).reshape(-1, K) / truth_norms).ravel()
+    squares = states.reshape(points, -1, K) - truths[:, None, :]
+    np.square(squares, out=squares)     # _norms' block**2, in place
+    norms = grid.weights @ squares.reshape(points, -1)
+    np.sqrt(norms, out=norms)
+    norms = norms.reshape(-1, K)
+    norms /= truth_norms
+    return norms.ravel()
 
 
 class _Cases(_Record):
@@ -1228,7 +1255,7 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
             (model,) = cases.models
             readings = np.tile(model.biased_readings(clean), (len(cases.case_ids), 1))
             if model.sigma > 0:
-                readings = readings + _normal_columns(cases.words, model.sigma, space.m).T
+                readings += _normal_columns(cases.words, model.sigma, space.m).T
             data = _matvec(space.raw_to_onb_inverse, readings)
             solves = _plain_then_corrected(data.T, background, space, cases, box)
             fractions = zip(*(mode1_fractions(rec) for _, rec, _ in solves))

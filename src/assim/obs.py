@@ -22,6 +22,7 @@ import numpy as np
 from .space import (
     Grid,
     GridFunction,
+    GridMismatchError,
     Subspace,
     _frozen,
     _read_only,
@@ -153,7 +154,7 @@ class ObservationSpace(_Record):
     def apply_functionals(self, u: GridFunction) -> np.ndarray:
         """All raw sensor readings of a state at once."""
         if u.grid != self.grid:
-            raise ValueError("state lives on a different grid")
+            raise GridMismatchError("state lives on a different grid")
         return self.functional_matrix @ u.values
 
     @cached_property

@@ -267,10 +267,18 @@ class TestSeeding:
         random_seeds = [int(s) % 2 ** int(w) for s, w in
                         zip(rng.integers(0, 2**64, 500, dtype=np.uint64), widths)]
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + random_seeds
-        sigma, m = 0.325, 25
-        expected = np.stack(
-            [np.random.default_rng(seed).normal(0.0, sigma, m) for seed in seeds], axis=1)
-        assert np.array_equal(_normal_columns(_pcg64_words(seeds), sigma, m), expected)
+        m = 25
+        # sigma * z as it comes; underflowing to a signed zero, which only numpy's 0.0 +
+        # makes +0.0; overflowing to +-inf wherever |z| > 1.8
+        for sigma, extreme in [(0.325, None), (5e-324, 0.0), (1e308, np.inf)]:
+            expected = np.stack(
+                [np.random.default_rng(seed).normal(0.0, sigma, m) for seed in seeds], axis=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")      # numpy's own draws warn of nothing
+                got = _normal_columns(_pcg64_words(seeds), sigma, m)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), sigma
+            assert extreme is None or (np.abs(got) == extreme).any(), sigma
 
     def test_import_does_not_load_numpy_random(self):
         paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
@@ -279,6 +287,22 @@ class TestSeeding:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+    def test_run_and_write_do_not_load_numpy_ma(self, tmp_path):
+        # numpy.ma costs 10-15 ms to import; np.unique, for one, loads it on first call
+        code = ("import sys\n"
+                "from assim.bench import load_config, run_experiment\n"
+                "for i, (config, *overrides) in enumerate([\n"
+                "        ('example1.cfg', 'sweep.n=1,3', 'sweep.m=10,25', 'sweep.alpha=0,0.1'),\n"
+                "        ('example2.cfg', 'sweep.m=40'),\n"
+                "        ('example3.cfg', 'sweep.n=3,5')]):\n"
+                "    cfg = load_config(sys.argv[1] + '/' + config, overrides + ['validation.count=4'])\n"
+                "    run_experiment(cfg).write(f'{sys.argv[2]}/{i}')\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(CONFIGS), str(tmp_path)],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+        assert len(list(tmp_path.glob("*/results.csv"))) == 3
 
 
 class TestRunExample1:
@@ -835,15 +859,17 @@ class TestColumnarWrite:
         assert aggregate_rows(rows) == reference_aggregates(rows)
 
     def test_aggregates_equal_the_ndarray_reductions_bit_for_bit(self):
-        # aggregate_rows calls the ufunc reductions behind ndarray.mean/max/min/std
+        # aggregate_rows calls the ufunc reductions behind ndarray.mean/max/min/std; the
+        # three cells of each size, interleaved in row order, are reduced as one 2-D array
         rng = np.random.default_rng(20240605)
         rows = []
         for n, size in enumerate([1, 2, 7, 64, 513, 3712], start=1):
-            errors = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-8, 2)
+            errors = np.abs(rng.standard_normal((size, 3))) * 10.0 ** rng.uniform(-8, 2, 3)
             if n % 2:
                 errors = np.round(errors, 3)        # repeated values
-            rows += [ResultRow(k, "pbdw", n, 40, 0.1, 0.0, e, 1.0, k)
-                     for k, e in enumerate(errors.tolist())]
+            rows += [ResultRow(k, "pbdw", n, 40, alpha, 0.0, e, 1.0, k)
+                     for k, case_errors in enumerate(errors.tolist())
+                     for alpha, e in zip([0.0, 0.1, 0.2], case_errors)]
         got, want = aggregate_rows(rows), reference_aggregates(rows)
         assert [list(map(repr, a.values())) for a in got] == \
             [list(map(repr, a.values())) for a in want]

@@ -6,6 +6,7 @@ import pytest
 from assim import (
     Grid,
     GridFunction,
+    GridMismatchError,
     NoiseModel,
     SensorArray,
     SinusoidSpec,
@@ -185,6 +186,13 @@ class TestObserve:
         # closed form: the expected reading of a constant is (1 + alpha) * c
         raw = space.raw_from_coords(got.coeffs)
         assert raw[0] == pytest.approx(1.2, abs=1e-12)
+
+
+    def test_state_on_another_grid_is_a_grid_mismatch(self, grid):
+        space = build_observation_space(SensorArray.equidistant(8, grid), grid)
+        other = Grid(grid.a, grid.b, grid.num_points + 1)
+        with pytest.raises(GridMismatchError, match="^state lives on a different grid$"):
+            space.apply_functionals(GridFunction(other, np.ones(other.num_points)))
 
 
 class TestCoordsFromRaw:
