@@ -12,14 +12,18 @@ Three experiments are provided:
   bias-corrected reconstruction of a fixed parabolic truth under biased
   noise, reported as a mean/max/min/stddev table.
 
-One online loop (``run_experiment``) runs every experiment, a record in
-``_EXPERIMENTS``, after its offline set-up (``setup_experiment``): it builds
-the solve plans of each sensor count before it times a block, solves the
-(n, m) pairs with n <= m and a stable plan in blocks of cases, each case at
-every alpha of the run, and writes one ``timings.csv`` row per block and
-method; ``run.json`` lists the skipped cells.  Every case's
-random stream is derived from (master_seed, case id, stage), so a rerun with
-the same master seed reproduces ``results.csv``.
+Each experiment is one function, a record in ``_EXPERIMENTS``: it does the
+offline set-up (sampling, POD bases, truths) and returns it with the block
+solves, which read the truths from its scope.  One online loop
+(``run_experiment``) runs every experiment: it builds the solve plans of each
+sensor count before it times a block, solves the (n, m) pairs with n <= m and
+a stable plan in blocks of cases, each case at every alpha of the run, and
+writes one ``timings.csv`` row per block and method; ``run.json`` lists the
+skipped cells.  Every random stream is ``derive_seed(master_seed, key)`` of a
+text key: ``training`` and ``validation`` for the two samples, and
+``noise:<case>:m:<m>:n:<n>`` for a case's noise, with ``:alpha:<repr(alpha)>``
+appended when the run sweeps alpha; so a rerun with the same master seed
+reproduces ``results.csv``.
 
 Configuration is a flat ``key = value`` text format with dotted keys,
 overridable one key at a time (``--set key=value`` on the CLI).  ``SCHEMA``
@@ -67,7 +71,7 @@ from .obs import (BOX_AVERAGE, POINTWISE, DependentSensorsError, SensorArray,
                   build_observation_space)
 from .rom import decay_curve, pod
 from .solver import StabilityError, _matvec, _plan, compute_box, pbdw_solve_block
-from .space import Grid, GridFunction, _Record, _Value
+from .space import Grid, _Record, _Value
 
 __all__ = [
     "ConfigError",
@@ -251,8 +255,10 @@ def _parse(key: str, raw: str, where: str):
 
 
 def _resolve(text: str, source: str) -> dict:
-    """The file's entries on top of its experiment's defaults, not yet validated."""
+    """The file's entries on top of its experiment's defaults, not yet validated; a
+    key is set on one line at most (``--set`` overrides, by contrast, keep the last)."""
     entries: dict = {}
+    first: dict = {}        # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -260,7 +266,10 @@ def _resolve(text: str, source: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
-        entries[key.strip()] = _parse(key.strip(), raw, f"{source}:{lineno}")
+        if (key := key.strip()) in first:
+            raise ConfigError(f"{source}:{lineno}: {key} is set twice (first on line {first[key]})")
+        first[key] = lineno
+        entries[key] = _parse(key, raw, f"{source}:{lineno}")
     if (experiment := entries.get("experiment")) is None:
         raise ConfigError(f"{source}: missing required key 'experiment'")
     cfg = default_config(experiment)
@@ -796,16 +805,15 @@ def _manifold_spec(cfg: dict):
 # ---------------------------------------------------------------------------
 
 class Setup(_Record):
-    """The sampled snapshots, POD bases and truths of one experiment."""
+    """The sampled snapshots and POD bases of one experiment."""
 
     def __init__(
         self,
         grid: Grid,
         labeled: dict,      # label -> (snapshots, POD basis), as pod_decay_rows takes them
         decay_n: list[int],     # the dimensions pod_decay.csv reports
-        truth: GridFunction | None = None,  # example3_analog's fixed reference profile
     ) -> None:
-        self.__dict__.update(grid=grid, labeled=labeled, decay_n=decay_n, truth=truth)
+        self.__dict__.update(grid=grid, labeled=labeled, decay_n=decay_n)
 
     def decay(self) -> list[dict]:
         return pod_decay_rows(self.labeled, self.decay_n)
@@ -820,32 +828,6 @@ def _sample(cfg: dict, sampler: Callable, spec, grid: Grid, stage: str):
     with np.errstate(over="ignore", invalid="ignore"), \
             _naming(", ".join(keys), ", ".join(f"{key}={cfg[key]}" for key in sizes)):
         return sampler(spec, grid, cfg[f"{stage}.count"], derive_seed(cfg["master_seed"], stage))
-
-
-def _setup_example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> Setup:
-    training = _sample(cfg, sample_sinusoids, spec, grid, "training")
-    basis = pod(training, max(cfg["sweep.n"]))
-
-    if cfg["validation.reuse_training"]:
-        count = cfg["validation.count"]
-        truths = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
-    else:
-        truths = _sample(cfg, sample_sinusoids, spec, grid, "validation")
-    _check_truth_scale(cfg, truths.matrix, basis, "manifold.amplitude", "manifold.amplitude")
-    return Setup(grid, {"full": (truths, basis)}, cfg["sweep.n"])
-
-
-def _setup_example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> Setup:
-    fast_train, _slow_train, full_train = _sample(cfg, sample_multiscale, spec, grid, "training")
-    n_max = max(cfg["sweep.n"])
-    fast_basis, full_basis = pod(fast_train, n_max), pod(full_train, n_max)
-
-    fast_val, _slow_val, full_val = _sample(cfg, sample_multiscale, spec, grid, "validation")
-    # the truths and the snapshots are smooth parts plus jumps: the wider range sets their scale
-    key = max(("manifold.amplitude", "manifold.jump_height"), key=lambda k: max(map(abs, cfg[k])))
-    _check_truth_scale(cfg, full_val.matrix, full_basis, key, key)
-    return Setup(grid, {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
-                 list(range(1, max(cfg["sweep.n"]) + 1)))
 
 
 # a ground truth's norm must be at least _TRUTH_SCALE_FLOOR times the data's
@@ -878,17 +860,6 @@ def _check_truth_scale(cfg: dict, truths: np.ndarray, basis, truth_key: str,
                           f"the data's scale {scale:.3g}")
 
 
-def _setup_example3_analog(cfg: dict, grid: Grid, spec: PowerLawSpec) -> Setup:
-    training = _sample(cfg, sample_powerlaw, spec, grid, "training")
-    basis = pod(training, max(cfg["sweep.n"]))
-    truth = powerlaw_profile(
-        grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"], cfg["manifold.radius"]
-    )
-    _check_truth_scale(cfg, truth.values[None], basis, "truth.peak_velocity",
-                       "manifold.peak_velocity")
-    return Setup(grid, {"full": (training, basis)}, sorted(cfg["sweep.n"]), truth)
-
-
 def _numerical_rank(basis, count: int) -> int:
     """The rank of a weighted training matrix of ``count`` snapshots, from the singular
     values its POD ``basis`` keeps, by numpy's ``matrix_rank`` rule:
@@ -898,18 +869,21 @@ def _numerical_rank(basis, count: int) -> int:
     return int(np.count_nonzero(values > size * np.finfo(float).eps * values[0]))
 
 
-def setup_experiment(cfg: dict) -> Setup:
-    """The offline set-up of the configured experiment, without any solve.
-
-    The config is validated first, so a dict edited by hand gets the checks
-    a parsed one does; set-up itself only rejects what needs its data.
-    """
+def _build(cfg: dict) -> tuple[Setup, Callable]:
+    """The configured experiment's ``(Setup, per_m)``, after validating the config, so
+    a dict edited by hand gets the checks a parsed one does; set-up itself only rejects
+    what needs its data."""
     _validate(cfg)
-    return _EXPERIMENTS[cfg["experiment"]].setup(cfg, _grid(cfg), _manifold_spec(cfg))
+    return _EXPERIMENTS[cfg["experiment"]].build(cfg, _grid(cfg), _manifold_spec(cfg))
+
+
+def setup_experiment(cfg: dict) -> Setup:
+    """The offline set-up of the configured experiment, without any solve."""
+    return _build(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
-# the online loop and each experiment's block solve
+# the online loop, and each experiment's set-up and block solves
 # ---------------------------------------------------------------------------
 
 def _is_exact(model: NoiseModel) -> bool:
@@ -1000,20 +974,22 @@ class _Experiment(_Record):
     """One experiment as the online loop runs it.
 
     ``manifold`` is the class of its manifold spec, which ``_manifold_spec``
-    builds for ``setup(cfg, grid, spec)``.  ``per_run(cfg, setup)`` prepares what the whole run shares and returns
-    ``per_m(space)``, which prepares what the cells of one m share and returns
-    their block solve ``(backgrounds, cases, diagnostics)``, where
-    ``backgrounds`` holds each labeled POD basis truncated to n modes, in label
-    order, built once per n for the whole run.  That gives
-    ``(method, errors, beta, block_ms)`` per method, errors in the block's
-    column order (``_Cases``), and appends the block's diagnostic rows.  A
-    block holds at most ``chunk`` case ids (None: all of them) at each noise
-    model.
+    builds for ``build(cfg, grid, spec)``.  That one function samples the
+    snapshots, builds the POD bases and truths and checks their scale, and
+    returns the ``Setup`` with ``per_m(space)``, which prepares what the cells
+    of one m share and returns their block solve
+    ``(backgrounds, cases, diagnostics)``; the solves read the truths from the
+    function's own scope.  ``backgrounds`` holds each labeled POD basis
+    truncated to n modes, in label order, built once per n for the whole run.
+    A block solve gives ``(method, errors, beta, block_ms)`` per method,
+    errors in the block's column order (``_Cases``), and appends the block's
+    diagnostic rows.  A block holds at most ``chunk`` case ids (None: all of
+    them) at each noise model.
     """
 
-    def __init__(self, manifold: type, setup: Callable[[dict, Grid, object], Setup],
-                 per_run: Callable, chunk: int | None = None) -> None:
-        self.__dict__.update(manifold=manifold, setup=setup, per_run=per_run, chunk=chunk)
+    def __init__(self, manifold: type, build: Callable[[dict, Grid, object], tuple],
+                 chunk: int | None = None) -> None:
+        self.__dict__.update(manifold=manifold, build=build, chunk=chunk)
 
 
 def _elapsed_ms(start: float) -> float:
@@ -1021,8 +997,9 @@ def _elapsed_ms(start: float) -> float:
 
 
 def run_experiment(cfg: dict) -> RunResult:
-    """The configured experiment: offline set-up, then every block of cases of
-    every feasible (n, m) pair.
+    """The configured experiment: its one build function (``_Experiment``) for the
+    offline set-up and the block solves, then every block of cases of every
+    feasible (n, m) pair.
 
     The blocks are laid out once, as (m, n, case ids) in loop order, and each
     holds its case ids at every alpha of the run (every noise model), so
@@ -1035,10 +1012,9 @@ def run_experiment(cfg: dict) -> RunResult:
     run whose every cell is skipped raises a ``ConfigError`` led by
     ``sweep.n`` and ``sweep.m`` that quotes the first reason other than n > m.
     """
-    spec = _EXPERIMENTS[cfg["experiment"]]
-    setup = setup_experiment(cfg)
+    setup, per_m = _build(cfg)
     count = cfg["validation.count"]
-    chunk = spec.chunk or count
+    chunk = _EXPERIMENTS[cfg["experiment"]].chunk or count
     swept = "sweep.alpha" in cfg
     models = tuple(NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
                    for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]]))
@@ -1068,7 +1044,6 @@ def run_experiment(cfg: dict) -> RunResult:
     words = _pcg64_words(seeds) if cfg["noise.sigma"] > 0 else None
     backgrounds = {n: tuple(basis.subspace.truncate(n) for _, basis in setup.labeled.values())
                    for n in dict.fromkeys(b[1] for b in blocks)}
-    per_m = spec.per_run(cfg, setup)
 
     result = RunResult(cfg, pod_decay=setup.decay(), skipped=[
         {"n": n, "m": m, "reason": reason} for (n, m), reason in reasons.items() if reason])
@@ -1122,11 +1097,18 @@ def _plain_then_corrected(data: np.ndarray, background, space, cases: _Cases,
     return ("pbdw", plain, plain_ms), ("bpbdw", corrected, _elapsed_ms(start))
 
 
-def _example1(cfg: dict, setup: Setup) -> Callable:
-    """Each (n, m) pair's plain and bias-corrected solves, each one block solve of
-    every case at every alpha."""
-    grid = setup.grid
-    truths = np.ascontiguousarray(setup.labeled["full"][0].matrix.T)    # a block holds them all
+def _example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> tuple[Setup, Callable]:
+    """Sinusoid truths, and each (n, m) pair's plain and bias-corrected solves, each
+    one block solve of every case at every alpha."""
+    training = _sample(cfg, sample_sinusoids, spec, grid, "training")
+    basis = pod(training, max(cfg["sweep.n"]))
+    if cfg["validation.reuse_training"]:
+        count = cfg["validation.count"]
+        validation = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
+    else:
+        validation = _sample(cfg, sample_sinusoids, spec, grid, "validation")
+    _check_truth_scale(cfg, validation.matrix, basis, "manifold.amplitude", "manifold.amplitude")
+    truths = np.ascontiguousarray(validation.matrix.T)      # a block holds them all
     truth_norms = _norms(grid, truths)
 
     def per_m(space) -> Callable:
@@ -1139,7 +1121,7 @@ def _example1(cfg: dict, setup: Setup) -> Callable:
                     for method, rec, block_ms in _plain_then_corrected(data, background, space,
                                                                        cases)]
         return solve
-    return per_m
+    return Setup(grid, {"full": (validation, basis)}, cfg["sweep.n"]), per_m
 
 
 # Columns per example2 block.  Whole-cell blocks run no faster and raise the
@@ -1147,19 +1129,26 @@ def _example1(cfg: dict, setup: Setup) -> Callable:
 _CHUNK = 32
 
 
-def _example2(cfg: dict, setup: Setup) -> Callable:
-    """A column block's split and full-basis solves, and its jump diagnostics."""
+def _example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> tuple[Setup, Callable]:
+    """Oscillation-plus-jump truths, and a column block's split and full-basis solves
+    and its jump diagnostics."""
     # loaded here, so that the other experiments never import the multiscale module
     from .multiscale import spbdw_reconstruct_block, step_dictionary
 
-    grid = setup.grid
+    fast_train, _slow_train, full_train = _sample(cfg, sample_multiscale, spec, grid, "training")
+    n_max = max(cfg["sweep.n"])
+    fast_basis, full_basis = pod(fast_train, n_max), pod(full_train, n_max)
+    fast_val, _slow_val, full_val = _sample(cfg, sample_multiscale, spec, grid, "validation")
+    # the truths and the snapshots are smooth parts plus jumps: the wider range sets their scale
+    key = max(("manifold.amplitude", "manifold.jump_height"), key=lambda k: max(map(abs, cfg[k])))
+    _check_truth_scale(cfg, full_val.matrix, full_basis, key, key)
 
     def per_m(space) -> Callable:
+        # the dictionary keeps the steps these sensors see, so it and the snapping are per m
         dictionary = step_dictionary(grid, space, _pair(cfg, "manifold.jump_location"),
                                      cfg["dictionary.stride"])
         locations = np.array([p["jump_location"] for p in dictionary.parameters])
         # the truths as rows and their jump locations, optionally snapped onto the dictionary
-        (fast_val, _), (full_val, _) = setup.labeled["fast"], setup.labeled["full"]
         true_locations = np.array([p["jump_location"] for p in full_val.parameters])
         truths = full_val.matrix
         if cfg["dictionary.snap_truth"]:
@@ -1208,12 +1197,13 @@ def _example2(cfg: dict, setup: Setup) -> Callable:
                         ("spbdw", split.u_star, split.u_f.beta, split_ms),
                         ("pbdw", plain.states, plain.beta, plain_ms))]
         return solve
-    return per_m
+    return Setup(grid, {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
+                 list(range(1, n_max + 1))), per_m
 
 
-def _example3(cfg: dict, setup: Setup) -> Callable:
-    """Each (n, m) pair's box-constrained plain and bias-corrected solves, each
-    one block solve of every case.
+def _example3(cfg: dict, grid: Grid, spec: PowerLawSpec) -> tuple[Setup, Callable]:
+    """Power-law training profiles and a fixed parabolic truth, and each (n, m) pair's
+    box-constrained plain and bias-corrected solves, each one block solve of every case.
 
     Every column equals the per-case route bit for bit: ``observe_noisy``'s
     one rule, noiseless or not (the biased clean readings, plus
@@ -1227,10 +1217,14 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
     for equality.  Each background's coefficient box, which does not depend on m,
     is built once per run, before the first block of that n is timed.
     """
-    truth = setup.truth
+    training = _sample(cfg, sample_powerlaw, spec, grid, "training")
+    basis = pod(training, max(cfg["sweep.n"]))
+    truth = powerlaw_profile(grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"],
+                             cfg["manifold.radius"])
+    _check_truth_scale(cfg, truth.values[None], basis, "truth.peak_velocity",
+                       "manifold.peak_velocity")
     truth_norm = truth.norm()
-    weights = setup.grid.weights
-    training = setup.labeled["full"][0]
+    weights = grid.weights
     boxes = {}                          # background -> its box
 
     def errors(rec) -> np.ndarray:
@@ -1265,13 +1259,13 @@ def _example3(cfg: dict, setup: Setup) -> Callable:
                                         "m": cases.m, "mode1_energy_fraction": fraction})
             return [(method, errors(rec), rec.beta, block_ms) for method, rec, block_ms in solves]
         return solve
-    return per_m
+    return Setup(grid, {"full": (training, basis)}, sorted(cfg["sweep.n"])), per_m
 
 
 _EXPERIMENTS = {
-    "example1": _Experiment(SinusoidSpec, _setup_example1, _example1),
-    "example2": _Experiment(MultiscaleSpec, _setup_example2, _example2, chunk=_CHUNK),
-    "example3_analog": _Experiment(PowerLawSpec, _setup_example3_analog, _example3),
+    "example1": _Experiment(SinusoidSpec, _example1),
+    "example2": _Experiment(MultiscaleSpec, _example2, chunk=_CHUNK),
+    "example3_analog": _Experiment(PowerLawSpec, _example3),
 }
 
 

@@ -39,6 +39,7 @@ from .solver import (
     Reconstruction,
     _block_data,
     _lstsq_pinv,
+    _matvec,
     pbdw_solve,
     pbdw_solve_block,
 )
@@ -120,8 +121,8 @@ def build_slow_dictionary(candidates: SnapshotSet, space: ObservationSpace) -> S
     norms = np.sqrt(np.sum(space.grid.weights * X**2, axis=1))
     kept = norms != 0.0
     units = X[kept] * (1.0 / norms[kept])[:, None]
-    # one product per candidate: a single matrix product rounds differently
-    images = np.array([space.onb.weighted_matrix @ u for u in units]).reshape(len(units), space.m)
+    # one gemv per candidate (_matvec): a single matrix product rounds differently
+    images = _matvec(space.onb.weighted_matrix, units)
     visible = np.linalg.norm(images, axis=1) > VISIBILITY_TOL
     kept[kept] = visible                # of the nonzero candidates, the visible ones
     dropped = np.flatnonzero(~kept).tolist()

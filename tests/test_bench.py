@@ -72,6 +72,7 @@ from assim.bench import (
     setup_experiment,
 )
 from assim.cli import main as cli_main
+from assim.manifold import powerlaw_profile
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -144,11 +145,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="does not apply"):
             parse_config("experiment = example1\ndictionary.stride = 4\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("experiment = example1\nexperiment = example3_analog\n",
+         "f.cfg:2: experiment is set twice (first on line 1)"),
+        ("experiment = example1\nsweep.n = 1,2\n\n# the sweep again\n sweep.n= 3  # later\n",
+         "f.cfg:5: sweep.n is set twice (first on line 2)"),
+    ], ids=["experiment", "sweep"])
+    def test_key_set_twice_in_a_file_is_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text, "f.cfg")
+
     def test_overrides(self):
         cfg = default_config("example1")
         out = parse_overrides(cfg, ["noise.sigma=0.5", "sweep.m=10,20"])
         assert out["noise.sigma"] == 0.5
         assert out["sweep.m"] == [10, 20]
+        # repeated overrides of one key keep the last
+        assert parse_overrides(cfg, ["sweep.n=1,2", "sweep.n=3"])["sweep.n"] == [3]
         with pytest.raises(ConfigError):
             parse_overrides(cfg, ["bogus=1"])
 
@@ -214,8 +227,10 @@ class TestConfigParsing:
         message = f"^{re.escape(key)} {re.escape(row.limits())}, got "
         for value in outside:
             text = _text(key, value)
+            # a file sets each key once, the experiment included
+            head = "" if key == "experiment" else f"experiment = {experiment}\n"
             with pytest.raises(ConfigError, match=message):
-                parse_config(f"experiment = {experiment}\n{key} = {text}\n")
+                parse_config(f"{head}{key} = {text}\n")
             if key != "experiment":     # which --set cannot change
                 with pytest.raises(ConfigError, match=message):
                     parse_overrides(default_config(experiment), [f"{key}={text}"])
@@ -639,7 +654,9 @@ def example3_oracle(cfg):
     """
     setup = setup_experiment(cfg)
     training, basis = setup.labeled["full"]
-    truth, master, alpha = setup.truth, cfg["master_seed"], cfg["noise.alpha"]
+    truth = powerlaw_profile(setup.grid, cfg["truth.peak_velocity"], cfg["truth.flow_index"],
+                             cfg["manifold.radius"])
+    master, alpha = cfg["master_seed"], cfg["noise.alpha"]
     model = NoiseModel(alpha=alpha, sigma=cfg["noise.sigma"])
     rows, diagnostics = {}, []
     for m in cfg["sweep.m"]:
@@ -919,6 +936,13 @@ class TestColumnarWrite:
             text = (tmp_path / "columns" / name).read_text()
             assert text == "# schema_version=1\n" + ",".join(header) + "\n", name
 
+    @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                            (-1.0, "-1.0")])
+    def test_result_row_rejects_a_bad_error(self, bad, shown):
+        with pytest.raises(ValueError,
+                           match=f"^error_e must be finite and nonnegative, got {shown}$"):
+            ResultRow(0, "pbdw", 1, 2, 0.1, 0.0, bad, 1.0, 7)
+
     @pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), (-0.5, "-0.5")])
     def test_block_with_a_bad_error_is_rejected_whole(self, tmp_path, bad, shown):
         result = RunResult(small_example1())
@@ -1086,6 +1110,33 @@ class TestCli:
         assert line.startswith("error: sweep.n=[8], sweep.m=[10]: no cell is left to solve; "
                                "n=8, m=10: stability constant beta="), line
         assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, overrides, message",
+        [
+            ("experiment = example1\nvalidation.reuse_training = maybe\n", [],
+             "{cfg}:2: cannot parse validation.reuse_training = ' maybe' as bool "
+             "(not a boolean: ' maybe')"),
+            ("experiment = example1\nsweep.n\n", [],
+             "{cfg}:2: expected 'key = value', got 'sweep.n'"),
+            ("experiment = example1\n", ["validation.count=2", "sweep.n"],
+             "--set #2: expected key=value, got 'sweep.n'"),
+            ("experiment = example1\n", ["experiment=example2"],
+             "--set cannot change the experiment; edit the config file"),
+            ("experiment = example1\nsweep.n = 1\nsweep.n = 2\n", [],
+             "{cfg}:3: sweep.n is set twice (first on line 2)"),
+        ],
+        ids=["bool", "no_equals_in_file", "no_equals_in_set", "set_experiment", "key_twice"],
+    )
+    def test_rejected_input_is_one_error_line(self, tmp_path, capsys, text, overrides, message):
+        cfg_path, out_dir = tmp_path / "bench.cfg", tmp_path / "o"
+        cfg_path.write_text(text)
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        code = cli_main(["run", "--config", str(cfg_path), *sets, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [f"error: {message.format(cfg=cfg_path)}"]
+        assert captured.out == "" and not out_dir.exists()
 
     @pytest.mark.parametrize(
         "config, override",

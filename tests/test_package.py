@@ -118,7 +118,7 @@ def _records():
          (0, "pbdw", 1, 2, 0.1, 0.0, 0.6, 1.0, 7)),
         (Setup, (grid, {}, [1]), None),
         (_Cases, (1, 2, models, range(2), [7, 8, 9, 10], None), None),
-        (_Experiment, (SinusoidSpec, len, len), None),
+        (_Experiment, (SinusoidSpec, len), None),
     ]
 
 
