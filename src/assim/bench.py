@@ -107,7 +107,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
@@ -121,9 +121,9 @@ def _list_of(parse: Callable) -> Callable:
 
 # type name -> (parser, the rule each value keeps); a list is a sweep, each value its own cells
 _TYPES = {
-    "str": (str.strip, ""),
-    "int": (lambda t: int(t.strip()), ""),
-    "float": (lambda t: float(t.strip()), "must be finite"),
+    "str": (str, ""),
+    "int": (int, ""),
+    "float": (float, "must be finite"),
     "bool": (_parse_bool, ""),
     "int_list": (_list_of(int), "must be a non-empty list without repeats"),
     "float_list": (_list_of(float), "must be a non-empty list of finite values without repeats"),
@@ -206,8 +206,8 @@ SCHEMA = {
                        choices=(LINEAR_BIAS_GAUSSIAN,)),
     "noise.sigma": _Key("float", _each(0.325, 0.0, 2.0), "Gaussian spread per raw sensor reading",
                         (0.0, True)),
-    "noise.mc_samples": _Key("int", _each(1000), "Monte Carlo samples of an empirical_table noise "
-                             "model; no config builds one, so no run reads this", (1, True)),
+    "noise.mc_samples": _Key("int", _each(1000), "unused: every noise expectation is exact; kept "
+                             "until the dead keys are deleted (ROADMAP item 13)", (1, True)),
     "sweep.alpha": _Key("float_list", {_E1: [0.1]}, "bias slopes to sweep", (-1.0, False)),
     "manifold.amplitude": _Key("float_range", {_E1: [25.0, 40.0], _E2: [0.4, 1.0]},
                                "amplitude range"),
@@ -244,10 +244,10 @@ def default_config(experiment: str) -> dict:
 
 
 def _parse(key: str, raw: str, where: str):
-    """One entry's value, read by its key's parser."""
+    """One entry's value, stripped of surrounding blanks and read by its key's parser."""
     if key not in SCHEMA:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    typ = SCHEMA[key].type
+    typ, raw = SCHEMA[key].type, raw.strip()
     try:
         return _TYPES[typ][0](raw)
     except ValueError as exc:
@@ -1016,7 +1016,7 @@ def run_experiment(cfg: dict) -> RunResult:
     count = cfg["validation.count"]
     chunk = _EXPERIMENTS[cfg["experiment"]].chunk or count
     swept = "sweep.alpha" in cfg
-    models = tuple(NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"], cfg["noise.mc_samples"])
+    models = tuple(NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"])
                    for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]]))
     ranks = {label: _numerical_rank(basis, cfg["training.count"])
              for label, (_, basis) in setup.labeled.items()}

@@ -9,6 +9,9 @@ empirical lookup table of mean offsets.
 Bias correction runs in two steps: a plain reconstruction from the raw data
 first, then a second solve whose constraint is shifted by the expected
 discrepancy between clean and noisy measurements of that first estimate.
+That expectation is exact for both models: the bias is a fixed function of
+the clean readings, the noise has mean zero and the map to coordinates is
+linear, so it is the coordinates of the biased readings (``_expected_coords``).
 For the linear model the corrector simply rescales the constraint by
 ``(1 - alpha)``, so a relative bias of ``alpha`` leaves a residual amplitude
 error of order ``alpha**2`` instead of ``alpha``.
@@ -29,7 +32,6 @@ __all__ = [
     "BiasCorrectedReconstruction",
     "apply_noise",
     "noise_expectation",
-    "mc_expectation",
     "discrepancy_xi",
     "corrected_constraint",
     "corrected_constraint_block",
@@ -45,12 +47,14 @@ class NoiseModel(_Value):
     """Randomized observation model with a state-dependent bias.
 
     ``linear_bias_gaussian`` reads ``(1 + alpha) u`` plus Gaussian(0, sigma)
-    per raw sensor coordinate and has an analytic expectation.
+    per raw sensor coordinate.
 
-    ``empirical_table`` adds a mean offset looked up by reading magnitude:
-    ``table`` is a list of ``(bin_lo, bin_hi, offset)`` rows whose bins must
-    tile the expected reading range without gaps; expectations fall back to
-    Monte Carlo with ``mc_samples`` draws.
+    ``empirical_table`` adds a finite mean offset looked up by reading
+    magnitude: ``table`` is a list of ``(bin_lo, bin_hi, offset)`` rows whose
+    bins must tile the expected reading range without gaps.
+
+    Both expectations are exact, so ``mc_samples`` is unused; it is kept, and
+    still checked, because callers outside the package pass it.
     """
 
     def __init__(self, kind: str = LINEAR_BIAS_GAUSSIAN, alpha: float = 0.0, sigma: float = 0.0,
@@ -70,34 +74,36 @@ class NoiseModel(_Value):
             if not table:
                 raise ValueError("empirical_table model needs a table")
             table = tuple(tuple(map(float, row)) for row in table)
-            for lo, hi, _ in table:
+            for i, (lo, hi, offset) in enumerate(table):
                 if not lo < hi:
                     raise ValueError(f"table bin [{lo}, {hi}] is empty")
+                if not math.isfinite(offset):
+                    raise ValueError(f"table row {i} ({lo:g}, {hi:g}, {offset:g}) "
+                                     "has a non-finite offset")
             for (_, hi, _), (lo, _, _) in zip(table, table[1:]):
                 if lo != hi:
                     raise ValueError("table bins must be contiguous (no gaps, no overlap)")
         self.__dict__.update(kind=kind, alpha=alpha, sigma=sigma, mc_samples=mc_samples,
                              table=table)
 
-    def _table_offset(self, magnitude: float) -> float:
-        for lo, hi, offset in self.table:
-            if lo <= magnitude <= hi:
-                return offset
-        raise ValueError(
-            f"reading magnitude {magnitude:g} falls outside the table range "
-            f"[{self.table[0][0]:g}, {self.table[-1][1]:g}]"
-        )
-
     def biased_readings(self, clean: np.ndarray) -> np.ndarray:
-        """Mean (noise-free) readings under the bias part of the model."""
+        """Mean (noise-free) readings under the bias part of the model.
+
+        ``clean`` is one reading vector or an m x K block.  A table magnitude
+        on an edge two bins share takes the lower bin's offset, and both ends
+        of the table's range are inside it.
+        """
         if self.kind == LINEAR_BIAS_GAUSSIAN:
             return (1.0 + self.alpha) * clean
-        offsets = np.array([self._table_offset(abs(z)) for z in clean])
-        return clean + offsets
-
-    @property
-    def has_analytic_expectation(self) -> bool:
-        return self.kind == LINEAR_BIAS_GAUSSIAN
+        lo, hi, offsets = np.array(self.table).T
+        magnitude = np.abs(clean)
+        outside = ~((magnitude >= lo[0]) & (magnitude <= hi[-1]))
+        if outside.any():
+            raise ValueError(
+                f"reading magnitude {magnitude[outside].flat[0]:g} falls outside the table "
+                f"range [{lo[0]:g}, {hi[-1]:g}]"
+            )
+        return clean + offsets[np.searchsorted(hi, magnitude)]
 
 
 def apply_noise(
@@ -111,70 +117,54 @@ def apply_noise(
     return Measurement(space.coords_from_raw(readings), space)
 
 
-def mc_expectation(
-    u: GridFunction, space: ObservationSpace, model: NoiseModel, seed: int
-) -> Measurement:
-    """Monte Carlo estimate of the expected noisy observation.
-
-    The ``mc_samples`` x m Gaussian draws come from one generator seeded
-    with ``seed``, so the same seed reproduces the same mean.
-    """
-    biased = model.biased_readings(space.apply_functionals(u))
-    readings = np.tile(biased, (model.mc_samples, 1))
-    if model.sigma > 0:
-        readings += np.random.default_rng(seed).normal(0.0, model.sigma, readings.shape)
-    coords = space.coords_from_raw(readings.T)
-    return Measurement(coords.mean(axis=1), space)
+def _expected_coords(observed: np.ndarray, space: ObservationSpace | None, model: NoiseModel,
+                     alpha: float | np.ndarray | None = None) -> np.ndarray:
+    """Exact expected noisy coordinates of states whose clean coordinates are
+    ``observed``, one vector or an (m, K) block: the noise has mean zero, so
+    this is the coordinates of the biased readings.  ``alpha`` overrides a
+    linear model's slope; a table model needs ``space``."""
+    if model.kind == LINEAR_BIAS_GAUSSIAN:
+        return observed * (1.0 + (model.alpha if alpha is None else alpha))
+    if space is None:
+        raise ValueError(f"the expectation of an {model.kind!r} model needs the observation space")
+    return space.coords_from_raw(model.biased_readings(space.raw_from_coords(observed)))
 
 
-def noise_expectation(
-    u: GridFunction, space: ObservationSpace, model: NoiseModel, seed: int = 0
-) -> Measurement:
-    """Expected noisy observation; analytic where the model allows."""
-    if model.has_analytic_expectation:
-        return (1.0 + model.alpha) * observe(u, space)
-    return mc_expectation(u, space, model, seed)
+def noise_expectation(u: GridFunction, space: ObservationSpace, model: NoiseModel) -> Measurement:
+    """Expected noisy observation of a state, exact for every model."""
+    return Measurement(_expected_coords(space.onb.coefficients(u), space, model), space)
 
 
-def discrepancy_xi(
-    u: GridFunction, space: ObservationSpace, model: NoiseModel, seed: int = 0
-) -> Measurement:
+def discrepancy_xi(u: GridFunction, space: ObservationSpace, model: NoiseModel) -> Measurement:
     """Expected gap between clean and noisy measurements of a state."""
-    return observe(u, space) - noise_expectation(u, space, model, seed)
+    return observe(u, space) - noise_expectation(u, space, model)
 
 
-def corrected_constraint(
-    u: GridFunction, space: ObservationSpace, model: NoiseModel, seed: int = 0
-) -> Measurement:
+def corrected_constraint(u: GridFunction, space: ObservationSpace, model: NoiseModel) -> Measurement:
     """Shifted constraint of the second solve: ``observe(u) + discrepancy_xi(u)``.
 
-    Projects ``u`` once and keeps the arithmetic order of that sum, so the
-    result is the same to the last bit.
+    ``corrected_constraint_block`` of ``u``'s coordinates, projected once; it
+    keeps the arithmetic order of that sum, so the result is the same to the
+    last bit.
     """
-    observed = space.onb.coefficients(u)
-    if model.has_analytic_expectation:
-        expected = observed * (1.0 + model.alpha)
-    else:
-        expected = mc_expectation(u, space, model, seed).coeffs
-    return Measurement(observed + (observed - expected), space)
+    return Measurement(corrected_constraint_block(space.onb.coefficients(u), model, space=space),
+                       space)
 
 
 def corrected_constraint_block(
-    observed: np.ndarray, model: NoiseModel, alpha: float | np.ndarray | None = None
+    observed: np.ndarray, model: NoiseModel, alpha: float | np.ndarray | None = None,
+    space: ObservationSpace | None = None,
 ) -> np.ndarray:
     """``corrected_constraint`` for an (m, K) block of observed coordinates.
 
-    ``alpha`` is the bias slope of each column, a scalar or a length-K vector
-    that broadcasts over the rows; by default every column has
-    ``model.alpha``.  Only the analytic expectation applies: Monte Carlo
-    draws are seeded per case.  Column k equals ``corrected_constraint`` of
-    the state whose coordinates are column k, under a model with column k's
-    slope, with the same arithmetic order.
+    ``alpha`` is the bias slope of each column of a linear model, a scalar or
+    a length-K vector that broadcasts over the rows; by default every column
+    has ``model.alpha``.  An empirical_table model needs ``space``.  Column k
+    equals ``corrected_constraint`` of the state whose coordinates are column
+    k, under a model with column k's slope, with the same arithmetic order;
+    a one-dimensional ``observed`` is that one column.
     """
-    if not model.has_analytic_expectation:
-        raise ValueError(f"block correction needs an analytic expectation, not {model.kind!r}")
-    alpha = model.alpha if alpha is None else alpha
-    return observed + (observed - observed * (1.0 + alpha))
+    return observed + (observed - _expected_coords(observed, space, model, alpha))
 
 
 class BiasCorrectedReconstruction(Reconstruction):
@@ -200,10 +190,11 @@ def bpbdw_reconstruct(
     Step 1 reconstructs from the raw data; step 2 re-solves with the
     constraint shifted by the expected clean-vs-noisy discrepancy of the
     first estimate.  Passing ``box`` clamps the background coefficients in
-    both solves.
+    both solves.  The expectation is exact, so ``seed`` is unused; it is
+    kept because callers outside the package pass it.
     """
     first = pbdw_solve(omega_star, background, space, box)
-    eta = corrected_constraint(first.state, space, model, seed)
+    eta = corrected_constraint(first.state, space, model)
     corrected = pbdw_solve(eta, background, space, box)
     return BiasCorrectedReconstruction(
         state=corrected.state,
@@ -227,10 +218,10 @@ def bpbdw_correct_block(
     """Second step of ``bpbdw_reconstruct`` for a block of first estimates.
 
     ``first`` is the plain block solve of the data on the same pair and with
-    the same ``box``, and the model needs an analytic expectation
-    (``corrected_constraint_block``, which also takes each column's
-    ``alpha``).  Column k matches ``bpbdw_reconstruct`` on case k up to
-    roundoff, and bit for bit with a ``box``.
+    the same ``box``; the constraint is ``corrected_constraint_block``, which
+    also takes each column's ``alpha`` under a linear model.  Column k
+    matches ``bpbdw_reconstruct`` on case k up to roundoff, and bit for bit
+    with a ``box`` under a linear model.
     """
-    eta = corrected_constraint_block(first.observed, model, alpha)
+    eta = corrected_constraint_block(first.observed, model, alpha, space)
     return pbdw_solve_block(eta, background, space, box)

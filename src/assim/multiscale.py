@@ -315,7 +315,8 @@ def spbdw_reconstruct(
     measurements is the extraction's own last least-squares solve.  With a
     model, the smooth solve is bias-corrected and the steps are refitted
     against bias-corrected measurements built from the first-pass composite
-    estimate.
+    estimate.  The expectation is exact, so ``seed`` is unused; it is kept
+    because callers outside the package pass it.
     """
     smoothers, f_star, omega_f, history = extract_smoothers(
         omega_star, dictionary, rel_tol, max_iters
@@ -326,9 +327,9 @@ def spbdw_reconstruct(
         corrected = [sm.amplitude for sm in smoothers]
         f_u = f_star
     else:
-        u_f = bpbdw_reconstruct(omega_f, background, space, model, seed)
+        u_f = bpbdw_reconstruct(omega_f, background, space, model)
         # u_f.initial is the plain smooth solve of omega_f
-        eta = corrected_constraint(u_f.initial.state + f_star, space, model, seed)
+        eta = corrected_constraint(u_f.initial.state + f_star, space, model)
         # refit the recorded steps jointly against eta
         corrected = []
         if smoothers:
@@ -475,8 +476,8 @@ def spbdw_reconstruct_block(
 
     The greedy split is ``extract_smoothers_block``; f* and the smoothed data
     are built for the whole block and the smooth solve is
-    ``pbdw_solve_block``, followed under a noise model (analytic expectation
-    only) by ``bpbdw_correct_block``.  The steps of every column are then
+    ``pbdw_solve_block``, followed under a noise model by
+    ``bpbdw_correct_block``.  The steps of every column are then
     refitted in one stacked fit, the same pseudo-inverse rule as the greedy's:
     an unused slot (index -1) is a zero column, which gets amplitude 0.
     Column k matches ``spbdw_reconstruct`` on column k up to roundoff.
@@ -491,7 +492,7 @@ def spbdw_reconstruct_block(
         return SplitBlock(greedy, f_star, first, greedy.amplitudes, first.states + f_star)
 
     u_f = bpbdw_correct_block(first, background, space, model)
-    eta = corrected_constraint_block(weighted @ (first.states + f_star), model).T
+    eta = corrected_constraint_block(weighted @ (first.states + f_star), model, space=space).T
     # an unused slot (index -1) is a zero column, whose amplitude the fit sets to 0
     selected = (greedy.indices >= 0)[:, None, :]
     A = np.where(selected, _stacked_images(dictionary, greedy.indices), 0.0)

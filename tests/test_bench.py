@@ -1115,8 +1115,12 @@ class TestCli:
         "text, overrides, message",
         [
             ("experiment = example1\nvalidation.reuse_training = maybe\n", [],
-             "{cfg}:2: cannot parse validation.reuse_training = ' maybe' as bool "
-             "(not a boolean: ' maybe')"),
+             "{cfg}:2: cannot parse validation.reuse_training = 'maybe' as bool "
+             "(not a boolean: 'maybe')"),
+            # the value is quoted without the blank after its '='
+            ("experiment = example1\n", ["validation.reuse_training= maybe"],
+             "--set #1: cannot parse validation.reuse_training = 'maybe' as bool "
+             "(not a boolean: 'maybe')"),
             ("experiment = example1\nsweep.n\n", [],
              "{cfg}:2: expected 'key = value', got 'sweep.n'"),
             ("experiment = example1\n", ["validation.count=2", "sweep.n"],
@@ -1126,7 +1130,8 @@ class TestCli:
             ("experiment = example1\nsweep.n = 1\nsweep.n = 2\n", [],
              "{cfg}:3: sweep.n is set twice (first on line 2)"),
         ],
-        ids=["bool", "no_equals_in_file", "no_equals_in_set", "set_experiment", "key_twice"],
+        ids=["bool", "bool_set", "no_equals_in_file", "no_equals_in_set", "set_experiment",
+             "key_twice"],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, text, overrides, message):
         cfg_path, out_dir = tmp_path / "bench.cfg", tmp_path / "o"

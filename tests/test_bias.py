@@ -18,8 +18,7 @@ from assim import (
     pod,
     sample_sinusoids,
 )
-from assim.bias import (bpbdw_correct_block, corrected_constraint, corrected_constraint_block,
-                        mc_expectation)
+from assim.bias import bpbdw_correct_block, corrected_constraint, corrected_constraint_block
 from assim.solver import pbdw_solve_block
 
 
@@ -27,6 +26,19 @@ def full_domain_space(grid):
     center = 0.5 * (grid.a + grid.b)
     width = 1.01 * (grid.b - grid.a)
     return build_observation_space(SensorArray((center,), "box_average", width=width), grid)
+
+
+def reference_table_offset(table, magnitude):
+    """The first row whose closed bin holds the magnitude: the per-reading loop
+    that the table model's vectorised lookup replaced."""
+    for lo, hi, offset in table:
+        if lo <= magnitude <= hi:
+            return offset
+    raise ValueError(f"reading magnitude {magnitude:g} falls outside the table range")
+
+
+# bins of box averages of white noise: a shared edge, an open top and offsets of both signs
+TABLE = ((0.0, 0.05, 0.3), (0.05, 0.1, -0.2), (0.1, float("inf"), 0.1))
 
 
 class TestNoiseModel:
@@ -42,6 +54,11 @@ class TestNoiseModel:
             NoiseModel(kind="empirical_table", table=None)
         with pytest.raises(ValueError):
             NoiseModel(kind="empirical_table", table=((0.0, 1.0, 0.1), (1.5, 2.0, 0.2)))
+        for offset in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"table row 1 \(1, 2, .*\) has a non-finite offset"):
+                NoiseModel(kind="empirical_table", table=((0.0, 1.0, 0.1), (1.0, 2.0, offset)))
+        # an open top bin is a range, not an offset
+        NoiseModel(kind="empirical_table", table=((0.0, 1.0, 0.1), (1.0, float("inf"), 0.2)))
 
     def test_table_lookup_and_coverage(self, grid):
         model = NoiseModel(kind="empirical_table", sigma=0.0,
@@ -54,6 +71,23 @@ class TestNoiseModel:
         assert space.raw_from_coords(apply_noise(high, space, model, 0).coeffs)[0] == pytest.approx(1.1)
         with pytest.raises(ValueError):
             apply_noise(out_of_range, space, model, 0)
+
+    def test_vectorised_lookup_matches_the_reference_loop(self):
+        table = ((0.0, 1.0, 0.5), (1.0, 2.0, -0.5), (2.0, 3.5, 0.25))
+        model = NoiseModel(kind="empirical_table", table=table)
+        # both ends, every shared edge (the lower bin keeps it), bin interiors, both signs
+        vector = np.array([0.0, -0.0, 1.0, -1.0, 2.0, 3.5, -3.5, 0.4, 1.5, -2.7,
+                           np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0)])
+        block = np.random.default_rng(3).uniform(-3.5, 3.5, (6, 5))
+        block[0, 0], block[5, 4] = 2.0, -1.0
+        for clean in (vector, block):
+            expected = clean + np.vectorize(lambda z: reference_table_offset(table, abs(z)))(clean)
+            assert np.array_equal(model.biased_readings(clean), expected)
+        for magnitude in (3.75, -4.0, np.nan):
+            bad = block.copy()
+            bad[2, 3] = magnitude
+            with pytest.raises(ValueError, match=f"reading magnitude {abs(magnitude):g} falls outside"):
+                model.biased_readings(bad)
 
 
 class TestApplyNoise:
@@ -106,26 +140,24 @@ class TestExpectation:
         assert space.raw_from_coords(exp.coeffs)[0] == pytest.approx(1.2, abs=1e-12)
 
     def test_mc_agrees_with_analytic(self, grid, rng):
+        # the expectation is the closed form coords(biased readings), and a Monte
+        # Carlo mean of draws made here lies within 4 standard errors of it
         space = build_observation_space(SensorArray.equidistant(8, grid), grid)
         u = GridFunction(grid, rng.normal(size=grid.num_points))
-        model = NoiseModel(alpha=0.1, sigma=0.05, mc_samples=10_000)
-        analytic = noise_expectation(u, space, model)
-        mc = mc_expectation(u, space, model, seed=5)
+        clean = space.apply_functionals(u)
         B_inv = np.linalg.inv(space.raw_to_onb_matrix)
-        sd = model.sigma * np.sqrt(np.diag(B_inv @ B_inv.T))
-        tol = 4 * sd / np.sqrt(model.mc_samples)
-        assert np.all(np.abs(mc.coeffs - analytic.coeffs) <= tol)
+        for model in (NoiseModel(alpha=0.1, sigma=0.05),
+                      NoiseModel(kind="empirical_table", sigma=0.3, table=TABLE)):
+            exact = noise_expectation(u, space, model).coeffs
+            closed = space.coords_from_raw(model.biased_readings(clean))
+            assert np.allclose(exact, closed, rtol=1e-12, atol=1e-14 * np.abs(closed).max())
 
-    def test_mc_determinism(self, grid, rng):
-        space = build_observation_space(SensorArray.equidistant(6, grid), grid)
-        u = GridFunction(grid, rng.normal(size=grid.num_points))
-        model = NoiseModel(
-            kind="empirical_table", sigma=0.3, mc_samples=64,
-            table=((0.0, 100.0, 0.05),),
-        )
-        a = noise_expectation(u, space, model, seed=9)
-        b = noise_expectation(u, space, model, seed=9)
-        assert np.array_equal(a.coeffs, b.coeffs)
+            draws = 200_000
+            readings = model.biased_readings(clean) + np.random.default_rng(5).normal(
+                0.0, model.sigma, (draws, space.m))
+            mc = space.coords_from_raw(readings.T).mean(axis=1)
+            se = model.sigma * np.sqrt(np.diag(B_inv @ B_inv.T)) / np.sqrt(draws)
+            assert np.all(np.abs(mc - exact) <= 4 * se)
 
 
 class TestDiscrepancy:
@@ -214,10 +246,9 @@ class TestBpbdw:
         "model",
         [
             NoiseModel(alpha=0.1, sigma=0.3),
-            NoiseModel(kind="empirical_table", sigma=0.3, mc_samples=50,
-                       table=((0.0, 1e3, 0.4),)),
+            NoiseModel(kind="empirical_table", sigma=0.3, table=((0.0, 1e3, 0.4),)),
         ],
-        ids=["analytic", "monte_carlo"],
+        ids=["analytic", "table"],
     )
     def test_one_projection_matches_three(self, grid, model):
         # the corrected constraint projects the first estimate once; the state
@@ -226,16 +257,14 @@ class TestBpbdw:
         basis = pod(snaps, 4)
         space = build_observation_space(SensorArray.equidistant(20, grid), grid)
         omega = apply_noise(snaps.snapshots[3], space, model, seed=12)
-        rec = bpbdw_reconstruct(omega, basis.subspace, space, model, seed=13)
+        rec = bpbdw_reconstruct(omega, basis.subspace, space, model)
 
         first = pbdw_solve(omega, basis.subspace, space)
-        eta = observe(first.state, space) + discrepancy_xi(first.state, space, model, 13)
+        eta = observe(first.state, space) + discrepancy_xi(first.state, space, model)
         expected = pbdw_solve(eta, basis.subspace, space)
         assert np.array_equal(rec.eta.coeffs, eta.coeffs)
         assert np.array_equal(rec.state.values, expected.state.values)
-        assert np.array_equal(
-            corrected_constraint(first.state, space, model, 13).coeffs, eta.coeffs
-        )
+        assert np.array_equal(corrected_constraint(first.state, space, model).coeffs, eta.coeffs)
 
 
 class TestBpbdwBlock:
@@ -280,14 +309,20 @@ class TestBpbdwBlock:
             assert np.array_equal(corrected.rom_coeffs[:, k], oracle.rom_coeffs)
             assert corrected.constraint_residuals[k] == oracle.constraint_residual
 
-    def test_monte_carlo_model_rejected(self, grid):
+    def test_table_model_columns_match_per_case(self, grid):
+        # the table model's exact expectation serves the block as it does one case
         snaps = sample_sinusoids(SinusoidSpec(), grid, 16, seed=22)
-        basis = pod(snaps, 2)
-        space = build_observation_space(SensorArray.equidistant(6, grid), grid)
-        plain = pbdw_solve_block(np.ones((6, 3)), basis.subspace, space)
-        model = NoiseModel(kind="empirical_table", table=((0.0, 1.0, 0.1),))
-        with pytest.raises(ValueError, match="analytic"):
-            bpbdw_correct_block(plain, basis.subspace, space, model)
+        basis = pod(snaps, 4)
+        space = build_observation_space(SensorArray.equidistant(12, grid), grid)
+        model = NoiseModel(kind="empirical_table", sigma=0.5,
+                           table=((0.0, 10.0, 1.5), (10.0, 25.0, -2.0), (25.0, np.inf, 0.5)))
+        omegas = [apply_noise(u, space, model, seed=k) for k, u in enumerate(snaps.snapshots[:7])]
+        plain = pbdw_solve_block(np.stack([o.coeffs for o in omegas], axis=1), basis.subspace, space)
+        corrected = bpbdw_correct_block(plain, basis.subspace, space, model)
+        for k, omega in enumerate(omegas):
+            oracle = bpbdw_reconstruct(omega, basis.subspace, space, model)
+            scale = oracle.state.norm()
+            assert np.max(np.abs(corrected.states[:, k] - oracle.state.values)) <= 1e-12 * scale
 
     def test_per_column_alpha_is_each_columns_own_model(self, grid):
         # one slope per column, broadcast over the rows: each column is

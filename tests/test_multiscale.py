@@ -560,6 +560,24 @@ class TestSpbdwReconstructBlock:
             scale = dec.u_star.norm()
             assert np.linalg.norm(split.u_star[:, k] - dec.u_star.values) <= 1e-10 * scale
 
+    def test_table_model_against_per_case(self, grid, space40, dictionary):
+        # an empirical_table model's exact expectation serves the block split too
+        model = NoiseModel(kind="empirical_table", sigma=0.05,
+                           table=((0.0, 0.5, 0.05), (0.5, 1.0, -0.1), (1.0, np.inf, 0.2)))
+        fast_tr, _, _ = sample_multiscale(MultiscaleSpec(), grid, 64, seed=16)
+        background = pod(fast_tr, 15).subspace
+        _, _, full_va = sample_multiscale(MultiscaleSpec(), grid, 9, seed=18)
+        data = np.stack([space40.onb.coefficients(u) for u in full_va], axis=1)
+        split = spbdw_reconstruct_block(data, background, space40, dictionary, model=model)
+        for k in range(data.shape[1]):
+            dec = spbdw_reconstruct(Measurement(data[:, k], space40), background, space40,
+                                    dictionary, model=model)
+            count = len(dec.smoothers)
+            np.testing.assert_allclose(split.corrected_amplitudes[k, :count],
+                                       dec.corrected_amplitudes, rtol=1e-10, atol=0)
+            scale = dec.u_star.norm()
+            assert np.linalg.norm(split.u_star[:, k] - dec.u_star.values) <= 1e-10 * scale
+
     def test_dictionary_of_another_space(self, grid, space40, dictionary):
         other = build_observation_space(SensorArray.equidistant(40, grid), grid)
         background = Subspace(grid, other.onb.matrix[:3])
