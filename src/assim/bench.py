@@ -12,15 +12,15 @@ Three experiments are provided:
   bias-corrected reconstruction of a fixed parabolic truth under biased
   noise, reported as a mean/max/min/stddev table.
 
-Each experiment is one function, a record in ``_EXPERIMENTS``: it does the
-offline set-up (sampling, POD bases, truths) and returns it with the block
-solves, which read the truths from its scope.  One online loop
-(``run_experiment``) runs every experiment: it builds the solve plans of each
-sensor count before it times a block, solves the (n, m) pairs with n <= m and
-a stable plan in blocks of cases, each case at every alpha of the run, and
-writes one ``timings.csv`` row per block and method; ``run.json`` lists the
-skipped cells.  Every random stream is ``derive_seed(master_seed, key)`` of a
-text key: ``training`` and ``validation`` for the two samples, and
+Each experiment is one function in ``_EXPERIMENTS``: it does the offline
+set-up (sampling, POD bases, truths) and returns it as one ``Setup``, with its
+block solve, which reads the truths from its scope, and its block size.  One
+online loop (``run_experiment``) runs every experiment: it builds the solve
+plans of each sensor count before it times a block, solves the (n, m) pairs
+with n <= m and a stable plan in blocks of cases, each case at every alpha of
+the run, and writes one ``timings.csv`` row per block and method; ``run.json``
+lists the skipped cells.  Every random stream is ``derive_seed(master_seed,
+key)`` of a text key: ``training`` and ``validation`` for the two samples, and
 ``noise:<case>:m:<m>:n:<n>`` for a case's noise, with ``:alpha:<repr(alpha)>``
 appended when the run sweeps alpha; so a rerun with the same master seed
 reproduces ``results.csv``.
@@ -794,7 +794,7 @@ def _pair(cfg: dict, key: str) -> tuple[float, float]:
 
 def _manifold_spec(cfg: dict):
     """The experiment's manifold spec: its field ``x_range`` or ``x`` is the key ``manifold.x``."""
-    cls = _EXPERIMENTS[cfg["experiment"]].manifold
+    cls, _ = _EXPERIMENTS[cfg["experiment"]]
     return cls(**{name: _pair(cfg, f"manifold.{name[:-6]}")
                   if name.endswith("_range") else cfg[f"manifold.{name}"]
                   for name in cls._fields})
@@ -805,15 +805,29 @@ def _manifold_spec(cfg: dict):
 # ---------------------------------------------------------------------------
 
 class Setup(_Record):
-    """The sampled snapshots and POD bases of one experiment."""
+    """One experiment's offline set-up and its block solve, as the online loop runs it.
+
+    ``labeled`` maps each label to its (snapshots, POD basis), in label order;
+    ``backgrounds`` holds each basis truncated to n modes, in that order,
+    built once per n for the whole run.  ``per_m(space)`` prepares what the
+    cells of one m share and returns their block solve
+    ``(backgrounds, cases, diagnostics)``, which reads the truths from the
+    experiment function's own scope, gives ``(method, errors, beta, block_ms)``
+    per method, errors in the block's column order (``_Cases``), and appends
+    the block's diagnostic rows.  A block holds at most ``chunk`` case ids
+    (None: all of them) at each noise model.
+    """
 
     def __init__(
         self,
         grid: Grid,
         labeled: dict,      # label -> (snapshots, POD basis), as pod_decay_rows takes them
         decay_n: list[int],     # the dimensions pod_decay.csv reports
+        per_m: Callable,
+        chunk: int | None = None,
     ) -> None:
-        self.__dict__.update(grid=grid, labeled=labeled, decay_n=decay_n)
+        self.__dict__.update(grid=grid, labeled=labeled, decay_n=decay_n, per_m=per_m,
+                             chunk=chunk)
 
     def decay(self) -> list[dict]:
         return pod_decay_rows(self.labeled, self.decay_n)
@@ -869,17 +883,13 @@ def _numerical_rank(basis, count: int) -> int:
     return int(np.count_nonzero(values > size * np.finfo(float).eps * values[0]))
 
 
-def _build(cfg: dict) -> tuple[Setup, Callable]:
-    """The configured experiment's ``(Setup, per_m)``, after validating the config, so
-    a dict edited by hand gets the checks a parsed one does; set-up itself only rejects
-    what needs its data."""
-    _validate(cfg)
-    return _EXPERIMENTS[cfg["experiment"]].build(cfg, _grid(cfg), _manifold_spec(cfg))
-
-
 def setup_experiment(cfg: dict) -> Setup:
-    """The offline set-up of the configured experiment, without any solve."""
-    return _build(cfg)[0]
+    """The configured experiment's offline set-up and block solve, without any solve
+    run, after validating the config, so a dict edited by hand gets the checks a
+    parsed one does; set-up itself only rejects what needs its data."""
+    _validate(cfg)
+    _, experiment = _EXPERIMENTS[cfg["experiment"]]
+    return experiment(cfg, _grid(cfg), _manifold_spec(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -970,36 +980,14 @@ class _Cases(_Record):
             block_ms))))
 
 
-class _Experiment(_Record):
-    """One experiment as the online loop runs it.
-
-    ``manifold`` is the class of its manifold spec, which ``_manifold_spec``
-    builds for ``build(cfg, grid, spec)``.  That one function samples the
-    snapshots, builds the POD bases and truths and checks their scale, and
-    returns the ``Setup`` with ``per_m(space)``, which prepares what the cells
-    of one m share and returns their block solve
-    ``(backgrounds, cases, diagnostics)``; the solves read the truths from the
-    function's own scope.  ``backgrounds`` holds each labeled POD basis
-    truncated to n modes, in label order, built once per n for the whole run.
-    A block solve gives ``(method, errors, beta, block_ms)`` per method,
-    errors in the block's column order (``_Cases``), and appends the block's
-    diagnostic rows.  A block holds at most ``chunk`` case ids (None: all of
-    them) at each noise model.
-    """
-
-    def __init__(self, manifold: type, build: Callable[[dict, Grid, object], tuple],
-                 chunk: int | None = None) -> None:
-        self.__dict__.update(manifold=manifold, build=build, chunk=chunk)
-
-
 def _elapsed_ms(start: float) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
 def run_experiment(cfg: dict) -> RunResult:
-    """The configured experiment: its one build function (``_Experiment``) for the
-    offline set-up and the block solves, then every block of cases of every
-    feasible (n, m) pair.
+    """The configured experiment: its offline set-up and block solve
+    (``setup_experiment``), then every block of cases of every feasible (n, m)
+    pair, in blocks of at most ``Setup.chunk`` case ids.
 
     The blocks are laid out once, as (m, n, case ids) in loop order, and each
     holds its case ids at every alpha of the run (every noise model), so
@@ -1012,9 +1000,9 @@ def run_experiment(cfg: dict) -> RunResult:
     run whose every cell is skipped raises a ``ConfigError`` led by
     ``sweep.n`` and ``sweep.m`` that quotes the first reason other than n > m.
     """
-    setup, per_m = _build(cfg)
+    setup = setup_experiment(cfg)
     count = cfg["validation.count"]
-    chunk = _EXPERIMENTS[cfg["experiment"]].chunk or count
+    chunk = setup.chunk or count
     swept = "sweep.alpha" in cfg
     models = tuple(NoiseModel(cfg["noise.kind"], alpha, cfg["noise.sigma"])
                    for alpha in (cfg["sweep.alpha"] if swept else [cfg["noise.alpha"]]))
@@ -1068,7 +1056,7 @@ def run_experiment(cfg: dict) -> RunResult:
             except StabilityError as exc:
                 skip.add(n)
                 result.skipped.append({"n": n, "m": m, "reason": str(exc)})
-        solve = per_m(space)
+        solve = setup.per_m(space)
         for _m, n, case_ids in group:
             lo, taken = taken, taken + len(models) * len(case_ids)
             if n in skip:
@@ -1097,14 +1085,14 @@ def _plain_then_corrected(data: np.ndarray, background, space, cases: _Cases,
     return ("pbdw", plain, plain_ms), ("bpbdw", corrected, _elapsed_ms(start))
 
 
-def _example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> tuple[Setup, Callable]:
+def _example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> Setup:
     """Sinusoid truths, and each (n, m) pair's plain and bias-corrected solves, each
     one block solve of every case at every alpha."""
     training = _sample(cfg, sample_sinusoids, spec, grid, "training")
     basis = pod(training, max(cfg["sweep.n"]))
     if cfg["validation.reuse_training"]:
         count = cfg["validation.count"]
-        validation = SnapshotSet(grid, training.matrix[:count], training.parameters[:count], "full")
+        validation = SnapshotSet(grid, training.matrix[:count], training.parameters[:count])
     else:
         validation = _sample(cfg, sample_sinusoids, spec, grid, "validation")
     _check_truth_scale(cfg, validation.matrix, basis, "manifold.amplitude", "manifold.amplitude")
@@ -1121,7 +1109,7 @@ def _example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> tuple[Setup, Callabl
                     for method, rec, block_ms in _plain_then_corrected(data, background, space,
                                                                        cases)]
         return solve
-    return Setup(grid, {"full": (validation, basis)}, cfg["sweep.n"]), per_m
+    return Setup(grid, {"full": (validation, basis)}, cfg["sweep.n"], per_m)
 
 
 # Columns per example2 block.  Whole-cell blocks run no faster and raise the
@@ -1129,7 +1117,7 @@ def _example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> tuple[Setup, Callabl
 _CHUNK = 32
 
 
-def _example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> tuple[Setup, Callable]:
+def _example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> Setup:
     """Oscillation-plus-jump truths, and a column block's split and full-basis solves
     and its jump diagnostics."""
     # loaded here, so that the other experiments never import the multiscale module
@@ -1198,10 +1186,10 @@ def _example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> tuple[Setup, Calla
                         ("pbdw", plain.states, plain.beta, plain_ms))]
         return solve
     return Setup(grid, {"fast": (fast_val, fast_basis), "full": (full_val, full_basis)},
-                 list(range(1, n_max + 1))), per_m
+                 list(range(1, n_max + 1)), per_m, chunk=_CHUNK)
 
 
-def _example3(cfg: dict, grid: Grid, spec: PowerLawSpec) -> tuple[Setup, Callable]:
+def _example3(cfg: dict, grid: Grid, spec: PowerLawSpec) -> Setup:
     """Power-law training profiles and a fixed parabolic truth, and each (n, m) pair's
     box-constrained plain and bias-corrected solves, each one block solve of every case.
 
@@ -1259,13 +1247,14 @@ def _example3(cfg: dict, grid: Grid, spec: PowerLawSpec) -> tuple[Setup, Callabl
                                         "m": cases.m, "mode1_energy_fraction": fraction})
             return [(method, errors(rec), rec.beta, block_ms) for method, rec, block_ms in solves]
         return solve
-    return Setup(grid, {"full": (training, basis)}, sorted(cfg["sweep.n"])), per_m
+    return Setup(grid, {"full": (training, basis)}, sorted(cfg["sweep.n"]), per_m)
 
 
+# experiment -> (the class of its manifold spec, which _manifold_spec builds, its function)
 _EXPERIMENTS = {
-    "example1": _Experiment(SinusoidSpec, _example1),
-    "example2": _Experiment(MultiscaleSpec, _example2, chunk=_CHUNK),
-    "example3_analog": _Experiment(PowerLawSpec, _example3),
+    "example1": (SinusoidSpec, _example1),
+    "example2": (MultiscaleSpec, _example2),
+    "example3_analog": (PowerLawSpec, _example3),
 }
 
 

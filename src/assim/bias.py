@@ -100,8 +100,8 @@ class NoiseModel(_Value):
         outside = ~((magnitude >= lo[0]) & (magnitude <= hi[-1]))
         if outside.any():
             raise ValueError(
-                f"reading magnitude {magnitude[outside].flat[0]:g} falls outside the table "
-                f"range [{lo[0]:g}, {hi[-1]:g}]"
+                f"reading magnitude {float(magnitude[outside].flat[0])!r} falls outside the "
+                f"table range [{float(lo[0])!r}, {float(hi[-1])!r}]"
             )
         return clean + offsets[np.searchsorted(hi, magnitude)]
 

@@ -77,7 +77,8 @@ def _cmd_run(args) -> int:
     lines = [f"{cfg['experiment']}: {rows} rows -> {args.out}",
              f"{'method':>8} {'n':>4} {'m':>4} {'alpha':>6} | "
              f"{'mean%':>8} {'max%':>8} {'min%':>8} {'std%':>8}"]
-    lines += [f"{agg['method']:>8} {agg['n']:>4} {agg['m']:>4} {agg['alpha']:>6g} | "
+    # alpha by repr, so that two swept values never print the same label
+    lines += [f"{agg['method']:>8} {agg['n']:>4} {agg['m']:>4} {agg['alpha']!r:>6} | "
               f"{100 * agg['mean']:8.3f} {100 * agg['max']:8.3f} "
               f"{100 * agg['min']:8.3f} {100 * agg['stddev']:8.3f}" for agg in aggregates]
     lines += [f"skipped n={cell['n']} m={cell['m']}: {cell['reason']}" for cell in result.skipped]

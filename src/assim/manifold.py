@@ -122,7 +122,7 @@ class SnapshotSet(_Record):
     """Snapshots on one grid, one per row of ``matrix``, with their parameter records."""
 
     def __init__(self, grid: Grid, matrix: np.ndarray,     # (count, num_points)
-                 parameters: tuple[dict, ...], label: str = "full") -> None:
+                 parameters: tuple[dict, ...]) -> None:
         matrix = np.asarray(matrix, dtype=float)
         parameters = tuple(parameters)
         if matrix.ndim != 2 or matrix.shape[1] != grid.num_points:
@@ -133,7 +133,7 @@ class SnapshotSet(_Record):
             raise ValueError("snapshots and parameters must have equal length")
         if not np.isfinite(matrix).all():
             raise ValueError("snapshot values must be finite")
-        self.__dict__.update(grid=grid, matrix=matrix, parameters=parameters, label=label)
+        self.__dict__.update(grid=grid, matrix=matrix, parameters=parameters)
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -178,7 +178,7 @@ def sample_sinusoids(spec: SinusoidSpec, grid: Grid, count: int, seed: int) -> S
     )
     A, T = draws[:, :1], draws[:, 1:]
     params = [{"amplitude": a, "period": t} for a, t in draws.tolist()]
-    return SnapshotSet(grid, A * np.sin((2 * np.pi / T) * grid.nodes), params, label="full")
+    return SnapshotSet(grid, A * np.sin((2 * np.pi / T) * grid.nodes), params)
 
 
 def sample_multiscale(
@@ -210,9 +210,9 @@ def sample_multiscale(
         for row in draws.tolist()
     )
     return (
-        SnapshotSet(grid, fast, params, label="fast"),
-        SnapshotSet(grid, slow, params, label="slow"),
-        SnapshotSet(grid, fast + slow, params, label="full"),
+        SnapshotSet(grid, fast, params),
+        SnapshotSet(grid, slow, params),
+        SnapshotSet(grid, fast + slow, params),
     )
 
 
@@ -233,4 +233,4 @@ def sample_powerlaw(spec: PowerLawSpec, grid: Grid, count: int, seed: int) -> Sn
     # row by row: one power with a per-row exponent rounds some entries differently
     matrix = [powerlaw_profile(grid, v0, n, spec.radius).values for v0, n in draws]
     params = [{"peak_velocity": v0, "flow_index": n} for v0, n in draws]
-    return SnapshotSet(grid, matrix, params, label="full")
+    return SnapshotSet(grid, matrix, params)

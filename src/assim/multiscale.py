@@ -171,7 +171,7 @@ def step_dictionary(
     x = grid.nodes[nodes]
     params = [{"jump_location": loc, "jump_height": 1.0, "node": k}
               for loc, k in zip(x.tolist(), nodes.tolist())]
-    return build_slow_dictionary(SnapshotSet(grid, unit_steps(grid, x), params, label="slow"),
+    return build_slow_dictionary(SnapshotSet(grid, unit_steps(grid, x), params),
                                  space)
 
 

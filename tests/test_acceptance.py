@@ -351,7 +351,6 @@ def test_criterion_8_oracle_equivalence():
             grid,
             [heaviside(grid, float(grid.nodes[k])).values for k in np.sort(nodes)],
             tuple({"jump_location": float(grid.nodes[k])} for k in np.sort(nodes)),
-            "slow",
         )
         dictionary = build_slow_dictionary(snaps, space)
         omega = Measurement(rng.normal(size=12), space)

@@ -1385,6 +1385,16 @@ class TestCli:
                          "--out", str(out_dir)]) == 0
         assert capsys.readouterr().out == _EXAMPLE1_STDOUT.format(out=out_dir)
 
+    def test_close_alphas_print_distinct_labels(self, tmp_path, capsys):
+        # the two alphas agree to six significant digits, and their rows must not
+        assert cli_main(["run", "--config", str(CONFIGS / "example1.cfg"),
+                         "--set", "sweep.alpha=0.1,0.1000001", "--set", "validation.count=2",
+                         "--set", "sweep.n=1", "--out", str(tmp_path / "o")]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        labels = [row.split("|")[0] for row in rows]
+        assert labels == ["   bpbdw    1   25    0.1 ", "   bpbdw    1   25 0.1000001 ",
+                          "    pbdw    1   25    0.1 ", "    pbdw    1   25 0.1000001 "]
+
     def test_aggregates_computed_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 

@@ -86,8 +86,16 @@ class TestNoiseModel:
         for magnitude in (3.75, -4.0, np.nan):
             bad = block.copy()
             bad[2, 3] = magnitude
-            with pytest.raises(ValueError, match=f"reading magnitude {abs(magnitude):g} falls outside"):
+            with pytest.raises(ValueError, match=f"reading magnitude {abs(magnitude)!r} falls outside"):
                 model.biased_readings(bad)
+
+    def test_out_of_range_magnitude_is_quoted_in_full(self):
+        # a reading just past the last edge must not be reported as lying on it
+        model = NoiseModel(kind="empirical_table", table=((0.0, 1.0, 0.5), (1.0, 3.5, -0.5)))
+        with pytest.raises(ValueError) as info:
+            model.biased_readings(np.array([0.5, -3.5000001]))
+        assert str(info.value) == ("reading magnitude 3.5000001 falls outside the table range "
+                                   "[0.0, 3.5]")
 
 
 class TestApplyNoise:

@@ -51,10 +51,10 @@ def dictionary(grid, space40):
     return step_dictionary(grid, space40, (np.pi / 2, 3 * np.pi / 2), stride=12)
 
 
-def step_set(grid, locations, label="slow"):
+def step_set(grid, locations):
     steps = [heaviside(grid, x).values for x in locations]
     params = tuple({"jump_location": float(x)} for x in locations)
-    return SnapshotSet(grid, steps, params, label)
+    return SnapshotSet(grid, steps, params)
 
 
 def reference_slow_dictionary(candidates, space, visibility_tol=1e-12):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import assim
-from assim.bench import ResultRow, Setup, _Cases, _Experiment
+from assim.bench import ResultRow, Setup, _Cases
 from assim.bias import BiasCorrectedReconstruction, NoiseModel
 from assim.manifold import MultiscaleSpec, PowerLawSpec, SinusoidSpec, SnapshotSet
 from assim.multiscale import (
@@ -116,9 +116,8 @@ def _records():
         (SplitBlock, (greedy, np.zeros((5, 1)), block, np.ones((1, 1)), np.zeros((5, 1))), None),
         (ResultRow, (0, "pbdw", 1, 2, 0.1, 0.0, 0.5, 1.0, 7),
          (0, "pbdw", 1, 2, 0.1, 0.0, 0.6, 1.0, 7)),
-        (Setup, (grid, {}, [1]), None),
+        (Setup, (grid, {}, [1], len), None),
         (_Cases, (1, 2, models, range(2), [7, 8, 9, 10], None), None),
-        (_Experiment, (SinusoidSpec, len), None),
     ]
 
 
@@ -133,7 +132,7 @@ def test_every_record_class_is_covered():
              if isinstance(obj, type) and issubclass(obj, _Record)
              and obj.__module__.startswith("assim.") and obj.__name__ not in ("_Record", "_Value")}
     assert found == {cls for cls, *_ in RECORDS}
-    assert len(found) == 26
+    assert len(found) == 25
 
 
 @pytest.mark.parametrize("cls, args, other", RECORDS, ids=[cls.__name__ for cls, *_ in RECORDS])

@@ -21,8 +21,8 @@ from assim import (
 )
 
 
-def make_set(grid, arrays, label="full"):
-    return SnapshotSet(grid, arrays, tuple({} for _ in arrays), label)
+def make_set(grid, arrays):
+    return SnapshotSet(grid, arrays, tuple({} for _ in arrays))
 
 
 def reference_decay_curve(validation, basis, n_values):
@@ -128,7 +128,7 @@ class TestApproximationError:
     def test_empty_validation_set_rejected(self, grid):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 3, seed=5)
         basis = pod(snaps, 2)
-        empty = SnapshotSet(grid, np.empty((0, grid.num_points)), (), "full")
+        empty = SnapshotSet(grid, np.empty((0, grid.num_points)), ())
         with pytest.raises(ValueError):
             approximation_error(empty, basis)
 

@@ -777,7 +777,7 @@ class TestComputeBox:
     def test_singleton(self, grid, rng):
         snaps = sample_sinusoids(SinusoidSpec(), grid, 12, seed=10)
         basis = pod(snaps, 3)
-        single = SnapshotSet(grid, snaps.matrix[:1], snaps.parameters[:1], "full")
+        single = SnapshotSet(grid, snaps.matrix[:1], snaps.parameters[:1])
         box = compute_box(single, basis.subspace, margin=1.0)
         coeffs = basis.subspace.coefficients(snaps.snapshots[0])
         assert np.allclose(box.lo, coeffs, atol=1e-12)
@@ -786,7 +786,7 @@ class TestComputeBox:
     def test_symmetric_snapshots(self, grid, rng):
         fns = [GridFunction(grid, rng.normal(size=grid.num_points)) for _ in range(4)]
         arrays = [f.values for f in fns] + [-f.values for f in fns]
-        snaps = SnapshotSet(grid, arrays, tuple({} for _ in arrays), "full")
+        snaps = SnapshotSet(grid, arrays, tuple({} for _ in arrays))
         basis = pod(snaps, 3)
         box = compute_box(snaps, basis.subspace, margin=1.3)
         assert np.allclose(box.lo, -box.hi, atol=1e-12)
@@ -803,7 +803,7 @@ class TestComputeBox:
         snaps = sample_sinusoids(SinusoidSpec(), grid, 3, seed=12)
         basis = pod(snaps, 2)
         with pytest.raises(ValueError):
-            compute_box(SnapshotSet(grid, np.empty((0, grid.num_points)), (), "full"),
+            compute_box(SnapshotSet(grid, np.empty((0, grid.num_points)), ()),
                         basis.subspace)
 
     def test_snapshots_on_another_grid_rejected(self, grid):
