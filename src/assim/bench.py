@@ -900,20 +900,18 @@ def _is_exact(model: NoiseModel) -> bool:
     return model.alpha == 0.0 and model.sigma == 0.0 and model.kind == LINEAR_BIAS_GAUSSIAN
 
 
-def _data_block(raw: np.ndarray, space, cases: _Cases) -> np.ndarray:
-    """m x AK onb data of a block's K truths, whose m x K sensor readings are ``raw``,
-    under its A noise models (``_Cases``).
+def _readings(raw: np.ndarray, cases: _Cases) -> np.ndarray:
+    """m x AK noisy sensor readings of a block's K truths, whose clean m x K
+    readings are ``raw``, under its A noise models (``_Cases``).
 
-    Column j follows ``observe_noisy``'s one rule, noiseless or not, up to
-    roundoff: its readings times 1 + its alpha, plus its seed's
-    ``_normal_columns`` draw when sigma > 0, mapped by ``coords_from_raw``.
-    Every model a config builds is linear_bias_gaussian.
+    Column j follows ``observe_noisy``'s one rule, noiseless or not, bit for
+    bit: its model's ``biased_readings``, plus its seed's
+    ``default_rng(seed).normal`` draw (``_normal_columns``) when sigma > 0.
     """
-    readings = np.tile(raw, len(cases.models))
-    readings *= 1.0 + cases.alpha
+    readings = np.hstack([model.biased_readings(raw) for model in cases.models])
     if (sigma := cases.models[0].sigma) > 0:
-        readings += _normal_columns(cases.words, sigma, space.m)
-    return space.coords_from_raw(readings)
+        readings += _normal_columns(cases.words, sigma, len(raw))
+    return readings
 
 
 # one observation rule, noiseless or not; the benchmark's library runner imports it by this name
@@ -980,8 +978,11 @@ class _Cases(_Record):
             block_ms))))
 
 
-def _elapsed_ms(start: float) -> float:
-    return (time.perf_counter() - start) * 1e3
+def _timed(solve: Callable, *args, **kwargs) -> tuple:
+    """``(solve(*args, **kwargs), its wall time in ms)``: every block solve is timed here."""
+    start = time.perf_counter()
+    result = solve(*args, **kwargs)
+    return result, (time.perf_counter() - start) * 1e3
 
 
 def run_experiment(cfg: dict) -> RunResult:
@@ -1077,12 +1078,11 @@ def _plain_then_corrected(data: np.ndarray, background, space, cases: _Cases,
                           box=None) -> tuple:
     """(method, reconstruction, block_ms) of a block's plain solve and of its bias
     correction, which starts from it (``bpbdw_correct_block``), so the corrected
-    method's time includes the plain solve."""
-    start = time.perf_counter()
-    plain = pbdw_solve_block(data, background, space, box)
-    plain_ms = _elapsed_ms(start)
-    corrected = bpbdw_correct_block(plain, background, space, cases.models[0], cases.alpha, box)
-    return ("pbdw", plain, plain_ms), ("bpbdw", corrected, _elapsed_ms(start))
+    method's time is the plain solve's plus the correction's."""
+    plain, plain_ms = _timed(pbdw_solve_block, data, background, space, box)
+    corrected, correction_ms = _timed(bpbdw_correct_block, plain, background, space,
+                                      cases.models[0], cases.alpha, box)
+    return ("pbdw", plain, plain_ms), ("bpbdw", corrected, plain_ms + correction_ms)
 
 
 def _example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> Setup:
@@ -1104,12 +1104,12 @@ def _example1(cfg: dict, grid: Grid, spec: SinusoidSpec) -> Setup:
 
         def solve(backgrounds, cases: _Cases, _diagnostics: list) -> list:
             (background,) = backgrounds
-            data = _data_block(raw, space, cases)
+            data = space.coords_from_raw(_readings(raw, cases))
             return [(method, _errors(grid, rec.states, truths, truth_norms), rec.beta, block_ms)
                     for method, rec, block_ms in _plain_then_corrected(data, background, space,
                                                                        cases)]
         return solve
-    return Setup(grid, {"full": (validation, basis)}, cfg["sweep.n"], per_m)
+    return Setup(grid, {"full": (validation, basis)}, sorted(cfg["sweep.n"]), per_m)
 
 
 # Columns per example2 block.  Whole-cell blocks run no faster and raise the
@@ -1150,18 +1150,14 @@ def _example2(cfg: dict, grid: Grid, spec: MultiscaleSpec) -> Setup:
             (model,) = cases.models
             ids = cases.case_ids
             truth_block = np.ascontiguousarray(truths[ids.start:ids.stop].T)
-            data = _data_block(space.functional_matrix @ truth_block, space, cases)
-            start = time.perf_counter()
-            split = spbdw_reconstruct_block(
-                data, fast_bg, space, dictionary,
+            data = space.coords_from_raw(_readings(space.functional_matrix @ truth_block, cases))
+            split, split_ms = _timed(
+                spbdw_reconstruct_block, data, fast_bg, space, dictionary,
                 # the split is bias-corrected only when the data are noisy
                 model=None if _is_exact(model) else model,
                 rel_tol=cfg["spbdw.rel_tol"], max_iters=cfg["spbdw.max_iters"],
             )
-            split_ms = _elapsed_ms(start)
-            start = time.perf_counter()
-            plain = pbdw_solve_block(data, full_bg, space)
-            plain_ms = _elapsed_ms(start)
+            plain, plain_ms = _timed(pbdw_solve_block, data, full_bg, space)
 
             # multiscale.total_variation of every column: the truth's, then each method's
             tv_truth, *tv_methods = (np.abs(np.diff(block, axis=0)).sum(axis=0)
@@ -1194,11 +1190,11 @@ def _example3(cfg: dict, grid: Grid, spec: PowerLawSpec) -> Setup:
     box-constrained plain and bias-corrected solves, each one block solve of every case.
 
     Every column equals the per-case route bit for bit: ``observe_noisy``'s
-    one rule, noiseless or not (the biased clean readings, plus
-    ``default_rng(seed).normal`` drawn by ``_normal_columns`` when sigma > 0,
-    mapped to onb coordinates one row at a time by ``_matvec``), then
-    ``pbdw_solve(box=)`` and ``bpbdw_reconstruct(box=)``, whose columns the
-    boxed block solves of ``_plain_then_corrected`` reproduce.  The errors and
+    readings, which ``_readings`` draws for the whole block, mapped to onb
+    coordinates one row per case by ``_matvec`` (as ``coords_from_raw`` maps
+    one vector), then ``pbdw_solve(box=)`` and ``bpbdw_reconstruct(box=)``,
+    which the boxed block solves of ``_plain_then_corrected`` reproduce row
+    by row.  The errors and
     mode-1 energy fractions are reductions over one contiguous row per case,
     as each per-case reduction runs over its own vector.  The benchmark's
     library runner rebuilds these rows with per-case calls and compares them
@@ -1234,11 +1230,8 @@ def _example3(cfg: dict, grid: Grid, spec: PowerLawSpec) -> Setup:
             if background not in boxes:
                 boxes[background] = compute_box(training, background, cfg["box.margin"])
             box = boxes[background]
-            (model,) = cases.models
-            readings = np.tile(model.biased_readings(clean), (len(cases.case_ids), 1))
-            if model.sigma > 0:
-                readings += _normal_columns(cases.words, model.sigma, space.m).T
-            data = _matvec(space.raw_to_onb_inverse, readings)
+            readings = _readings(np.repeat(clean[:, None], len(cases.case_ids), axis=1), cases)
+            data = _matvec(space.raw_to_onb_inverse, readings.T)
             solves = _plain_then_corrected(data.T, background, space, cases, box)
             fractions = zip(*(mode1_fractions(rec) for _, rec, _ in solves))
             for case_id, pair in zip(cases.case_ids, fractions):

@@ -105,6 +105,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # an --out whose nearest existing path is not a directory fails first, creating nothing
+        if (out := getattr(args, "out", None)) is not None:
+            existing = next(p for p in (Path(out), *Path(out).parents) if os.path.lexists(p))
+            if not existing.is_dir():
+                raise ValueError(f"--out {out}: {existing} exists and is not a directory")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "pod-decay":

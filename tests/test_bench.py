@@ -58,6 +58,7 @@ from assim.bench import (
     _normal_columns,
     _pair,
     _pcg64_words,
+    _readings,
     _sensor_array,
     _write_run_json,
     aggregate_rows,
@@ -294,6 +295,27 @@ class TestSeeding:
             assert got.shape == expected.shape
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), sigma
             assert extreme is None or (np.abs(got) == extreme).any(), sigma
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.325])
+    @pytest.mark.parametrize("kind, alphas, table", [
+        ("linear_bias_gaussian", [0.0, 0.1, -0.05], None),
+        # readings in all three bins, and on the edges two of them share
+        ("empirical_table", [0.0], ((0.0, 0.5, 0.25), (0.5, 1.0, -0.125), (1.0, 4.0, 0.0625))),
+    ], ids=["swept_alpha", "table"])
+    def test_block_readings_are_per_case_readings(self, kind, alphas, table, sigma):
+        models = tuple(NoiseModel(kind, alpha, sigma, table=table) for alpha in alphas)
+        m, K = 6, 4
+        raw = np.random.default_rng(3).uniform(-3.0, 3.0, (m, K))
+        raw[0, 0], raw[1, 1] = 0.5, -1.0
+        seeds = list(range(100, 100 + len(models) * K))
+        cases = _Cases(2, m, models, range(K), seeds, _pcg64_words(seeds) if sigma else None)
+        got = _readings(raw, cases)
+        assert got.shape == (m, len(models) * K)
+        for j, seed in enumerate(seeds):
+            expected = models[j // K].biased_readings(raw[:, j % K])
+            if sigma:
+                expected = expected + np.random.default_rng(seed).normal(0.0, sigma, m)
+            assert np.array_equal(got[:, j].view(np.int64), expected.view(np.int64)), j
 
     def test_import_does_not_load_numpy_random(self):
         paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
@@ -1652,6 +1674,38 @@ class TestCli:
         assert cli_main(["pod-decay", *args, "--out", str(tmp_path / "decay")]) == 0
         assert (tmp_path / "decay" / "pod_decay.csv").read_text() == written
 
+    def test_pod_decay_lists_n_ascending(self, tmp_path, capsys):
+        args = ["--config", str(CONFIGS / "example1.cfg"), "--set", "sweep.n=5,2",
+                "--set", "validation.count=4"]
+        assert cli_main(["run", *args, "--out", str(tmp_path / "run")]) == 0
+        written = (tmp_path / "run" / "pod_decay.csv").read_text().splitlines()[2:]
+        capsys.readouterr()
+        assert cli_main(["pod-decay", *args]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        for lines in (written, printed):
+            assert [line.split(",")[:2] for line in lines] == [["full", "2"], ["full", "5"]]
+
+    @pytest.mark.parametrize("command, out", [
+        ("run", "file"), ("run", "file/sub/dir"), ("pod-decay", "file/sub"),
+    ])
+    def test_out_that_cannot_be_a_directory_is_rejected_first(self, tmp_path, capsys,
+                                                             monkeypatch, command, out):
+        (tmp_path / "file").write_text("kept\n")
+        monkeypatch.chdir(tmp_path)
+
+        def never(cfg):
+            raise AssertionError("the experiment ran before --out was checked")
+
+        monkeypatch.setattr(assim.cli, "run_experiment", never)
+        monkeypatch.setattr(assim.cli, "setup_experiment", never)
+        code = cli_main([command, "--config", str(CONFIGS / "example2.cfg"), "--out", out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            f"error: --out {out}: file exists and is not a directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_info_command(self, capsys):
         assert cli_main(["info"]) == 0
         out = capsys.readouterr().out
@@ -2142,19 +2196,18 @@ class TestOnlineLoop:
         ids=["example1", "example2", "example3"],
     )
     def test_no_solve_plan_is_built_inside_a_timed_block(self, monkeypatch, cfg):
-        # a timed region runs from a perf_counter start to the last _elapsed_ms call
-        # that reads it: a plan or box build is timed if a stop comes before the next start
+        # a timed region is one _timed call: a plan or box build is timed if a stop
+        # comes before the next start
         events = []
-        build, elapsed = assim.solver._build_plan, assim.bench._elapsed_ms
+        build, timed = assim.solver._build_plan, assim.bench._timed
         box = assim.bench.compute_box
 
-        def start():
+        def counted_timed(*args, **kwargs):
             events.append("start")
-            return time.perf_counter()
-
-        def stop(begin):
-            events.append("stop")
-            return elapsed(begin)
+            try:
+                return timed(*args, **kwargs)
+            finally:
+                events.append("stop")
 
         def counted_build(*args):
             events.append("build")
@@ -2164,11 +2217,10 @@ class TestOnlineLoop:
             events.append("build")
             return box(*args)
 
-        monkeypatch.setattr(assim.bench, "time", SimpleNamespace(perf_counter=start))
-        monkeypatch.setattr(assim.bench, "_elapsed_ms", stop)
+        monkeypatch.setattr(assim.bench, "_timed", counted_timed)
         monkeypatch.setattr(assim.solver, "_build_plan", counted_build)
         monkeypatch.setattr(assim.bench, "compute_box", counted_box)
         run_experiment(cfg)
         following = [next((e for e in events[i:] if e != "build"), None)
                      for i, event in enumerate(events) if event == "build"]
-        assert following and "stop" not in following
+        assert following and "stop" not in following and "start" in events
