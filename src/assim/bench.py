@@ -92,6 +92,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# the first line of every versioned CSV
+_SCHEMA_LINE = f"# schema_version={SCHEMA_VERSION}\n"
 
 EXPERIMENTS = (_E1, _E2, _E3) = ("example1", "example2", "example3_analog")
 
@@ -635,7 +637,8 @@ class _Columns:
         formats, columns = zip(*columns)
         line = b",".join(formats) + b"\n"
         values = tuple(itertools.chain.from_iterable(zip(*columns)))     # row by row
-        return (_head(RESULT_FIELDS).encode() + line * len(order)) % values
+        head = _SCHEMA_LINE + _table_text(RESULT_FIELDS, [])
+        return (head.encode() + line * len(order)) % values
 
 
 def _reprs(values: np.ndarray) -> list[bytes]:
@@ -749,18 +752,17 @@ class RunResult:
         _write_run_json(self.config, out / "run.json", self.skipped)
 
 
-def _head(header) -> str:
-    """The schema line and the CSV header of a versioned CSV."""
-    csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(header)
-    return f"# schema_version={SCHEMA_VERSION}\n{buf.getvalue()}"
+def _table_text(header, rows: list[dict]) -> str:
+    """The CSV header, then one row per dict, its values in header order ("" where a
+    key is missing)."""
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(
+        [header, *([r.get(k, "") for k in header] for r in rows)])
+    return buf.getvalue()
 
 
 def _write_table(path: Path, header, rows: list[dict]) -> None:
-    """One CSV row per dict, its values in header order ("" where a key is missing)."""
-    buf = io.StringIO()
-    buf.write(_head(header))
-    csv.writer(buf, lineterminator="\n").writerows([r.get(k, "") for k in header] for r in rows)
-    path.write_text(buf.getvalue(), newline="")
+    """A versioned CSV: ``_table_text`` under the schema line."""
+    path.write_text(_SCHEMA_LINE + _table_text(header, rows), newline="")
 
 
 def _write_run_json(cfg: dict, path: Path, skipped=()) -> None:

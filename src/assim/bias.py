@@ -14,7 +14,9 @@ the clean readings, the noise has mean zero and the map to coordinates is
 linear, so it is the coordinates of the biased readings (``_expected_coords``).
 For the linear model the corrector simply rescales the constraint by
 ``(1 - alpha)``, so a relative bias of ``alpha`` leaves a residual amplitude
-error of order ``alpha**2`` instead of ``alpha``.
+error of order ``alpha**2`` instead of ``alpha``.  The shifted constraint is
+written once, in ``corrected_constraint_block``; per-case ``bpbdw_reconstruct``
+is ``bpbdw_correct_block`` run on one vector.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import math
 import numpy as np
 
 from .obs import Measurement, ObservationSpace, observe
-from .solver import BlockReconstruction, Box, Reconstruction, pbdw_solve, pbdw_solve_block
+from .solver import (BlockReconstruction, Box, Reconstruction, _single, _solve, _target_coeffs,
+                     pbdw_solve_block)
 from .space import GridFunction, Subspace, _Value
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "apply_noise",
     "noise_expectation",
     "discrepancy_xi",
-    "corrected_constraint",
     "corrected_constraint_block",
     "bpbdw_reconstruct",
     "bpbdw_correct_block",
@@ -51,7 +53,8 @@ class NoiseModel(_Value):
 
     ``empirical_table`` adds a finite mean offset looked up by reading
     magnitude: ``table`` is a list of ``(bin_lo, bin_hi, offset)`` rows whose
-    bins must tile the expected reading range without gaps.
+    bins must tile the expected reading range without gaps.  It has no slope,
+    so its ``alpha`` must be 0.
 
     Both expectations are exact, so ``mc_samples`` is unused; it is kept, and
     still checked, because callers outside the package pass it.
@@ -73,6 +76,8 @@ class NoiseModel(_Value):
         if kind == EMPIRICAL_TABLE:
             if not table:
                 raise ValueError("empirical_table model needs a table")
+            if alpha != 0:
+                raise ValueError(f"alpha={alpha} must be 0: an empirical_table model has no slope")
             table = tuple(tuple(map(float, row)) for row in table)
             for i, (lo, hi, offset) in enumerate(table):
                 if not lo < hi:
@@ -117,16 +122,14 @@ def apply_noise(
     return Measurement(space.coords_from_raw(readings), space)
 
 
-def _expected_coords(observed: np.ndarray, space: ObservationSpace | None, model: NoiseModel,
+def _expected_coords(observed: np.ndarray, space: ObservationSpace, model: NoiseModel,
                      alpha: float | np.ndarray | None = None) -> np.ndarray:
     """Exact expected noisy coordinates of states whose clean coordinates are
     ``observed``, one vector or an (m, K) block: the noise has mean zero, so
     this is the coordinates of the biased readings.  ``alpha`` overrides a
-    linear model's slope; a table model needs ``space``."""
+    linear model's slope."""
     if model.kind == LINEAR_BIAS_GAUSSIAN:
         return observed * (1.0 + (model.alpha if alpha is None else alpha))
-    if space is None:
-        raise ValueError(f"the expectation of an {model.kind!r} model needs the observation space")
     return space.coords_from_raw(model.biased_readings(space.raw_from_coords(observed)))
 
 
@@ -140,29 +143,18 @@ def discrepancy_xi(u: GridFunction, space: ObservationSpace, model: NoiseModel) 
     return observe(u, space) - noise_expectation(u, space, model)
 
 
-def corrected_constraint(u: GridFunction, space: ObservationSpace, model: NoiseModel) -> Measurement:
-    """Shifted constraint of the second solve: ``observe(u) + discrepancy_xi(u)``.
-
-    ``corrected_constraint_block`` of ``u``'s coordinates, projected once; it
-    keeps the arithmetic order of that sum, so the result is the same to the
-    last bit.
-    """
-    return Measurement(corrected_constraint_block(space.onb.coefficients(u), model, space=space),
-                       space)
-
-
 def corrected_constraint_block(
-    observed: np.ndarray, model: NoiseModel, alpha: float | np.ndarray | None = None,
-    space: ObservationSpace | None = None,
+    observed: np.ndarray, space: ObservationSpace, model: NoiseModel,
+    alpha: float | np.ndarray | None = None,
 ) -> np.ndarray:
-    """``corrected_constraint`` for an (m, K) block of observed coordinates.
+    """Shifted constraint of the second solve, ``observe(u) + discrepancy_xi(u)``,
+    for the observed coordinates of one state or of an (m, K) block of states.
 
     ``alpha`` is the bias slope of each column of a linear model, a scalar or
     a length-K vector that broadcasts over the rows; by default every column
-    has ``model.alpha``.  An empirical_table model needs ``space``.  Column k
-    equals ``corrected_constraint`` of the state whose coordinates are column
-    k, under a model with column k's slope, with the same arithmetic order;
-    a one-dimensional ``observed`` is that one column.
+    has ``model.alpha``.  Column k is the constraint of the state whose
+    coordinates are column k, under a model with column k's slope; it keeps
+    the arithmetic order of that sum, so it is the same to the last bit.
     """
     return observed + (observed - _expected_coords(observed, space, model, alpha))
 
@@ -185,24 +177,27 @@ def bpbdw_reconstruct(
     seed: int = 0,
     box: Box | None = None,
 ) -> BiasCorrectedReconstruction:
-    """Two-step bias-corrected reconstruction.
+    """Two-step bias-corrected reconstruction of one data vector.
 
     Step 1 reconstructs from the raw data; step 2 re-solves with the
     constraint shifted by the expected clean-vs-noisy discrepancy of the
-    first estimate.  Passing ``box`` clamps the background coefficients in
-    both solves.  The expectation is exact, so ``seed`` is unused; it is
-    kept because callers outside the package pass it.
+    first estimate, ``corrected_constraint_block`` of that solve's own
+    observed coordinates.  This is ``bpbdw_correct_block`` run on one vector.
+    Passing ``box`` clamps the background coefficients in both solves.  The
+    expectation is exact, so ``seed`` is unused; it is kept because callers
+    outside the package pass it.
     """
-    first = pbdw_solve(omega_star, background, space, box)
-    eta = corrected_constraint(first.state, space, model)
-    corrected = pbdw_solve(eta, background, space, box)
+    first = _solve(_target_coeffs(omega_star, space), background, space, box)
+    initial = _single(first, space.grid)
+    eta = Measurement(corrected_constraint_block(first.observed, space, model), space)
+    corrected = _single(_solve(eta.coeffs, background, space, box), space.grid)
     return BiasCorrectedReconstruction(
         state=corrected.state,
         rom_coeffs=corrected.rom_coeffs,
         correction_coeffs=corrected.correction_coeffs,
         beta=corrected.beta,
         constraint_residual=corrected.constraint_residual,
-        initial=first,
+        initial=initial,
         eta=eta,
     )
 
@@ -218,10 +213,11 @@ def bpbdw_correct_block(
     """Second step of ``bpbdw_reconstruct`` for a block of first estimates.
 
     ``first`` is the plain block solve of the data on the same pair and with
-    the same ``box``; the constraint is ``corrected_constraint_block``, which
-    also takes each column's ``alpha`` under a linear model.  Column k
-    matches ``bpbdw_reconstruct`` on case k up to roundoff, and bit for bit
-    with a ``box`` under a linear model.
+    the same ``box``; the constraint is ``corrected_constraint_block`` of its
+    observed coordinates, which also takes each column's ``alpha`` under a
+    linear model.  ``bpbdw_reconstruct`` is this correction on one vector.
+    Column k matches ``bpbdw_reconstruct`` on case k up to roundoff, and bit
+    for bit with a ``box`` under a linear model.
     """
-    eta = corrected_constraint_block(first.observed, model, alpha, space)
+    eta = corrected_constraint_block(first.observed, space, model, alpha)
     return pbdw_solve_block(eta, background, space, box)

@@ -26,6 +26,7 @@ from typing import NoReturn
 
 from .bench import (
     POD_DECAY_FIELDS,
+    _table_text,
     _write_table,
     describe_schema,
     load_config,
@@ -90,9 +91,7 @@ def _cmd_pod_decay(args) -> int:
     cfg = load_config(args.config, args.overrides)
     rows = setup_experiment(cfg).decay()
     if args.out is None:
-        print("label,n,approximation_error")
-        for row in rows:
-            print(f"{row['label']},{row['n']},{row['approximation_error']!r}")
+        print(_table_text(POD_DECAY_FIELDS, rows), end="")
     else:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -25,13 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bias import (
-    NoiseModel,
-    bpbdw_correct_block,
-    bpbdw_reconstruct,
-    corrected_constraint,
-    corrected_constraint_block,
-)
+from .bias import NoiseModel, bpbdw_correct_block, bpbdw_reconstruct, corrected_constraint_block
 from .manifold import SnapshotSet, unit_steps
 from .obs import Measurement, ObservationSpace, cross_gramian, inf_sup_beta
 from .solver import (
@@ -329,12 +323,13 @@ def spbdw_reconstruct(
     else:
         u_f = bpbdw_reconstruct(omega_f, background, space, model)
         # u_f.initial is the plain smooth solve of omega_f
-        eta = corrected_constraint(u_f.initial.state + f_star, space, model)
+        eta = corrected_constraint_block(space.onb.coefficients(u_f.initial.state + f_star),
+                                         space, model)
         # refit the recorded steps jointly against eta
         corrected = []
         if smoothers:
             A = dictionary.observed[:, [sm.index for sm in smoothers]]
-            gamma, *_ = np.linalg.lstsq(A, eta.coeffs, rcond=None)
+            gamma, *_ = np.linalg.lstsq(A, eta, rcond=None)
             corrected = [float(g) for g in gamma]
         f_u = GridFunction(space.grid, _step_sum(space.grid, smoothers, corrected))
 
@@ -492,7 +487,7 @@ def spbdw_reconstruct_block(
         return SplitBlock(greedy, f_star, first, greedy.amplitudes, first.states + f_star)
 
     u_f = bpbdw_correct_block(first, background, space, model)
-    eta = corrected_constraint_block(weighted @ (first.states + f_star), model, space=space).T
+    eta = corrected_constraint_block(weighted @ (first.states + f_star), space, model).T
     # an unused slot (index -1) is a zero column, whose amplitude the fit sets to 0
     selected = (greedy.indices >= 0)[:, None, :]
     A = np.where(selected, _stacked_images(dictionary, greedy.indices), 0.0)

@@ -61,13 +61,15 @@ class SensorArray(_Value):
         centers = tuple(float(c) for c in centers)
         if len(centers) < 1:
             raise ValueError("need at least one sensor")
+        if not np.isfinite(centers).all():
+            raise ValueError(f"sensor centers {centers} must be finite")
         if any(c2 <= c1 for c1, c2 in zip(centers, centers[1:])):
             raise ValueError("sensor centers must be strictly increasing")
         if kind not in (POINTWISE, BOX_AVERAGE):
             raise ValueError(f"unknown sensor kind {kind!r}")
         if kind == BOX_AVERAGE:
-            if width is None or width <= 0:
-                raise ValueError("box_average sensors need a positive width")
+            if width is None or not 0 < width < np.inf:
+                raise ValueError(f"box_average sensors need a positive, finite width, got {width}")
         self.__dict__.update(centers=centers, kind=kind, width=width)
 
     @property

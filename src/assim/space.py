@@ -99,8 +99,8 @@ class Grid(_Value):
     """Uniform grid on [a, b] with trapezoid quadrature weights."""
 
     def __init__(self, a: float, b: float, num_points: int) -> None:
-        if not b > a:
-            raise ValueError(f"grid requires b > a, got [{a}, {b}]")
+        if not -np.inf < a < b < np.inf:
+            raise ValueError(f"grid requires finite a < b, got [{a}, {b}]")
         if num_points < 2:
             raise ValueError(f"grid needs at least 2 points, got {num_points}")
         self.__dict__.update(a=a, b=b, num_points=num_points)

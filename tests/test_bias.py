@@ -18,7 +18,7 @@ from assim import (
     pod,
     sample_sinusoids,
 )
-from assim.bias import bpbdw_correct_block, corrected_constraint, corrected_constraint_block
+from assim.bias import bpbdw_correct_block, corrected_constraint_block
 from assim.solver import pbdw_solve_block
 
 
@@ -45,6 +45,9 @@ class TestNoiseModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(sigma=-1.0)
+        # a table model has no slope, so an alpha it would ignore is refused
+        with pytest.raises(ValueError, match="alpha=0.5 must be 0"):
+            NoiseModel(kind="empirical_table", alpha=0.5, table=((0.0, 1.0, 0.1),))
         for bad in ({"sigma": float("nan")}, {"alpha": float("inf")}, {"alpha": -1.0}):
             with pytest.raises(ValueError):
                 NoiseModel(**bad)
@@ -260,19 +263,26 @@ class TestBpbdw:
     )
     def test_one_projection_matches_three(self, grid, model):
         # the corrected constraint projects the first estimate once; the state
-        # and eta must equal the three-projection formula to the last bit
+        # and eta must equal the three-projection formula to the last bit, and
+        # so must a box narrow enough to bind
         snaps = sample_sinusoids(SinusoidSpec(), grid, 32, seed=11)
         basis = pod(snaps, 4)
         space = build_observation_space(SensorArray.equidistant(20, grid), grid)
         omega = apply_noise(snaps.snapshots[3], space, model, seed=12)
-        rec = bpbdw_reconstruct(omega, basis.subspace, space, model)
+        for box in (None, compute_box(snaps, basis.subspace, margin=0.5)):
+            rec = bpbdw_reconstruct(omega, basis.subspace, space, model, box=box)
 
-        first = pbdw_solve(omega, basis.subspace, space)
-        eta = observe(first.state, space) + discrepancy_xi(first.state, space, model)
-        expected = pbdw_solve(eta, basis.subspace, space)
-        assert np.array_equal(rec.eta.coeffs, eta.coeffs)
-        assert np.array_equal(rec.state.values, expected.state.values)
-        assert np.array_equal(corrected_constraint(first.state, space, model).coeffs, eta.coeffs)
+            first = pbdw_solve(omega, basis.subspace, space, box)
+            eta = observe(first.state, space) + discrepancy_xi(first.state, space, model)
+            expected = pbdw_solve(eta, basis.subspace, space, box)
+            assert np.array_equal(rec.initial.state.values, first.state.values)
+            assert np.array_equal(rec.eta.coeffs, eta.coeffs)
+            assert np.array_equal(rec.state.values, expected.state.values)
+            assert np.array_equal(rec.rom_coeffs, expected.rom_coeffs)
+            assert rec.constraint_residual == expected.constraint_residual
+            assert box is None or np.isin(rec.rom_coeffs, [*box.lo, *box.hi]).any()
+            observed = space.onb.coefficients(first.state)
+            assert np.array_equal(corrected_constraint_block(observed, space, model), eta.coeffs)
 
 
 class TestBpbdwBlock:
@@ -334,14 +344,15 @@ class TestBpbdwBlock:
 
     def test_per_column_alpha_is_each_columns_own_model(self, grid):
         # one slope per column, broadcast over the rows: each column is
-        # corrected_constraint under its own model, to the last bit
+        # observe(u) + discrepancy_xi(u) under its own model, to the last bit
         snaps = sample_sinusoids(SinusoidSpec(), grid, 8, seed=23)
         space = build_observation_space(SensorArray.equidistant(12, grid), grid)
         alphas = np.array([0.0, -0.0, 0.05, 0.2, -0.3, 1e-5, 0.1, 3.0])
         observed = np.stack([space.onb.coefficients(u) for u in snaps.snapshots], axis=1)
-        block = corrected_constraint_block(observed, NoiseModel(sigma=0.5), alphas)
+        block = corrected_constraint_block(observed, space, NoiseModel(sigma=0.5), alphas)
         for k, (u, alpha) in enumerate(zip(snaps.snapshots, alphas)):
             model = NoiseModel(alpha=float(alpha), sigma=0.5)
-            assert np.array_equal(block[:, k], corrected_constraint(u, space, model).coeffs)
+            eta = observe(u, space) + discrepancy_xi(u, space, model)
+            assert np.array_equal(block[:, k], eta.coeffs)
             assert np.array_equal(block[:, k],
-                                  corrected_constraint_block(observed[:, k:k + 1], model)[:, 0])
+                                  corrected_constraint_block(observed[:, k:k + 1], space, model)[:, 0])

@@ -20,6 +20,7 @@ from assim import (
     bpbdw_reconstruct,
     build_observation_space,
     build_slow_dictionary,
+    discrepancy_xi,
     extract_smoothers,
     heaviside,
     inf_sup_beta,
@@ -35,7 +36,6 @@ from assim import (
     step_dictionary,
     total_variation,
 )
-from assim.bias import corrected_constraint
 from assim.multiscale import (_stacked_lstsq, extract_smoothers_block, spbdw_reconstruct_block,
                               step_nodes)
 from assim.rom import projection_residuals
@@ -410,7 +410,8 @@ def reference_spbdw(omega, background, space, dictionary, model=None):
         return (smoothers, f_star, omega_f, history, [sm.amplitude for sm in smoothers],
                 f_star, u_f.state + f_star)
     u_f = bpbdw_reconstruct(omega_f, background, space, model)
-    eta = corrected_constraint(u_f.initial.state + f_star, space, model)
+    composite = u_f.initial.state + f_star
+    eta = observe(composite, space) + discrepancy_xi(composite, space, model)
     corrected, f_u = [], space.grid.zero()
     if smoothers:
         A = dictionary.observed[:, [sm.index for sm in smoothers]]

@@ -37,6 +37,16 @@ class TestSensorArray:
     def test_box_needs_width(self):
         with pytest.raises(ValueError):
             SensorArray((0.5,), "box_average", width=None)
+        for width in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive, finite width"):
+                SensorArray((0.5,), "box_average", width=width)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_centers_must_be_finite(self, bad):
+        # a NaN center passes the increasing check (every NaN comparison is false),
+        # and its representer would land on node 0
+        with pytest.raises(ValueError, match="must be finite"):
+            SensorArray((0.25, bad), "pointwise")
 
     def test_centers_inside_domain(self, grid):
         sensors = SensorArray((0.0, 1.0), "pointwise")

@@ -58,6 +58,10 @@ class TestGrid:
             Grid(1.0, 0.0, 16)
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 1)
+        # an infinite end would give h = inf
+        for a, b in ((0.0, float("inf")), (-float("inf"), 0.0), (0.0, float("nan"))):
+            with pytest.raises(ValueError, match="finite a < b"):
+                Grid(a, b, 5)
 
 
 class TestInnerProduct:
